@@ -28,26 +28,43 @@ import numpy as np
 
 from . import heuristics as heur
 from . import lab as labmod
-from . import risk, smc
+from . import qutrit, risk, smc
 from .measurement import Datum, ReferenceRates, choose_repetitions
 from .qutrit import ExperimentConfig, SpinParams
-from .smc import (
-    IDX_ALPHA,
-    IDX_BETA,
-    DriftParams,
-    ModelParameters,
-    ParticleCloud,
-    PriorSpec,
-    SpinPrior,
-    UpdateOptions,
-)
+from .smc import DriftParams, ModelParameters, PriorSpec, SpinPrior, UpdateOptions
 
 CALIBRATION_PULSE_NS = 2.0
 
 
 @dataclass
 class RunConfig:
-    """Settings for a heuristic-comparison run; see README for the schema."""
+    """Settings for a heuristic-comparison run.
+
+    A config file is a JSON object with any subset of these fields; unknown
+    keys are rejected.
+
+    * ``heuristics``: registry names of the policies to compare.
+    * ``prior``: spin prior kind, ``"wide"``, ``"calibrated"`` or ``"tight"``.
+    * ``trials``, ``experiments``: trials per policy, experiments per trial.
+    * ``particles``: SMC particle count K.
+    * ``risk_outcomes``, ``risk_particles``: MIS outcome samples and inner
+      particles per candidate (online policies).
+    * ``target_esm``, ``n_max``: expected ESM each experiment aims at, and
+      the cap on its repetition count.
+    * ``seed``: root of every random stream of the run.
+    * ``lab``: ``"in-process"`` or ``"tcp://host:port"``.
+    * ``out_dir``: where records, checkpoints and aggregates go.
+    * ``calibration_repetitions``: repetitions of the reference-only run
+      that sets the reference prior.
+    * ``rabi_t_max``, ``ramsey_t_max``: longest Rabi pulse and Ramsey wait
+      (ns) of the grids.
+    * ``candidate_m``: points per Rabi and per Ramsey grid of the online
+      policies; offline sweeps get ``max(1, experiments // 2)``.
+    * ``truth_alpha_range``, ``truth_beta_range``: uniform ranges of the
+      true reference rates (photons per shot).
+    * ``truth_drift_sigma``, ``truth_drift_correlation``: true reference
+      drift scale (per sqrt(hour)) and correlation.
+    """
 
     heuristics: list = field(default_factory=lambda: ["alternating_linear"])
     prior: str = "wide"
@@ -65,7 +82,6 @@ class RunConfig:
     rabi_t_max: float = 500.0
     ramsey_t_max: float = 2000.0
     candidate_m: int = 100
-    pipeline_concurrency: bool = True
     # ground-truth generation (references are drawn uniformly per trial,
     # spin parameters from the same prior the engine uses)
     truth_alpha_range: tuple = (0.045, 0.055)
@@ -131,42 +147,23 @@ def draw_truth(config: RunConfig, rng: np.random.Generator) -> ModelParameters:
     )
 
 
-def build_heuristic(config: RunConfig, name: str) -> heur.Heuristic:
-    """Desk-scale heuristic construction.
+def _sized_heuristic(config: RunConfig, name: str) -> heur.Heuristic:
+    """The named policy at the run's sizes, through the one registry.
 
     Offline sweeps are scaled so one full pass (two for Ramsey sweeps) fits
-    the trial budget; online candidate grids keep their full resolution.
+    the trial budget; online candidate grids have ``candidate_m`` points.
     """
-    common = dict(target_esm=config.target_esm, n_max=config.n_max)
-    if name == "alternating_linear":
-        m = max(1, config.experiments // 2)
-        return heur.AlternatingLinear(
-            rabi_t_max=config.rabi_t_max,
-            rabi_m=m,
-            ramsey_t_max=config.ramsey_t_max,
-            ramsey_m=m,
-            **common,
-        )
-    if name == "ramsey_sweeps":
-        return heur.RamseySweeps(
-            t_max=config.ramsey_t_max, m=max(1, config.experiments // 2), **common
-        )
-    if name in ("uniform_risk", "magnetometry_risk"):
-        factory = (
-            heur.uniform_risk_heuristic
-            if name == "uniform_risk"
-            else heur.magnetometry_risk_heuristic
-        )
-        return factory(
-            rabi_t_max=config.rabi_t_max,
-            rabi_m=config.candidate_m,
-            ramsey_t_max=config.ramsey_t_max,
-            ramsey_m=config.candidate_m,
-            n_outcomes=config.risk_outcomes,
-            n_particles=config.risk_particles,
-            **common,
-        )
-    raise ValueError(f"unknown heuristic {name!r}")
+    m = max(1, config.experiments // 2)
+    sizes = dict(
+        target_esm=config.target_esm,
+        n_max=config.n_max,
+        rabi_t_max=config.rabi_t_max,
+        ramsey_t_max=config.ramsey_t_max,
+    )
+    if name in heur.RISK_HEURISTICS:
+        m = config.candidate_m
+        sizes.update(n_outcomes=config.risk_outcomes, n_particles=config.risk_particles)
+    return heur.make_heuristic(name, rabi_m=m, ramsey_m=m, **sizes)
 
 
 def calibrate_reference_prior(lab, repetitions: int):
@@ -180,21 +177,6 @@ def calibrate_reference_prior(lab, repetitions: int):
         datum.bright_counts, datum.dark_counts, repetitions
     )
     return prior, datum
-
-
-class _SynchronousExecutor:
-    def submit(self, fn, *args):
-        class _Done:
-            def __init__(self, value):
-                self._value = value
-
-            def result(self):
-                return self._value
-
-        return _Done(fn(*args))
-
-    def shutdown(self, **kwargs):
-        pass
 
 
 @dataclass
@@ -256,7 +238,7 @@ def run_trial(
         truth = draw_truth(config, truth_rng)
         lab = labmod.InProcessLab(labmod.TrueSystem(truth, lab_rng))
     if heuristic is None:
-        heuristic = build_heuristic(config, heuristic_name)
+        heuristic = _sized_heuristic(config, heuristic_name)
 
     # tracking at trial start, then the reference-only calibration run
     lab.track()
@@ -283,22 +265,12 @@ def run_trial(
     tracking_steps = []
     cumulative_esm = 0.0
     tracking_requested = False
-    executor = (
-        ThreadPoolExecutor(max_workers=1)
-        if config.pipeline_concurrency
-        else _SynchronousExecutor()
-    )
+    executor = ThreadPoolExecutor(max_workers=1)
 
-    design_cache = getattr(heuristic, "cache", None)
-
-    def update_survival(spins: np.ndarray, cfg: ExperimentConfig):
-        # reuse the design stage's cached row when the update acts on the
-        # same cloud generation; mid-update resamples fall through
-        if design_cache is not None and np.shares_memory(spins, cloud.locations):
-            row = design_cache.lookup(cloud, cfg)
-            if row is not None:
-                return row
-        return smc.survival_probabilities(spins, cfg)
+    def survival(spins: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
+        # design simulated this shape already if the spin block is unchanged
+        row = heuristic.cache.lookup(spins, cfg)
+        return qutrit.survival_probabilities(spins, cfg) if row is None else row
 
     def process(datum: Datum, cfg: ExperimentConfig, planned_esm: float, step: int):
         nonlocal cloud, cumulative_esm, tracking_requested
@@ -306,7 +278,7 @@ def run_trial(
         dt = max(0.0, now_hours - cloud.last_update_time)
         cloud = smc.drift_step(cloud, dt, engine_rng)
         cloud, report = smc.bayes_update(
-            cloud, datum, cfg, engine_rng, options, survival_fn=update_survival
+            cloud, datum, cfg, engine_rng, options, survival_fn=survival
         )
         cloud.last_update_time = now_hours
         cumulative_esm += planned_esm
@@ -586,7 +558,7 @@ def risk_heatmap(config: HeatmapConfig, log=None) -> list:
         ExperimentConfig(c.kind, c.pulse_time, c.wait_time, c.drive_frequency, n)
         for c in candidates
     ]
-    p_table = policy.cache.table(cloud, sized, "heatmap")
+    p_table = policy.cache.table(cloud.spin_locations, sized)
     q = risk.uniform_weight_matrix()
 
     def profile_values(n_out, n_par, stream):

@@ -87,54 +87,75 @@ def _repetitions_for(cloud: ParticleCloud, target_esm: float, n_max: int) -> int
 
 
 class SurvivalTableCache:
-    """Caches the latest full-cloud survival table, keyed by spin-version.
+    """Survival rows of one spin block, keyed by pulse shape.
 
-    Spin columns change only on resampling, so between resamples a design
-    policy reuses the whole candidate table, and Bayes updates on executed
-    configurations can look their row up for free.  A cache instance must
-    not be shared across particle-cloud lineages (spin versions would
-    collide).
+    A survival row is a pure function of the five spin columns and the
+    pulse shape ``(kind, pulse_time, wait_time, drive_frequency)``;
+    repetition counts do not enter.  The cache keeps a copy of the spin
+    block its rows belong to, and a row is valid exactly while the caller's
+    spin columns equal that copy, so clouds that share a lineage, a copy or
+    nothing at all never see each other's rows.  Design fills the cache
+    through :meth:`table`; the Bayes update reads the executed
+    configuration's row back through :meth:`lookup`.
     """
 
-    def __init__(self, table_fn=None):
-        self.table_fn = table_fn or qutrit.survival_table
-        self._key = None
-        self._table = None
-        self._configs = None
+    def __init__(self):
+        self._spins = None
+        self._rows = {}
 
-    def table(self, cloud: ParticleCloud, configs: list, grid_key) -> np.ndarray:
-        key = (cloud.spin_version, grid_key)
-        if key != self._key:
-            self._table = self.table_fn(cloud.spin_locations, configs)
-            self._key = key
-            self._configs = configs
-        return self._table
+    @staticmethod
+    def _shape(config: ExperimentConfig) -> tuple:
+        return (
+            config.kind, config.pulse_time, config.wait_time, config.drive_frequency
+        )
 
-    def lookup(self, cloud: ParticleCloud, config: ExperimentConfig):
-        """Cached survival row for this pulse shape at the cloud's current
-        spin version, or None.  Repetition counts are ignored (the survival
-        probability does not depend on them)."""
-        if self._key is None or self._key[0] != cloud.spin_version:
+    def _holds(self, spins: np.ndarray) -> bool:
+        return self._spins is not None and np.array_equal(self._spins, spins)
+
+    def table(self, spins: np.ndarray, configs: list) -> np.ndarray:
+        """(len(configs), K) survival table over the (K, 5) spin block.
+
+        Only shapes not yet held for this spin block are simulated, in one
+        :func:`qutrit.survival_table` call; a new spin block drops every row.
+        """
+        if not self._holds(spins):
+            self._spins = np.array(spins)
+            self._rows = {}
+        missing = {
+            self._shape(c): c for c in configs if self._shape(c) not in self._rows
+        }
+        if missing:
+            fresh = qutrit.survival_table(spins, list(missing.values()))
+            fresh.setflags(write=False)  # rows are handed out as views
+            self._rows.update(zip(missing, fresh))
+        return np.stack([self._rows[self._shape(c)] for c in configs])
+
+    def lookup(self, spins: np.ndarray, config: ExperimentConfig):
+        """Cached survival row of this pulse shape over the (K, 5) spin
+        block, or None."""
+        if not self._holds(spins):
             return None
-        for i, candidate in enumerate(self._configs):
-            if (
-                candidate.kind == config.kind
-                and candidate.pulse_time == config.pulse_time
-                and candidate.wait_time == config.wait_time
-                and candidate.drive_frequency == config.drive_frequency
-            ):
-                return self._table[i]
-        return None
+        return self._rows.get(self._shape(config))
 
 
 @dataclass
 class Heuristic:
-    """Base policy: grids, ESM targeting, and the shared config plumbing."""
+    """Base policy: grids, ESM targeting, and the shared config plumbing.
+
+    Every policy takes the same grid sizes, so one registry can size them
+    all; Ramsey sweeps use only the Ramsey grid.  ``cache`` holds the
+    survival rows the policy simulated, for the Bayes update to read back.
+    """
 
     name: str = "base"
     target_esm: float = DEFAULT_TARGET_ESM
     n_max: int = DEFAULT_N_MAX
     drive_frequency: float = qutrit.ZFS_MHZ
+    rabi_t_max: float = 500.0
+    rabi_m: int = 100
+    ramsey_t_max: float = 2000.0
+    ramsey_m: int = 100
+    cache: SurvivalTableCache = field(default_factory=SurvivalTableCache)
 
     def next_experiment(
         self, cloud: ParticleCloud, step: int, rng: np.random.Generator
@@ -147,6 +168,15 @@ class Heuristic:
             wait_time=config.wait_time,
             drive_frequency=config.drive_frequency,
             repetitions=n,
+        )
+
+    def rabi_grid(self) -> list:
+        return experiment_set_rabi(self.rabi_t_max, self.rabi_m, self.drive_frequency)
+
+    def ramsey_grid(self, cloud: ParticleCloud) -> list:
+        """Ramsey grid at the cloud's current best tip time."""
+        return experiment_set_ramsey(
+            best_tip_time(cloud), self.ramsey_t_max, self.ramsey_m, self.drive_frequency
         )
 
     def _pick(self, cloud, step, rng) -> ExperimentConfig:
@@ -163,20 +193,12 @@ class AlternatingLinear(Heuristic):
     """
 
     name: str = "alternating_linear"
-    rabi_t_max: float = 500.0
-    rabi_m: int = 100
-    ramsey_t_max: float = 2000.0
-    ramsey_m: int = 100
 
     def _pick(self, cloud, step, rng):
         cursor = step // 2
         if step % 2 == 0:
-            grid = experiment_set_rabi(self.rabi_t_max, self.rabi_m, self.drive_frequency)
-            return grid[cursor % self.rabi_m]
-        grid = experiment_set_ramsey(
-            best_tip_time(cloud), self.ramsey_t_max, self.ramsey_m, self.drive_frequency
-        )
-        return grid[cursor % self.ramsey_m]
+            return self.rabi_grid()[cursor % self.rabi_m]
+        return self.ramsey_grid(cloud)[cursor % self.ramsey_m]
 
 
 @dataclass
@@ -184,14 +206,9 @@ class RamseySweeps(Heuristic):
     """Offline back-to-back sweeps through one Ramsey wait-time grid."""
 
     name: str = "ramsey_sweeps"
-    t_max: float = 2000.0
-    m: int = 100
 
     def _pick(self, cloud, step, rng):
-        grid = experiment_set_ramsey(
-            best_tip_time(cloud), self.t_max, self.m, self.drive_frequency
-        )
-        return grid[step % self.m]
+        return self.ramsey_grid(cloud)[step % self.ramsey_m]
 
 
 @dataclass
@@ -199,30 +216,21 @@ class RiskMinimizer(Heuristic):
     """Online policy: pick the candidate minimizing the MIS Bayes risk.
 
     Candidates are the union of the Rabi grid and the Ramsey grid built at
-    the current best tip time.  Ties break toward the shortest total
-    evolution time, then the lowest candidate index.
+    the current best tip time.  Reliable estimates (few dropped MIS
+    outcomes) rank ahead of unreliable ones; ties break toward the shortest
+    total evolution time, then the lowest candidate index.
     """
 
     name: str = "risk"
     weights: np.ndarray = field(default_factory=risk.uniform_weight_matrix)
-    rabi_t_max: float = 500.0
-    rabi_m: int = 100
-    ramsey_t_max: float = 2000.0
-    ramsey_m: int = 100
     n_outcomes: int = 512
     n_particles: int = 1024
     # ranking tolerates single precision; it halves the evaluation cost
     table_dtype: type = np.float32
-    cache: SurvivalTableCache = field(default_factory=SurvivalTableCache)
     last_profile: list = field(default=None, repr=False)
 
     def candidate_set(self, cloud: ParticleCloud) -> list:
-        tip = best_tip_time(cloud)
-        return experiment_set_rabi(
-            self.rabi_t_max, self.rabi_m, self.drive_frequency
-        ) + experiment_set_ramsey(
-            tip, self.ramsey_t_max, self.ramsey_m, self.drive_frequency
-        )
+        return self.rabi_grid() + self.ramsey_grid(cloud)
 
     def _pick(self, cloud, step, rng):
         candidates = self.candidate_set(cloud)
@@ -231,15 +239,6 @@ class RiskMinimizer(Heuristic):
             ExperimentConfig(c.kind, c.pulse_time, c.wait_time, c.drive_frequency, n)
             for c in candidates
         ]
-        grid_key = (
-            candidates[0].drive_frequency,
-            self.rabi_t_max,
-            self.rabi_m,
-            candidates[-1].pulse_time,
-            self.ramsey_t_max,
-            self.ramsey_m,
-        )
-        p_table = self.cache.table(cloud, sized, grid_key)
         profile = risk.risk_profile(
             cloud,
             sized,
@@ -247,13 +246,14 @@ class RiskMinimizer(Heuristic):
             rng,
             n_outcomes=self.n_outcomes,
             n_particles=self.n_particles,
-            p_table=p_table,
+            p_table=self.cache.table(cloud.spin_locations, sized),
             dtype=self.table_dtype,
         )
         self.last_profile = profile
         best = min(
             range(len(profile)),
             key=lambda i: (
+                not profile[i][1].reliable,
                 profile[i][1].value,
                 profile[i][0].evolution_time,
                 i,
@@ -274,15 +274,21 @@ def magnetometry_risk_heuristic(**kwargs) -> RiskMinimizer:
     )
 
 
+# the online policies, which also take ``n_outcomes`` and ``n_particles``
+RISK_HEURISTICS = {
+    "uniform_risk": uniform_risk_heuristic,
+    "magnetometry_risk": magnetometry_risk_heuristic,
+}
 HEURISTIC_FACTORIES = {
     "alternating_linear": AlternatingLinear,
     "ramsey_sweeps": RamseySweeps,
-    "uniform_risk": uniform_risk_heuristic,
-    "magnetometry_risk": magnetometry_risk_heuristic,
+    **RISK_HEURISTICS,
 }
 
 
 def make_heuristic(name: str, **kwargs) -> Heuristic:
+    """The named policy; keyword arguments set its fields (grid sizes,
+    ESM target, and for the online policies the MIS sizes)."""
     try:
         factory = HEURISTIC_FACTORIES[name]
     except KeyError:

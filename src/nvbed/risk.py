@@ -1,16 +1,13 @@
 """Bayes-risk evaluation of candidate experiments.
 
 The risk of a candidate configuration is the expected Q-weighted posterior
-mean-squared error after observing one more datum.  Both estimators sample
-hypothetical outcomes from the joint particle/datum distribution:
+mean-squared error after observing one more datum.  The
+maximum-importance-sampling (MIS) estimator samples hypothetical outcomes
+from the joint particle/datum distribution and reweights a fixed
+down-sampled inner cloud once per sampled outcome (O(K*K') evaluations,
+O(K') outcome samples).
 
-* the brute-force estimator re-approximates the posterior with the sampled
-  outcome particles themselves (O(K'^2) likelihood evaluations), and
-* the maximum-importance-sampling (MIS) estimator reweights a fixed
-  down-sampled inner cloud once per sampled outcome (O(K*K') evaluations,
-  O(K') outcome samples).
-
-Estimators are generic over an outcome model exposing
+The estimator is generic over an outcome model exposing
 
     sample_counts(locations, config, rng) -> (n, 3) count array
     log_likelihood_matrix(counts, locations, config) -> (n, K)
@@ -27,9 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from . import smc
-from .qutrit import survival_probabilities
-from .smc import IDX_ALPHA, IDX_BETA, SPIN_SLICE, ParticleCloud
+from . import qutrit, smc
+from .smc import IDX_ALPHA, IDX_BETA, ParticleCloud
 
 
 @dataclass(frozen=True)
@@ -85,18 +81,19 @@ def _check_q(q: np.ndarray, dim: int) -> np.ndarray:
 class NvModel:
     """Referenced-Poisson outcome model over full 10-parameter hypotheses.
 
-    ``survival_fn(spin_locations, config) -> p`` may be swapped for a cached
-    evaluator; the default runs the exact batched simulator.  Callers that
-    already hold survival probabilities for the particles at hand can pass
-    them through the ``p`` keyword to skip the simulation entirely.
+    The model never simulates: every call takes the survival probability of
+    each particle at hand through ``p``, sliced by the caller from a
+    full-cloud row (``p_full`` of :func:`mis_risk`, ``p_table`` of
+    :func:`risk_profile`).
     """
-
-    def __init__(self, survival_fn=None):
-        self.survival_fn = survival_fn or survival_probabilities
 
     def _rates(self, locations, config, p=None):
         if p is None:
-            p = self.survival_fn(locations[:, SPIN_SLICE], config)
+            raise ValueError(
+                "NvModel needs the survival probabilities p of these particles; "
+                "pass the full-cloud row as p_full (mis_risk) or p_table "
+                "(risk_profile)"
+            )
         alpha = locations[:, IDX_ALPHA]
         beta = locations[:, IDX_BETA]
         n = config.repetitions
@@ -122,22 +119,6 @@ class NvModel:
         table -= rate_x + rate_y + rate_z
         table -= gammaln(counts + 1.0).sum(axis=1)[:, None]
         return table
-
-
-def _posterior_weight_table(log_table, base_weights):
-    """Row-normalized posterior weights; returns (weights, kept_row_mask)."""
-    shift = np.max(log_table, axis=1)
-    kept = np.isfinite(shift)
-    weights = np.zeros_like(log_table)
-    if np.any(kept):
-        block = np.exp(log_table[kept] - shift[kept, None]) * base_weights
-        totals = block.sum(axis=1)
-        good = totals > 0
-        block[good] /= totals[good, None]
-        weights[kept] = block
-        kept_idx = np.flatnonzero(kept)
-        kept[kept_idx[~good]] = False
-    return weights, kept
 
 
 def _active_block(q):
@@ -178,39 +159,6 @@ def _weighted_variance_terms(log_table, base_weights, locations, q, dtype):
     return terms, kept
 
 
-def brute_force_risk(
-    cloud: ParticleCloud,
-    config,
-    q: np.ndarray,
-    n_outcomes: int,
-    rng: np.random.Generator,
-    model=None,
-    p_full=None,
-) -> RiskEstimate:
-    """Joint-sampling estimate of the Bayes risk.
-
-    Samples ``n_outcomes`` particles from the cloud, one datum from each, and
-    averages the Q-weighted squared distance between the generating particle
-    and the posterior mean computed over the sampled particle set itself.
-    ``p_full`` optionally carries precomputed survival probabilities for the
-    whole cloud.
-    """
-    if n_outcomes < 2:
-        raise ValueError("need at least two outcome samples")
-    model = model or NvModel()
-    q = _check_q(q, cloud.locations.shape[1])
-    idx = rng.choice(cloud.size, size=n_outcomes, p=cloud.weights)
-    particles = cloud.locations[idx]
-    extra = {} if p_full is None else {"p": np.asarray(p_full)[idx]}
-    counts = model.sample_counts(particles, config, rng, **extra)
-    table = model.log_likelihood_matrix(counts, particles, config, **extra)
-    weights, kept = _posterior_weight_table(table, np.full(n_outcomes, 1.0 / n_outcomes))
-    posterior_means = weights @ particles
-    deviations = particles - posterior_means
-    terms = np.einsum("ij,ij->i", deviations @ q, deviations)
-    return _summarize(terms, kept, n_outcomes, n_outcomes)
-
-
 def _downsample(cloud: ParticleCloud, k: int, rng):
     """Indices and weights of an inner particle set of size <= k.
 
@@ -244,8 +192,10 @@ def mis_risk(
 
     Outcomes are drawn from the marginal predictive (via the joint); each
     outcome reweights a fixed inner particle set, and the risk is the mean
-    Q-weighted posterior variance over outcomes.  ``p_full`` optionally
-    carries precomputed survival probabilities for the whole cloud;
+    Q-weighted posterior variance over outcomes.  ``p_full`` carries the
+    survival probability of every particle of the cloud for ``config``; the
+    NV model requires it, and outcome models that take no rows are called
+    without it.
     ``dtype=np.float32`` trades the last digits of each estimate for about
     half the evaluation cost (safe for ranking candidates).
     """
@@ -298,7 +248,6 @@ def risk_profile(
     n_outcomes: int = 512,
     n_particles: int = 1024,
     model=None,
-    method: str = "mis",
     normalize: bool = False,
     p_table=None,
     dtype=np.float64,
@@ -309,12 +258,15 @@ def risk_profile(
     consumes its own child random stream, so results are reproducible for a
     fixed candidate order and seed.  With ``normalize=True`` values are
     divided by sigma_Q^2, so 1.0 marks an uninformative experiment.
-    ``p_table`` optionally holds precomputed survival probabilities, one row
-    per candidate, over the full cloud.
+    ``p_table`` holds the survival probabilities, one row per candidate, over
+    the full cloud.  For the NV model without a table, the rows are simulated
+    once for the whole cloud here.
     """
     if not configs:
         raise ValueError("candidate list is empty")
     model = model or NvModel()
+    if p_table is None and isinstance(model, NvModel):
+        p_table = qutrit.survival_table(cloud.spin_locations, configs)
     streams = rng.spawn(len(configs))
     scale = 1.0
     if normalize:
@@ -322,17 +274,9 @@ def risk_profile(
     out = []
     for i, (config, stream) in enumerate(zip(configs, streams)):
         p_full = None if p_table is None else p_table[i]
-        if method == "mis":
-            est = mis_risk(
-                cloud, config, q, n_outcomes, n_particles, stream, model, p_full,
-                dtype,
-            )
-        elif method == "brute_force":
-            est = brute_force_risk(
-                cloud, config, q, n_outcomes, stream, model, p_full
-            )
-        else:
-            raise ValueError(f"unknown risk method {method!r}")
+        est = mis_risk(
+            cloud, config, q, n_outcomes, n_particles, stream, model, p_full, dtype
+        )
         if normalize:
             est = RiskEstimate(
                 est.value * scale,

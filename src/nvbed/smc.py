@@ -113,14 +113,14 @@ class ModelParameters:
 class ParticleCloud:
     """Weighted hypotheses approximating the posterior.
 
-    ``spin_version`` increments whenever any spin column (0-4) changes, so
-    survival-probability caches can detect staleness cheaply.
+    Only resampling changes the spin columns (0-4); drift and tracking
+    resets move the reference columns alone.  Survival caches therefore key
+    on the spin columns' contents.
     """
 
     locations: np.ndarray  # (K, 10)
     weights: np.ndarray  # (K,), nonnegative, summing to 1
     last_update_time: float = 0.0  # simulated hours
-    spin_version: int = 0
 
     def __post_init__(self):
         self.locations = np.atleast_2d(np.asarray(self.locations, dtype=float))
@@ -145,10 +145,7 @@ class ParticleCloud:
 
     def copy(self) -> "ParticleCloud":
         return ParticleCloud(
-            self.locations.copy(),
-            self.weights.copy(),
-            self.last_update_time,
-            self.spin_version,
+            self.locations.copy(), self.weights.copy(), self.last_update_time
         )
 
 
@@ -476,29 +473,6 @@ def _reweight(weights, logl):
     return scaled / total
 
 
-def bayes_update_sequence(
-    cloud: ParticleCloud,
-    data: list,
-    configs: list,
-    rng: np.random.Generator,
-    options: UpdateOptions = UpdateOptions(),
-    survival_fn=None,
-):
-    """Update on a batch of data jointly.
-
-    By the chain rule the joint update is the composition of the single-datum
-    updates, so this folds :func:`bayes_update`; with resampling disabled the
-    result is identical to chaining by hand.
-    """
-    report = UpdateReport(substeps=0)
-    for datum, config in zip(data, configs):
-        cloud, rep = bayes_update(cloud, datum, config, rng, options, survival_fn)
-        report.substeps += rep.substeps
-        report.resampled |= rep.resampled
-        report.n_eff = rep.n_eff
-    return cloud, report
-
-
 # ----------------------------------------------------------------------------
 # Resampling and drift
 # ----------------------------------------------------------------------------
@@ -548,12 +522,7 @@ def liu_west_resample(
         locations[bad] = propose(int(bad.sum()))
     else:
         raise RedrawLimitError("Liu-West proposals kept violating constraints")
-    return ParticleCloud(
-        locations,
-        np.full(k, 1.0 / k),
-        cloud.last_update_time,
-        cloud.spin_version + 1,
-    )
+    return ParticleCloud(locations, np.full(k, 1.0 / k), cloud.last_update_time)
 
 
 def drift_step(
@@ -624,11 +593,12 @@ def save_cloud(path, cloud: ParticleCloud) -> None:
         locations=cloud.locations,
         weights=cloud.weights,
         last_update_time=np.float64(cloud.last_update_time),
-        spin_version=np.int64(cloud.spin_version),
     )
 
 
 def load_cloud(path) -> ParticleCloud:
+    """Read a checkpoint; entries other than the cloud's own (such as the
+    ``spin_version`` that older checkpoints carry) are ignored."""
     with np.load(path) as data:
         version = int(data["format_version"])
         if version != CLOUD_FORMAT_VERSION:
@@ -637,5 +607,4 @@ def load_cloud(path) -> ParticleCloud:
             data["locations"],
             data["weights"],
             float(data["last_update_time"]),
-            int(data["spin_version"]),
         )

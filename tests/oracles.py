@@ -1,0 +1,74 @@
+"""Reference implementations that only the tests use.
+
+* :func:`brute_force_risk` re-approximates each hypothetical posterior with
+  the sampled outcome particles themselves (O(K'^2) likelihood
+  evaluations); it cross-checks the MIS estimator of ``nvbed.risk``.
+* :func:`bayes_update_sequence` folds :func:`nvbed.smc.bayes_update` over a
+  batch of data; it checks the chain rule.
+"""
+
+import numpy as np
+
+from nvbed.risk import NvModel, _check_q, _summarize
+from nvbed.smc import UpdateOptions, UpdateReport, bayes_update
+
+
+def _posterior_weight_table(log_table, base_weights):
+    """Row-normalized posterior weights; returns (weights, kept_row_mask)."""
+    shift = np.max(log_table, axis=1)
+    kept = np.isfinite(shift)
+    weights = np.zeros_like(log_table)
+    if np.any(kept):
+        block = np.exp(log_table[kept] - shift[kept, None]) * base_weights
+        totals = block.sum(axis=1)
+        good = totals > 0
+        block[good] /= totals[good, None]
+        weights[kept] = block
+        kept_idx = np.flatnonzero(kept)
+        kept[kept_idx[~good]] = False
+    return weights, kept
+
+
+def brute_force_risk(cloud, config, q, n_outcomes, rng, model=None, p_full=None):
+    """Joint-sampling estimate of the Bayes risk.
+
+    Samples ``n_outcomes`` particles from the cloud, one datum from each, and
+    averages the Q-weighted squared distance between the generating particle
+    and the posterior mean computed over the sampled particle set itself.
+    ``p_full`` carries the survival probabilities of the whole cloud, as for
+    :func:`nvbed.risk.mis_risk`.
+    """
+    if n_outcomes < 2:
+        raise ValueError("need at least two outcome samples")
+    model = model or NvModel()
+    q = _check_q(q, cloud.locations.shape[1])
+    idx = rng.choice(cloud.size, size=n_outcomes, p=cloud.weights)
+    particles = cloud.locations[idx]
+    extra = {} if p_full is None else {"p": np.asarray(p_full)[idx]}
+    counts = model.sample_counts(particles, config, rng, **extra)
+    table = model.log_likelihood_matrix(counts, particles, config, **extra)
+    weights, kept = _posterior_weight_table(
+        table, np.full(n_outcomes, 1.0 / n_outcomes)
+    )
+    posterior_means = weights @ particles
+    deviations = particles - posterior_means
+    terms = np.einsum("ij,ij->i", deviations @ q, deviations)
+    return _summarize(terms, kept, n_outcomes, n_outcomes)
+
+
+def bayes_update_sequence(
+    cloud, data, configs, rng, options=UpdateOptions(), survival_fn=None
+):
+    """Update on a batch of data jointly.
+
+    By the chain rule the joint update is the composition of the single-datum
+    updates, so this folds ``bayes_update``; with resampling disabled the
+    result is identical to chaining by hand.
+    """
+    report = UpdateReport(substeps=0)
+    for datum, config in zip(data, configs):
+        cloud, rep = bayes_update(cloud, datum, config, rng, options, survival_fn)
+        report.substeps += rep.substeps
+        report.resampled |= rep.resampled
+        report.n_eff = rep.n_eff
+    return cloud, report

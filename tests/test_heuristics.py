@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from nvbed import qutrit, risk
 from nvbed.heuristics import (
     AlternatingLinear,
     RamseySweeps,
+    RiskMinimizer,
+    SurvivalTableCache,
     best_tip_time,
     experiment_set_rabi,
     experiment_set_ramsey,
@@ -13,6 +16,7 @@ from nvbed.heuristics import (
     uniform_risk_heuristic,
 )
 from nvbed.measurement import EsmInputs, ReferenceRates, esm
+from nvbed.qutrit import ExperimentConfig
 from nvbed.smc import (
     IDX_ALPHA,
     IDX_BETA,
@@ -124,7 +128,7 @@ class TestOfflineHeuristics:
     def test_ramsey_sweeps_repeat_after_one_pass(self):
         rng = np.random.default_rng(1)
         cloud = single_particle_cloud(rabi=12.5)
-        heuristic = RamseySweeps(m=100)
+        heuristic = RamseySweeps(ramsey_m=100)
         waits = [
             heuristic.next_experiment(cloud, step, rng).wait_time
             for step in range(200)
@@ -202,6 +206,97 @@ class TestRiskHeuristics:
         a = h1.next_experiment(cloud, 3, np.random.default_rng(11))
         b = h2.next_experiment(cloud, 3, np.random.default_rng(11))
         assert a == b
+
+
+class TestRiskRanking:
+    def pick(self, monkeypatch, estimates):
+        """Candidate chosen when the profile returns these estimates."""
+        def fake_profile(cloud, configs, q, rng, **kwargs):
+            return list(zip(configs, estimates))
+
+        monkeypatch.setattr(risk, "risk_profile", fake_profile)
+        cloud = inference_cloud(np.random.default_rng(12), k=50)
+        policy = RiskMinimizer(rabi_m=2, ramsey_m=1)
+        chosen = policy._pick(cloud, 0, np.random.default_rng(13))
+        return [cfg for cfg, _ in policy.last_profile].index(chosen)
+
+    def test_unreliable_lowest_risk_is_not_chosen(self, monkeypatch):
+        estimates = [
+            risk.RiskEstimate(0.5, 0.01, 100, 50),
+            risk.RiskEstimate(0.1, 0.01, 100, 50, n_dropped=40),
+            risk.RiskEstimate(0.3, 0.01, 100, 50),
+        ]
+        assert self.pick(monkeypatch, estimates) == 2
+
+    def test_all_unreliable_falls_back_to_argmin(self, monkeypatch):
+        estimates = [
+            risk.RiskEstimate(0.5, 0.01, 100, 50, n_dropped=40),
+            risk.RiskEstimate(0.1, 0.01, 100, 50, n_dropped=40),
+            risk.RiskEstimate(0.3, 0.01, 100, 50, n_dropped=40),
+        ]
+        assert self.pick(monkeypatch, estimates) == 1
+
+
+class TestSurvivalTableCache:
+    def grid(self, tip=22.0, repetitions=1000):
+        return [
+            ExperimentConfig(
+                c.kind, c.pulse_time, c.wait_time, c.drive_frequency, repetitions
+            )
+            for c in experiment_set_rabi(500.0, 6)
+            + experiment_set_ramsey(tip, 2000.0, 6)
+        ]
+
+    def test_shared_instance_matches_fresh_on_a_second_cloud(self):
+        first = inference_cloud(np.random.default_rng(1), k=300)
+        second = inference_cloud(np.random.default_rng(2), k=300)
+        sizes = dict(rabi_m=6, ramsey_m=6, n_outcomes=32, n_particles=64)
+        shared = uniform_risk_heuristic(**sizes)
+        shared.next_experiment(first, 0, np.random.default_rng(3))
+        reused = shared.next_experiment(second, 0, np.random.default_rng(4))
+        fresh = uniform_risk_heuristic(**sizes)
+        expected = fresh.next_experiment(second, 0, np.random.default_rng(4))
+        assert reused == expected
+        assert [e for _, e in shared.last_profile] == [e for _, e in fresh.last_profile]
+
+    def test_lookup_row_matches_single_config_simulation(self):
+        cloud = inference_cloud(np.random.default_rng(14), k=120)
+        cache = SurvivalTableCache()
+        cache.table(cloud.spin_locations, self.grid())
+        for config in self.grid(repetitions=7):
+            row = cache.lookup(cloud.spin_locations, config)
+            exact = qutrit.survival_probabilities(cloud.spin_locations, config)
+            assert np.allclose(row, exact, rtol=0.0, atol=1e-12)
+
+    def test_changed_spin_columns_miss(self):
+        cloud = inference_cloud(np.random.default_rng(15), k=80)
+        cache = SurvivalTableCache()
+        config = self.grid()[3]
+        cache.table(cloud.spin_locations, self.grid())
+        copy = cloud.copy()
+        copy.locations[:, IDX_ALPHA] *= 1.1  # references are not part of the key
+        assert cache.lookup(copy.spin_locations, config) is not None
+        cloud.locations[5, IDX_RABI] += 1e-9
+        assert cache.lookup(cloud.spin_locations, config) is None
+
+    def test_new_tip_time_simulates_only_new_shapes(self, monkeypatch):
+        cloud = inference_cloud(np.random.default_rng(16), k=60)
+        cache = SurvivalTableCache()
+        calls = []
+        real = qutrit.survival_table
+
+        def counted(spins, configs):
+            calls.append(len(configs))
+            return real(spins, configs)
+
+        monkeypatch.setattr(qutrit, "survival_table", counted)
+        cache.table(cloud.spin_locations, self.grid(tip=22.0))
+        table = cache.table(cloud.spin_locations, self.grid(tip=20.0))
+        cache.table(cloud.spin_locations, self.grid(tip=22.0))
+        assert calls == [12, 6]
+        assert np.array_equal(
+            table, real(cloud.spin_locations, self.grid(tip=20.0))
+        )
 
 
 class TestFactory:

@@ -3,11 +3,11 @@ import pytest
 from scipy.special import gammaln, logsumexp
 from scipy.stats import poisson
 
+from nvbed import qutrit
 from nvbed.qutrit import ExperimentConfig
 from nvbed.risk import (
     NvModel,
     RiskEstimate,
-    brute_force_risk,
     magnetometry_weight_matrix,
     mis_risk,
     risk_profile,
@@ -24,15 +24,9 @@ from nvbed.smc import (
     posterior_cov,
     sample_prior,
 )
+from oracles import brute_force_risk
 
 CFG = ExperimentConfig("rabi", pulse_time=50.0, repetitions=2000)
-
-
-def constant_survival(value):
-    def fn(spins, config):
-        return np.full(spins.shape[0], value)
-
-    return fn
 
 
 def nv_cloud(rng, k=400):
@@ -130,9 +124,9 @@ class TestDegenerateInputs:
         rng = np.random.default_rng(4)
         cloud = nv_cloud(rng, k=100)
         q = np.zeros((10, 10))
-        model = NvModel(constant_survival(0.5))
-        bf = brute_force_risk(cloud, CFG, q, 50, np.random.default_rng(5), model)
-        mis = mis_risk(cloud, CFG, q, 50, 64, np.random.default_rng(6), model)
+        p = np.full(cloud.size, 0.5)
+        bf = brute_force_risk(cloud, CFG, q, 50, np.random.default_rng(5), p_full=p)
+        mis = mis_risk(cloud, CFG, q, 50, 64, np.random.default_rng(6), p_full=p)
         assert bf.value == 0.0
         assert mis.value == 0.0
 
@@ -142,10 +136,10 @@ class TestDegenerateInputs:
         weights = np.zeros(60)
         weights[17] = 1.0
         cloud = ParticleCloud(base.locations, weights)
-        model = NvModel(constant_survival(0.5))
+        p = np.full(cloud.size, 0.5)
         q = uniform_weight_matrix()
-        bf = brute_force_risk(cloud, CFG, q, 64, np.random.default_rng(8), model)
-        mis = mis_risk(cloud, CFG, q, 64, 32, np.random.default_rng(9), model)
+        bf = brute_force_risk(cloud, CFG, q, 64, np.random.default_rng(8), p_full=p)
+        mis = mis_risk(cloud, CFG, q, 64, 32, np.random.default_rng(9), p_full=p)
         assert bf.value == pytest.approx(0.0, abs=1e-18)
         assert mis.value == pytest.approx(0.0, abs=1e-18)
 
@@ -166,9 +160,9 @@ class TestEstimatorProperties:
         rng = np.random.default_rng(12)
         cloud = nv_cloud(rng, k=300)
         q = uniform_weight_matrix()
-        model = NvModel(constant_survival(0.37))
-        bf = brute_force_risk(cloud, CFG, q, 2000, np.random.default_rng(13), model)
-        mis = mis_risk(cloud, CFG, q, 2000, 300, np.random.default_rng(14), model)
+        p = np.full(cloud.size, 0.37)
+        bf = brute_force_risk(cloud, CFG, q, 2000, np.random.default_rng(13), p_full=p)
+        mis = mis_risk(cloud, CFG, q, 2000, 300, np.random.default_rng(14), p_full=p)
         combined = np.hypot(bf.std_error, mis.std_error)
         assert abs(bf.value - mis.value) <= 3 * combined
 
@@ -194,9 +188,9 @@ class TestEstimatorProperties:
         rng = np.random.default_rng(19)
         cloud = nv_cloud(rng, k=150)
         q = magnetometry_weight_matrix()
-        model = NvModel(constant_survival(0.6))
-        a = mis_risk(cloud, CFG, q, 256, 128, np.random.default_rng(20), model)
-        b = mis_risk(cloud, CFG, q, 256, 128, np.random.default_rng(20), model)
+        p = np.full(cloud.size, 0.6)
+        a = mis_risk(cloud, CFG, q, 256, 128, np.random.default_rng(20), p_full=p)
+        b = mis_risk(cloud, CFG, q, 256, 128, np.random.default_rng(20), p_full=p)
         assert a == b
 
     def test_underflow_outcomes_are_dropped_and_flagged(self):
@@ -276,6 +270,45 @@ class TestRiskProfile:
         rabi_best = min(e.value for c, e in profile if c.kind == "rabi")
         ramsey_best = min(e.value for c, e in profile if c.kind == "ramsey")
         assert ramsey_best < rabi_best
+
+
+class TestSurvivalRows:
+    def test_nv_model_without_rows_names_them(self):
+        cloud = nv_cloud(np.random.default_rng(31), k=50)
+        with pytest.raises(ValueError, match="p_full"):
+            mis_risk(
+                cloud, CFG, uniform_weight_matrix(), 16, 16, np.random.default_rng(32)
+            )
+        with pytest.raises(ValueError, match="p_table"):
+            NvModel().sample_counts(cloud.locations, CFG, np.random.default_rng(33))
+
+    def test_profile_simulates_full_cloud_rows_once(self, monkeypatch):
+        cloud = nv_cloud(np.random.default_rng(34), k=80)
+        configs = [
+            CFG,
+            ExperimentConfig(
+                "ramsey", pulse_time=22.0, wait_time=300.0, repetitions=2000
+            ),
+        ]
+        q = uniform_weight_matrix()
+        table = qutrit.survival_table(cloud.spin_locations, configs)
+        explicit = risk_profile(
+            cloud, configs, q, np.random.default_rng(35),
+            n_outcomes=32, n_particles=40, p_table=table,
+        )
+        calls = []
+        real = qutrit.survival_table
+
+        def counted(spins, cfgs):
+            calls.append((len(spins), len(cfgs)))
+            return real(spins, cfgs)
+
+        monkeypatch.setattr(qutrit, "survival_table", counted)
+        built = risk_profile(
+            cloud, configs, q, np.random.default_rng(35), n_outcomes=32, n_particles=40
+        )
+        assert calls == [(cloud.size, len(configs))]
+        assert [est for _, est in built] == [est for _, est in explicit]
 
 
 class TestWeightMatrices:
