@@ -19,12 +19,19 @@ field::
 Every request line gets exactly one response line; malformed JSON yields an
 error response and the connection stays open.  One connection is served at a
 time; concurrent connections queue.
+
+A request may carry an ``"id"`` string, which its response echoes.  The
+server keeps the response to the last request that had an id and answers a
+repeat of that id with it instead of executing again, so a client that lost
+a reply can re-send without running the experiment twice.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import secrets
 import socket
 import socketserver
 import threading
@@ -219,11 +226,7 @@ class InProcessLab:
 # ----------------------------------------------------------------------------
 
 
-def _handle_request(system: TrueSystem, line: str) -> dict:
-    try:
-        message = json.loads(line)
-    except json.JSONDecodeError as err:
-        return {"v": PROTOCOL_VERSION, "status": "error", "error": f"bad json: {err}"}
+def _handle_request(system: TrueSystem, message) -> dict:
     if not isinstance(message, dict):
         return {"v": PROTOCOL_VERSION, "status": "error", "error": "expected an object"}
     version = message.get("v")
@@ -261,7 +264,7 @@ def _handle_request(system: TrueSystem, line: str) -> dict:
 class _LabRequestHandler(socketserver.StreamRequestHandler):
     def handle(self):
         for raw in self.rfile:
-            response = _handle_request(self.server.system, raw.decode("utf-8"))
+            response = self.server.respond(raw.decode("utf-8"))
             self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
             self.wfile.flush()
 
@@ -274,6 +277,23 @@ class LabServer(socketserver.TCPServer):
     def __init__(self, system: TrueSystem, address=("127.0.0.1", 0)):
         super().__init__(address, _LabRequestHandler)
         self.system = system
+        self._last_id = None
+        self._last_response = None
+
+    def respond(self, line: str) -> dict:
+        """The response to one request line; a repeated id gets the stored one."""
+        try:
+            message = json.loads(line)
+        except json.JSONDecodeError as err:
+            return {"v": PROTOCOL_VERSION, "status": "error", "error": f"bad json: {err}"}
+        request_id = message.get("id") if isinstance(message, dict) else None
+        if request_id is None:
+            return _handle_request(self.system, message)
+        if request_id != self._last_id:
+            response = _handle_request(self.system, message)
+            response["id"] = request_id
+            self._last_id, self._last_response = request_id, response
+        return self._last_response
 
     @property
     def address(self) -> str:
@@ -304,13 +324,20 @@ def _parse_address(address: str) -> tuple:
 
 
 class LabClient:
-    """Blocking newline-JSON client with a single reconnect-and-retry."""
+    """Blocking newline-JSON client with a single reconnect-and-retry.
+
+    Every request carries an id unique to this client, and the retry re-sends
+    the same id, so the server answers it from its stored reply when the
+    first attempt executed but its reply was lost.
+    """
 
     def __init__(self, address: str, timeout: float = 60.0):
         self._address = _parse_address(address)
         self._timeout = timeout
         self._sock = None
         self._reader = None
+        self._session = secrets.token_hex(8)
+        self._sequence = itertools.count(1)
         self.last_cache_hit = None
         self._connect()
 
@@ -339,9 +366,14 @@ class LabClient:
             )
         if response.get("status") != "ok":
             raise LabProtocolError(response.get("error", "unknown server error"))
+        if response.get("id") != request["id"]:
+            raise LabProtocolError(
+                f"reply to request {response.get('id')!r}, expected {request['id']!r}"
+            )
         return response
 
     def _request(self, request: dict) -> dict:
+        request = {**request, "id": f"{self._session}-{next(self._sequence)}"}
         try:
             return self._exchange(request)
         except LabConnectionError:

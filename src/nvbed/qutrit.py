@@ -6,19 +6,29 @@ so a hypothesis is simulated as three independent 3-level systems (one per
 mI branch) and the survival probability is their uniform average.
 
 Unit convention, applied in exactly one place (``build_hamiltonian`` and the
-dephasing entry of ``lindblad_generator``):
+dephasing entry of ``lindblad_generator``, mirrored coefficient by
+coefficient in ``_real_generators``):
 
 * frequencies in MHz, dephasing rates in 1/us,
 * times in ns,
 * generators therefore in rad/ns (a factor ``2*pi*1e-3`` on Hamiltonian
   coefficients) and 1/ns (a factor ``1e-3`` on dephasing, no ``2*pi``),
 
-so that ``expm(duration_ns * generator)`` needs no further conversion.
+so that ``exp(duration_ns * generator)`` needs no further conversion.
 
 Superoperators use the column-stacking convention: ``vec(rho)[3*c + r]``
 holds ``rho[r, c]``, and ``vec(A @ X @ B) == kron(B.T, A) @ vec(X)``.
 Basis ordering is (|+1>, |0>, |-1>), so the |0><0| population sits at
 vectorized index 4.
+
+Propagators are computed in a real basis.  The generator maps Hermitian
+operators to Hermitian operators, so in the orthonormal Hermitian operator
+basis B_a (the three diagonal units |i><i|, then (|i><j| + |j><i|)/sqrt(2)
+and i(|i><j| - |j><i|)/sqrt(2) for i < j) it is a real 9x9 matrix
+R = U^H L U, where the columns of the unitary U are vec(B_a).  Hence
+exp(t L) = U exp(t R) U^H, and since |0><0| is itself basis element 1, the
+survival probability of a pulse is exp(t R)[1, 1].  :func:`expm` is the one
+exponential every path uses.
 """
 
 from __future__ import annotations
@@ -27,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 ZFS_MHZ = 2870.0  # nominal zero-field splitting; zfs_offset is relative to this
 
@@ -39,10 +48,6 @@ SZ = np.diag([1.0, 0.0, -1.0]).astype(complex)
 SZ2 = SZ @ SZ
 SX = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / math.sqrt(2.0)
 _I3 = np.eye(3, dtype=complex)
-_I9 = np.eye(9, dtype=complex)
-
-# vec index of the |0><0| element (row 1, column 1, column-stacking)
-_P0_INDEX = 4
 
 _MI_BRANCHES = (-1, 0, 1)
 
@@ -51,6 +56,62 @@ _M = np.array([1.0, 0.0, -1.0])
 _DEPHASING_DIAG = np.array(
     [-0.5 * (_M[k % 3] - _M[k // 3]) ** 2 for k in range(9)]
 )
+
+
+def _hermitian_basis() -> np.ndarray:
+    """Unitary whose columns are vec(B_a) of the real basis (module docstring)."""
+    elements = []
+    for i in range(3):
+        b = np.zeros((3, 3), dtype=complex)
+        b[i, i] = 1.0
+        elements.append(b)
+    pairs = ((0, 1), (0, 2), (1, 2))
+    for phase in (1.0, 1j):
+        for i, j in pairs:
+            b = np.zeros((3, 3), dtype=complex)
+            b[i, j] = phase / math.sqrt(2.0)
+            b[j, i] = np.conj(phase) / math.sqrt(2.0)
+            elements.append(b)
+    return np.column_stack([b.flatten(order="F") for b in elements])
+
+
+_U = _hermitian_basis()
+_UH = _U.conj().T
+# real-basis index of |0><0|; row 4 of U (its vec index) is the unit vector
+# there, so P[4, :] = P_real[1, :] U^H and P[:, 4] = U P_real[:, 1]
+_P0_REAL = 1
+
+
+def _real_image(superop: np.ndarray) -> np.ndarray:
+    """U^H S U for a Hermiticity-preserving superoperator S; real up to roundoff."""
+    return (_UH @ superop @ _U).real
+
+
+def _coherent(h: np.ndarray) -> np.ndarray:
+    """Superoperator of rho -> -i [h, rho]."""
+    return -1j * (np.kron(_I3, h) - np.kron(h.conj(), _I3))
+
+
+# Real images of the generator's four terms, one row each:
+# detuning * Sz^2, axial * Sz, drive * Sx (all rad/ns) and the dephasing
+# rate (1/ns).  A generator is its (4,) coefficient vector times this.
+_R_TERMS = np.stack(
+    [
+        _real_image(_coherent(SZ2)),
+        _real_image(_coherent(SZ)),
+        _real_image(_coherent(SX)),
+        _real_image(np.diag(_DEPHASING_DIAG)),
+    ]
+).reshape(4, 81)
+
+# Taylor coefficients 1/k! of the degree-16 polynomial that expm evaluates on
+# matrices scaled to 1-norm <= _THETA, where the remainder
+# _THETA^17 / 17! is below 5e-17, under double-precision roundoff
+_TAYLOR = [1.0 / math.factorial(k) for k in range(17)]
+_THETA = 0.78
+# matrices per evaluation block, so that the polynomial's work arrays stay
+# small and cache-resident whatever the stack size
+_EXPM_BLOCK = 1024
 
 
 class SimulationAccuracyError(RuntimeError):
@@ -185,8 +246,7 @@ def lindblad_generator(
 ) -> np.ndarray:
     """The 9x9 generator C[H] + D[L] with L = sqrt(1/T2*) Sz, in 1/ns."""
     h = build_hamiltonian(params, drive_freq, nitrogen_mi, amplitude)
-    coherent = -1j * (np.kron(_I3, h) - np.kron(h.conj(), _I3))
-    return coherent + (params.dephasing_rate * _RATE) * np.diag(_DEPHASING_DIAG)
+    return _coherent(h) + (params.dephasing_rate * _RATE) * np.diag(_DEPHASING_DIAG)
 
 
 def lindblad_propagator(
@@ -197,24 +257,70 @@ def lindblad_propagator(
     duration: float,
 ) -> np.ndarray:
     """Superoperator propagator exp(duration * (C[H] + D[L])) for a constant
-    pulse amplitude held for ``duration`` ns."""
+    pulse amplitude held for ``duration`` ns, in the column-stacking basis.
+
+    Computed as U expm(duration * R) U^H with R the generator's real image.
+    """
     if duration < 0:
         raise ValueError(f"duration must be >= 0, got {duration}")
-    return expm(duration * lindblad_generator(params, drive_freq, nitrogen_mi, amplitude))
+    real = _real_image(lindblad_generator(params, drive_freq, nitrogen_mi, amplitude))
+    return _U @ expm(duration * real[None])[0] @ _UH
 
 
-def _config_propagator(params: SpinParams, config: ExperimentConfig, mi: int) -> np.ndarray:
-    if config.kind == "rabi":
-        return lindblad_propagator(
-            params, config.drive_frequency, mi, 1.0, config.pulse_time
-        )
-    pulse = lindblad_propagator(
-        params, config.drive_frequency, mi, 1.0, config.pulse_time
-    )
-    wait = lindblad_propagator(
-        params, config.drive_frequency, mi, 0.0, config.wait_time
-    )
-    return pulse @ wait @ pulse
+def _taylor_exp(x: np.ndarray) -> np.ndarray:
+    """Degree-16 Taylor polynomial of exp at each matrix of the (m, n, n)
+    stack ``x``, in Paterson-Stockmeyer form: p = B0 + X4 (B1 + X4 (B2 +
+    X4 (B3 + c16 X4))) with Bi = c(4i) + ... + c(4i+3) X^3, six products."""
+    c = _TAYLOR
+    x2 = x @ x
+    x3 = x2 @ x
+    x4 = x2 @ x2
+
+    def part(k):
+        out = c[k + 1] * x + c[k + 2] * x2
+        out += c[k + 3] * x3
+        out.reshape(len(x), -1)[:, :: x.shape[-1] + 1] += c[k]
+        return out
+
+    acc = part(12)
+    acc += c[16] * x4
+    for k in (8, 4, 0):
+        acc = x4 @ acc
+        acc += part(k)
+    return acc
+
+
+def expm(stack: np.ndarray) -> np.ndarray:
+    """Matrix exponential of every matrix in a real (..., n, n) stack.
+
+    Scaling and squaring: each matrix is scaled by 2^-s to 1-norm at most
+    ``_THETA``, its degree-16 Taylor polynomial is evaluated, and the result
+    is squared s times.  s is chosen per matrix; matrices are sorted by s so
+    that every squaring round acts on a leading slice of a block.
+    """
+    a = np.asarray(stack, dtype=float)
+    n = a.shape[-1]
+    flat = a.reshape(-1, n, n)
+    norms = np.abs(flat).sum(axis=1).max(axis=1)
+    squarings = np.ceil(np.log2(np.maximum(norms / _THETA, 1.0))).astype(np.intp)
+    order = None
+    if len(flat) and squarings.min() != squarings.max():
+        order = np.argsort(-squarings, kind="stable")
+        squarings = squarings[order]
+    out = np.empty(flat.shape)
+    for lo in range(0, len(flat), _EXPM_BLOCK):
+        rows = slice(lo, lo + _EXPM_BLOCK)
+        s = squarings[rows]
+        block = flat[rows] if order is None else flat[order[rows]]
+        prop = _taylor_exp(block * np.ldexp(1.0, -s)[:, None, None])
+        for j in range(int(s[0])):
+            m = int(np.count_nonzero(s > j))
+            prop[:m] = prop[:m] @ prop[:m]
+        if order is None:
+            out[rows] = prop
+        else:
+            out[order[rows]] = prop
+    return out.reshape(a.shape)
 
 
 def _clamp_probability(p, context: str):
@@ -231,11 +337,7 @@ def _clamp_probability(p, context: str):
 def survival_probability(params: SpinParams, config: ExperimentConfig) -> float:
     """Probability of finding the electron back in |0> after the sequence,
     averaged uniformly over the three static nitrogen projections."""
-    total = 0.0
-    for mi in _MI_BRANCHES:
-        sup = _config_propagator(params, config, mi)
-        total += sup[_P0_INDEX, _P0_INDEX].real
-    return float(_clamp_probability(total / 3.0, f"survival_probability({config.kind})"))
+    return float(survival_table(params.as_array()[None, :], [config])[0, 0])
 
 
 # ----------------------------------------------------------------------------
@@ -243,39 +345,37 @@ def survival_probability(params: SpinParams, config: ExperimentConfig) -> float:
 #
 # The particle filter needs p(x, e) for thousands of hypotheses at once, and
 # the risk-based design heuristics need it for every candidate in a grid of
-# configurations.  The structured grids of the design heuristics admit two
-# fast paths:
+# configurations.  Every pulse propagator is one call of ``expm`` on the
+# stack of real-basis generators of all hypotheses and mI branches, built
+# directly from the four precomputed real images ``_R_TERMS``.  The
+# structured grids of the design heuristics admit two fast paths:
 #   * a Rabi family on an arithmetic pulse-time grid composes powers of the
-#     single-step propagator, and
-#   * Ramsey wait segments have a diagonal generator, so the wait-time curve
-#     is a 9-term complex exponential sum per hypothesis.
+#     single-step propagator, applied to the real |0><0| state, and
+#   * Ramsey wait segments have a diagonal generator in the column-stacking
+#     basis, so the wait-time curve is a 9-term complex exponential sum per
+#     hypothesis, weighted by row and column 4 of the pulse propagator.
 # ----------------------------------------------------------------------------
 
 
-def _batch_generators(spins: np.ndarray, drive_freq: float, amplitude: float) -> np.ndarray:
-    """Generators for all hypotheses and all mI branches, shape (3, K, 9, 9).
+def _real_generators(
+    spins: np.ndarray, drive_freq: float, amplitude: float, duration: float
+) -> np.ndarray:
+    """duration times the real-basis generators of all hypotheses and mI
+    branches, shape (3K, 9, 9), branch-major.
 
     ``spins`` is (K, 5) with columns (rabi_max, zeeman, zfs_offset,
     hyperfine, dephasing_rate).
     """
-    spins = np.atleast_2d(np.asarray(spins, dtype=float))
     k = spins.shape[0]
-    out = np.zeros((3, k, 9, 9), dtype=complex)
-    detuning = _ANGULAR * (spins[:, 2] + ZFS_MHZ - drive_freq)
-    drive = _ANGULAR * amplitude * spins[:, 0]
-    gamma = _RATE * spins[:, 4]
-    sz2_part = np.kron(_I3, SZ2) - np.kron(SZ2.conj(), _I3)
-    sz_part = np.kron(_I3, SZ) - np.kron(SZ.conj(), _I3)
-    sx_part = np.kron(_I3, SX) - np.kron(SX.conj(), _I3)
-    for b, mi in enumerate(_MI_BRANCHES):
-        axial = _ANGULAR * (spins[:, 1] + spins[:, 3] * mi)
-        out[b] = -1j * (
-            detuning[:, None, None] * sz2_part
-            + axial[:, None, None] * sz_part
-            + drive[:, None, None] * sx_part
-        )
-        out[b] += gamma[:, None, None] * np.diag(_DEPHASING_DIAG)
-    return out
+    coeffs = np.empty((3, k, 4))
+    coeffs[:, :, 0] = _ANGULAR * (spins[:, 2] + ZFS_MHZ - drive_freq)
+    coeffs[:, :, 1] = _ANGULAR * (
+        spins[:, 1] + np.multiply.outer(_MI_BRANCHES, spins[:, 3])
+    )
+    coeffs[:, :, 2] = _ANGULAR * amplitude * spins[:, 0]
+    coeffs[:, :, 3] = _RATE * spins[:, 4]
+    coeffs *= duration
+    return (coeffs.reshape(3 * k, 4) @ _R_TERMS).reshape(3 * k, 9, 9)
 
 
 def _wait_eigenvalues(spins: np.ndarray, drive_freq: float) -> np.ndarray:
@@ -312,24 +412,23 @@ def _survival_rabi_family(
     spins: np.ndarray, pulse_times: np.ndarray, drive_freq: float
 ) -> np.ndarray:
     """Survival probabilities for a family of Rabi pulse times, (n_times, K)."""
-    spins = np.atleast_2d(spins)
     k = spins.shape[0]
-    gens = _batch_generators(spins, drive_freq, 1.0).reshape(3 * k, 9, 9)
     out = np.empty((len(pulse_times), 3 * k))
     arith = _rabi_arithmetic_step(np.asarray(pulse_times, dtype=float))
     if arith is not None:
         step, multiples = arith
-        prop = expm(step * gens)
-        state = np.tile(np.eye(9, dtype=complex)[_P0_INDEX], (3 * k, 1))
+        prop = expm(_real_generators(spins, drive_freq, 1.0, step))
+        state = prop[:, :, _P0_REAL, None]
         wanted = {int(m): i for i, m in enumerate(multiples)}
         for power in range(1, int(np.max(multiples)) + 1):
-            state = np.einsum("kij,kj->ki", prop, state)
+            if power > 1:
+                state = prop @ state
             if power in wanted:
-                out[wanted[power]] = state[:, _P0_INDEX].real
+                out[wanted[power]] = state[:, _P0_REAL, 0]
     else:
         for i, t_p in enumerate(pulse_times):
-            prop = expm(float(t_p) * gens)
-            out[i] = prop[:, _P0_INDEX, _P0_INDEX].real
+            prop = expm(_real_generators(spins, drive_freq, 1.0, float(t_p)))
+            out[i] = prop[:, _P0_REAL, _P0_REAL]
     return out.reshape(len(pulse_times), 3, k).mean(axis=1)
 
 
@@ -340,13 +439,12 @@ def _survival_ramsey_family(
     pulse time, (n_waits, K).
 
     With P the pulse propagator and W(t) = exp(lambda * t) the diagonal wait
-    propagator, p(t) = sum_j P[4, j] * W_j(t) * P[j, 4].
+    propagator, p(t) = sum_j P[4, j] * W_j(t) * P[j, 4].  Only row and column
+    4 of P = U P_real U^H are formed, from row and column 1 of P_real.
     """
-    spins = np.atleast_2d(spins)
     k = spins.shape[0]
-    gens = _batch_generators(spins, drive_freq, 1.0).reshape(3 * k, 9, 9)
-    pulse = expm(float(pulse_time) * gens)
-    weights = pulse[:, _P0_INDEX, :] * pulse[:, :, _P0_INDEX]  # (3K, 9)
+    pulse = expm(_real_generators(spins, drive_freq, 1.0, float(pulse_time)))
+    weights = (pulse[:, _P0_REAL, :] @ _UH) * (pulse[:, :, _P0_REAL] @ _U.T)  # (3K, 9)
     lam = _wait_eigenvalues(spins, drive_freq).reshape(3 * k, 9)
     out = np.empty((len(wait_times), 3 * k))
     for i, t_w in enumerate(wait_times):

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import invwishart
 
 from .measurement import Datum, EsmInputs, ReferenceRates, esm, log_likelihood
 from .qutrit import ExperimentConfig, SpinParams, survival_probabilities
@@ -236,13 +235,23 @@ class DriftPrior:
         return np.asarray(self.scale) / (self.dof - 3.0)
 
     def sample_chart(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw n covariances and return (log sa, log sb, atanh rho) rows."""
-        draws = invwishart.rvs(df=self.dof, scale=self.scale, size=n, random_state=rng)
-        draws = np.asarray(draws).reshape(n, 2, 2)
-        sa = np.sqrt(draws[:, 0, 0])
-        sb = np.sqrt(draws[:, 1, 1])
-        rho = draws[:, 0, 1] / (sa * sb)
-        return np.column_stack([np.log(sa), np.log(sb), np.arctanh(rho)])
+        """Draw n covariances and return (log sa, log sb, atanh rho) rows.
+
+        Consumes the same variates as ``scipy.stats.invwishart.rvs(dof,
+        scale, n, rng)``, in the same order: the Bartlett factor
+        A = [[a, 0], [b, c]] with b ~ N(0, 1), a^2 ~ chi2(dof - 1) and
+        c^2 ~ chi2(dof).  The covariance is S = L L^T with L = C A^-1 and C
+        the Cholesky factor of the scale, so in closed form sa = L00, sb is
+        the norm of row 1 of L, and rho = L10 / sb.
+        """
+        b = rng.normal(size=(n, 1))[:, 0]
+        chi = rng.chisquare(df=(self.dof - 1.0) + np.arange(2.0), size=(n, 2)) ** 0.5
+        a, c = chi[:, 0], chi[:, 1]
+        chol = np.linalg.cholesky(np.asarray(self.scale, dtype=float))
+        sa = chol[0, 0] / a
+        l10 = (chol[1, 0] - chol[1, 1] * b / c) / a
+        sb = np.hypot(l10, chol[1, 1] / c)
+        return np.column_stack([np.log(sa), np.log(sb), np.arctanh(l10 / sb)])
 
 
 def default_reference_prior() -> ReferencePrior:

@@ -5,10 +5,19 @@
   evaluations); it cross-checks the MIS estimator of ``nvbed.risk``.
 * :func:`bayes_update_sequence` folds :func:`nvbed.smc.bayes_update` over a
   batch of data; it checks the chain rule.
+* :func:`scipy_survival_probability` simulates one hypothesis with SciPy's
+  complex ``expm`` of each segment's column-stacking generator; it checks
+  the real-basis kernel of ``nvbed.qutrit``.
+* :func:`invwishart_chart` draws the drift chart through
+  ``scipy.stats.invwishart``; it checks the closed-form draw of
+  :meth:`nvbed.smc.DriftPrior.sample_chart`.
 """
 
 import numpy as np
+from scipy.linalg import expm
+from scipy.stats import invwishart
 
+from nvbed.qutrit import lindblad_generator
 from nvbed.risk import NvModel, _check_q, _summarize
 from nvbed.smc import UpdateOptions, UpdateReport, bayes_update
 
@@ -72,3 +81,31 @@ def bayes_update_sequence(
         report.resampled |= rep.resampled
         report.n_eff = rep.n_eff
     return cloud, report
+
+
+def scipy_survival_probability(params, config):
+    """Survival probability of one hypothesis: P[4, 4] of the sequence's
+    superoperator, each segment exp(duration * generator) by SciPy, averaged
+    over the three mI branches."""
+
+    def segment(mi, amplitude, duration):
+        gen = lindblad_generator(params, config.drive_frequency, mi, amplitude)
+        return expm(duration * gen)
+
+    total = 0.0
+    for mi in (-1, 0, 1):
+        sup = segment(mi, 1.0, config.pulse_time)
+        if config.kind == "ramsey":
+            sup = sup @ segment(mi, 0.0, config.wait_time) @ sup
+        total += sup[4, 4].real
+    return total / 3.0
+
+
+def invwishart_chart(prior, n, rng):
+    """(log sa, log sb, atanh rho) rows of n inverse-Wishart draws."""
+    draws = invwishart.rvs(df=prior.dof, scale=prior.scale, size=n, random_state=rng)
+    draws = np.asarray(draws).reshape(n, 2, 2)
+    sa = np.sqrt(draws[:, 0, 0])
+    sb = np.sqrt(draws[:, 1, 1])
+    rho = draws[:, 0, 1] / (sa * sb)
+    return np.column_stack([np.log(sa), np.log(sb), np.arctanh(rho)])

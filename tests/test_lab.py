@@ -34,6 +34,24 @@ def make_system(seed=0, **kwargs):
     return TrueSystem(make_truth(**kwargs), np.random.default_rng(seed))
 
 
+class LostReplyServer(LabServer):
+    """Executes the first run, then drops the connection instead of replying."""
+
+    def __init__(self, system):
+        super().__init__(system)
+        self.dropped = 0
+
+    def respond(self, line):
+        response = super().respond(line)
+        if not self.dropped and "datum" in response:
+            self.dropped += 1
+            raise ConnectionResetError("reply lost")
+        return response
+
+    def handle_error(self, request, client_address):
+        pass  # the lost reply is the point of this server
+
+
 @pytest.fixture
 def server():
     system = make_system(seed=42)
@@ -246,3 +264,33 @@ class TestTcpService:
             replies = [json.loads(reader.readline()) for _ in range(3)]
             assert [r["status"] for r in replies] == ["ok", "error", "ok"]
             reader.close()
+
+
+class TestLostReply:
+    def test_retried_run_executes_once(self):
+        srv = LostReplyServer(make_system(seed=42))
+        srv.serve_in_background()
+        try:
+            with LabClient(srv.address) as client:
+                datum = client.run(RUN_CFG)
+        finally:
+            srv.shutdown()
+            srv.server_close()
+        reference = make_system(seed=42)
+        expected, _ = reference.execute(RUN_CFG)
+        assert srv.dropped == 1
+        assert datum == expected
+        assert srv.system.clock == reference.clock
+        assert srv.system.uploads == reference.uploads == 1
+        assert srv.system.rng.bit_generator.state == reference.rng.bit_generator.state
+
+    def test_repeated_id_replays_and_new_id_executes(self, server):
+        line = json.dumps({"v": 1, "type": "track", "id": "a-1"})
+        first = server.respond(line)
+        assert server.respond(line) is first
+        assert first["id"] == "a-1"
+        assert server.system.tracking_count == 1
+        server.respond(json.dumps({"v": 1, "type": "track", "id": "a-2"}))
+        server.respond(json.dumps({"v": 1, "type": "track"}))
+        server.respond(json.dumps({"v": 1, "type": "track"}))
+        assert server.system.tracking_count == 4

@@ -37,7 +37,7 @@ from nvbed.smc import (
     sample_prior,
     save_cloud,
 )
-from oracles import bayes_update_sequence
+from oracles import bayes_update_sequence, invwishart_chart
 
 RABI_CFG = ExperimentConfig("rabi", pulse_time=50.0, repetitions=100)
 
@@ -135,6 +135,16 @@ class TestPriorSampling:
         assert cross.mean() == pytest.approx(target[0, 1], rel=0.05)
         assert target[0, 0] == pytest.approx(0.036**2)
         assert target[0, 1] == pytest.approx(0.7 * 0.036**2)
+
+    @pytest.mark.parametrize("n", [1, 7, 4000])
+    def test_drift_chart_matches_invwishart_on_the_same_seed(self, n):
+        prior = DriftPrior()
+        ours, theirs = np.random.default_rng(29), np.random.default_rng(29)
+        chart = prior.sample_chart(n, ours)
+        expected = invwishart_chart(prior, n, theirs)
+        np.testing.assert_allclose(chart, expected, rtol=1e-12, atol=0.0)
+        # the same draws were taken, so both streams continue identically
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
     def test_inconsistent_reference_prior_fails(self):
         rng = np.random.default_rng(4)
