@@ -81,10 +81,7 @@ def _cmd_curves(args) -> int:
         print(f"no records found under {args.records}", file=sys.stderr)
         return 1
     out_dir = args.out or args.records
-    curves = harness.learning_curve_stats(records)
-    harness.write_curves_csv(f"{out_dir}/curves.csv", curves)
-    histogram = harness.experiment_histogram(records)
-    harness.write_histogram_csv(f"{out_dir}/histograms.csv", histogram)
+    harness.write_aggregates(out_dir, records)
     print(f"wrote curves.csv and histograms.csv to {out_dir}")
     return 0
 

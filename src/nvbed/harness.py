@@ -29,9 +29,9 @@ import numpy as np
 from . import heuristics as heur
 from . import lab as labmod
 from . import qutrit, risk, smc
-from .measurement import Datum, ReferenceRates, choose_repetitions
+from .measurement import Datum, ReferenceRates
 from .qutrit import ExperimentConfig, SpinParams
-from .smc import DriftParams, ModelParameters, PriorSpec, SpinPrior, UpdateOptions
+from .smc import DriftParams, ModelParameters, PriorSpec, SpinPrior
 
 CALIBRATION_PULSE_NS = 2.0
 
@@ -45,7 +45,8 @@ class RunConfig:
 
     * ``heuristics``: registry names of the policies to compare.
     * ``prior``: spin prior kind, ``"wide"``, ``"calibrated"`` or ``"tight"``.
-    * ``trials``, ``experiments``: trials per policy, experiments per trial.
+    * ``trials``, ``experiments``: trials per policy, experiments per trial
+      (at least one).
     * ``particles``: SMC particle count K.
     * ``risk_outcomes``, ``risk_particles``: MIS outcome samples and inner
       particles per candidate (online policies).
@@ -89,11 +90,12 @@ class RunConfig:
     truth_drift_sigma: float = 0.036
     truth_drift_correlation: float = 0.7
 
+    def __post_init__(self):
+        if self.experiments < 1:
+            raise ValueError(f"experiments must be >= 1, got {self.experiments}")
+
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["truth_alpha_range"] = list(self.truth_alpha_range)
-        out["truth_beta_range"] = list(self.truth_beta_range)
-        return out
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -196,10 +198,6 @@ class TrialRecord:
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "TrialRecord":
-        return cls(**json.loads(text))
-
 
 def _truth_dict(truth: ModelParameters) -> dict:
     return {
@@ -248,7 +246,6 @@ def run_trial(
     prior_spec = config.prior_spec(reference_prior)
     cloud = smc.sample_prior(prior_spec, config.particles, engine_rng)
     cloud.last_update_time = calibration_datum.timestamp / 3600.0
-    options = UpdateOptions()
 
     def design(step_index: int) -> tuple:
         if design_probe is not None:
@@ -278,7 +275,7 @@ def run_trial(
         dt = max(0.0, now_hours - cloud.last_update_time)
         cloud = smc.drift_step(cloud, dt, engine_rng)
         cloud, report = smc.bayes_update(
-            cloud, datum, cfg, engine_rng, options, survival_fn=survival
+            cloud, datum, cfg, engine_rng, survival_fn=survival
         )
         cloud.last_update_time = now_hours
         cumulative_esm += planned_esm
@@ -386,10 +383,7 @@ def run_comparison(config: RunConfig, lab=None, log=None) -> dict:
 
     records = load_records(out_dir)
     if records:
-        curves = learning_curve_stats(records)
-        write_curves_csv(out_dir / "curves.csv", curves)
-        histogram = experiment_histogram(records)
-        write_histogram_csv(out_dir / "histograms.csv", histogram)
+        write_aggregates(out_dir, records)
     summary = {
         "completed": len(records),
         "expected": len(config.heuristics) * config.trials,
@@ -414,6 +408,13 @@ def load_records(out_dir) -> list:
 # ----------------------------------------------------------------------------
 # Aggregates
 # ----------------------------------------------------------------------------
+
+
+def write_aggregates(out_dir, records: list) -> None:
+    """Write ``curves.csv`` and ``histograms.csv`` of the records to out_dir."""
+    out_dir = Path(out_dir)
+    write_curves_csv(out_dir / "curves.csv", learning_curve_stats(records))
+    write_histogram_csv(out_dir / "histograms.csv", experiment_histogram(records))
 
 
 def learning_curve_stats(records: list, n_grid: int = 100) -> dict:
@@ -549,25 +550,18 @@ def risk_heatmap(config: HeatmapConfig, log=None) -> list:
         ramsey_m=config.candidate_m,
         target_esm=config.target_esm,
     )
-    candidates = policy.candidate_set(cloud)
-    a1, b1, sa1, sb1 = smc.posterior_refs(cloud)
-    n, _ = choose_repetitions(
-        ReferenceRates(a1, b1), (sa1, sb1), config.target_esm
-    )
-    sized = [
-        ExperimentConfig(c.kind, c.pulse_time, c.wait_time, c.drive_frequency, n)
-        for c in candidates
-    ]
+    # the candidates, repetitions and precision the policy's design uses
+    sized = policy.sized_candidates(cloud)
     p_table = policy.cache.table(cloud.spin_locations, sized)
-    q = risk.uniform_weight_matrix()
 
     def profile_values(n_out, n_par, stream):
         return np.array(
             [
                 est.value
                 for _, est in risk.risk_profile(
-                    cloud, sized, q, stream,
+                    cloud, sized, policy.weights, stream,
                     n_outcomes=n_out, n_particles=n_par, p_table=p_table,
+                    dtype=policy.table_dtype,
                 )
             ]
         )

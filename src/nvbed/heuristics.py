@@ -232,13 +232,16 @@ class RiskMinimizer(Heuristic):
     def candidate_set(self, cloud: ParticleCloud) -> list:
         return self.rabi_grid() + self.ramsey_grid(cloud)
 
-    def _pick(self, cloud, step, rng):
-        candidates = self.candidate_set(cloud)
+    def sized_candidates(self, cloud: ParticleCloud) -> list:
+        """The candidates at the repetition count the next experiment gets."""
         n = _repetitions_for(cloud, self.target_esm, self.n_max)
-        sized = [
+        return [
             ExperimentConfig(c.kind, c.pulse_time, c.wait_time, c.drive_frequency, n)
-            for c in candidates
+            for c in self.candidate_set(cloud)
         ]
+
+    def _pick(self, cloud, step, rng):
+        sized = self.sized_candidates(cloud)
         profile = risk.risk_profile(
             cloud,
             sized,

@@ -148,15 +148,17 @@ class ParticleCloud:
         )
 
 
+def _references_ordered(refs: np.ndarray) -> np.ndarray:
+    """Row mask of 0 < beta1 < alpha1 over (n, 2) (alpha1, beta1) rows."""
+    return (refs[:, 1] > 0) & (refs[:, 1] < refs[:, 0])
+
+
 def _check_constraints(locations: np.ndarray) -> np.ndarray:
     """Boolean validity mask for the hard parameter constraints."""
-    alpha = locations[:, IDX_ALPHA]
-    beta = locations[:, IDX_BETA]
     return (
         (locations[:, IDX_RABI] >= 0)
         & (locations[:, IDX_DEPHASING] >= 0)
-        & (beta > 0)
-        & (beta < alpha)
+        & _references_ordered(locations[:, IDX_ALPHA:IDX_BETA + 1])
     )
 
 
@@ -285,6 +287,23 @@ def empirical_reference_prior(
 MAX_REDRAW_ROUNDS = 1000
 
 
+def _redraw(propose, valid, n: int, what: str) -> np.ndarray:
+    """n proposals, redrawing the rows that break a constraint.
+
+    ``propose(rows)`` returns one proposal per index in the ascending index
+    array ``rows``; ``valid(proposals)`` is a row mask.  All n rows are
+    proposed once, then only the invalid rows are proposed again, for up to
+    ``MAX_REDRAW_ROUNDS`` rounds; :class:`RedrawLimitError` carries ``what``.
+    """
+    out = propose(np.arange(n))
+    for _ in range(MAX_REDRAW_ROUNDS):
+        bad = np.flatnonzero(~valid(out))
+        if bad.size == 0:
+            return out
+        out[bad] = propose(bad)
+    raise RedrawLimitError(what)
+
+
 def _sample_spin(prior: SpinPrior, n: int, rng: np.random.Generator) -> np.ndarray:
     out = np.empty((n, 5))
     if prior.kind == "wide":
@@ -294,44 +313,35 @@ def _sample_spin(prior: SpinPrior, n: int, rng: np.random.Generator) -> np.ndarr
         out[:, IDX_HYPERFINE] = rng.uniform(1.5, 3.5, size=n)
         out[:, IDX_DEPHASING] = 1.0 / rng.uniform(1.0, 20.0, size=n)
         return out
-    four = rng.multivariate_normal(prior.mean, prior.cov, size=n)
-    for _ in range(MAX_REDRAW_ROUNDS):
-        bad = (four[:, 0] <= 0) | (four[:, 3] <= 0)
-        if not np.any(bad):
-            break
-        four[bad] = rng.multivariate_normal(prior.mean, prior.cov, size=int(bad.sum()))
-    else:
-        raise RedrawLimitError("calibrated spin prior kept producing negative rates")
-    out[:, _CALIBRATED_COLUMNS] = four
+    out[:, _CALIBRATED_COLUMNS] = _redraw(
+        lambda rows: rng.multivariate_normal(prior.mean, prior.cov, size=rows.size),
+        lambda four: (four[:, 0] > 0) & (four[:, 3] > 0),
+        n,
+        "calibrated spin prior kept producing negative rates",
+    )
     if prior.kind == "calibrated":
         out[:, IDX_ZEEMAN] = rng.uniform(*prior.zeeman_range, size=n)
     else:
-        zee = rng.normal(prior.tight_zeeman_mean, prior.tight_zeeman_std, size=n)
-        for _ in range(MAX_REDRAW_ROUNDS):
-            bad = zee < 0
-            if not np.any(bad):
-                break
-            zee[bad] = rng.normal(
-                prior.tight_zeeman_mean, prior.tight_zeeman_std, size=int(bad.sum())
-            )
-        else:
-            raise RedrawLimitError("tight Zeeman prior kept producing negatives")
-        out[:, IDX_ZEEMAN] = zee
+        out[:, IDX_ZEEMAN] = _redraw(
+            lambda rows: rng.normal(
+                prior.tight_zeeman_mean, prior.tight_zeeman_std, size=rows.size
+            ),
+            lambda zee: zee >= 0,
+            n,
+            "tight Zeeman prior kept producing negatives",
+        )
     return out
 
 
 def _sample_references(
     prior: ReferencePrior, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    refs = prior.sample(n, rng)
-    for _ in range(MAX_REDRAW_ROUNDS):
-        bad = ~((refs[:, 1] > 0) & (refs[:, 1] < refs[:, 0]))
-        if not np.any(bad):
-            return refs
-        refs[bad] = prior.sample(int(bad.sum()), rng)
-    raise RedrawLimitError(
+    return _redraw(
+        lambda rows: prior.sample(rows.size, rng),
+        _references_ordered,
+        n,
         "reference prior is inconsistent with 0 < beta1 < alpha1 "
-        f"(means {prior.alpha_mean}, {prior.beta_mean})"
+        f"(means {prior.alpha_mean}, {prior.beta_mean})",
     )
 
 
@@ -397,13 +407,13 @@ def expected_esm(cloud: ParticleCloud, repetitions: int) -> float:
 class UpdateOptions:
     """Controls for the Bayes update.
 
-    ``bridged`` splits an update into m tempered sub-updates with likelihood
-    exponent 1/m, where m = ceil(expected ESM of the datum / esm_per_step);
-    Liu-West resampling runs between sub-updates (and after the final one)
-    whenever n_eff drops below resample_threshold * K.
+    An update is split into m tempered sub-updates with likelihood exponent
+    1/m, where m = max(1, ceil(expected ESM of the datum / esm_per_step));
+    ``esm_per_step=math.inf`` gives the single plain update.  Liu-West
+    resampling runs between sub-updates (and after the final one) whenever
+    n_eff drops below resample_threshold * K.
     """
 
-    bridged: bool = True
     esm_per_step: float = 10.0
     resample_threshold: float = 0.5
     liu_west_a: float = 0.98
@@ -434,10 +444,8 @@ def bayes_update(
     """
     if survival_fn is None:
         survival_fn = survival_probabilities
-    m = 1
-    if options.bridged:
-        datum_esm = expected_esm(cloud, datum.repetitions)
-        m = max(1, math.ceil(datum_esm / options.esm_per_step))
+    datum_esm = expected_esm(cloud, datum.repetitions)
+    m = max(1, math.ceil(datum_esm / options.esm_per_step))
     try:
         return _tempered_update(cloud, datum, config, rng, options, survival_fn, m)
     except DegenerateUpdateError:
@@ -498,7 +506,7 @@ def _noise_transform(cov: np.ndarray) -> np.ndarray:
 
 
 def liu_west_resample(
-    cloud: ParticleCloud, a: float = 0.98, rng: np.random.Generator = None
+    cloud: ParticleCloud, a: float, rng: np.random.Generator
 ) -> ParticleCloud:
     """Kernel resampling that preserves the first two posterior moments.
 
@@ -506,8 +514,6 @@ def liu_west_resample(
     a * ancestor + (1 - a) * mean + noise with covariance (1 - a^2) * Cov.
     Proposals violating the parameter constraints are redrawn.
     """
-    if rng is None:
-        raise ValueError("liu_west_resample needs an explicit random generator")
     if not 0.0 < a <= 1.0:
         raise ValueError(f"a must be in (0, 1], got {a}")
     k = cloud.size
@@ -516,21 +522,16 @@ def liu_west_resample(
     if a < 1.0:
         shrink = _noise_transform((1.0 - a * a) * posterior_cov(cloud))
 
-    def propose(n):
-        ancestors = rng.choice(k, size=n, p=cloud.weights)
+    def propose(rows):
+        ancestors = rng.choice(k, size=rows.size, p=cloud.weights)
         new = a * cloud.locations[ancestors] + (1.0 - a) * mean
         if shrink is not None:
-            new += rng.standard_normal((n, N_PARAMS)) @ shrink.T
+            new += rng.standard_normal((rows.size, N_PARAMS)) @ shrink.T
         return new
 
-    locations = propose(k)
-    for _ in range(MAX_REDRAW_ROUNDS):
-        bad = ~_check_constraints(locations)
-        if not np.any(bad):
-            break
-        locations[bad] = propose(int(bad.sum()))
-    else:
-        raise RedrawLimitError("Liu-West proposals kept violating constraints")
+    locations = _redraw(
+        propose, _check_constraints, k, "Liu-West proposals kept violating constraints"
+    )
     return ParticleCloud(locations, np.full(k, 1.0 / k), cloud.last_update_time)
 
 
@@ -560,20 +561,12 @@ def drift_step(
         d_beta = sb[idx] * (rho[idx] * z1 + np.sqrt(1.0 - rho[idx] ** 2) * z2)
         return base[idx] + np.column_stack([d_alpha, d_beta])
 
-    pending = np.arange(cloud.size)
-    proposal = np.empty_like(base)
-    for _ in range(MAX_REDRAW_ROUNDS):
-        proposal[pending] = propose(pending)
-        ok = (proposal[pending, 1] > 0) & (
-            proposal[pending, 1] < proposal[pending, 0]
-        )
-        pending = pending[~ok]
-        if len(pending) == 0:
-            break
-    else:
-        raise RedrawLimitError("drift proposals kept violating 0 < beta1 < alpha1")
-    out.locations[:, IDX_ALPHA] = proposal[:, 0]
-    out.locations[:, IDX_BETA] = proposal[:, 1]
+    out.locations[:, IDX_ALPHA:IDX_BETA + 1] = _redraw(
+        propose,
+        _references_ordered,
+        cloud.size,
+        "drift proposals kept violating 0 < beta1 < alpha1",
+    )
     return out
 
 

@@ -8,7 +8,7 @@ invariants of the propagator.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
 
@@ -166,8 +166,6 @@ class TestSurvivalAgainstScipy:
 # Properties
 # ----------------------------------------------------------------------------
 
-PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
-
 spin_params = st.builds(
     SpinParams,
     rabi_max=st.floats(0.0, 20.0),
@@ -199,7 +197,6 @@ segments = st.tuples(
 VEC_IDENTITY = np.eye(3).flatten(order="F")
 
 
-@PROPERTY
 @given(spin_params, st.one_of(rabi_configs, ramsey_configs))
 def test_survival_probability_is_a_probability(params, config):
     p = survival_probability(params, config)
@@ -207,14 +204,12 @@ def test_survival_probability_is_a_probability(params, config):
     assert p == pytest.approx(scipy_survival_probability(params, config), abs=1e-11)
 
 
-@PROPERTY
 @given(segments)
 def test_propagator_preserves_trace(segment):
     prop = lindblad_propagator(*segment)
     assert np.max(np.abs(VEC_IDENTITY @ prop - VEC_IDENTITY)) <= 1e-11
 
 
-@PROPERTY
 @given(segments, st.lists(st.floats(-1.0, 1.0), min_size=18, max_size=18))
 def test_output_state_is_hermitian_with_unit_trace(segment, entries):
     a = np.reshape(entries[:9], (3, 3)) + 1j * np.reshape(entries[9:], (3, 3))

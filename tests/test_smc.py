@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import poisson
 
 from nvbed.measurement import Datum, ReferenceRates
@@ -25,6 +27,7 @@ from nvbed.smc import (
     ReferencePrior,
     SpinPrior,
     UpdateOptions,
+    _check_constraints,
     bayes_update,
     drift_step,
     effective_sample_size,
@@ -192,7 +195,7 @@ class TestBayesUpdate:
         cloud.locations[:, IDX_ALPHA] = 0.05
         cloud.locations[:, IDX_BETA] = 0.02
         datum = Datum(480, 210, 330, repetitions=100)
-        options = UpdateOptions(bridged=False, resample_threshold=0.0)
+        options = UpdateOptions(esm_per_step=math.inf, resample_threshold=0.0)
         updated, report = bayes_update(
             cloud, datum, RABI_CFG, rng, options, constant_survival(0.4)
         )
@@ -218,7 +221,7 @@ class TestBayesUpdate:
             datum,
             RABI_CFG,
             rng,
-            UpdateOptions(bridged=False, resample_threshold=0.0),
+            UpdateOptions(esm_per_step=math.inf, resample_threshold=0.0),
             survival,
         )
         n = 100
@@ -232,7 +235,7 @@ class TestBayesUpdate:
         expected = likes / likes.sum()
         assert np.allclose(updated.weights, expected, rtol=1e-10)
 
-    def test_bridged_single_step_equals_plain(self):
+    def test_tempered_single_step_equals_plain(self):
         rng_a = np.random.default_rng(8)
         rng_b = np.random.default_rng(8)
         cloud = make_cloud(np.random.default_rng(9), k=80)
@@ -242,19 +245,19 @@ class TestBayesUpdate:
             datum,
             RABI_CFG,
             rng_a,
-            UpdateOptions(bridged=False, resample_threshold=0.0),
+            UpdateOptions(esm_per_step=math.inf, resample_threshold=0.0),
             constant_survival(0.5),
         )
-        bridged, report = bayes_update(
+        tempered, report = bayes_update(
             cloud,
             datum,
             RABI_CFG,
             rng_b,
-            UpdateOptions(bridged=True, esm_per_step=1e9, resample_threshold=0.0),
+            UpdateOptions(esm_per_step=1e9, resample_threshold=0.0),
             constant_survival(0.5),
         )
         assert report.substeps == 1
-        assert np.array_equal(plain.weights, bridged.weights)
+        assert np.array_equal(plain.weights, tempered.weights)
 
     def test_weights_normalized_after_update(self):
         rng = np.random.default_rng(10)
@@ -267,7 +270,7 @@ class TestBayesUpdate:
         rng = np.random.default_rng(11)
         cloud = make_cloud(rng, k=60)
         data = [Datum(6, 2, 4, repetitions=100), Datum(4, 3, 5, repetitions=100)]
-        options = UpdateOptions(bridged=False, resample_threshold=0.0)
+        options = UpdateOptions(esm_per_step=math.inf, resample_threshold=0.0)
         survival = constant_survival(0.45)
 
         step1, _ = bayes_update(cloud, data[0], RABI_CFG, rng, options, survival)
@@ -308,7 +311,7 @@ class TestBayesUpdate:
             Datum(5, 2, 300, repetitions=100),
             RABI_CFG,
             rng,
-            UpdateOptions(bridged=False, resample_threshold=0.5),
+            UpdateOptions(esm_per_step=math.inf, resample_threshold=0.5),
             spiky,
         )
         assert report_hit.resampled
@@ -319,7 +322,7 @@ class TestBayesUpdate:
             datum,
             RABI_CFG,
             rng,
-            UpdateOptions(bridged=False, resample_threshold=0.0),
+            UpdateOptions(esm_per_step=math.inf, resample_threshold=0.0),
             constant_survival(0.5),
         )
         assert not report_miss.resampled
@@ -340,7 +343,7 @@ class TestBayesUpdate:
                 datum,
                 RABI_CFG,
                 rng,
-                UpdateOptions(bridged=False, resample_threshold=0.0),
+                UpdateOptions(esm_per_step=math.inf, resample_threshold=0.0),
                 constant_survival(0.5),
             )
 
@@ -380,6 +383,14 @@ class TestLiuWest:
         assert np.all(loc[:, IDX_BETA] > 0)
         assert np.all(loc[:, IDX_BETA] < loc[:, IDX_ALPHA])
         assert np.all(loc[:, IDX_RABI] >= 0)
+
+    def test_redraw_limit_on_an_all_invalid_cloud(self):
+        # a = 1 copies ancestors, so every proposal stays invalid
+        rng = np.random.default_rng(27)
+        cloud = make_cloud(rng, k=20)
+        cloud.locations[:, IDX_BETA] = cloud.locations[:, IDX_ALPHA] + 0.01
+        with pytest.raises(RedrawLimitError, match="Liu-West"):
+            liu_west_resample(cloud, 1.0, rng)
 
     def test_rejects_bad_smoothing_parameter(self):
         rng = np.random.default_rng(18)
@@ -433,6 +444,14 @@ class TestDriftStep:
         stepped = drift_step(cloud, 1.0, rng)
         assert np.all(stepped.locations[:, IDX_BETA] > 0)
         assert np.all(stepped.locations[:, IDX_BETA] < stepped.locations[:, IDX_ALPHA])
+
+    def test_redraw_limit_when_tiny_drift_cannot_reorder(self):
+        rng = np.random.default_rng(28)
+        cloud = make_cloud(rng, k=20)
+        cloud.locations[:, IDX_BETA] = cloud.locations[:, IDX_ALPHA] + 0.01
+        cloud.locations[:, IDX_LOG_SIGMA_ALPHA:IDX_ATANH_RHO] = -30.0
+        with pytest.raises(RedrawLimitError, match="drift proposals"):
+            drift_step(cloud, 1.0, rng)
 
 
 class TestMoments:
@@ -501,3 +520,25 @@ class TestSerialization:
         assert np.array_equal(loaded.locations, cloud.locations)
         assert np.array_equal(loaded.weights, cloud.weights)
         assert loaded.last_update_time == cloud.last_update_time
+
+
+# ----------------------------------------------------------------------------
+# Properties: the hard constraints hold after every proposal step
+# ----------------------------------------------------------------------------
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+@given(seeds, st.floats(0.5, 1.0), st.floats(1e-3, 0.02))
+def test_liu_west_output_satisfies_constraints(seed, a, spread):
+    rng = np.random.default_rng(seed)
+    cloud = make_cloud(rng, k=100, alpha_spread=spread)
+    assert np.all(_check_constraints(liu_west_resample(cloud, a, rng).locations))
+
+
+@given(seeds, st.floats(1e-3, 10.0), st.floats(math.log(1e-3), math.log(0.5)))
+def test_drift_output_satisfies_constraints(seed, dt_hours, log_sigma):
+    rng = np.random.default_rng(seed)
+    cloud = make_cloud(rng, k=100)
+    cloud.locations[:, IDX_LOG_SIGMA_ALPHA:IDX_ATANH_RHO] = log_sigma
+    assert np.all(_check_constraints(drift_step(cloud, dt_hours, rng).locations))
