@@ -26,14 +26,7 @@ def _cmd_run(args) -> int:
         config.out_dir = args.out
     if args.lab is not None:
         config.lab = args.lab
-    client = None
-    try:
-        if config.lab != "in-process":
-            client = labmod.LabClient(config.lab)
-        summary = harness.run_comparison(config, lab=client)
-    finally:
-        if client is not None:
-            client.close()
+    summary = harness.run_comparison(config)
     print(
         f"completed {summary['completed']}/{summary['expected']} trials, "
         f"{len(summary['failures'])} failures"

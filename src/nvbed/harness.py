@@ -346,11 +346,16 @@ def _checkpoint_path(out_dir: Path, heuristic: str, trial: int) -> Path:
 def run_comparison(config: RunConfig, lab=None, log=None) -> dict:
     """Run every (heuristic, trial) pair, write records and aggregates.
 
+    Without a ``lab`` argument, ``config.lab`` names the lab: in-process labs
+    with fresh truths, or one client to ``tcp://host:port`` for the whole run.
     Completed trials (existing record files) are skipped, so an interrupted
     run resumes at trial granularity and produces identical outputs.
     Returns a summary dict; per-trial failures are recorded and do not stop
     the run.
     """
+    if lab is None and config.lab != "in-process":
+        with labmod.LabClient(config.lab) as client:
+            return run_comparison(config, lab=client, log=log)
     log = log or (lambda msg: print(msg, file=sys.stderr, flush=True))
     out_dir = Path(config.out_dir)
     (out_dir / "records").mkdir(parents=True, exist_ok=True)

@@ -162,9 +162,8 @@ class TrueSystem:
         self.clock += elapsed
         self._advance_drift(elapsed)
         p = self._survival(config)
-        datum = _sample_at_refs(
-            p, self.alpha, self.beta, config.repetitions, self.rng, self.clock
-        )
+        refs = ReferenceRates(self.alpha, self.beta)
+        datum = sample_datum(p, refs, config.repetitions, self.rng, self.clock)
         return datum, cache_hit
 
     def track(self) -> None:
@@ -193,10 +192,6 @@ def _reflect_refs(alpha: float, beta: float, floor: float = 1e-9) -> tuple:
     if alpha <= beta:
         alpha = beta * (1.0 + 1e-9)
     return alpha, beta
-
-
-def _sample_at_refs(p, alpha, beta, repetitions, rng, timestamp):
-    return sample_datum(p, ReferenceRates(alpha, beta), repetitions, rng, timestamp)
 
 
 class InProcessLab:
@@ -245,7 +240,7 @@ def _handle_request(system: TrueSystem, message) -> dict:
     if kind == "run":
         try:
             config = ExperimentConfig.from_dict(message["config"])
-        except (KeyError, TypeError, ValueError) as err:
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
             return {
                 "v": PROTOCOL_VERSION,
                 "status": "error",

@@ -8,6 +8,13 @@ A single experiment with N repetitions yields a count triple d = (X, Y, Z):
 
 with per-shot rates 0 < beta1 < alpha1 and survival probability p.
 
+This module is the one home of that model: the lab samples from it, the SMC
+update weighs by it and the Bayes-risk estimator integrates over it, all
+through the three rates of :func:`expected_counts`.  Sampling is
+``rng.poisson`` of those rates, and :func:`log_likelihood_table` leaves out
+sum(log c!), which is constant along each of its rows;
+:func:`log_likelihood` adds it back for a single datum.
+
 The effective-strong-measurement (ESM) metric converts a referenced triple
 into the equivalent number of two-outcome projective measurements.  Its
 inputs are *total* expected counts (already multiplied by N) and the
@@ -21,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 
 @dataclass(frozen=True)
@@ -92,6 +98,22 @@ class EsmInputs:
             raise ValueError("sigmas must be nonnegative")
 
 
+def expected_counts(alpha1, beta1, p, repetitions) -> np.ndarray:
+    """Expected totals of X, Y and Z on a leading axis of 3; the trailing
+    axes broadcast over arrays of hypothesis values."""
+    signal = beta1 + p * (alpha1 - beta1)
+    return repetitions * np.stack(np.broadcast_arrays(alpha1, beta1, signal))
+
+
+def log_likelihood_table(counts, rates) -> np.ndarray:
+    """(m, K) log-likelihoods of m count triples under K rate columns, each
+    row short of its triple's sum(log c!).  Admissible rates are positive
+    (0 < beta1 < alpha1, p in [0, 1]), so the log is finite."""
+    table = np.asarray(counts, dtype=float) @ np.log(rates)
+    table -= rates.sum(axis=0)
+    return table
+
+
 def sample_datum(
     p: float,
     refs: ReferenceRates,
@@ -104,20 +126,9 @@ def sample_datum(
         raise ValueError(f"p must be in [0, 1], got {p}")
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    n = repetitions
-    x = int(rng.poisson(n * refs.bright))
-    y = int(rng.poisson(n * refs.dark))
-    z = int(rng.poisson(n * (refs.dark + p * (refs.bright - refs.dark))))
-    return Datum(x, y, z, n, timestamp)
-
-
-def poisson_logpmf(counts, rates):
-    """log Poisson pmf, elementwise; -inf where rate is 0 but the count is not."""
-    counts = np.asarray(counts, dtype=float)
-    rates = np.asarray(rates, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = xlogy(counts, rates) - rates - gammaln(counts + 1.0)
-    return out
+    rates = expected_counts(refs.bright, refs.dark, p, repetitions)
+    x, y, z = map(int, rng.poisson(rates))
+    return Datum(x, y, z, repetitions, timestamp)
 
 
 def log_likelihood(datum: Datum, alpha1, beta1, p):
@@ -126,16 +137,10 @@ def log_likelihood(datum: Datum, alpha1, beta1, p):
     ``alpha1``, ``beta1`` and ``p`` may be arrays of hypothesis values; the
     result broadcasts over them.
     """
-    n = datum.repetitions
-    alpha1 = np.asarray(alpha1, dtype=float)
-    beta1 = np.asarray(beta1, dtype=float)
-    p = np.asarray(p, dtype=float)
-    signal_rate = n * (beta1 + p * (alpha1 - beta1))
-    out = (
-        poisson_logpmf(datum.bright_counts, n * alpha1)
-        + poisson_logpmf(datum.dark_counts, n * beta1)
-        + poisson_logpmf(datum.signal_counts, signal_rate)
-    )
+    counts = (datum.bright_counts, datum.dark_counts, datum.signal_counts)
+    rates = expected_counts(alpha1, beta1, p, datum.repetitions)
+    out = log_likelihood_table([counts], rates.reshape(3, -1))[0]
+    out = out.reshape(rates.shape[1:]) - sum(math.lgamma(c + 1) for c in counts)
     if out.ndim == 0:
         return float(out)
     return out
@@ -181,69 +186,3 @@ def choose_repetitions(
     if n > n_max:
         return n_max, True
     return n, False
-
-
-def fisher_information(p: float, alpha: float, beta: float) -> np.ndarray:
-    """Fisher information of one (X, Y, Z) triple in the order (p, alpha, beta)."""
-    _check_fisher_args(p, alpha, beta)
-    lam = p * (alpha - beta) + beta
-    return np.array(
-        [
-            [
-                (alpha - beta) ** 2 / lam,
-                p * (alpha - beta) / lam,
-                alpha / lam - 1.0,
-            ],
-            [
-                p * (alpha - beta) / lam,
-                p**2 / lam + 1.0 / alpha,
-                -(p - 1.0) * p / lam,
-            ],
-            [
-                alpha / lam - 1.0,
-                -(p - 1.0) * p / lam,
-                (p * alpha + (p - 2.0) * (p - 1.0) * beta) / (beta * lam),
-            ],
-        ]
-    )
-
-
-def fisher_information_inverse(p: float, alpha: float, beta: float) -> np.ndarray:
-    """Closed-form inverse of :func:`fisher_information`."""
-    _check_fisher_args(p, alpha, beta)
-    contrast = alpha - beta
-    return np.array(
-        [
-            [
-                (p * (p + 1.0) * alpha + (p - 2.0) * (p - 1.0) * beta) / contrast**2,
-                p * alpha / (beta - alpha),
-                (p - 1.0) * beta / contrast,
-            ],
-            [p * alpha / (beta - alpha), alpha, 0.0],
-            [(p - 1.0) * beta / contrast, 0.0, beta],
-        ]
-    )
-
-
-def interpolated_variance_bound(
-    p: float, alpha: float, beta: float, sigma_alpha: float, sigma_beta: float
-) -> float:
-    """Variance bound on estimating p with partial prior reference knowledge.
-
-    Interpolates between perfect reference knowledge (sigma -> 0, giving
-    1/J_pp) and the knowledge contained in a single (X, Y) reference draw
-    (sigma_alpha^2 -> alpha, sigma_beta^2 -> beta, giving (J^-1)_pp).
-    """
-    _check_fisher_args(p, alpha, beta)
-    sa2 = sigma_alpha**2
-    sb2 = sigma_beta**2
-    return (
-        beta + p * (alpha - beta + p * sa2 + (p - 2.0) * sb2) + sb2
-    ) / (alpha - beta) ** 2
-
-
-def _check_fisher_args(p, alpha, beta):
-    if not 0.0 < beta < alpha:
-        raise ValueError(f"need 0 < beta < alpha, got beta={beta}, alpha={alpha}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")

@@ -180,6 +180,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in ("rabi", "ramsey"):
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        timing = (self.pulse_time, self.wait_time, self.drive_frequency)
+        if not all(math.isfinite(v) for v in timing):
+            raise ValueError(f"times and drive frequency must be finite, got {timing}")
         if not self.pulse_time > 0:
             raise ValueError(f"pulse_time must be positive, got {self.pulse_time}")
         if self.wait_time < 0:

@@ -9,11 +9,14 @@ O(K') outcome samples).
 
 The estimator is generic over an outcome model exposing
 
-    sample_counts(locations, config, rng) -> (n, 3) count array
+    sample_counts(locations, config, rng) -> (n, c) count array
     log_likelihood_matrix(counts, locations, config) -> (n, K)
 
 so that small analytically tractable models can stand in for the NV model
-in verification.
+in verification.  A table row may differ from the exact log-likelihood by
+a constant of that row, which the estimator's row-max shift cancels.  The
+NV model (the referenced-Poisson triple of :mod:`nvbed.measurement`) also
+takes each particle's survival probability as ``p=``.
 """
 
 from __future__ import annotations
@@ -22,9 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
-from . import qutrit, smc
+from . import measurement, qutrit, smc
 from .smc import IDX_ALPHA, IDX_BETA, ParticleCloud
 
 
@@ -94,31 +96,24 @@ class NvModel:
                 "pass the full-cloud row as p_full (mis_risk) or p_table "
                 "(risk_profile)"
             )
-        alpha = locations[:, IDX_ALPHA]
-        beta = locations[:, IDX_BETA]
-        n = config.repetitions
-        return n * alpha, n * beta, n * (beta + p * (alpha - beta))
-
-    def sample_counts(self, locations, config, rng, p=None) -> np.ndarray:
-        rate_x, rate_y, rate_z = self._rates(locations, config, p)
-        return np.column_stack(
-            [rng.poisson(rate_x), rng.poisson(rate_y), rng.poisson(rate_z)]
+        return measurement.expected_counts(
+            locations[:, IDX_ALPHA], locations[:, IDX_BETA], p, config.repetitions
         )
 
-    def log_likelihood_matrix(self, counts, locations, config, p=None) -> np.ndarray:
-        """(n_outcomes, K) joint log-likelihood table.
+    def sample_counts(self, locations, config, rng, p=None) -> np.ndarray:
+        # every X, then every Y, then every Z, as rows of (X, Y, Z)
+        return rng.poisson(self._rates(locations, config, p)).T
 
-        The Poisson triple factorizes as counts @ log(rates) minus
-        outcome-only and particle-only terms, so the table is a single
-        matrix product.
+    def log_likelihood_matrix(self, counts, locations, config, p=None) -> np.ndarray:
+        """(n_outcomes, K) joint log-likelihood table, each row short of its
+        outcome's sum(log c!).
+
+        That constant cancels in the risk: :func:`_weighted_variance_terms`
+        shifts every row by its maximum before exponentiating.
         """
-        rate_x, rate_y, rate_z = self._rates(locations, config, p)
-        log_rates = np.log(np.vstack([rate_x, rate_y, rate_z]))
-        counts = np.asarray(counts, dtype=float)
-        table = counts @ log_rates
-        table -= rate_x + rate_y + rate_z
-        table -= gammaln(counts + 1.0).sum(axis=1)[:, None]
-        return table
+        return measurement.log_likelihood_table(
+            counts, self._rates(locations, config, p)
+        )
 
 
 def _active_block(q):
@@ -248,7 +243,6 @@ def risk_profile(
     n_outcomes: int = 512,
     n_particles: int = 1024,
     model=None,
-    normalize: bool = False,
     p_table=None,
     dtype=np.float64,
 ) -> list:
@@ -256,8 +250,7 @@ def risk_profile(
 
     Returns ``[(config, RiskEstimate), ...]`` in input order.  Each candidate
     consumes its own child random stream, so results are reproducible for a
-    fixed candidate order and seed.  With ``normalize=True`` values are
-    divided by sigma_Q^2, so 1.0 marks an uninformative experiment.
+    fixed candidate order and seed.
     ``p_table`` holds the survival probabilities, one row per candidate, over
     the full cloud.  For the NV model without a table, the rows are simulated
     once for the whole cloud here.
@@ -268,22 +261,11 @@ def risk_profile(
     if p_table is None and isinstance(model, NvModel):
         p_table = qutrit.survival_table(cloud.spin_locations, configs)
     streams = rng.spawn(len(configs))
-    scale = 1.0
-    if normalize:
-        scale = 1.0 / trace_weighted_variance(cloud, q)
     out = []
     for i, (config, stream) in enumerate(zip(configs, streams)):
         p_full = None if p_table is None else p_table[i]
         est = mis_risk(
             cloud, config, q, n_outcomes, n_particles, stream, model, p_full, dtype
         )
-        if normalize:
-            est = RiskEstimate(
-                est.value * scale,
-                est.std_error * scale,
-                est.n_outcomes,
-                est.n_particles,
-                est.n_dropped,
-            )
         out.append((config, est))
     return out

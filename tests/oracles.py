@@ -11,10 +11,17 @@
 * :func:`invwishart_chart` draws the drift chart through
   ``scipy.stats.invwishart``; it checks the closed-form draw of
   :meth:`nvbed.smc.DriftPrior.sample_chart`.
+* :func:`poisson_logpmf` is the elementwise Poisson log-pmf through SciPy's
+  ``xlogy``/``gammaln``; it checks the likelihood of
+  ``nvbed.measurement``.
+* :func:`fisher_information`, :func:`fisher_information_inverse` and
+  :func:`interpolated_variance_bound` are the closed-form information of
+  one referenced triple; they check :func:`nvbed.measurement.esm`.
 """
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.special import gammaln, xlogy
 from scipy.stats import invwishart
 
 from nvbed.qutrit import lindblad_generator
@@ -109,3 +116,78 @@ def invwishart_chart(prior, n, rng):
     sb = np.sqrt(draws[:, 1, 1])
     rho = draws[:, 0, 1] / (sa * sb)
     return np.column_stack([np.log(sa), np.log(sb), np.arctanh(rho)])
+
+
+def poisson_logpmf(counts, rates):
+    """log Poisson pmf, elementwise; -inf where rate is 0 but the count is not."""
+    counts = np.asarray(counts, dtype=float)
+    rates = np.asarray(rates, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = xlogy(counts, rates) - rates - gammaln(counts + 1.0)
+    return out
+
+
+def fisher_information(p: float, alpha: float, beta: float) -> np.ndarray:
+    """Fisher information of one (X, Y, Z) triple in the order (p, alpha, beta)."""
+    _check_fisher_args(p, alpha, beta)
+    lam = p * (alpha - beta) + beta
+    return np.array(
+        [
+            [
+                (alpha - beta) ** 2 / lam,
+                p * (alpha - beta) / lam,
+                alpha / lam - 1.0,
+            ],
+            [
+                p * (alpha - beta) / lam,
+                p**2 / lam + 1.0 / alpha,
+                -(p - 1.0) * p / lam,
+            ],
+            [
+                alpha / lam - 1.0,
+                -(p - 1.0) * p / lam,
+                (p * alpha + (p - 2.0) * (p - 1.0) * beta) / (beta * lam),
+            ],
+        ]
+    )
+
+
+def fisher_information_inverse(p: float, alpha: float, beta: float) -> np.ndarray:
+    """Closed-form inverse of :func:`fisher_information`."""
+    _check_fisher_args(p, alpha, beta)
+    contrast = alpha - beta
+    return np.array(
+        [
+            [
+                (p * (p + 1.0) * alpha + (p - 2.0) * (p - 1.0) * beta) / contrast**2,
+                p * alpha / (beta - alpha),
+                (p - 1.0) * beta / contrast,
+            ],
+            [p * alpha / (beta - alpha), alpha, 0.0],
+            [(p - 1.0) * beta / contrast, 0.0, beta],
+        ]
+    )
+
+
+def interpolated_variance_bound(
+    p: float, alpha: float, beta: float, sigma_alpha: float, sigma_beta: float
+) -> float:
+    """Variance bound on estimating p with partial prior reference knowledge.
+
+    Interpolates between perfect reference knowledge (sigma -> 0, giving
+    1/J_pp) and the knowledge contained in a single (X, Y) reference draw
+    (sigma_alpha^2 -> alpha, sigma_beta^2 -> beta, giving (J^-1)_pp).
+    """
+    _check_fisher_args(p, alpha, beta)
+    sa2 = sigma_alpha**2
+    sb2 = sigma_beta**2
+    return (
+        beta + p * (alpha - beta + p * sa2 + (p - 2.0) * sb2) + sb2
+    ) / (alpha - beta) ** 2
+
+
+def _check_fisher_args(p, alpha, beta):
+    if not 0.0 < beta < alpha:
+        raise ValueError(f"need 0 < beta < alpha, got beta={beta}, alpha={alpha}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must be in [0, 1], got {p}")

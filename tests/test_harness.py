@@ -6,6 +6,7 @@ import pytest
 from nvbed import cli, harness, heuristics, risk
 from nvbed import lab as labmod
 from nvbed.heuristics import SurvivalTableCache, make_heuristic
+from nvbed.qutrit import ExperimentConfig
 from nvbed.smc import load_cloud, sample_prior
 
 TINY = dict(
@@ -169,6 +170,37 @@ class TestRunComparison:
         clean, _ = harness.run_trial(config, "alternating_linear", 2)
         written = harness._record_path(tmp_path, "alternating_linear", 2)
         assert written.read_text() == clean.to_json() + "\n"
+
+    def test_tcp_lab_from_the_config(self, tmp_path):
+        system = labmod.TrueSystem(labmod.default_truth(), np.random.default_rng(5))
+        server = labmod.LabServer(system)
+        server.serve_in_background()
+        try:
+            config = tiny_config(
+                "alternating_linear", trials=2, out_dir=str(tmp_path),
+                lab=f"tcp://{server.address}",
+            )
+            summary = harness.run_comparison(config, log=lambda msg: None)
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert summary["completed"] == 2 and not summary["failures"]
+        records = harness.load_records(tmp_path)
+        assert [r["truth"] for r in records] == [None, None]
+        assert [len(r["steps"]) for r in records] == [4, 4]
+        # both trials ran against the one server, which uploaded each
+        # distinct waveform once, calibration pulse included
+        calibration = ExperimentConfig("rabi", harness.CALIBRATION_PULSE_NS)
+        shapes = {labmod.waveform_key(calibration)} | {
+            labmod.waveform_key(ExperimentConfig.from_dict(s["config"]))
+            for r in records
+            for s in r["steps"]
+        }
+        assert server.system.uploads == len(shapes)
+        assert server.system.tracking_count == 2 + sum(
+            len(r["tracking_steps"]) for r in records
+        )
+        assert server.system.clock >= records[-1]["steps"][-1]["sim_time_s"] > 0
 
 
 class TestRiskHeatmap:

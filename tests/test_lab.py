@@ -294,3 +294,52 @@ class TestLostReply:
         server.respond(json.dumps({"v": 1, "type": "track"}))
         server.respond(json.dumps({"v": 1, "type": "track"}))
         assert server.system.tracking_count == 4
+
+
+def lab_state(system):
+    return (
+        system.clock,
+        system.alpha,
+        system.beta,
+        system.uploads,
+        system.cache_hits,
+        system.rng.bit_generator.state,
+    )
+
+
+class TestNonFiniteConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("wait_time", "NaN"),
+            ("pulse_time", "Infinity"),
+            ("drive_frequency", "NaN"),
+            ("wait_time", "-Infinity"),
+            ("repetitions", "1e400"),
+        ],
+    )
+    def test_rejected_without_touching_the_lab(self, server, field, value):
+        config = {
+            "kind": "ramsey",
+            "pulse_time": 22.0,
+            "wait_time": 300.0,
+            "drive_frequency": 2870.0,
+            "repetitions": 500,
+        }
+        text = json.dumps({**config, field: "VALUE"}).replace('"VALUE"', value)
+        bad = f'{{"v": 1, "type": "run", "config": {text}}}\n'.encode()
+        before = lab_state(server.system)
+        with socket.create_connection(
+            (server.server_address[0], server.server_address[1]), timeout=10
+        ) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(bad)
+            reply = json.loads(reader.readline())
+            assert reply["status"] == "error"
+            assert reply["error"].startswith("bad config")
+            assert lab_state(server.system) == before
+            good = {"v": 1, "type": "run", "config": config}
+            sock.sendall((json.dumps(good) + "\n").encode())
+            assert json.loads(reader.readline())["status"] == "ok"
+            reader.close()
+        assert server.system.uploads == before[3] + 1

@@ -10,12 +10,14 @@ from nvbed.measurement import (
     ReferenceRates,
     choose_repetitions,
     esm,
+    log_likelihood,
+    sample_datum,
+)
+from oracles import (
     fisher_information,
     fisher_information_inverse,
     interpolated_variance_bound,
-    log_likelihood,
     poisson_logpmf,
-    sample_datum,
 )
 
 

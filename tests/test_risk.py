@@ -219,19 +219,21 @@ class TestRiskProfile:
         profile = risk_profile(
             cloud, [CFG], q, np.random.default_rng(24),
             n_outcomes=64, n_particles=cloud.size,
-            model=ConstantLikelihoodModel(), normalize=True,
+            model=ConstantLikelihoodModel(),
         )
-        assert profile[0][1].value == pytest.approx(1.0, rel=1e-10)
+        value = profile[0][1].value / trace_weighted_variance(cloud, q)
+        assert value == pytest.approx(1.0, rel=1e-10)
 
     def test_informative_candidate_improves_on_baseline(self):
         rng = np.random.default_rng(25)
         cloud = toy_cloud(rng, k=200)
+        q = np.array([[1.0]])
         profile = risk_profile(
-            cloud, [2.0], np.array([[1.0]]), np.random.default_rng(26),
+            cloud, [2.0], q, np.random.default_rng(26),
             n_outcomes=1024, n_particles=cloud.size,
-            model=TruncatedPoissonToy(), normalize=True,
+            model=TruncatedPoissonToy(),
         )
-        assert profile[0][1].value < 1.0
+        assert profile[0][1].value / trace_weighted_variance(cloud, q) < 1.0
 
     def test_profile_preserves_input_order(self):
         rng = np.random.default_rng(27)
