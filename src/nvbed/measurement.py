@@ -108,10 +108,13 @@ def expected_counts(alpha1, beta1, p, repetitions) -> np.ndarray:
 def log_likelihood_table(counts, rates) -> np.ndarray:
     """(m, K) log-likelihoods of m count triples under K rate columns, each
     row short of its triple's sum(log c!).  Admissible rates are positive
-    (0 < beta1 < alpha1, p in [0, 1]), so the log is finite."""
-    table = np.asarray(counts, dtype=float) @ np.log(rates)
-    table -= rates.sum(axis=0)
-    return table
+    (0 < beta1 < alpha1, p in [0, 1]), so the log is finite.
+
+    One product, [counts, 1] @ [log(rates); -sum(rates)], forms the table
+    in a single pass over it."""
+    counts = np.asarray(counts, dtype=float)
+    ones = np.ones((len(counts), 1))
+    return np.hstack([counts, ones]) @ np.vstack([np.log(rates), -rates.sum(axis=0)])
 
 
 def sample_datum(

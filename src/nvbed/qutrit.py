@@ -39,6 +39,10 @@ from dataclasses import dataclass
 import numpy as np
 
 ZFS_MHZ = 2870.0  # nominal zero-field splitting; zfs_offset is relative to this
+# largest repetition count a configuration holds: every count up to it is an
+# exact float, and at per-shot rates below 1000 its Poisson rates stay below
+# numpy's limit of about 9.2e18
+MAX_REPETITIONS = 2**53
 
 # MHz -> rad/ns and (1/us) -> (1/ns)
 _ANGULAR = 2.0 * math.pi * 1e-3
@@ -189,8 +193,10 @@ class ExperimentConfig:
             raise ValueError(f"wait_time must be >= 0, got {self.wait_time}")
         if self.kind == "rabi" and self.wait_time != 0:
             raise ValueError("Rabi experiments have no wait segment")
-        if self.repetitions < 1:
-            raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
+        if not 1 <= self.repetitions <= MAX_REPETITIONS:
+            raise ValueError(
+                f"repetitions must be in [1, 2**53], got {self.repetitions}"
+            )
 
     @property
     def evolution_time(self) -> float:
@@ -355,8 +361,11 @@ def survival_probability(params: SpinParams, config: ExperimentConfig) -> float:
 #   * a Rabi family on an arithmetic pulse-time grid composes powers of the
 #     single-step propagator, applied to the real |0><0| state, and
 #   * Ramsey wait segments have a diagonal generator in the column-stacking
-#     basis, so the wait-time curve is a 9-term complex exponential sum per
-#     hypothesis, weighted by row and column 4 of the pulse propagator.
+#     basis.  Its three population entries have eigenvalue 0, and each of
+#     the other six pairs with its complex conjugate, in eigenvalue and in
+#     weight, so the wait-time curve of a hypothesis is a constant plus the
+#     real part of a 3-term complex exponential sum.  On an arithmetic wait
+#     grid each term advances by one complex multiply per step.
 # ----------------------------------------------------------------------------
 
 
@@ -398,17 +407,21 @@ def _wait_eigenvalues(spins: np.ndarray, drive_freq: float) -> np.ndarray:
     return out
 
 
-def _rabi_arithmetic_step(pulse_times: np.ndarray):
-    """If all pulse times are integer multiples of the smallest one, return
-    (step, multiples); otherwise None."""
-    step = float(np.min(pulse_times))
+def _arithmetic_step(times: np.ndarray):
+    """If the n times are positive integer multiples of the smallest one, none
+    beyond 4 n + 64 of it, return (step, rows), where ``rows`` maps each
+    multiple to the indices of the times at it; otherwise None."""
+    step = float(np.min(times))
     if step <= 0:
         return None
-    mult = pulse_times / step
+    mult = times / step
     rounded = np.rint(mult)
-    if np.max(np.abs(mult - rounded)) > 1e-9 or np.max(rounded) > 4 * len(pulse_times) + 64:
+    if np.max(np.abs(mult - rounded)) > 1e-9 or np.max(rounded) > 4 * len(times) + 64:
         return None
-    return step, rounded.astype(int)
+    rows: dict = {}
+    for i, m in enumerate(rounded.astype(int)):
+        rows.setdefault(int(m), []).append(i)
+    return step, rows
 
 
 def _survival_rabi_family(
@@ -417,22 +430,37 @@ def _survival_rabi_family(
     """Survival probabilities for a family of Rabi pulse times, (n_times, K)."""
     k = spins.shape[0]
     out = np.empty((len(pulse_times), 3 * k))
-    arith = _rabi_arithmetic_step(np.asarray(pulse_times, dtype=float))
+    arith = _arithmetic_step(np.asarray(pulse_times, dtype=float))
     if arith is not None:
-        step, multiples = arith
+        step, rows = arith
         prop = expm(_real_generators(spins, drive_freq, 1.0, step))
         state = prop[:, :, _P0_REAL, None]
-        wanted = {int(m): i for i, m in enumerate(multiples)}
-        for power in range(1, int(np.max(multiples)) + 1):
+        for power in range(1, max(rows) + 1):
             if power > 1:
                 state = prop @ state
-            if power in wanted:
-                out[wanted[power]] = state[:, _P0_REAL, 0]
+            if power in rows:
+                out[rows[power]] = state[:, _P0_REAL, 0]
     else:
         for i, t_p in enumerate(pulse_times):
             prop = expm(_real_generators(spins, drive_freq, 1.0, float(t_p)))
             out[i] = prop[:, _P0_REAL, _P0_REAL]
     return out.reshape(len(pulse_times), 3, k).mean(axis=1)
+
+
+# vec indices of the populations |i><i| and of three coherences whose
+# conjugate partners (vec 1, 2 and 5) complete the wait generator's diagonal
+_POPULATIONS = [0, 4, 8]
+_COHERENCES = [3, 6, 7]
+
+
+def _ramsey_weights(
+    spins: np.ndarray, pulse_time: float, drive_freq: float
+) -> np.ndarray:
+    """w_j = P[4, j] * P[j, 4] of each hypothesis's pulse propagator P,
+    shape (3K, 9), branch-major.  Only row and column 4 of
+    P = U P_real U^H are formed, from row and column 1 of P_real."""
+    pulse = expm(_real_generators(spins, drive_freq, 1.0, float(pulse_time)))
+    return (pulse[:, _P0_REAL, :] @ _UH) * (pulse[:, :, _P0_REAL] @ _U.T)
 
 
 def _survival_ramsey_family(
@@ -441,19 +469,28 @@ def _survival_ramsey_family(
     """Survival probabilities for a family of Ramsey wait times at a fixed
     pulse time, (n_waits, K).
 
-    With P the pulse propagator and W(t) = exp(lambda * t) the diagonal wait
-    propagator, p(t) = sum_j P[4, j] * W_j(t) * P[j, 4].  Only row and column
-    4 of P = U P_real U^H are formed, from row and column 1 of P_real.
+    With W(t) = exp(lambda * t) the diagonal wait propagator,
+    p(t) = sum_j w_j W_j(t) = c + Re sum_{j in 3, 6, 7} 2 w_j exp(lambda_j t),
+    where c sums the population weights (lambda = 0).  On an arithmetic wait
+    grid exp(lambda_j * m * step) is z_j^m with z_j = exp(lambda_j * step).
     """
     k = spins.shape[0]
-    pulse = expm(_real_generators(spins, drive_freq, 1.0, float(pulse_time)))
-    weights = (pulse[:, _P0_REAL, :] @ _UH) * (pulse[:, :, _P0_REAL] @ _U.T)  # (3K, 9)
-    lam = _wait_eigenvalues(spins, drive_freq).reshape(3 * k, 9)
+    weights = _ramsey_weights(spins, pulse_time, drive_freq)
+    const = weights[:, _POPULATIONS].real.sum(axis=1)
+    terms = 2.0 * weights[:, _COHERENCES]
+    lam = _wait_eigenvalues(spins, drive_freq).reshape(3 * k, 9)[:, _COHERENCES]
     out = np.empty((len(wait_times), 3 * k))
-    for i, t_w in enumerate(wait_times):
-        out[i] = np.einsum(
-            "kj,kj->k", weights, np.exp(lam * float(t_w))
-        ).real
+    arith = _arithmetic_step(np.asarray(wait_times, dtype=float))
+    if arith is not None:
+        step, rows = arith
+        z = np.exp(lam * step)
+        for power in range(1, max(rows) + 1):
+            terms *= z
+            if power in rows:
+                out[rows[power]] = const + terms.real.sum(axis=1)
+    else:
+        for i, t_w in enumerate(wait_times):
+            out[i] = const + (terms * np.exp(lam * float(t_w))).real.sum(axis=1)
     return out.reshape(len(wait_times), 3, k).mean(axis=1)
 
 

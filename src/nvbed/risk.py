@@ -15,8 +15,10 @@ The estimator is generic over an outcome model exposing
 so that small analytically tractable models can stand in for the NV model
 in verification.  A table row may differ from the exact log-likelihood by
 a constant of that row, which the estimator's row-max shift cancels.  The
-NV model (the referenced-Poisson triple of :mod:`nvbed.measurement`) also
-takes each particle's survival probability as ``p=``.
+estimator shifts and exponentiates the table in place, so a model hands
+out a fresh array on every call.  The NV model (the referenced-Poisson
+triple of :mod:`nvbed.measurement`) also takes each particle's survival
+probability as ``p=``.
 """
 
 from __future__ import annotations
@@ -126,10 +128,13 @@ def _weighted_variance_terms(log_table, base_weights, locations, q, dtype):
     """Per-outcome Tr[Q Cov(posterior)] without materializing normalized
     weight rows.
 
-    Locations are centered at their weighted mean first, which keeps the
-    second-moment/mean-square cancellation at posterior-variance scale and
-    makes a float32 fast path safe for risk ranking.  Returns
-    ``(terms, kept_row_mask)``.
+    Consumes ``log_table``: each row is shifted by its maximum in place, and
+    at float64 it is also exponentiated in place.  Locations are centered at
+    their weighted mean first, which keeps the second-moment/mean-square
+    cancellation at posterior-variance scale and makes a float32 fast path
+    safe for risk ranking.  The normalizer and the first and second moments
+    come from one product of the exponentiated table with the columns
+    [w, w * centered, w * quadratic].  Returns ``(terms, kept_row_mask)``.
     """
     n_rows = log_table.shape[0]
     active, q_block = _active_block(np.asarray(q))
@@ -140,11 +145,14 @@ def _weighted_variance_terms(log_table, base_weights, locations, q, dtype):
     centered = locations[:, active] - base_weights @ locations[:, active]
     quadratic = np.einsum("ij,ij->i", centered @ q_block, centered)
     # rows with no finite entry keep shift 0 so they exp to zero, not nan
-    safe_shift = np.where(kept, shift, 0.0)
-    boltz = np.exp((log_table - safe_shift[:, None]).astype(dtype, copy=False))
-    denom = boltz @ base_weights.astype(dtype)
-    first = boltz @ (base_weights[:, None] * centered).astype(dtype)
-    second = boltz @ (base_weights * quadratic).astype(dtype)
+    log_table -= np.where(kept, shift, 0.0)[:, None]
+    boltz = log_table.astype(dtype, copy=False)
+    np.exp(boltz, out=boltz)
+    columns = np.column_stack(
+        [base_weights, base_weights[:, None] * centered, base_weights * quadratic]
+    )
+    sums = boltz @ columns.astype(dtype)
+    denom, first, second = sums[:, 0], sums[:, 1:-1], sums[:, -1]
     good = denom > 0
     kept &= good
     denom = np.where(good, denom, 1.0)
@@ -191,8 +199,12 @@ def mis_risk(
     survival probability of every particle of the cloud for ``config``; the
     NV model requires it, and outcome models that take no rows are called
     without it.
-    ``dtype=np.float32`` trades the last digits of each estimate for about
-    half the evaluation cost (safe for ranking candidates).
+    ``dtype=np.float32`` exponentiates the shifted table and takes its
+    moment product in single precision.  Measured at K = 4000 with 512
+    outcomes x 1024 inner particles on one BLAS thread, a 200-candidate
+    profile took about 1.09 s against 1.12 s at float64, with estimates
+    within 4e-7 relative and the same argmin: the cast is a pass of its own,
+    so single precision now saves little.
     """
     if n_outcomes < 2 or n_particles < 2:
         raise ValueError("need at least two outcomes and two inner particles")
@@ -205,7 +217,9 @@ def mis_risk(
     inner_idx, inner_weights = _downsample(cloud, n_particles, rng)
     inner = cloud.locations[inner_idx]
     extra_in = {} if p_full is None else {"p": p_full[inner_idx]}
-    table = model.log_likelihood_matrix(counts, inner, config, **extra_in)
+    table = np.asarray(
+        model.log_likelihood_matrix(counts, inner, config, **extra_in), dtype=float
+    )
     terms, kept = _weighted_variance_terms(table, inner_weights, inner, q, dtype)
     return _summarize(terms, kept, n_outcomes, len(inner_idx))
 

@@ -14,6 +14,9 @@
 * :func:`poisson_logpmf` is the elementwise Poisson log-pmf through SciPy's
   ``xlogy``/``gammaln``; it checks the likelihood of
   ``nvbed.measurement``.
+* :func:`three_product_variance_terms` is the MIS moment kernel as three
+  separate products of the Boltzmann table, leaving its input untouched; it
+  checks the one-product kernel ``nvbed.risk._weighted_variance_terms``.
 * :func:`fisher_information`, :func:`fisher_information_inverse` and
   :func:`interpolated_variance_bound` are the closed-form information of
   one referenced triple; they check :func:`nvbed.measurement.esm`.
@@ -25,7 +28,7 @@ from scipy.special import gammaln, xlogy
 from scipy.stats import invwishart
 
 from nvbed.qutrit import lindblad_generator
-from nvbed.risk import NvModel, _check_q, _summarize
+from nvbed.risk import NvModel, _active_block, _check_q, _summarize
 from nvbed.smc import UpdateOptions, UpdateReport, bayes_update
 
 
@@ -70,6 +73,38 @@ def brute_force_risk(cloud, config, q, n_outcomes, rng, model=None, p_full=None)
     deviations = particles - posterior_means
     terms = np.einsum("ij,ij->i", deviations @ q, deviations)
     return _summarize(terms, kept, n_outcomes, n_outcomes)
+
+
+def three_product_variance_terms(log_table, base_weights, locations, q, dtype):
+    """Per-outcome Tr[Q Cov(posterior)] without materializing normalized
+    weight rows.
+
+    Locations are centered at their weighted mean first, which keeps the
+    second-moment/mean-square cancellation at posterior-variance scale and
+    makes a float32 fast path safe for risk ranking.  Returns
+    ``(terms, kept_row_mask)``.
+    """
+    n_rows = log_table.shape[0]
+    active, q_block = _active_block(np.asarray(q))
+    shift = np.max(log_table, axis=1)
+    kept = np.isfinite(shift)
+    if len(active) == 0 or not np.any(kept):
+        return np.zeros(n_rows), kept
+    centered = locations[:, active] - base_weights @ locations[:, active]
+    quadratic = np.einsum("ij,ij->i", centered @ q_block, centered)
+    # rows with no finite entry keep shift 0 so they exp to zero, not nan
+    safe_shift = np.where(kept, shift, 0.0)
+    boltz = np.exp((log_table - safe_shift[:, None]).astype(dtype, copy=False))
+    denom = boltz @ base_weights.astype(dtype)
+    first = boltz @ (base_weights[:, None] * centered).astype(dtype)
+    second = boltz @ (base_weights * quadratic).astype(dtype)
+    good = denom > 0
+    kept &= good
+    denom = np.where(good, denom, 1.0)
+    means = (first / denom[:, None]).astype(np.float64)
+    mean_square = np.einsum("ij,ij->i", means @ q_block, means)
+    terms = second.astype(np.float64) / denom - mean_square
+    return terms, kept
 
 
 def bayes_update_sequence(

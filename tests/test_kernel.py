@@ -161,6 +161,57 @@ class TestSurvivalAgainstScipy:
         configs = [ExperimentConfig("rabi", pulse_time=t) for t in (7.3, 19.1, 101.7)]
         self.check(configs, 73)
 
+    def test_ramsey_design_grid_20_to_2000_ns_at_two_tip_times(self):
+        # the design's candidates: 100 powers of the 20 ns step per tip
+        # time; every fifth row and the last one are checked
+        configs = [
+            ExperimentConfig("ramsey", pulse_time=t_p, wait_time=20.0 * i)
+            for t_p in (12.0, 40.0)
+            for i in range(1, 101)
+        ]
+        self.check(configs, 79, rows=slice(0, None, 5))
+        self.check(configs, 79, rows=slice(-1, None))
+
+    def test_ramsey_grid_with_gaps_and_repeats(self):
+        # skipped powers, a repeated wait, and [2, 5, 9] steps, which are no
+        # multiples of their smallest wait and take the exp path
+        step = 37.5
+        for multiples in ([1, 2, 5, 5, 9], [2, 5, 9]):
+            configs = [
+                ExperimentConfig("ramsey", pulse_time=22.0, wait_time=step * m)
+                for m in multiples
+            ]
+            self.check(configs, 83)
+
+    def test_ramsey_grid_at_the_limit_of_powers(self):
+        # 3 waits: at most 4 * 3 + 64 = 76 powers of the step
+        waits = np.array([1.0, 30.0, 76.0]) * 26.0
+        assert qutrit._arithmetic_step(waits) is not None
+        assert qutrit._arithmetic_step(np.append(waits[:-1], 77.0 * 26.0)) is None
+        configs = [
+            ExperimentConfig("ramsey", pulse_time=14.0, wait_time=w) for w in waits
+        ]
+        self.check(configs, 89)
+
+    def test_repeated_rabi_pulse_times(self):
+        configs = [
+            ExperimentConfig("rabi", pulse_time=t) for t in (10.0, 20.0, 20.0, 30.0)
+        ]
+        self.check(configs, 97)
+
+
+def test_ramsey_terms_pair_up_with_their_conjugates():
+    """Populations (vec 0, 4, 8) wait with eigenvalue 0; coherences 3, 6
+    and 7 are the conjugates of 1, 2 and 5, in eigenvalue and in weight."""
+    spins = random_spins(np.random.default_rng(101), 200)
+    weights = qutrit._ramsey_weights(spins, 22.0, 2871.0)
+    lam = qutrit._wait_eigenvalues(spins, 2871.0).reshape(-1, 9)
+    for values in (weights, lam):
+        partners = np.conj(values[:, [1, 2, 5]])
+        np.testing.assert_allclose(values[:, [3, 6, 7]], partners, rtol=0, atol=1e-14)
+    assert np.all(lam[:, [0, 4, 8]] == 0)
+    assert qutrit._POPULATIONS == [0, 4, 8] and qutrit._COHERENCES == [3, 6, 7]
+
 
 # ----------------------------------------------------------------------------
 # Properties

@@ -343,3 +343,33 @@ class TestNonFiniteConfig:
             assert json.loads(reader.readline())["status"] == "ok"
             reader.close()
         assert server.system.uploads == before[3] + 1
+
+    @pytest.mark.parametrize("value", ["1e300", str(2**53 + 1)])
+    def test_huge_repetitions_rejected_without_touching_the_lab(self, server, value):
+        # a rate past numpy's Poisson limit used to raise only after the
+        # clock and the references had moved
+        config = {"kind": "rabi", "pulse_time": 20.0, "repetitions": 500}
+        text = json.dumps({**config, "repetitions": "VALUE"}).replace('"VALUE"', value)
+        bad = f'{{"v": 1, "type": "run", "config": {text}}}\n'.encode()
+        before = lab_state(server.system)
+        # the reader is closed on every path: an open one keeps the
+        # connection, and with it the one-connection server, busy
+        address = server.server_address[:2]
+        with socket.create_connection(address, timeout=10) as sock:
+            with sock.makefile("rb") as reader:
+                sock.sendall(bad)
+                reply = json.loads(reader.readline())
+                assert reply["status"] == "error"
+                assert reply["error"].startswith("bad config")
+                assert lab_state(server.system) == before
+                good = {"v": 1, "type": "run", "config": config}
+                sock.sendall((json.dumps(good) + "\n").encode())
+                reply = json.loads(reader.readline())
+        assert reply["status"] == "ok"
+        assert reply["datum"]["N"] == 500
+        assert server.system.uploads == before[3] + 1
+
+    def test_repetitions_up_to_2_to_the_53(self):
+        assert ExperimentConfig("rabi", 20.0, repetitions=2**53).repetitions == 2**53
+        with pytest.raises(ValueError, match="repetitions"):
+            ExperimentConfig("rabi", 20.0, repetitions=2**53 + 1)

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import gammaln, logsumexp
 from scipy.stats import poisson
 
-from nvbed import qutrit
+from nvbed import qutrit, risk
 from nvbed.qutrit import ExperimentConfig
 from nvbed.risk import (
     NvModel,
@@ -24,7 +24,7 @@ from nvbed.smc import (
     posterior_cov,
     sample_prior,
 )
-from oracles import brute_force_risk
+from oracles import brute_force_risk, three_product_variance_terms
 
 CFG = ExperimentConfig("rabi", pulse_time=50.0, repetitions=2000)
 
@@ -311,6 +311,104 @@ class TestSurvivalRows:
         )
         assert calls == [(cloud.size, len(configs))]
         assert [est for _, est in built] == [est for _, est in explicit]
+
+
+def nv_table(n_reps, shrink, seed, n_out=300, n_in=700):
+    """A log-likelihood table of the NV model at ``n_reps`` repetitions,
+    with inner weights and locations.  The wide-prior cloud is shrunk toward
+    its mean by ``shrink``, so that at 1e6 repetitions each posterior still
+    spreads over many inner particles."""
+    rng = np.random.default_rng(seed)
+    cloud = sample_prior(PriorSpec(), 1500, rng)
+    mean = cloud.locations.mean(axis=0)
+    locations = mean + shrink * (cloud.locations - mean)
+    p = np.clip(0.4 + 0.3 * shrink * rng.normal(size=cloud.size), 0.0, 1.0)
+    config = ExperimentConfig("rabi", pulse_time=50.0, repetitions=n_reps)
+    outcome = rng.choice(cloud.size, n_out)
+    counts = NvModel().sample_counts(locations[outcome], config, rng, p=p[outcome])
+    inner = rng.choice(cloud.size, n_in, replace=False)
+    table = NvModel().log_likelihood_matrix(
+        counts, locations[inner], config, p=p[inner]
+    )
+    weights = rng.uniform(0.5, 1.5, n_in)
+    return table, weights / weights.sum(), locations[inner]
+
+
+class TestOneProductMoments:
+    """The one-product MIS moment kernel against the three-product oracle."""
+
+    @staticmethod
+    def compare(table, weights, locations, q, dtype, rtol):
+        expected, kept_expected = three_product_variance_terms(
+            table, weights, locations, q, dtype
+        )
+        terms, kept = risk._weighted_variance_terms(
+            table.copy(), weights, locations, q, dtype
+        )
+        np.testing.assert_array_equal(kept, kept_expected)
+        np.testing.assert_allclose(terms[kept], expected[kept], rtol=rtol, atol=0)
+        return kept
+
+    @pytest.mark.parametrize("n_reps, shrink", [(4667, 1.0), (1_000_000, 0.03)])
+    @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_nv_model_tables(self, n_reps, shrink, dtype, rtol):
+        table, weights, locations = nv_table(n_reps, shrink, seed=41)
+        for q in (uniform_weight_matrix(), magnetometry_weight_matrix()):
+            kept = self.compare(table, weights, locations, q, dtype, rtol)
+            assert kept.all()
+
+    @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_rows_with_no_finite_entry_are_dropped(self, dtype, rtol):
+        table, weights, locations = nv_table(4667, 1.0, seed=43, n_out=40)
+        table[[3, 17, 18]] = -np.inf
+        table[25, ::2] = -np.inf  # half finite: kept
+        kept = self.compare(
+            table, weights, locations, uniform_weight_matrix(), dtype, rtol
+        )
+        assert np.flatnonzero(~kept).tolist() == [3, 17, 18]
+
+    def test_toy_model_table(self):
+        rng = np.random.default_rng(45)
+        cloud = toy_cloud(rng)
+        model = TruncatedPoissonToy()
+        counts = model.sample_counts(cloud.locations, 1.5, rng)
+        table = model.log_likelihood_matrix(counts, cloud.locations, 1.5)
+        for dtype, rtol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+            self.compare(
+                table, cloud.weights, cloud.locations, np.array([[1.0]]), dtype, rtol
+            )
+
+    def test_kernel_consumes_its_table(self):
+        table, weights, locations = nv_table(4667, 1.0, seed=47, n_out=20)
+        before = table.copy()
+        risk._weighted_variance_terms(
+            table, weights, locations, uniform_weight_matrix(), np.float64
+        )
+        shifted = before - before.max(axis=1, keepdims=True)
+        np.testing.assert_array_equal(table, np.exp(shifted))
+
+    def test_mis_risk_unchanged_at_float64(self, monkeypatch):
+        cloud = sample_prior(PriorSpec(), 2000, np.random.default_rng(49))
+        q = uniform_weight_matrix()
+        p = np.random.default_rng(50).uniform(0.0, 1.0, cloud.size)
+        config = ExperimentConfig(
+            "ramsey", pulse_time=22.0, wait_time=300.0, repetitions=4667
+        )
+
+        def estimates():
+            return [
+                mis_risk(cloud, config, q, 256, 512, np.random.default_rng(s), p_full=p)
+                for s in range(51, 55)
+            ]
+
+        fused = estimates()
+        monkeypatch.setattr(
+            risk, "_weighted_variance_terms", three_product_variance_terms
+        )
+        for new, old in zip(fused, estimates()):
+            assert new.value == pytest.approx(old.value, rel=1e-12, abs=0)
+            assert new.std_error == pytest.approx(old.std_error, rel=1e-12, abs=0)
+            assert new.n_dropped == old.n_dropped
 
 
 class TestWeightMatrices:
