@@ -555,7 +555,7 @@ def risk_heatmap(config: HeatmapConfig, log=None) -> list:
         ramsey_m=config.candidate_m,
         target_esm=config.target_esm,
     )
-    # the candidates, repetitions and precision the policy's design uses
+    # the candidates and repetitions the policy's design uses
     sized = policy.sized_candidates(cloud)
     p_table = policy.cache.table(cloud.spin_locations, sized)
 
@@ -566,7 +566,6 @@ def risk_heatmap(config: HeatmapConfig, log=None) -> list:
                 for _, est in risk.risk_profile(
                     cloud, sized, policy.weights, stream,
                     n_outcomes=n_out, n_particles=n_par, p_table=p_table,
-                    dtype=policy.table_dtype,
                 )
             ]
         )

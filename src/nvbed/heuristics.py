@@ -225,8 +225,6 @@ class RiskMinimizer(Heuristic):
     weights: np.ndarray = field(default_factory=risk.uniform_weight_matrix)
     n_outcomes: int = 512
     n_particles: int = 1024
-    # ranking tolerates single precision; it halves the evaluation cost
-    table_dtype: type = np.float32
     last_profile: list = field(default=None, repr=False)
 
     def candidate_set(self, cloud: ParticleCloud) -> list:
@@ -250,7 +248,6 @@ class RiskMinimizer(Heuristic):
             n_outcomes=self.n_outcomes,
             n_particles=self.n_particles,
             p_table=self.cache.table(cloud.spin_locations, sized),
-            dtype=self.table_dtype,
         )
         self.last_profile = profile
         best = min(

@@ -16,9 +16,10 @@ field::
                "N": ..., "timestamp": ...}, "cache_hit": false}
               {"v": 1, "status": "error", "error": "..."}
 
-Every request line gets exactly one response line; malformed JSON yields an
-error response and the connection stays open.  One connection is served at a
-time; concurrent connections queue.
+Every request line gets exactly one response line; malformed JSON, a bad
+config or a failed run gets an error response on the open connection.  One
+connection is served at a time and others queue; one idle for
+``IDLE_TIMEOUT_S``, far above a paper-scale gap between requests, is dropped.
 
 A request may carry an ``"id"`` string, which its response echoes.  The
 server keeps the response to the last request that had an id and answers a
@@ -40,10 +41,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measurement import Datum, ReferenceRates, sample_datum
-from .qutrit import ExperimentConfig, SpinParams, survival_probability
+from .qutrit import ExperimentConfig, SimulationAccuracyError, SpinParams
+from .qutrit import survival_probability
 from .smc import DriftParams, ModelParameters
 
 PROTOCOL_VERSION = 1
+IDLE_TIMEOUT_S = 600.0
 
 
 class LabProtocolError(RuntimeError):
@@ -133,9 +136,10 @@ class TrueSystem:
         self.uploads = 0
         self.tracking_count = 0
 
-    def _advance_drift(self, dt_seconds: float) -> None:
+    def _drifted(self, dt_seconds: float) -> tuple:
+        """The references after ``dt_seconds`` of drift, not yet stored."""
         if dt_seconds <= 0:
-            return
+            return self.alpha, self.beta
         drift = self.truth.drift
         scale = np.sqrt(dt_seconds / 3600.0)
         z1, z2 = self.rng.standard_normal(2)
@@ -144,26 +148,33 @@ class TrueSystem:
             drift.correlation * z1
             + np.sqrt(1.0 - drift.correlation**2) * z2
         )
-        self.alpha, self.beta = _reflect_refs(self.alpha + d_alpha, self.beta + d_beta)
+        return _reflect_refs(self.alpha + d_alpha, self.beta + d_beta)
 
     def execute(self, config: ExperimentConfig) -> tuple:
-        """Run one experiment; returns (datum, cache_hit)."""
+        """Run one experiment; returns (datum, cache_hit).  All or nothing: a
+        failed simulation or draw leaves the lab, its stream included, as it was."""
+        p = self._survival(config)
         key = waveform_key(config)
         cache_hit = key in self._waveforms
+        clock = self.clock if cache_hit else self.clock + self.timings.upload_latency_s
+        elapsed = (
+            self.timings.experiment_seconds(config) + self.timings.request_overhead_s
+        )
+        clock += elapsed
+        stream = self.rng.bit_generator.state
+        try:
+            alpha, beta = self._drifted(elapsed)
+            refs = ReferenceRates(alpha, beta)
+            datum = sample_datum(p, refs, config.repetitions, self.rng, clock)
+        except Exception:
+            self.rng.bit_generator.state = stream
+            raise
+        self.clock, self.alpha, self.beta = clock, alpha, beta
         if cache_hit:
             self.cache_hits += 1
         else:
             self._waveforms.add(key)
             self.uploads += 1
-            self.clock += self.timings.upload_latency_s
-        elapsed = (
-            self.timings.experiment_seconds(config) + self.timings.request_overhead_s
-        )
-        self.clock += elapsed
-        self._advance_drift(elapsed)
-        p = self._survival(config)
-        refs = ReferenceRates(self.alpha, self.beta)
-        datum = sample_datum(p, refs, config.repetitions, self.rng, self.clock)
         return datum, cache_hit
 
     def track(self) -> None:
@@ -223,14 +234,10 @@ class InProcessLab:
 
 def _handle_request(system: TrueSystem, message) -> dict:
     if not isinstance(message, dict):
-        return {"v": PROTOCOL_VERSION, "status": "error", "error": "expected an object"}
+        return _error("expected an object")
     version = message.get("v")
     if version != PROTOCOL_VERSION:
-        return {
-            "v": PROTOCOL_VERSION,
-            "status": "error",
-            "error": f"unsupported protocol version {version!r}",
-        }
+        return _error(f"unsupported protocol version {version!r}")
     kind = message.get("type")
     if kind == "ping":
         return {"v": PROTOCOL_VERSION, "status": "ok"}
@@ -241,27 +248,37 @@ def _handle_request(system: TrueSystem, message) -> dict:
         try:
             config = ExperimentConfig.from_dict(message["config"])
         except (KeyError, TypeError, ValueError, OverflowError) as err:
-            return {
-                "v": PROTOCOL_VERSION,
-                "status": "error",
-                "error": f"bad config: {err}",
-            }
-        datum, cache_hit = system.execute(config)
+            return _error(f"bad config: {err}")
+        try:
+            datum, cache_hit = system.execute(config)
+        except (ValueError, SimulationAccuracyError) as err:
+            return _error(f"run failed: {err}")
         return {
             "v": PROTOCOL_VERSION,
             "status": "ok",
             "datum": datum.to_dict(),
             "cache_hit": cache_hit,
         }
-    return {"v": PROTOCOL_VERSION, "status": "error", "error": f"unknown type {kind!r}"}
+    return _error(f"unknown type {kind!r}")
+
+
+def _error(text: str) -> dict:
+    return {"v": PROTOCOL_VERSION, "status": "error", "error": text}
 
 
 class _LabRequestHandler(socketserver.StreamRequestHandler):
+    def setup(self):
+        self.timeout = IDLE_TIMEOUT_S
+        super().setup()
+
     def handle(self):
-        for raw in self.rfile:
-            response = self.server.respond(raw.decode("utf-8"))
-            self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
-            self.wfile.flush()
+        try:
+            for raw in self.rfile:
+                response = self.server.respond(raw.decode("utf-8"))
+                self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
+                self.wfile.flush()
+        except TimeoutError:
+            pass  # idle too long: drop the connection
 
 
 class LabServer(socketserver.TCPServer):
@@ -280,7 +297,7 @@ class LabServer(socketserver.TCPServer):
         try:
             message = json.loads(line)
         except json.JSONDecodeError as err:
-            return {"v": PROTOCOL_VERSION, "status": "error", "error": f"bad json: {err}"}
+            return _error(f"bad json: {err}")
         request_id = message.get("id") if isinstance(message, dict) else None
         if request_id is None:
             return _handle_request(self.system, message)

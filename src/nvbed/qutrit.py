@@ -336,7 +336,7 @@ def _clamp_probability(p, context: str):
     """Clamp to [0, 1]; excursions beyond roundoff indicate an integration bug."""
     p = np.asarray(p)
     excess = max(float(np.max(p - 1.0, initial=0.0)), float(np.max(-p, initial=0.0)))
-    if excess > 1e-6:
+    if not excess <= 1e-6:  # a nan entry makes the excess nan
         raise SimulationAccuracyError(
             f"{context}: probability left [0, 1] by {excess:.3e}"
         )

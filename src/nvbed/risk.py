@@ -15,10 +15,10 @@ The estimator is generic over an outcome model exposing
 so that small analytically tractable models can stand in for the NV model
 in verification.  A table row may differ from the exact log-likelihood by
 a constant of that row, which the estimator's row-max shift cancels.  The
-estimator shifts and exponentiates the table in place, so a model hands
-out a fresh array on every call.  The NV model (the referenced-Poisson
+estimator shifts and exponentiates the float64 table in place, so a model
+hands out a fresh array on every call.  The NV model (the referenced-Poisson
 triple of :mod:`nvbed.measurement`) also takes each particle's survival
-probability as ``p=``.
+probability as ``p=``, from rows the caller supplies.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import measurement, qutrit, smc
+from . import measurement, smc
 from .smc import IDX_ALPHA, IDX_BETA, ParticleCloud
 
 
@@ -124,17 +124,16 @@ def _active_block(q):
     return active, q[np.ix_(active, active)]
 
 
-def _weighted_variance_terms(log_table, base_weights, locations, q, dtype):
+def _weighted_variance_terms(log_table, base_weights, locations, q):
     """Per-outcome Tr[Q Cov(posterior)] without materializing normalized
     weight rows.
 
-    Consumes ``log_table``: each row is shifted by its maximum in place, and
-    at float64 it is also exponentiated in place.  Locations are centered at
-    their weighted mean first, which keeps the second-moment/mean-square
-    cancellation at posterior-variance scale and makes a float32 fast path
-    safe for risk ranking.  The normalizer and the first and second moments
-    come from one product of the exponentiated table with the columns
-    [w, w * centered, w * quadratic].  Returns ``(terms, kept_row_mask)``.
+    Consumes the float64 ``log_table``: each row is shifted by its maximum
+    and exponentiated in place.  Locations are centered at their weighted
+    mean first, which keeps the second-moment/mean-square cancellation at
+    posterior-variance scale.  The normalizer and the first and second
+    moments come from one product of the exponentiated table with the
+    columns [w, w * centered, w * quadratic]; returns (terms, kept_row_mask).
     """
     n_rows = log_table.shape[0]
     active, q_block = _active_block(np.asarray(q))
@@ -146,19 +145,18 @@ def _weighted_variance_terms(log_table, base_weights, locations, q, dtype):
     quadratic = np.einsum("ij,ij->i", centered @ q_block, centered)
     # rows with no finite entry keep shift 0 so they exp to zero, not nan
     log_table -= np.where(kept, shift, 0.0)[:, None]
-    boltz = log_table.astype(dtype, copy=False)
-    np.exp(boltz, out=boltz)
+    np.exp(log_table, out=log_table)
     columns = np.column_stack(
         [base_weights, base_weights[:, None] * centered, base_weights * quadratic]
     )
-    sums = boltz @ columns.astype(dtype)
+    sums = log_table @ columns
     denom, first, second = sums[:, 0], sums[:, 1:-1], sums[:, -1]
     good = denom > 0
     kept &= good
     denom = np.where(good, denom, 1.0)
-    means = (first / denom[:, None]).astype(np.float64)
+    means = first / denom[:, None]
     mean_square = np.einsum("ij,ij->i", means @ q_block, means)
-    terms = second.astype(np.float64) / denom - mean_square
+    terms = second / denom - mean_square
     return terms, kept
 
 
@@ -189,7 +187,6 @@ def mis_risk(
     rng: np.random.Generator,
     model=None,
     p_full=None,
-    dtype=np.float64,
 ) -> RiskEstimate:
     """Maximum-importance-sampling estimate of the Bayes risk.
 
@@ -198,13 +195,7 @@ def mis_risk(
     Q-weighted posterior variance over outcomes.  ``p_full`` carries the
     survival probability of every particle of the cloud for ``config``; the
     NV model requires it, and outcome models that take no rows are called
-    without it.
-    ``dtype=np.float32`` exponentiates the shifted table and takes its
-    moment product in single precision.  Measured at K = 4000 with 512
-    outcomes x 1024 inner particles on one BLAS thread, a 200-candidate
-    profile took about 1.09 s against 1.12 s at float64, with estimates
-    within 4e-7 relative and the same argmin: the cast is a pass of its own,
-    so single precision now saves little.
+    without it.  The table and its moments are float64 throughout.
     """
     if n_outcomes < 2 or n_particles < 2:
         raise ValueError("need at least two outcomes and two inner particles")
@@ -220,7 +211,7 @@ def mis_risk(
     table = np.asarray(
         model.log_likelihood_matrix(counts, inner, config, **extra_in), dtype=float
     )
-    terms, kept = _weighted_variance_terms(table, inner_weights, inner, q, dtype)
+    terms, kept = _weighted_variance_terms(table, inner_weights, inner, q)
     return _summarize(terms, kept, n_outcomes, len(inner_idx))
 
 
@@ -258,7 +249,6 @@ def risk_profile(
     n_particles: int = 1024,
     model=None,
     p_table=None,
-    dtype=np.float64,
 ) -> list:
     """Risk of every candidate against the same cloud snapshot.
 
@@ -266,20 +256,15 @@ def risk_profile(
     consumes its own child random stream, so results are reproducible for a
     fixed candidate order and seed.
     ``p_table`` holds the survival probabilities, one row per candidate, over
-    the full cloud.  For the NV model without a table, the rows are simulated
-    once for the whole cloud here.
+    the full cloud; the NV model requires it (see
+    :meth:`nvbed.heuristics.SurvivalTableCache.table`).
     """
     if not configs:
         raise ValueError("candidate list is empty")
-    model = model or NvModel()
-    if p_table is None and isinstance(model, NvModel):
-        p_table = qutrit.survival_table(cloud.spin_locations, configs)
     streams = rng.spawn(len(configs))
     out = []
     for i, (config, stream) in enumerate(zip(configs, streams)):
         p_full = None if p_table is None else p_table[i]
-        est = mis_risk(
-            cloud, config, q, n_outcomes, n_particles, stream, model, p_full, dtype
-        )
+        est = mis_risk(cloud, config, q, n_outcomes, n_particles, stream, model, p_full)
         out.append((config, est))
     return out

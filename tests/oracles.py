@@ -75,14 +75,13 @@ def brute_force_risk(cloud, config, q, n_outcomes, rng, model=None, p_full=None)
     return _summarize(terms, kept, n_outcomes, n_outcomes)
 
 
-def three_product_variance_terms(log_table, base_weights, locations, q, dtype):
+def three_product_variance_terms(log_table, base_weights, locations, q):
     """Per-outcome Tr[Q Cov(posterior)] without materializing normalized
     weight rows.
 
     Locations are centered at their weighted mean first, which keeps the
-    second-moment/mean-square cancellation at posterior-variance scale and
-    makes a float32 fast path safe for risk ranking.  Returns
-    ``(terms, kept_row_mask)``.
+    second-moment/mean-square cancellation at posterior-variance scale.
+    Returns ``(terms, kept_row_mask)``.
     """
     n_rows = log_table.shape[0]
     active, q_block = _active_block(np.asarray(q))
@@ -94,16 +93,16 @@ def three_product_variance_terms(log_table, base_weights, locations, q, dtype):
     quadratic = np.einsum("ij,ij->i", centered @ q_block, centered)
     # rows with no finite entry keep shift 0 so they exp to zero, not nan
     safe_shift = np.where(kept, shift, 0.0)
-    boltz = np.exp((log_table - safe_shift[:, None]).astype(dtype, copy=False))
-    denom = boltz @ base_weights.astype(dtype)
-    first = boltz @ (base_weights[:, None] * centered).astype(dtype)
-    second = boltz @ (base_weights * quadratic).astype(dtype)
+    boltz = np.exp(log_table - safe_shift[:, None])
+    denom = boltz @ base_weights
+    first = boltz @ (base_weights[:, None] * centered)
+    second = boltz @ (base_weights * quadratic)
     good = denom > 0
     kept &= good
     denom = np.where(good, denom, 1.0)
-    means = (first / denom[:, None]).astype(np.float64)
+    means = first / denom[:, None]
     mean_square = np.einsum("ij,ij->i", means @ q_block, means)
-    terms = second.astype(np.float64) / denom - mean_square
+    terms = second / denom - mean_square
     return terms, kept
 
 

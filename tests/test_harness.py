@@ -209,7 +209,7 @@ class TestRiskHeatmap:
         original = risk.risk_profile
 
         def recording(cloud, configs, q, rng, **kwargs):
-            calls.append((kwargs["dtype"], {c.repetitions for c in configs}, cloud))
+            calls.append(({c.repetitions for c in configs}, cloud))
             return original(cloud, configs, q, rng, **kwargs)
 
         monkeypatch.setattr(risk, "risk_profile", recording)
@@ -232,13 +232,12 @@ class TestRiskHeatmap:
         assert [line.split(",")[:3] for line in lines[1:]] == [
             [str(r["n_outcomes"]), str(r["n_particles"]), "0"] for r in rows
         ]
-        # the reference and every cell ran at the design's precision and size
+        # the reference and every cell ran at the design's size
         policy = heuristics.uniform_risk_heuristic()
-        cloud = calls[0][2]
+        cloud = calls[0][1]
         n = heuristics._repetitions_for(cloud, policy.target_esm, policy.n_max)
         assert len(calls) == 5
-        assert all(dtype == policy.table_dtype for dtype, _, _ in calls)
-        assert all(reps == {n} for _, reps, _ in calls)
+        assert all(reps == {n} for reps, _ in calls)
 
 
 class TestCheckpoints:

@@ -200,6 +200,15 @@ class TestSurvivalAgainstScipy:
         self.check(configs, 97)
 
 
+def test_non_finite_survival_raises():
+    # a pulse far past any physical length overflows the kernel to nan,
+    # which must not pass the [0, 1] clamp as a probability
+    spins = random_spins(np.random.default_rng(103), 3)
+    config = ExperimentConfig("rabi", pulse_time=1e300)
+    with np.errstate(all="ignore"), pytest.raises(qutrit.SimulationAccuracyError):
+        survival_table(spins, [config])
+
+
 def test_ramsey_terms_pair_up_with_their_conjugates():
     """Populations (vec 0, 4, 8) wait with eigenvalue 0; coherences 3, 6
     and 7 are the conjugates of 1, 2 and 5, in eigenvalue and in weight."""

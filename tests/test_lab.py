@@ -4,6 +4,7 @@ import socket
 import numpy as np
 import pytest
 
+from nvbed import lab as labmod
 from nvbed.lab import (
     InProcessLab,
     LabClient,
@@ -207,27 +208,25 @@ class TestTcpService:
         with socket.create_connection(
             (server.server_address[0], server.server_address[1]), timeout=10
         ) as sock:
-            reader = sock.makefile("rb")
-            sock.sendall(b"this is not json\n")
-            reply = json.loads(reader.readline())
-            assert reply["status"] == "error"
-            sock.sendall(b'{"v": 1, "type": "ping"}\n')
-            reply = json.loads(reader.readline())
-            assert reply["status"] == "ok"
-            reader.close()
+            with sock.makefile("rb") as reader:
+                sock.sendall(b"this is not json\n")
+                reply = json.loads(reader.readline())
+                assert reply["status"] == "error"
+                sock.sendall(b'{"v": 1, "type": "ping"}\n')
+                reply = json.loads(reader.readline())
+                assert reply["status"] == "ok"
 
     def test_unknown_type_and_version_mismatch(self, server):
         with socket.create_connection(
             (server.server_address[0], server.server_address[1]), timeout=10
         ) as sock:
-            reader = sock.makefile("rb")
-            sock.sendall(b'{"v": 1, "type": "selfdestruct"}\n')
-            assert json.loads(reader.readline())["status"] == "error"
-            sock.sendall(b'{"v": 99, "type": "ping"}\n')
-            reply = json.loads(reader.readline())
-            assert reply["status"] == "error"
-            assert "version" in reply["error"]
-            reader.close()
+            with sock.makefile("rb") as reader:
+                sock.sendall(b'{"v": 1, "type": "selfdestruct"}\n')
+                assert json.loads(reader.readline())["status"] == "error"
+                sock.sendall(b'{"v": 99, "type": "ping"}\n')
+                reply = json.loads(reader.readline())
+                assert reply["status"] == "error"
+                assert "version" in reply["error"]
 
     def test_client_raises_typed_protocol_error(self, server):
         with LabClient(server.address) as client:
@@ -254,16 +253,33 @@ class TestTcpService:
         with socket.create_connection(
             (server.server_address[0], server.server_address[1]), timeout=10
         ) as sock:
-            reader = sock.makefile("rb")
-            burst = (
-                b'{"v": 1, "type": "ping"}\n'
-                b"garbage\n"
-                b'{"v": 1, "type": "run", "config": {"kind": "rabi", "pulse_time": 8.0, "repetitions": 5}}\n'
-            )
-            sock.sendall(burst)
-            replies = [json.loads(reader.readline()) for _ in range(3)]
-            assert [r["status"] for r in replies] == ["ok", "error", "ok"]
-            reader.close()
+            with sock.makefile("rb") as reader:
+                burst = (
+                    b'{"v": 1, "type": "ping"}\n'
+                    b"garbage\n"
+                    b'{"v": 1, "type": "run", "config": {"kind": "rabi", "pulse_time": 8.0, "repetitions": 5}}\n'
+                )
+                sock.sendall(burst)
+                replies = [json.loads(reader.readline()) for _ in range(3)]
+                assert [r["status"] for r in replies] == ["ok", "error", "ok"]
+
+
+class TestIdleConnection:
+    def test_silent_client_is_dropped(self, monkeypatch):
+        monkeypatch.setattr(labmod, "IDLE_TIMEOUT_S", 0.2)
+        srv = LabServer(make_system(seed=42), ("127.0.0.1", 0))
+        thread = srv.serve_in_background()
+        try:
+            with socket.create_connection(srv.server_address[:2], timeout=10):
+                # the silent connection holds the one-connection server
+                # until it has been idle for IDLE_TIMEOUT_S
+                with LabClient(srv.address, timeout=5) as client:
+                    assert client.ping()
+        finally:
+            srv.shutdown()
+            srv.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
 
 
 class TestLostReply:
@@ -304,6 +320,7 @@ def lab_state(system):
         system.uploads,
         system.cache_hits,
         system.rng.bit_generator.state,
+        frozenset(system._waveforms),
     )
 
 
@@ -332,16 +349,15 @@ class TestNonFiniteConfig:
         with socket.create_connection(
             (server.server_address[0], server.server_address[1]), timeout=10
         ) as sock:
-            reader = sock.makefile("rb")
-            sock.sendall(bad)
-            reply = json.loads(reader.readline())
-            assert reply["status"] == "error"
-            assert reply["error"].startswith("bad config")
-            assert lab_state(server.system) == before
-            good = {"v": 1, "type": "run", "config": config}
-            sock.sendall((json.dumps(good) + "\n").encode())
-            assert json.loads(reader.readline())["status"] == "ok"
-            reader.close()
+            with sock.makefile("rb") as reader:
+                sock.sendall(bad)
+                reply = json.loads(reader.readline())
+                assert reply["status"] == "error"
+                assert reply["error"].startswith("bad config")
+                assert lab_state(server.system) == before
+                good = {"v": 1, "type": "run", "config": config}
+                sock.sendall((json.dumps(good) + "\n").encode())
+                assert json.loads(reader.readline())["status"] == "ok"
         assert server.system.uploads == before[3] + 1
 
     @pytest.mark.parametrize("value", ["1e300", str(2**53 + 1)])
@@ -368,6 +384,35 @@ class TestNonFiniteConfig:
         assert reply["status"] == "ok"
         assert reply["datum"]["N"] == 500
         assert server.system.uploads == before[3] + 1
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"kind": "rabi", "pulse_time": 1e300, "repetitions": 10},
+            {"kind": "ramsey", "pulse_time": 20, "wait_time": 1e300, "repetitions": 10},
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_run_leaves_the_lab_as_it_was(self, server, config):
+        # finite but unphysical timings: the first simulates to nan, the
+        # second drifts the references past numpy's Poisson limit
+        before = lab_state(server.system)
+        address = server.server_address[:2]
+        with socket.create_connection(address, timeout=10) as sock:
+            with sock.makefile("rb") as reader:
+                bad = {"v": 1, "type": "run", "config": config}
+                sock.sendall((json.dumps(bad) + "\n").encode())
+                reply = json.loads(reader.readline())
+                assert reply["status"] == "error"
+                assert reply["error"].startswith("run failed")
+                assert lab_state(server.system) == before
+                good = {"v": 1, "type": "run", "config": RUN_CFG.to_dict()}
+                sock.sendall((json.dumps(good) + "\n").encode())
+                reply = json.loads(reader.readline())
+        assert reply["status"] == "ok"
+        assert reply["datum"]["N"] == RUN_CFG.repetitions
+        assert server.system.uploads == before[3] + 1
+        assert server.system.clock < 1e3
 
     def test_repetitions_up_to_2_to_the_53(self):
         assert ExperimentConfig("rabi", 20.0, repetitions=2**53).repetitions == 2**53
