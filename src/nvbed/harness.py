@@ -65,6 +65,10 @@ class RunConfig:
       true reference rates (photons per shot).
     * ``truth_drift_sigma``, ``truth_drift_correlation``: true reference
       drift scale (per sqrt(hour)) and correlation.
+
+    Construction rejects a value no trial can run with, so ``nvbed run``
+    fails before writing anything.  A run resumes in an ``out_dir`` only if
+    its ``config.json`` matches in every field but ``_RESUME_FREE``.
     """
 
     heuristics: list = field(default_factory=lambda: ["alternating_linear"])
@@ -91,8 +95,24 @@ class RunConfig:
     truth_drift_correlation: float = 0.7
 
     def __post_init__(self):
-        if self.experiments < 1:
-            raise ValueError(f"experiments must be >= 1, got {self.experiments}")
+        unknown = set(self.heuristics) - set(heur.HEURISTIC_FACTORIES)
+        if unknown:
+            raise ValueError(f"unknown heuristics {sorted(unknown)}")
+        SpinPrior(kind=self.prior)  # rejects an unknown prior
+        self.truth_alpha_range = tuple(self.truth_alpha_range)
+        self.truth_beta_range = tuple(self.truth_beta_range)
+        for name, least in (
+            ("trials", 1), ("experiments", 1), ("particles", 2),
+            ("risk_outcomes", 2), ("risk_particles", 2), ("candidate_m", 1),
+            ("n_max", 1), ("calibration_repetitions", 1),
+        ):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+        if self.n_max > qutrit.MAX_REPETITIONS:
+            raise ValueError(f"n_max must be <= 2**53, got {self.n_max}")
+        if not self.target_esm > 0:
+            raise ValueError(f"target_esm must be positive, got {self.target_esm}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -103,11 +123,7 @@ class RunConfig:
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(raw)
-        for key in ("truth_alpha_range", "truth_beta_range"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        return cls(**raw)
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -358,6 +374,7 @@ def run_comparison(config: RunConfig, lab=None, log=None) -> dict:
             return run_comparison(config, lab=client, log=log)
     log = log or (lambda msg: print(msg, file=sys.stderr, flush=True))
     out_dir = Path(config.out_dir)
+    _check_resumable(config, out_dir / "config.json")
     (out_dir / "records").mkdir(parents=True, exist_ok=True)
     (out_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
     with open(out_dir / "config.json", "w", encoding="utf-8") as fh:
@@ -398,6 +415,27 @@ def run_comparison(config: RunConfig, lab=None, log=None) -> dict:
         json.dump(summary, fh, sort_keys=True, indent=2)
         fh.write("\n")
     return summary
+
+
+_RESUME_FREE = ("heuristics", "trials", "out_dir")
+
+
+def _check_resumable(config: RunConfig, path: Path) -> None:
+    """Raise ValueError unless the run that wrote ``path``, if any, used the
+    same config as this one, up to ``_RESUME_FREE``."""
+    if not path.exists():
+        return
+    try:
+        written = RunConfig.from_file(path).to_dict()
+    except (OSError, ValueError, TypeError) as err:
+        raise ValueError(f"cannot resume from {path}: {err}") from err
+    ours = config.to_dict()
+    changed = [k for k in ours if k not in _RESUME_FREE and ours[k] != written[k]]
+    if changed:
+        raise ValueError(
+            f"{path} was written under a different config (fields {changed}); "
+            "use a new out_dir"
+        )
 
 
 def load_records(out_dir) -> list:
@@ -556,7 +594,8 @@ def risk_heatmap(config: HeatmapConfig, log=None) -> list:
         target_esm=config.target_esm,
     )
     # the candidates and repetitions the policy's design uses
-    sized = policy.sized_candidates(cloud)
+    n = heur._repetitions_for(cloud, policy.target_esm, policy.n_max)
+    sized = policy.candidate_set(cloud, n)
     p_table = policy.cache.table(cloud.spin_locations, sized)
 
     def profile_values(n_out, n_par, stream):

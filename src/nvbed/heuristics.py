@@ -11,7 +11,7 @@ comparable independent of reference brightness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,33 +24,21 @@ DEFAULT_TARGET_ESM = 20.0
 DEFAULT_N_MAX = 1_000_000
 
 
-def experiment_set_rabi(
-    t_max: float, m: int, drive_frequency: float = qutrit.ZFS_MHZ
-) -> list:
+def experiment_set_rabi(t_max: float, m: int) -> list:
     """Rabi configurations with pulse times t_max/m, 2*t_max/m, ..., t_max."""
     if m < 1:
         raise ValueError("m must be >= 1")
     step = t_max / m
-    return [
-        ExperimentConfig("rabi", pulse_time=step * k, drive_frequency=drive_frequency)
-        for k in range(1, m + 1)
-    ]
+    return [ExperimentConfig("rabi", pulse_time=step * k) for k in range(1, m + 1)]
 
 
-def experiment_set_ramsey(
-    t_p: float, t_max: float, m: int, drive_frequency: float = qutrit.ZFS_MHZ
-) -> list:
+def experiment_set_ramsey(t_p: float, t_max: float, m: int) -> list:
     """Ramsey configurations with wait times t_max/m, ..., t_max at fixed t_p."""
     if m < 1:
         raise ValueError("m must be >= 1")
     step = t_max / m
     return [
-        ExperimentConfig(
-            "ramsey",
-            pulse_time=t_p,
-            wait_time=step * k,
-            drive_frequency=drive_frequency,
-        )
+        ExperimentConfig("ramsey", pulse_time=t_p, wait_time=step * k)
         for k in range(1, m + 1)
     ]
 
@@ -87,14 +75,13 @@ def _repetitions_for(cloud: ParticleCloud, target_esm: float, n_max: int) -> int
 
 
 class SurvivalTableCache:
-    """Survival rows of one spin block, keyed by pulse shape.
+    """Survival rows of one spin block, keyed by ``ExperimentConfig.shape``.
 
     A survival row is a pure function of the five spin columns and the
-    pulse shape ``(kind, pulse_time, wait_time, drive_frequency)``;
-    repetition counts do not enter.  The cache keeps a copy of the spin
-    block its rows belong to, and a row is valid exactly while the caller's
-    spin columns equal that copy, so clouds that share a lineage, a copy or
-    nothing at all never see each other's rows.  Design fills the cache
+    pulse shape.  The cache keeps a copy of the spin block its rows belong
+    to, and a row is valid exactly while the caller's spin columns equal
+    that copy, so clouds that share a lineage, a copy or nothing at all
+    never see each other's rows.  Design fills the cache
     through :meth:`table`; the Bayes update reads the executed
     configuration's row back through :meth:`lookup`.
     """
@@ -102,12 +89,6 @@ class SurvivalTableCache:
     def __init__(self):
         self._spins = None
         self._rows = {}
-
-    @staticmethod
-    def _shape(config: ExperimentConfig) -> tuple:
-        return (
-            config.kind, config.pulse_time, config.wait_time, config.drive_frequency
-        )
 
     def _holds(self, spins: np.ndarray) -> bool:
         return self._spins is not None and np.array_equal(self._spins, spins)
@@ -121,21 +102,19 @@ class SurvivalTableCache:
         if not self._holds(spins):
             self._spins = np.array(spins)
             self._rows = {}
-        missing = {
-            self._shape(c): c for c in configs if self._shape(c) not in self._rows
-        }
+        missing = {c.shape: c for c in configs if c.shape not in self._rows}
         if missing:
             fresh = qutrit.survival_table(spins, list(missing.values()))
             fresh.setflags(write=False)  # rows are handed out as views
             self._rows.update(zip(missing, fresh))
-        return np.stack([self._rows[self._shape(c)] for c in configs])
+        return np.stack([self._rows[c.shape] for c in configs])
 
     def lookup(self, spins: np.ndarray, config: ExperimentConfig):
         """Cached survival row of this pulse shape over the (K, 5) spin
         block, or None."""
         if not self._holds(spins):
             return None
-        return self._rows.get(self._shape(config))
+        return self._rows.get(config.shape)
 
 
 @dataclass
@@ -143,14 +122,14 @@ class Heuristic:
     """Base policy: grids, ESM targeting, and the shared config plumbing.
 
     Every policy takes the same grid sizes, so one registry can size them
-    all; Ramsey sweeps use only the Ramsey grid.  ``cache`` holds the
-    survival rows the policy simulated, for the Bayes update to read back.
+    all; Ramsey sweeps use only the Ramsey grid.  Grids are driven at
+    ``qutrit.ZFS_MHZ``.  ``cache`` holds the survival rows the policy
+    simulated, for the Bayes update to read back.
     """
 
     name: str = "base"
     target_esm: float = DEFAULT_TARGET_ESM
     n_max: int = DEFAULT_N_MAX
-    drive_frequency: float = qutrit.ZFS_MHZ
     rabi_t_max: float = 500.0
     rabi_m: int = 100
     ramsey_t_max: float = 2000.0
@@ -160,26 +139,21 @@ class Heuristic:
     def next_experiment(
         self, cloud: ParticleCloud, step: int, rng: np.random.Generator
     ) -> ExperimentConfig:
-        config = self._pick(cloud, step, rng)
+        """The next pulse, at the repetition count that meets ``target_esm``."""
         n = _repetitions_for(cloud, self.target_esm, self.n_max)
-        return ExperimentConfig(
-            kind=config.kind,
-            pulse_time=config.pulse_time,
-            wait_time=config.wait_time,
-            drive_frequency=config.drive_frequency,
-            repetitions=n,
-        )
+        return replace(self._pick(cloud, step, rng, n), repetitions=n)
 
     def rabi_grid(self) -> list:
-        return experiment_set_rabi(self.rabi_t_max, self.rabi_m, self.drive_frequency)
+        return experiment_set_rabi(self.rabi_t_max, self.rabi_m)
 
     def ramsey_grid(self, cloud: ParticleCloud) -> list:
         """Ramsey grid at the cloud's current best tip time."""
         return experiment_set_ramsey(
-            best_tip_time(cloud), self.ramsey_t_max, self.ramsey_m, self.drive_frequency
+            best_tip_time(cloud), self.ramsey_t_max, self.ramsey_m
         )
 
-    def _pick(self, cloud, step, rng) -> ExperimentConfig:
+    def _pick(self, cloud, step, rng, repetitions) -> ExperimentConfig:
+        """The next experiment, to run ``repetitions`` times."""
         raise NotImplementedError
 
 
@@ -194,7 +168,7 @@ class AlternatingLinear(Heuristic):
 
     name: str = "alternating_linear"
 
-    def _pick(self, cloud, step, rng):
+    def _pick(self, cloud, step, rng, repetitions):
         cursor = step // 2
         if step % 2 == 0:
             return self.rabi_grid()[cursor % self.rabi_m]
@@ -207,7 +181,7 @@ class RamseySweeps(Heuristic):
 
     name: str = "ramsey_sweeps"
 
-    def _pick(self, cloud, step, rng):
+    def _pick(self, cloud, step, rng, repetitions):
         return self.ramsey_grid(cloud)[step % self.ramsey_m]
 
 
@@ -227,19 +201,15 @@ class RiskMinimizer(Heuristic):
     n_particles: int = 1024
     last_profile: list = field(default=None, repr=False)
 
-    def candidate_set(self, cloud: ParticleCloud) -> list:
-        return self.rabi_grid() + self.ramsey_grid(cloud)
-
-    def sized_candidates(self, cloud: ParticleCloud) -> list:
-        """The candidates at the repetition count the next experiment gets."""
-        n = _repetitions_for(cloud, self.target_esm, self.n_max)
+    def candidate_set(self, cloud: ParticleCloud, repetitions: int) -> list:
+        """The Rabi and Ramsey grids, each candidate at ``repetitions``."""
         return [
-            ExperimentConfig(c.kind, c.pulse_time, c.wait_time, c.drive_frequency, n)
-            for c in self.candidate_set(cloud)
+            replace(c, repetitions=repetitions)
+            for c in self.rabi_grid() + self.ramsey_grid(cloud)
         ]
 
-    def _pick(self, cloud, step, rng):
-        sized = self.sized_candidates(cloud)
+    def _pick(self, cloud, step, rng, repetitions):
+        sized = self.candidate_set(cloud, repetitions)
         profile = risk.risk_profile(
             cloud,
             sized,

@@ -6,6 +6,9 @@ and returns count triples.  The clock is simulated (it advances by the
 computed experiment duration plus configurable overheads), so runs are fast
 and bit-reproducible regardless of wall-clock timing.
 
+A run whose ``ExperimentConfig.shape`` was uploaded before is a cache hit:
+it skips the upload latency and reuses the stored survival probability.
+
 The TCP service speaks newline-delimited UTF-8 JSON with a protocol version
 field::
 
@@ -29,7 +32,6 @@ a reply can re-send without running the experiment twice.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import secrets
@@ -85,25 +87,6 @@ class LabTimings:
         return config.repetitions * per_shot * 1e-9
 
 
-def waveform_key(config: ExperimentConfig) -> str:
-    """128-bit cache key of the pulse shape.
-
-    The repetition count is a sequencer setting, not part of the stored
-    waveform, so it is excluded; any change in pulse timing or carrier
-    frequency yields a different key.
-    """
-    canonical = json.dumps(
-        {
-            "kind": config.kind,
-            "pulse_time": config.pulse_time,
-            "wait_time": config.wait_time,
-            "drive_frequency": config.drive_frequency,
-        },
-        sort_keys=True,
-    )
-    return hashlib.blake2b(canonical.encode(), digest_size=16).hexdigest()
-
-
 def default_truth() -> ModelParameters:
     return ModelParameters(
         spin=SpinParams(11.55, 2.0, -0.86, 2.18, 0.35),
@@ -119,6 +102,9 @@ class TrueSystem:
     The true references follow a correlated random walk, reflected so that
     0 < beta < alpha always holds; a tracking operation refocuses them back
     to their nominal values up to a multiplicative refocus error.
+
+    ``_waveforms``, the one waveform store, maps each shape a successful run
+    uploaded to the truth's survival probability; ``uploads`` is its size.
     """
 
     truth: ModelParameters
@@ -130,11 +116,13 @@ class TrueSystem:
     def __post_init__(self):
         self.alpha = self.truth.refs.bright
         self.beta = self.truth.refs.dark
-        self._survival_cache = {}
-        self._waveforms = set()
+        self._waveforms = {}
         self.cache_hits = 0
-        self.uploads = 0
         self.tracking_count = 0
+
+    @property
+    def uploads(self) -> int:
+        return len(self._waveforms)
 
     def _drifted(self, dt_seconds: float) -> tuple:
         """The references after ``dt_seconds`` of drift, not yet stored."""
@@ -153,9 +141,12 @@ class TrueSystem:
     def execute(self, config: ExperimentConfig) -> tuple:
         """Run one experiment; returns (datum, cache_hit).  All or nothing: a
         failed simulation or draw leaves the lab, its stream included, as it was."""
-        p = self._survival(config)
-        key = waveform_key(config)
-        cache_hit = key in self._waveforms
+        shape = config.shape
+        cache_hit = shape in self._waveforms
+        if cache_hit:
+            p = self._waveforms[shape]
+        else:
+            p = survival_probability(self.truth.spin, config)
         clock = self.clock if cache_hit else self.clock + self.timings.upload_latency_s
         elapsed = (
             self.timings.experiment_seconds(config) + self.timings.request_overhead_s
@@ -170,11 +161,8 @@ class TrueSystem:
             self.rng.bit_generator.state = stream
             raise
         self.clock, self.alpha, self.beta = clock, alpha, beta
-        if cache_hit:
-            self.cache_hits += 1
-        else:
-            self._waveforms.add(key)
-            self.uploads += 1
+        self._waveforms[shape] = p
+        self.cache_hits += cache_hit
         return datum, cache_hit
 
     def track(self) -> None:
@@ -186,12 +174,6 @@ class TrueSystem:
             self.truth.refs.dark * (1.0 + eps_b),
         )
         self.tracking_count += 1
-
-    def _survival(self, config: ExperimentConfig) -> float:
-        key = (config.kind, config.pulse_time, config.wait_time, config.drive_frequency)
-        if key not in self._survival_cache:
-            self._survival_cache[key] = survival_probability(self.truth.spin, config)
-        return self._survival_cache[key]
 
 
 def _reflect_refs(alpha: float, beta: float, floor: float = 1e-9) -> tuple:

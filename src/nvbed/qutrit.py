@@ -34,7 +34,7 @@ exponential every path uses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -205,23 +205,30 @@ class ExperimentConfig:
             return self.pulse_time
         return 2.0 * self.pulse_time + self.wait_time
 
+    @property
+    def shape(self) -> tuple:
+        """Every field but ``repetitions``: the key of every store of survival
+        rows or waveforms, which do not depend on the repetition count."""
+        return tuple(
+            getattr(self, f.name) for f in fields(self) if f.name != "repetitions"
+        )
+
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "pulse_time": self.pulse_time,
-            "wait_time": self.wait_time,
-            "drive_frequency": self.drive_frequency,
-            "repetitions": self.repetitions,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        repetitions = d.get("repetitions", 1)
+        if type(repetitions) not in (int, float) or repetitions != int(repetitions):
+            raise ValueError(
+                f"repetitions must be an integral number, got {repetitions!r}"
+            )
         return cls(
             kind=d["kind"],
             pulse_time=float(d["pulse_time"]),
             wait_time=float(d.get("wait_time", 0.0)),
             drive_frequency=float(d.get("drive_frequency", ZFS_MHZ)),
-            repetitions=int(d.get("repetitions", 1)),
+            repetitions=int(repetitions),
         )
 
 

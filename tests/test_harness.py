@@ -99,6 +99,33 @@ class TestRunConfig:
             cli.main(["run", "--config", str(path), "--out", str(out)])
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("heuristics", ["unifrom_risk"]),
+            ("prior", "widest"),
+            ("trials", 0),
+            ("trials", -1),
+            ("particles", 1),
+            ("risk_outcomes", 1),
+            ("risk_particles", 1),
+            ("candidate_m", 0),
+            ("n_max", 0),
+            ("n_max", 2**53 + 1),
+            ("target_esm", 0.0),
+            ("calibration_repetitions", 0),
+        ],
+    )
+    def test_bad_value_fails_before_any_output(self, tmp_path, field, value):
+        with pytest.raises(ValueError, match=field):
+            harness.RunConfig(**{field: value})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({field: value}))
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=field):
+            cli.main(["run", "--config", str(path), "--out", str(out)])
+        assert not out.exists()
+
     def test_written_config_loads_back(self, tmp_path):
         config = tiny_config("alternating_linear", out_dir=str(tmp_path))
         harness.run_comparison(config, log=lambda msg: None)
@@ -137,6 +164,30 @@ class TestRunComparison:
         assert cli.main(["curves", "--records", str(tmp_path), "--out", str(again)]) == 0
         assert (again / "curves.csv").read_bytes() == curves
         assert (again / "histograms.csv").read_bytes() == histograms
+
+    def test_resume_under_a_changed_config_is_refused(self, tmp_path):
+        def outputs():
+            return {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+        config = tiny_config("alternating_linear", out_dir=str(tmp_path))
+        harness.run_comparison(config, log=lambda msg: None)
+        first = outputs()
+        changed = tiny_config("alternating_linear", particles=300, out_dir=str(tmp_path))
+        with pytest.raises(ValueError, match="particles"):
+            harness.run_comparison(changed, log=lambda msg: None)
+        assert outputs() == first
+        # more trials of the same config extend the run
+        more = tiny_config("alternating_linear", trials=2, out_dir=str(tmp_path))
+        assert harness.run_comparison(more, log=lambda msg: None)["completed"] == 2
+        record = harness._record_path(tmp_path, "alternating_linear", 0)
+        assert record.read_bytes() == first[record]
+
+    def test_unreadable_config_is_refused(self, tmp_path):
+        (tmp_path / "config.json").write_text("{")
+        config = tiny_config("alternating_linear", out_dir=str(tmp_path))
+        with pytest.raises(ValueError, match="cannot resume"):
+            harness.run_comparison(config, log=lambda msg: None)
+        assert not (tmp_path / "records").exists()
 
     def test_failing_trial_is_isolated(self, tmp_path, monkeypatch):
         class SecondLabFails(labmod.InProcessLab):
@@ -191,8 +242,8 @@ class TestRunComparison:
         # both trials ran against the one server, which uploaded each
         # distinct waveform once, calibration pulse included
         calibration = ExperimentConfig("rabi", harness.CALIBRATION_PULSE_NS)
-        shapes = {labmod.waveform_key(calibration)} | {
-            labmod.waveform_key(ExperimentConfig.from_dict(s["config"]))
+        shapes = {calibration.shape} | {
+            ExperimentConfig.from_dict(s["config"]).shape
             for r in records
             for s in r["steps"]
         }

@@ -165,7 +165,7 @@ class TestRiskHeuristics:
         heuristic = uniform_risk_heuristic(
             rabi_m=12, ramsey_m=12, n_outcomes=64, n_particles=128
         )
-        candidates = heuristic.candidate_set(cloud)
+        candidates = heuristic.candidate_set(cloud, 1)
         assert len(candidates) == 24
         config = heuristic.next_experiment(cloud, 0, np.random.default_rng(5))
         assert any(
@@ -217,7 +217,7 @@ class TestRiskRanking:
         monkeypatch.setattr(risk, "risk_profile", fake_profile)
         cloud = inference_cloud(np.random.default_rng(12), k=50)
         policy = RiskMinimizer(rabi_m=2, ramsey_m=1)
-        chosen = policy._pick(cloud, 0, np.random.default_rng(13))
+        chosen = policy._pick(cloud, 0, np.random.default_rng(13), 1)
         return [cfg for cfg, _ in policy.last_profile].index(chosen)
 
     def test_unreliable_lowest_risk_is_not_chosen(self, monkeypatch):

@@ -288,3 +288,22 @@ class TestConfigValidation:
     def test_round_trip_dict(self):
         cfg = ExperimentConfig("ramsey", 22.0, 640.0, 2870.0, 4667)
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_shape_is_every_field_but_repetitions(self):
+        cfg = ExperimentConfig("ramsey", 22.0, 640.0, 2871.5, 4667)
+        assert cfg.shape == ("ramsey", 22.0, 640.0, 2871.5)
+        assert ExperimentConfig("ramsey", 22.0, 640.0, 2871.5, 3).shape == cfg.shape
+        assert ExperimentConfig("ramsey", 22.0, 640.0, 2870.0, 4667).shape != cfg.shape
+
+    @pytest.mark.parametrize("value", [2.9, True, "500", None])
+    def test_from_dict_takes_only_integral_repetitions(self, value):
+        with pytest.raises(ValueError, match="integral"):
+            ExperimentConfig.from_dict(
+                {"kind": "rabi", "pulse_time": 20.0, "repetitions": value}
+            )
+
+    def test_from_dict_takes_an_integral_float(self):
+        cfg = ExperimentConfig.from_dict(
+            {"kind": "rabi", "pulse_time": 20.0, "repetitions": 500.0}
+        )
+        assert cfg.repetitions == 500 and type(cfg.repetitions) is int
