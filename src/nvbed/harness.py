@@ -62,7 +62,8 @@ class RunConfig:
     * ``candidate_m``: points per Rabi and per Ramsey grid of the online
       policies; offline sweeps get ``max(1, experiments // 2)``.
     * ``truth_alpha_range``, ``truth_beta_range``: uniform ranges of the
-      true reference rates (photons per shot).
+      true reference rates (photons per shot), pairs with
+      0 < beta_lo <= beta_hi < alpha_lo <= alpha_hi.
     * ``truth_drift_sigma``, ``truth_drift_correlation``: true reference
       drift scale (per sqrt(hour)) and correlation.
 
@@ -113,6 +114,15 @@ class RunConfig:
             raise ValueError(f"n_max must be <= 2**53, got {self.n_max}")
         if not self.target_esm > 0:
             raise ValueError(f"target_esm must be positive, got {self.target_esm}")
+        for name in ("truth_alpha_range", "truth_beta_range"):
+            span = getattr(self, name)
+            if len(span) != 2 or not 0 < span[0] <= span[1] < math.inf:
+                raise ValueError(f"{name} must be a pair 0 < lo <= hi, got {span}")
+        if not self.truth_beta_range[1] < self.truth_alpha_range[0]:
+            raise ValueError(
+                f"truth_beta_range {self.truth_beta_range} must lie below "
+                f"truth_alpha_range {self.truth_alpha_range}"
+            )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -578,8 +588,10 @@ def risk_heatmap(config: HeatmapConfig, log=None) -> list:
     """MIS-risk accuracy/cost grid against a large-sample reference.
 
     Rows: (n_outcomes, n_particles, seed, log10 mean squared difference from
-    the reference profile, evaluation seconds).  Timing columns are measured
-    wall clock and are not byte-reproducible.
+    the reference profile, evaluation seconds).  ``seconds`` is the wall time
+    of one :func:`nvbed.risk.risk_profile`, whose candidates run in parallel
+    on the host's cores, so it is not the summed CPU time of the candidates;
+    it is measured wall clock and not byte-reproducible.
     """
     log = log or (lambda msg: print(msg, file=sys.stderr, flush=True))
     if config.reference_outcomes < max(config.outcome_sizes) or (

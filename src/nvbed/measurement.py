@@ -105,16 +105,23 @@ def expected_counts(alpha1, beta1, p, repetitions) -> np.ndarray:
     return repetitions * np.stack(np.broadcast_arrays(alpha1, beta1, signal))
 
 
-def log_likelihood_table(counts, rates) -> np.ndarray:
-    """(m, K) log-likelihoods of m count triples under K rate columns, each
-    row short of its triple's sum(log c!).  Admissible rates are positive
-    (0 < beta1 < alpha1, p in [0, 1]), so the log is finite.
+def log_rate_rows(rates) -> np.ndarray:
+    """(4, K) rows [log(rates); -sum(rates)] of K rate columns, the factor of
+    :func:`log_likelihood_table` that depends on the hypotheses only.
+    Admissible rates are positive (0 < beta1 < alpha1, p in [0, 1]), so the
+    log is finite."""
+    return np.vstack([np.log(rates), -rates.sum(axis=0)])
+
+
+def log_likelihood_table(counts, log_rates, out=None) -> np.ndarray:
+    """(m, K) log-likelihoods of m count triples under the K columns of
+    :func:`log_rate_rows`, each row short of its triple's sum(log c!).
 
     One product, [counts, 1] @ [log(rates); -sum(rates)], forms the table
-    in a single pass over it."""
+    in a single pass over it, written into ``out`` when one is given."""
     counts = np.asarray(counts, dtype=float)
     ones = np.ones((len(counts), 1))
-    return np.hstack([counts, ones]) @ np.vstack([np.log(rates), -rates.sum(axis=0)])
+    return np.matmul(np.hstack([counts, ones]), log_rates, out=out)
 
 
 def sample_datum(
@@ -142,7 +149,7 @@ def log_likelihood(datum: Datum, alpha1, beta1, p):
     """
     counts = (datum.bright_counts, datum.dark_counts, datum.signal_counts)
     rates = expected_counts(alpha1, beta1, p, datum.repetitions)
-    out = log_likelihood_table([counts], rates.reshape(3, -1))[0]
+    out = log_likelihood_table([counts], log_rate_rows(rates.reshape(3, -1)))[0]
     out = out.reshape(rates.shape[1:]) - sum(math.lgamma(c + 1) for c in counts)
     if out.ndim == 0:
         return float(out)

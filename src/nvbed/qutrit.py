@@ -218,6 +218,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """The config of a JSON-style dict, whose times, drive frequency and
+        repetition count must be numbers (int or float, not bool or str)."""
+        timing = {
+            "pulse_time": d["pulse_time"],
+            "wait_time": d.get("wait_time", 0.0),
+            "drive_frequency": d.get("drive_frequency", ZFS_MHZ),
+        }
+        for name, value in timing.items():
+            if type(value) not in (int, float):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         repetitions = d.get("repetitions", 1)
         if type(repetitions) not in (int, float) or repetitions != int(repetitions):
             raise ValueError(
@@ -225,9 +235,7 @@ class ExperimentConfig:
             )
         return cls(
             kind=d["kind"],
-            pulse_time=float(d["pulse_time"]),
-            wait_time=float(d.get("wait_time", 0.0)),
-            drive_frequency=float(d.get("drive_frequency", ZFS_MHZ)),
+            **{name: float(value) for name, value in timing.items()},
             repetitions=int(repetitions),
         )
 

@@ -10,20 +10,33 @@ O(K') outcome samples).
 The estimator is generic over an outcome model exposing
 
     sample_counts(locations, config, rng) -> (n, c) count array
-    log_likelihood_matrix(counts, locations, config) -> (n, K)
+    log_rates(locations, config) -> the candidate's likelihood factor over K
+        particles, formed once per candidate
+    log_likelihood_matrix(counts, log_rates, out=None) -> (n, K) float64
+        table, written into ``out`` when one is given
 
 so that small analytically tractable models can stand in for the NV model
 in verification.  A table row may differ from the exact log-likelihood by
 a constant of that row, which the estimator's row-max shift cancels.  The
-estimator shifts and exponentiates the float64 table in place, so a model
-hands out a fresh array on every call.  The NV model (the referenced-Poisson
+estimator never holds the whole (n_outcomes, K) table: it asks for one
+block of outcome rows at a time, into a per-thread workspace that it
+shifts and exponentiates in place.  The NV model (the referenced-Poisson
 triple of :mod:`nvbed.measurement`) also takes each particle's survival
 probability as ``p=``, from rows the caller supplies.
+
+:func:`risk_profile` evaluates its candidates on a thread pool as wide as
+the cores this process may run on.  Each candidate draws from its own child
+stream, so the profile does not depend on how the candidates are split
+between threads.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +101,9 @@ class NvModel:
     The model never simulates: every call takes the survival probability of
     each particle at hand through ``p``, sliced by the caller from a
     full-cloud row (``p_full`` of :func:`mis_risk`, ``p_table`` of
-    :func:`risk_profile`).
+    :func:`risk_profile`).  Its likelihood is two calls: :meth:`log_rates`
+    once per candidate, then :meth:`log_likelihood_matrix` once per block of
+    outcome rows.
     """
 
     def _rates(self, locations, config, p=None):
@@ -106,16 +121,18 @@ class NvModel:
         # every X, then every Y, then every Z, as rows of (X, Y, Z)
         return rng.poisson(self._rates(locations, config, p)).T
 
-    def log_likelihood_matrix(self, counts, locations, config, p=None) -> np.ndarray:
+    def log_rates(self, locations, config, p=None) -> np.ndarray:
+        """(4, K) rows [log rates; -rate sum] of these particles."""
+        return measurement.log_rate_rows(self._rates(locations, config, p))
+
+    def log_likelihood_matrix(self, counts, log_rates, out=None) -> np.ndarray:
         """(n_outcomes, K) joint log-likelihood table, each row short of its
-        outcome's sum(log c!).
+        outcome's sum(log c!), written into ``out`` when one is given.
 
         That constant cancels in the risk: :func:`_weighted_variance_terms`
         shifts every row by its maximum before exponentiating.
         """
-        return measurement.log_likelihood_table(
-            counts, self._rates(locations, config, p)
-        )
+        return measurement.log_likelihood_table(counts, log_rates, out)
 
 
 def _active_block(q):
@@ -160,6 +177,36 @@ def _weighted_variance_terms(log_table, base_weights, locations, q):
     return terms, kept
 
 
+# bytes of one block of MIS table rows: small enough to stay in a core's L2
+# cache through its fill, shift, exponential and moment product, and large
+# enough that the kernel's per-block Python work stays small (512 outcomes
+# over 1024 inner particles make two blocks of 256 rows)
+_MIS_BLOCK_BYTES = 1 << 21
+_workspace = threading.local()
+
+
+def _block_rows(n_particles: int) -> int:
+    """Outcome rows per block of an MIS table over ``n_particles`` columns."""
+    return max(1, _MIS_BLOCK_BYTES // (8 * n_particles))
+
+
+def _block_buffer(size: int) -> np.ndarray:
+    """This thread's float64 workspace of ``size`` entries, reused across
+    blocks and candidates.
+
+    The workspace is an anonymous memory map, not a malloc'd array: malloc
+    would place it in the thread's own arena, which keeps the memory after
+    the thread ends, and a profile's workers then raised the process's peak
+    resident memory by about 7 MB at paper scale.
+    """
+    buffer = getattr(_workspace, "buffer", None)
+    if buffer is None or buffer.size < size:
+        entries = max(size, _MIS_BLOCK_BYTES // 8)
+        buffer = np.frombuffer(mmap.mmap(-1, 8 * entries), dtype=float)
+        _workspace.buffer = buffer
+    return buffer[:size]
+
+
 def _downsample(cloud: ParticleCloud, k: int, rng):
     """Indices and weights of an inner particle set of size <= k.
 
@@ -195,7 +242,10 @@ def mis_risk(
     Q-weighted posterior variance over outcomes.  ``p_full`` carries the
     survival probability of every particle of the cloud for ``config``; the
     NV model requires it, and outcome models that take no rows are called
-    without it.  The table and its moments are float64 throughout.
+    without it.  The model's ``log_rates`` runs once; its
+    ``log_likelihood_matrix`` fills one cache-sized block of outcome rows at
+    a time into this thread's workspace, whose moments are taken before the
+    next block is formed.  The table and its moments are float64 throughout.
     """
     if n_outcomes < 2 or n_particles < 2:
         raise ValueError("need at least two outcomes and two inner particles")
@@ -208,11 +258,20 @@ def mis_risk(
     inner_idx, inner_weights = _downsample(cloud, n_particles, rng)
     inner = cloud.locations[inner_idx]
     extra_in = {} if p_full is None else {"p": p_full[inner_idx]}
-    table = np.asarray(
-        model.log_likelihood_matrix(counts, inner, config, **extra_in), dtype=float
-    )
-    terms, kept = _weighted_variance_terms(table, inner_weights, inner, q)
-    return _summarize(terms, kept, n_outcomes, len(inner_idx))
+    log_rates = model.log_rates(inner, config, **extra_in)
+    n_inner = len(inner_idx)
+    rows = _block_rows(n_inner)
+    buffer = _block_buffer(rows * n_inner)
+    terms = np.empty(n_outcomes)
+    kept = np.empty(n_outcomes, dtype=bool)
+    for lo in range(0, n_outcomes, rows):
+        hi = min(lo + rows, n_outcomes)
+        out = buffer[: (hi - lo) * n_inner].reshape(hi - lo, n_inner)
+        table = model.log_likelihood_matrix(counts[lo:hi], log_rates, out=out)
+        terms[lo:hi], kept[lo:hi] = _weighted_variance_terms(
+            table, inner_weights, inner, q
+        )
+    return _summarize(terms, kept, n_outcomes, n_inner)
 
 
 def _summarize(terms, kept, n_outcomes, n_particles) -> RiskEstimate:
@@ -254,7 +313,10 @@ def risk_profile(
 
     Returns ``[(config, RiskEstimate), ...]`` in input order.  Each candidate
     consumes its own child random stream, so results are reproducible for a
-    fixed candidate order and seed.
+    fixed candidate order and seed.  The candidates run on a thread pool
+    with one worker per core this process may run on; since no stream is
+    shared, the results are the same however the candidates are split, and
+    equal those of calling :func:`mis_risk` on each in turn.
     ``p_table`` holds the survival probabilities, one row per candidate, over
     the full cloud; the NV model requires it (see
     :meth:`nvbed.heuristics.SurvivalTableCache.table`).
@@ -262,9 +324,15 @@ def risk_profile(
     if not configs:
         raise ValueError("candidate list is empty")
     streams = rng.spawn(len(configs))
-    out = []
-    for i, (config, stream) in enumerate(zip(configs, streams)):
+
+    def estimate(i):
         p_full = None if p_table is None else p_table[i]
-        est = mis_risk(cloud, config, q, n_outcomes, n_particles, stream, model, p_full)
-        out.append((config, est))
-    return out
+        # the module global, so that a wrapped mis_risk sees every call
+        return mis_risk(
+            cloud, configs[i], q, n_outcomes, n_particles, streams[i], model, p_full
+        )
+
+    workers = min(len(configs), len(os.sched_getaffinity(0)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        estimates = list(pool.map(estimate, range(len(configs))))
+    return list(zip(configs, estimates))

@@ -17,6 +17,9 @@
 * :func:`three_product_variance_terms` is the MIS moment kernel as three
   separate products of the Boltzmann table, leaving its input untouched; it
   checks the one-product kernel ``nvbed.risk._weighted_variance_terms``.
+* :func:`whole_table_mis_risk` is the MIS estimator over one whole
+  (n_outcomes, n_particles) table; it checks the block-at-a-time
+  ``nvbed.risk.mis_risk``.
 * :func:`fisher_information`, :func:`fisher_information_inverse` and
   :func:`interpolated_variance_bound` are the closed-form information of
   one referenced triple; they check :func:`nvbed.measurement.esm`.
@@ -28,7 +31,14 @@ from scipy.special import gammaln, xlogy
 from scipy.stats import invwishart
 
 from nvbed.qutrit import lindblad_generator
-from nvbed.risk import NvModel, _active_block, _check_q, _summarize
+from nvbed.risk import (
+    NvModel,
+    _active_block,
+    _check_q,
+    _downsample,
+    _summarize,
+    _weighted_variance_terms,
+)
 from nvbed.smc import UpdateOptions, UpdateReport, bayes_update
 
 
@@ -65,7 +75,9 @@ def brute_force_risk(cloud, config, q, n_outcomes, rng, model=None, p_full=None)
     particles = cloud.locations[idx]
     extra = {} if p_full is None else {"p": np.asarray(p_full)[idx]}
     counts = model.sample_counts(particles, config, rng, **extra)
-    table = model.log_likelihood_matrix(counts, particles, config, **extra)
+    table = model.log_likelihood_matrix(
+        counts, model.log_rates(particles, config, **extra)
+    )
     weights, kept = _posterior_weight_table(
         table, np.full(n_outcomes, 1.0 / n_outcomes)
     )
@@ -104,6 +116,44 @@ def three_product_variance_terms(log_table, base_weights, locations, q):
     mean_square = np.einsum("ij,ij->i", means @ q_block, means)
     terms = second / denom - mean_square
     return terms, kept
+
+
+def whole_table_mis_risk(
+    cloud,
+    config,
+    q: np.ndarray,
+    n_outcomes: int,
+    n_particles: int,
+    rng: np.random.Generator,
+    model=None,
+    p_full=None,
+):
+    """Maximum-importance-sampling estimate of the Bayes risk.
+
+    Outcomes are drawn from the marginal predictive (via the joint); each
+    outcome reweights a fixed inner particle set, and the risk is the mean
+    Q-weighted posterior variance over outcomes.  ``p_full`` carries the
+    survival probability of every particle of the cloud for ``config``; the
+    NV model requires it, and outcome models that take no rows are called
+    without it.  The table and its moments are float64 throughout.
+    """
+    if n_outcomes < 2 or n_particles < 2:
+        raise ValueError("need at least two outcomes and two inner particles")
+    model = model or NvModel()
+    q = _check_q(q, cloud.locations.shape[1])
+    outcome_idx = rng.choice(cloud.size, size=n_outcomes, p=cloud.weights)
+    p_full = None if p_full is None else np.asarray(p_full)
+    extra_out = {} if p_full is None else {"p": p_full[outcome_idx]}
+    counts = model.sample_counts(cloud.locations[outcome_idx], config, rng, **extra_out)
+    inner_idx, inner_weights = _downsample(cloud, n_particles, rng)
+    inner = cloud.locations[inner_idx]
+    extra_in = {} if p_full is None else {"p": p_full[inner_idx]}
+    table = np.asarray(
+        model.log_likelihood_matrix(counts, model.log_rates(inner, config, **extra_in)),
+        dtype=float,
+    )
+    terms, kept = _weighted_variance_terms(table, inner_weights, inner, q)
+    return _summarize(terms, kept, n_outcomes, len(inner_idx))
 
 
 def bayes_update_sequence(

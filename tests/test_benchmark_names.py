@@ -8,12 +8,14 @@ benchmark runs.
 
 import importlib.util
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 
-from nvbed import lab
+from nvbed import lab, risk
 from nvbed.qutrit import ExperimentConfig
+from nvbed.smc import PriorSpec, sample_prior
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -41,3 +43,29 @@ def test_instrumentation_wraps_and_restores_every_name(monkeypatch):
         assert recorder.spans[0].name == "lab.simulate"
     for owner, attribute, original in swapped:
         assert owner.__dict__[attribute] is original, attribute
+
+
+def test_profile_workers_call_the_wrapped_names(monkeypatch):
+    # risk_profile's pool must reach mis_risk and the model's table through
+    # the attributes the tracer swaps, or the per-layer risk metrics go blank
+    tracing = load_tracing(monkeypatch)
+    recorder = tracing.SpanRecorder("names")
+    cloud = sample_prior(PriorSpec(), 64, np.random.default_rng(0))
+    configs = [
+        ExperimentConfig("rabi", float(t), repetitions=500) for t in range(10, 90, 10)
+    ]
+    p_table = np.random.default_rng(1).uniform(0.0, 1.0, (len(configs), cloud.size))
+    n_outcomes = 16
+    with tracing.Instrumentation(recorder):
+        profile = risk.risk_profile(
+            cloud, configs, risk.uniform_weight_matrix(), np.random.default_rng(2),
+            n_outcomes=n_outcomes, n_particles=32, p_table=p_table,
+        )
+    assert len(profile) == 8
+    names = [span.name for span in recorder.spans]
+    assert names.count("risk.risk_profile") == 1
+    assert names.count("risk.mis_risk") == 8
+    assert recorder.counters["risk.outcomes"] == 8 * n_outcomes
+    tables = [s for s in recorder.spans if s.name == "risk.log_likelihood_matrix"]
+    assert tables
+    assert threading.get_ident() not in {span.thread for span in tables}

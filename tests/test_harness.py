@@ -114,6 +114,8 @@ class TestRunConfig:
             ("n_max", 2**53 + 1),
             ("target_esm", 0.0),
             ("calibration_repetitions", 0),
+            ("truth_alpha_range", [0.01, 0.015]),
+            ("truth_beta_range", [0.02]),
         ],
     )
     def test_bad_value_fails_before_any_output(self, tmp_path, field, value):

@@ -435,6 +435,44 @@ class TestNonFiniteConfig:
         assert reply["datum"]["N"] == 500
         assert server.system.uploads == before[3] + 1
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("pulse_time", '"22"'),
+            ("pulse_time", "true"),
+            ("wait_time", '"300"'),
+            ("drive_frequency", "false"),
+        ],
+    )
+    def test_non_numeric_timing_rejected_without_touching_the_lab(
+        self, server, field, value
+    ):
+        # "22" used to run as a 22 ns pulse and true as a 1 ns pulse
+        config = {
+            "kind": "ramsey",
+            "pulse_time": 22.0,
+            "wait_time": 300.0,
+            "drive_frequency": 2870.0,
+            "repetitions": 500,
+        }
+        text = json.dumps({**config, field: "VALUE"}).replace('"VALUE"', value)
+        bad = f'{{"v": 1, "type": "run", "config": {text}}}\n'.encode()
+        before = lab_state(server.system)
+        address = server.server_address[:2]
+        with socket.create_connection(address, timeout=10) as sock:
+            with sock.makefile("rb") as reader:
+                sock.sendall(bad)
+                reply = json.loads(reader.readline())
+                assert reply["status"] == "error"
+                assert reply["error"].startswith("bad config")
+                assert field in reply["error"]
+                assert lab_state(server.system) == before
+                good = {"v": 1, "type": "run", "config": config}
+                sock.sendall((json.dumps(good) + "\n").encode())
+                reply = json.loads(reader.readline())
+        assert reply["status"] == "ok"
+        assert server.system.uploads == before[3] + 1
+
     def test_repetitions_up_to_2_to_the_53(self):
         assert ExperimentConfig("rabi", 20.0, repetitions=2**53).repetitions == 2**53
         with pytest.raises(ValueError, match="repetitions"):

@@ -302,6 +302,31 @@ class TestConfigValidation:
                 {"kind": "rabi", "pulse_time": 20.0, "repetitions": value}
             )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("pulse_time", "22"),
+            ("pulse_time", True),
+            ("wait_time", "640"),
+            ("wait_time", False),
+            ("drive_frequency", "2870"),
+            ("drive_frequency", True),
+            ("pulse_time", None),
+        ],
+    )
+    def test_from_dict_takes_only_numeric_timing(self, field, value):
+        d = {"kind": "ramsey", "pulse_time": 22.0, "wait_time": 640.0, "repetitions": 5}
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig.from_dict({**d, field: value})
+
+    def test_from_dict_takes_integer_timing(self):
+        cfg = ExperimentConfig.from_dict(
+            {"kind": "ramsey", "pulse_time": 22, "wait_time": 640,
+             "drive_frequency": 2870, "repetitions": 5}
+        )
+        assert cfg == ExperimentConfig("ramsey", 22.0, 640.0, 2870.0, 5)
+        assert type(cfg.pulse_time) is float and type(cfg.drive_frequency) is float
+
     def test_from_dict_takes_an_integral_float(self):
         cfg = ExperimentConfig.from_dict(
             {"kind": "rabi", "pulse_time": 20.0, "repetitions": 500.0}

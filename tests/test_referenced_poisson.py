@@ -37,7 +37,9 @@ class TestLikelihoodTable:
         counts = model.sample_counts(
             locations[:40], config, np.random.default_rng(2), p=p[:40]
         )
-        table = model.log_likelihood_matrix(counts, locations, config, p=p)
+        table = model.log_likelihood_matrix(
+            counts, model.log_rates(locations, config, p=p)
+        )
         exact = sum(
             poisson.logpmf(counts[:, [c]], rate[None, :])
             for c, rate in enumerate(old_rates(locations, p, n))

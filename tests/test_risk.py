@@ -24,7 +24,11 @@ from nvbed.smc import (
     posterior_cov,
     sample_prior,
 )
-from oracles import brute_force_risk, three_product_variance_terms
+from oracles import (
+    brute_force_risk,
+    three_product_variance_terms,
+    whole_table_mis_risk,
+)
 
 CFG = ExperimentConfig("rabi", pulse_time=50.0, repetitions=2000)
 
@@ -57,9 +61,33 @@ class TruncatedPoissonToy:
         draws = (u[:, None] > cdf).sum(axis=1)
         return draws[:, None]
 
-    def log_likelihood_matrix(self, counts, locations, exposure):
-        table = self._log_probs(locations, exposure)
-        return table[:, np.asarray(counts)[:, 0]].T
+    def log_rates(self, locations, exposure):
+        # row z holds every particle's log-probability of the outcome z
+        return np.ascontiguousarray(self._log_probs(locations, exposure).T)
+
+    def log_likelihood_matrix(self, counts, log_probs, out=None):
+        return np.take(log_probs, np.asarray(counts)[:, 0], axis=0, out=out)
+
+
+class UnderflowingModel(TruncatedPoissonToy):
+    """The toy whose outcomes at the given sample indices no particle
+    explains: their table rows hold no finite entry, in whichever block of
+    rows the estimator forms them."""
+
+    def __init__(self, rows, zmax=30):
+        super().__init__(zmax)
+        self.rows = list(rows)
+
+    def sample_counts(self, locations, exposure, rng):
+        counts = super().sample_counts(locations, exposure, rng)
+        counts[self.rows] = -1
+        return counts
+
+    def log_likelihood_matrix(self, counts, log_probs, out=None):
+        counts = np.asarray(counts)
+        table = super().log_likelihood_matrix(np.maximum(counts, 0), log_probs, out)
+        table[counts[:, 0] < 0, :] = -np.inf
+        return table
 
 
 class ConstantLikelihoodModel:
@@ -68,8 +96,14 @@ class ConstantLikelihoodModel:
     def sample_counts(self, locations, config, rng):
         return np.zeros((locations.shape[0], 1), dtype=int)
 
-    def log_likelihood_matrix(self, counts, locations, config):
-        return np.zeros((np.asarray(counts).shape[0], locations.shape[0]))
+    def log_rates(self, locations, config):
+        return np.zeros(locations.shape[0])
+
+    def log_likelihood_matrix(self, counts, log_rates, out=None):
+        if out is None:
+            out = np.empty((np.asarray(counts).shape[0], len(log_rates)))
+        out[...] = log_rates
+        return out
 
 
 def enumerated_toy_risk(cloud, exposure, q_scalar, zmax):
@@ -196,16 +230,9 @@ class TestEstimatorProperties:
     def test_underflow_outcomes_are_dropped_and_flagged(self):
         rng = np.random.default_rng(21)
         cloud = toy_cloud(rng, k=40)
-
-        class UnderflowingModel(TruncatedPoissonToy):
-            def log_likelihood_matrix(self, counts, locations, exposure):
-                table = super().log_likelihood_matrix(counts, locations, exposure)
-                table[:7, :] = -np.inf
-                return table
-
         est = mis_risk(
             cloud, 1.5, np.array([[1.0]]), 64, cloud.size,
-            np.random.default_rng(22), UnderflowingModel(),
+            np.random.default_rng(22), UnderflowingModel(range(7)),
         )
         assert est.n_dropped == 7
         assert not est.reliable
@@ -275,6 +302,120 @@ class TestRiskProfile:
         assert ramsey_best < rabi_best
 
 
+class TestProfileSplit:
+    """The thread pool cannot change a profile: every candidate keeps its own
+    child stream, whichever worker runs it."""
+
+    @staticmethod
+    def inputs(n_configs=7):
+        cloud = nv_cloud(np.random.default_rng(61), k=300)
+        configs = [
+            ExperimentConfig("rabi", pulse_time=float(t), repetitions=4667)
+            for t in np.linspace(10.0, 200.0, n_configs)
+        ]
+        p_table = np.random.default_rng(62).uniform(0.0, 1.0, (n_configs, cloud.size))
+        return cloud, configs, p_table
+
+    @staticmethod
+    def profile(cloud, configs, p_table):
+        return risk_profile(
+            cloud, configs, uniform_weight_matrix(), np.random.default_rng(63),
+            n_outcomes=96, n_particles=128, p_table=p_table,
+        )
+
+    def test_profile_equals_a_serial_loop(self):
+        cloud, configs, p_table = self.inputs()
+        streams = np.random.default_rng(63).spawn(len(configs))
+        serial = [
+            mis_risk(
+                cloud, config, uniform_weight_matrix(), 96, 128, stream,
+                p_full=p_table[i],
+            )
+            for i, (config, stream) in enumerate(zip(configs, streams))
+        ]
+        profile = self.profile(cloud, configs, p_table)
+        assert [cfg for cfg, _ in profile] == configs
+        assert [est for _, est in profile] == serial
+
+    def test_a_prefix_profile_is_the_prefix_of_the_profile(self):
+        cloud, configs, p_table = self.inputs()
+        full = self.profile(cloud, configs, p_table)
+        assert self.profile(cloud, configs[:3], p_table[:3]) == full[:3]
+
+    def test_one_candidate_profile(self):
+        cloud, configs, p_table = self.inputs(n_configs=1)
+        (config, est), = self.profile(cloud, configs, p_table)
+        stream, = np.random.default_rng(63).spawn(1)
+        assert config == configs[0]
+        assert est == mis_risk(
+            cloud, config, uniform_weight_matrix(), 96, 128, stream, p_full=p_table[0]
+        )
+
+
+class TestBlockedTable:
+    """The block-at-a-time estimator against the whole-table oracle."""
+
+    class RecordingNvModel(NvModel):
+        def __init__(self):
+            self.outs = []
+
+        def log_likelihood_matrix(self, counts, log_rates, out=None):
+            self.outs.append(out)
+            return super().log_likelihood_matrix(counts, log_rates, out)
+
+    # mis_risk takes at least two outcomes: the fewest it can be asked for,
+    # then a last block of a single row
+    @pytest.mark.parametrize("extra_rows", [None, 1])
+    @pytest.mark.parametrize("n_reps, shrink", [(4667, 1.0), (1_000_000, 0.03)])
+    def test_nv_cloud_matches_the_whole_table(self, n_reps, shrink, extra_rows):
+        rng = np.random.default_rng(65)
+        base = sample_prior(PriorSpec(), 1500, rng)
+        mean = base.locations.mean(axis=0)
+        weights = rng.uniform(0.5, 1.5, base.size)
+        cloud = ParticleCloud(
+            mean + shrink * (base.locations - mean), weights / weights.sum()
+        )
+        p = np.clip(0.4 + 0.3 * shrink * rng.normal(size=cloud.size), 0.0, 1.0)
+        config = ExperimentConfig("rabi", pulse_time=50.0, repetitions=n_reps)
+        n_inner = 1024
+        rows = risk._block_rows(n_inner)
+        n_outcomes = 2 if extra_rows is None else rows + extra_rows
+        for q in (uniform_weight_matrix(), magnetometry_weight_matrix()):
+            model = self.RecordingNvModel()
+            new = mis_risk(
+                cloud, config, q, n_outcomes, n_inner, np.random.default_rng(66),
+                model, p_full=p,
+            )
+            old = whole_table_mis_risk(
+                cloud, config, q, n_outcomes, n_inner, np.random.default_rng(66),
+                p_full=p,
+            )
+            assert new.value == pytest.approx(old.value, rel=1e-12, abs=0)
+            assert new.std_error == pytest.approx(old.std_error, rel=1e-12, abs=0)
+            assert (new.n_dropped, new.n_particles) == (old.n_dropped, old.n_particles)
+            assert [len(out) for out in model.outs] == (
+                [2] if extra_rows is None else [rows, 1]
+            )
+            # one workspace serves every block
+            assert all(np.shares_memory(out, model.outs[0]) for out in model.outs)
+
+    def test_empty_rows_in_two_blocks_are_each_dropped_once(self):
+        cloud = toy_cloud(np.random.default_rng(67))
+        rows = risk._block_rows(cloud.size)
+        n_outcomes = rows + 40
+        model = UnderflowingModel([5, rows + 3])
+        q = np.array([[1.0]])
+        new = mis_risk(
+            cloud, 1.5, q, n_outcomes, cloud.size, np.random.default_rng(68), model
+        )
+        old = whole_table_mis_risk(
+            cloud, 1.5, q, n_outcomes, cloud.size, np.random.default_rng(68), model
+        )
+        assert new.n_dropped == old.n_dropped == 2
+        assert new.value == pytest.approx(old.value, rel=1e-12, abs=0)
+        assert new.std_error == pytest.approx(old.std_error, rel=1e-12, abs=0)
+
+
 class TestSurvivalRows:
     def test_nv_model_without_rows_names_them(self):
         cloud = nv_cloud(np.random.default_rng(31), k=50)
@@ -314,8 +455,9 @@ def nv_table(n_reps, shrink, seed, n_out=300, n_in=700):
     outcome = rng.choice(cloud.size, n_out)
     counts = NvModel().sample_counts(locations[outcome], config, rng, p=p[outcome])
     inner = rng.choice(cloud.size, n_in, replace=False)
-    table = NvModel().log_likelihood_matrix(
-        counts, locations[inner], config, p=p[inner]
+    model = NvModel()
+    table = model.log_likelihood_matrix(
+        counts, model.log_rates(locations[inner], config, p=p[inner])
     )
     weights = rng.uniform(0.5, 1.5, n_in)
     return table, weights / weights.sum(), locations[inner]
@@ -360,7 +502,7 @@ class TestOneProductMoments:
         cloud = toy_cloud(rng)
         model = TruncatedPoissonToy()
         counts = model.sample_counts(cloud.locations, 1.5, rng)
-        table = model.log_likelihood_matrix(counts, cloud.locations, 1.5)
+        table = model.log_likelihood_matrix(counts, model.log_rates(cloud.locations, 1.5))
         self.compare(
             table, cloud.weights, cloud.locations, np.array([[1.0]]), np.float64, 1e-12
         )
