@@ -11,6 +11,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -20,12 +21,10 @@ from . import harness, lab as labmod
 
 def _cmd_run(args) -> int:
     config = harness.RunConfig.from_file(args.config)
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.out is not None:
-        config.out_dir = args.out
-    if args.lab is not None:
-        config.lab = args.lab
+    overrides = {"seed": args.seed, "out_dir": args.out, "lab": args.lab}
+    config = dataclasses.replace(
+        config, **{k: v for k, v in overrides.items() if v is not None}
+    )
     summary = harness.run_comparison(config)
     print(
         f"completed {summary['completed']}/{summary['expected']} trials, "
@@ -62,7 +61,7 @@ def _cmd_serve(args) -> int:
 def _cmd_heatmap(args) -> int:
     config = harness.HeatmapConfig.from_file(args.config)
     if args.out is not None:
-        config.out_dir = args.out
+        config = dataclasses.replace(config, out_dir=args.out)
     rows = harness.risk_heatmap(config)
     print(f"wrote {len(rows)} heatmap rows to {config.out_dir}/heatmap.csv")
     return 0

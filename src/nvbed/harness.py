@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 import time
 import zlib
@@ -43,7 +44,8 @@ class RunConfig:
     A config file is a JSON object with any subset of these fields; unknown
     keys are rejected.
 
-    * ``heuristics``: registry names of the policies to compare.
+    * ``heuristics``: registry names of the policies to compare, at least
+      one, none twice.
     * ``prior``: spin prior kind, ``"wide"``, ``"calibrated"`` or ``"tight"``.
     * ``trials``, ``experiments``: trials per policy, experiments per trial
       (at least one).
@@ -52,9 +54,9 @@ class RunConfig:
       particles per candidate (online policies).
     * ``target_esm``, ``n_max``: expected ESM each experiment aims at, and
       the cap on its repetition count.
-    * ``seed``: root of every random stream of the run.
+    * ``seed``: root of every random stream of the run, >= 0.
     * ``lab``: ``"in-process"`` or ``"tcp://host:port"``.
-    * ``out_dir``: where records, checkpoints and aggregates go.
+    * ``out_dir``: where the config, records and aggregates go.
     * ``calibration_repetitions``: repetitions of the reference-only run
       that sets the reference prior.
     * ``rabi_t_max``, ``ramsey_t_max``: longest Rabi pulse and Ramsey wait
@@ -65,10 +67,11 @@ class RunConfig:
       true reference rates (photons per shot), pairs with
       0 < beta_lo <= beta_hi < alpha_lo <= alpha_hi.
     * ``truth_drift_sigma``, ``truth_drift_correlation``: true reference
-      drift scale (per sqrt(hour)) and correlation.
+      drift scale (per sqrt(hour), >= 0) and correlation (in (-1, 1)).
 
     Construction rejects a value no trial can run with, so ``nvbed run``
-    fails before writing anything.  A run resumes in an ``out_dir`` only if
+    fails before writing anything.  The count fields and ``seed`` must be
+    ``int`` (not ``bool``).  A run resumes in an ``out_dir`` only if
     its ``config.json`` matches in every field but ``_RESUME_FREE``.
     """
 
@@ -96,6 +99,10 @@ class RunConfig:
     truth_drift_correlation: float = 0.7
 
     def __post_init__(self):
+        if not self.heuristics or len(set(self.heuristics)) != len(self.heuristics):
+            raise ValueError(
+                f"heuristics must be non-empty and distinct, got {self.heuristics!r}"
+            )
         unknown = set(self.heuristics) - set(heur.HEURISTIC_FACTORIES)
         if unknown:
             raise ValueError(f"unknown heuristics {sorted(unknown)}")
@@ -105,15 +112,25 @@ class RunConfig:
         for name, least in (
             ("trials", 1), ("experiments", 1), ("particles", 2),
             ("risk_outcomes", 2), ("risk_particles", 2), ("candidate_m", 1),
-            ("n_max", 1), ("calibration_repetitions", 1),
+            ("n_max", 1), ("calibration_repetitions", 1), ("seed", 0),
         ):
             value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
         if self.n_max > qutrit.MAX_REPETITIONS:
             raise ValueError(f"n_max must be <= 2**53, got {self.n_max}")
         if not self.target_esm > 0:
             raise ValueError(f"target_esm must be positive, got {self.target_esm}")
+        for name, ok in (
+            ("rabi_t_max", 0 < self.rabi_t_max < math.inf),
+            ("ramsey_t_max", 0 <= self.ramsey_t_max < math.inf),
+            ("truth_drift_sigma", 0 <= self.truth_drift_sigma < math.inf),
+            ("truth_drift_correlation", -1 < self.truth_drift_correlation < 1),
+        ):
+            if not ok:
+                raise ValueError(f"{name} is out of range, got {getattr(self, name)}")
         for name in ("truth_alpha_range", "truth_beta_range"):
             span = getattr(self, name)
             if len(span) != 2 or not 0 < span[0] <= span[1] < math.inf:
@@ -365,8 +382,12 @@ def _record_path(out_dir: Path, heuristic: str, trial: int) -> Path:
     return out_dir / "records" / f"{heuristic}__trial_{trial:03d}.json"
 
 
-def _checkpoint_path(out_dir: Path, heuristic: str, trial: int) -> Path:
-    return out_dir / "checkpoints" / f"{heuristic}__trial_{trial:03d}.npz"
+def _write_record(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` whole or not at all: it goes to a name that
+    ``load_records`` and the resume check do not see, then is renamed."""
+    partial = path.with_name(path.name + ".partial")
+    partial.write_text(text, encoding="utf-8")
+    os.replace(partial, path)
 
 
 def run_comparison(config: RunConfig, lab=None, log=None) -> dict:
@@ -386,7 +407,6 @@ def run_comparison(config: RunConfig, lab=None, log=None) -> dict:
     out_dir = Path(config.out_dir)
     _check_resumable(config, out_dir / "config.json")
     (out_dir / "records").mkdir(parents=True, exist_ok=True)
-    (out_dir / "checkpoints").mkdir(parents=True, exist_ok=True)
     with open(out_dir / "config.json", "w", encoding="utf-8") as fh:
         json.dump(config.to_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -400,13 +420,12 @@ def run_comparison(config: RunConfig, lab=None, log=None) -> dict:
                 continue
             started = time.perf_counter()
             try:
-                record, cloud = run_trial(config, name, trial, lab=lab)
+                record, _ = run_trial(config, name, trial, lab=lab)
             except Exception as err:  # noqa: BLE001 - per-trial isolation
                 log(f"FAILED {name} trial {trial}: {err!r}")
                 failures.append({"heuristic": name, "trial": trial, "error": repr(err)})
                 continue
-            smc.save_cloud(_checkpoint_path(out_dir, name, trial), cloud)
-            path.write_text(record.to_json() + "\n", encoding="utf-8")
+            _write_record(path, record.to_json() + "\n")
             log(
                 f"{name} trial {trial}: {len(record.steps)} experiments, "
                 f"{record.steps[-1]['cumulative_esm']:.0f} ESM, "
@@ -566,6 +585,13 @@ def write_histogram_csv(path, histogram: dict) -> None:
 
 @dataclass
 class HeatmapConfig:
+    """Settings of the risk-evaluation cost heatmap.
+
+    Construction rejects a size below 2 and reference sizes that do not
+    dominate every tested size, so ``nvbed heatmap`` fails before the
+    reference profile runs.
+    """
+
     outcome_sizes: list = field(default_factory=lambda: [64, 128, 256, 512])
     particle_sizes: list = field(default_factory=lambda: [128, 256, 512, 1024])
     reference_outcomes: int = 4000
@@ -577,10 +603,25 @@ class HeatmapConfig:
     seed: int = 0
     out_dir: str = "results"
 
+    def __post_init__(self):
+        for name in ("outcome_sizes", "particle_sizes"):
+            sizes = getattr(self, name)
+            if not sizes or min(sizes) < 2:
+                raise ValueError(f"{name} must be non-empty and >= 2, got {sizes}")
+        if self.cloud_particles < 2:
+            raise ValueError(f"cloud_particles must be >= 2, got {self.cloud_particles}")
+        if self.reference_outcomes < max(self.outcome_sizes) or (
+            self.reference_particles < max(self.particle_sizes)
+        ):
+            raise ValueError("reference sizes must dominate all tested sizes")
+
     @classmethod
     def from_file(cls, path) -> "HeatmapConfig":
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        unknown = set(raw) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ValueError(f"unknown heatmap config keys: {sorted(unknown)}")
         return cls(**raw)
 
 
@@ -594,10 +635,6 @@ def risk_heatmap(config: HeatmapConfig, log=None) -> list:
     it is measured wall clock and not byte-reproducible.
     """
     log = log or (lambda msg: print(msg, file=sys.stderr, flush=True))
-    if config.reference_outcomes < max(config.outcome_sizes) or (
-        config.reference_particles < max(config.particle_sizes)
-    ):
-        raise ValueError("reference sizes must dominate all tested sizes")
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
     cloud = smc.sample_prior(PriorSpec(), config.cloud_particles, rng)
     policy = heur.uniform_risk_heuristic(

@@ -37,7 +37,6 @@ import json
 import secrets
 import socket
 import socketserver
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -294,11 +293,6 @@ class LabServer(socketserver.TCPServer):
         host, port = self.server_address
         return f"{host}:{port}"
 
-    def serve_in_background(self) -> threading.Thread:
-        thread = threading.Thread(target=self.serve_forever, daemon=True)
-        thread.start()
-        return thread
-
 
 def serve(bind_address: str, system: TrueSystem) -> None:
     """Serve requests forever (CLI entry point)."""
@@ -353,7 +347,12 @@ class LabClient:
             raise LabConnectionError(f"transport failure: {err}") from err
         if not line:
             raise LabConnectionError("server closed the connection")
-        response = json.loads(line.decode("utf-8"))
+        try:
+            response = json.loads(line.decode("utf-8"))
+        except ValueError:  # JSON and UTF-8 decoding errors alike
+            response = None
+        if not isinstance(response, dict):
+            raise LabProtocolError(f"reply is not a JSON object: {line[:80]!r}")
         if response.get("v") != PROTOCOL_VERSION:
             raise LabProtocolError(
                 f"protocol version mismatch: {response.get('v')!r}"

@@ -5,9 +5,10 @@ frequency; the static nitrogen-14 enters only through its projection mI,
 so a hypothesis is simulated as three independent 3-level systems (one per
 mI branch) and the survival probability is their uniform average.
 
-Unit convention, applied in exactly one place (``build_hamiltonian`` and the
-dephasing entry of ``lindblad_generator``, mirrored coefficient by
-coefficient in ``_real_generators``):
+Unit convention, applied where the runtime builds its generators
+(``_real_generators`` for pulses, ``_wait_eigenvalues`` for the diagonal
+wait generator) and mirrored coefficient by coefficient by the Hamiltonian
+and Lindblad-generator oracles of the tests:
 
 * frequencies in MHz, dephasing rates in 1/us,
 * times in ns,
@@ -238,57 +239,6 @@ class ExperimentConfig:
             **{name: float(value) for name, value in timing.items()},
             repetitions=int(repetitions),
         )
-
-
-def build_hamiltonian(
-    params: SpinParams,
-    drive_freq: float,
-    nitrogen_mi: int,
-    amplitude: float,
-) -> np.ndarray:
-    """Rotating-frame Hamiltonian for one nitrogen branch, in rad/ns.
-
-    Returns ``2*pi*1e-3 * ((zfs_offset + 2870 - drive_freq)*Sz^2
-    + (zeeman + hyperfine*mI)*Sz + amplitude*rabi_max*Sx)``.
-    """
-    if nitrogen_mi not in (-1, 0, 1):
-        raise ValueError(f"nitrogen_mi must be -1, 0 or +1, got {nitrogen_mi}")
-    if not -1.0 <= amplitude <= 1.0:
-        raise ValueError(f"amplitude must be in [-1, 1], got {amplitude}")
-    detuning = params.zfs_offset + ZFS_MHZ - drive_freq
-    axial = params.zeeman + params.hyperfine * nitrogen_mi
-    return _ANGULAR * (
-        detuning * SZ2 + axial * SZ + amplitude * params.rabi_max * SX
-    )
-
-
-def lindblad_generator(
-    params: SpinParams,
-    drive_freq: float,
-    nitrogen_mi: int,
-    amplitude: float,
-) -> np.ndarray:
-    """The 9x9 generator C[H] + D[L] with L = sqrt(1/T2*) Sz, in 1/ns."""
-    h = build_hamiltonian(params, drive_freq, nitrogen_mi, amplitude)
-    return _coherent(h) + (params.dephasing_rate * _RATE) * np.diag(_DEPHASING_DIAG)
-
-
-def lindblad_propagator(
-    params: SpinParams,
-    drive_freq: float,
-    nitrogen_mi: int,
-    amplitude: float,
-    duration: float,
-) -> np.ndarray:
-    """Superoperator propagator exp(duration * (C[H] + D[L])) for a constant
-    pulse amplitude held for ``duration`` ns, in the column-stacking basis.
-
-    Computed as U expm(duration * R) U^H with R the generator's real image.
-    """
-    if duration < 0:
-        raise ValueError(f"duration must be >= 0, got {duration}")
-    real = _real_image(lindblad_generator(params, drive_freq, nitrogen_mi, amplitude))
-    return _U @ expm(duration * real[None])[0] @ _UH
 
 
 def _taylor_exp(x: np.ndarray) -> np.ndarray:

@@ -50,8 +50,6 @@ CALIBRATED_COV = np.array(
 )
 _CALIBRATED_COLUMNS = [IDX_RABI, IDX_ZFS, IDX_HYPERFINE, IDX_DEPHASING]
 
-CLOUD_FORMAT_VERSION = 1
-
 
 class DegenerateUpdateError(RuntimeError):
     """Every particle weight underflowed during a Bayes update."""
@@ -83,29 +81,6 @@ class ModelParameters:
     spin: SpinParams
     refs: ReferenceRates
     drift: DriftParams
-
-    def to_vector(self) -> np.ndarray:
-        vec = np.empty(N_PARAMS)
-        vec[SPIN_SLICE] = self.spin.as_array()
-        vec[IDX_ALPHA] = self.refs.bright
-        vec[IDX_BETA] = self.refs.dark
-        vec[IDX_LOG_SIGMA_ALPHA] = math.log(self.drift.sigma_alpha)
-        vec[IDX_LOG_SIGMA_BETA] = math.log(self.drift.sigma_beta)
-        vec[IDX_ATANH_RHO] = math.atanh(self.drift.correlation)
-        return vec
-
-    @classmethod
-    def from_vector(cls, vec) -> "ModelParameters":
-        vec = np.asarray(vec, dtype=float)
-        return cls(
-            spin=SpinParams(*vec[SPIN_SLICE]),
-            refs=ReferenceRates(vec[IDX_ALPHA], vec[IDX_BETA]),
-            drift=DriftParams(
-                math.exp(vec[IDX_LOG_SIGMA_ALPHA]),
-                math.exp(vec[IDX_LOG_SIGMA_BETA]),
-                math.tanh(vec[IDX_ATANH_RHO]),
-            ),
-        )
 
 
 @dataclass
@@ -232,9 +207,6 @@ class DriftPrior:
     def __post_init__(self):
         if self.dof <= 3.0:
             raise ValueError("dof must exceed 3 for the prior mean to exist")
-
-    def mean_covariance(self) -> np.ndarray:
-        return np.asarray(self.scale) / (self.dof - 3.0)
 
     def sample_chart(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw n covariances and return (log sa, log sb, atanh rho) rows.
@@ -580,33 +552,3 @@ def reference_reset(
         spec.references, cloud.size, rng
     )
     return out
-
-
-# ----------------------------------------------------------------------------
-# Serialization
-# ----------------------------------------------------------------------------
-
-
-def save_cloud(path, cloud: ParticleCloud) -> None:
-    """Write a cloud checkpoint; locations and weights round-trip exactly."""
-    np.savez(
-        path,
-        format_version=np.int64(CLOUD_FORMAT_VERSION),
-        locations=cloud.locations,
-        weights=cloud.weights,
-        last_update_time=np.float64(cloud.last_update_time),
-    )
-
-
-def load_cloud(path) -> ParticleCloud:
-    """Read a checkpoint; entries other than the cloud's own (such as the
-    ``spin_version`` that older checkpoints carry) are ignored."""
-    with np.load(path) as data:
-        version = int(data["format_version"])
-        if version != CLOUD_FORMAT_VERSION:
-            raise ValueError(f"unsupported cloud checkpoint version {version}")
-        return ParticleCloud(
-            data["locations"],
-            data["weights"],
-            float(data["last_update_time"]),
-        )

@@ -5,6 +5,12 @@
   evaluations); it cross-checks the MIS estimator of ``nvbed.risk``.
 * :func:`bayes_update_sequence` folds :func:`nvbed.smc.bayes_update` over a
   batch of data; it checks the chain rule.
+* :func:`build_hamiltonian`, :func:`lindblad_generator` and
+  :func:`lindblad_propagator` are one branch's rotating-frame Hamiltonian,
+  its complex column-stacking generator and that generator's propagator;
+  they mirror the unit convention that ``nvbed.qutrit._real_generators``
+  and ``_wait_eigenvalues`` apply, and check the real-basis images and
+  ``nvbed.qutrit.expm``.
 * :func:`scipy_survival_probability` simulates one hypothesis with SciPy's
   complex ``expm`` of each segment's column-stacking generator; it checks
   the real-basis kernel of ``nvbed.qutrit``.
@@ -30,7 +36,19 @@ from scipy.linalg import expm
 from scipy.special import gammaln, xlogy
 from scipy.stats import invwishart
 
-from nvbed.qutrit import lindblad_generator
+from nvbed import qutrit
+from nvbed.qutrit import (
+    _ANGULAR,
+    _DEPHASING_DIAG,
+    _RATE,
+    SX,
+    SZ,
+    SZ2,
+    ZFS_MHZ,
+    SpinParams,
+    _coherent,
+    _real_image,
+)
 from nvbed.risk import (
     NvModel,
     _active_block,
@@ -172,6 +190,57 @@ def bayes_update_sequence(
         report.resampled |= rep.resampled
         report.n_eff = rep.n_eff
     return cloud, report
+
+
+def build_hamiltonian(
+    params: SpinParams,
+    drive_freq: float,
+    nitrogen_mi: int,
+    amplitude: float,
+) -> np.ndarray:
+    """Rotating-frame Hamiltonian for one nitrogen branch, in rad/ns.
+
+    Returns ``2*pi*1e-3 * ((zfs_offset + 2870 - drive_freq)*Sz^2
+    + (zeeman + hyperfine*mI)*Sz + amplitude*rabi_max*Sx)``.
+    """
+    if nitrogen_mi not in (-1, 0, 1):
+        raise ValueError(f"nitrogen_mi must be -1, 0 or +1, got {nitrogen_mi}")
+    if not -1.0 <= amplitude <= 1.0:
+        raise ValueError(f"amplitude must be in [-1, 1], got {amplitude}")
+    detuning = params.zfs_offset + ZFS_MHZ - drive_freq
+    axial = params.zeeman + params.hyperfine * nitrogen_mi
+    return _ANGULAR * (
+        detuning * SZ2 + axial * SZ + amplitude * params.rabi_max * SX
+    )
+
+
+def lindblad_generator(
+    params: SpinParams,
+    drive_freq: float,
+    nitrogen_mi: int,
+    amplitude: float,
+) -> np.ndarray:
+    """The 9x9 generator C[H] + D[L] with L = sqrt(1/T2*) Sz, in 1/ns."""
+    h = build_hamiltonian(params, drive_freq, nitrogen_mi, amplitude)
+    return _coherent(h) + (params.dephasing_rate * _RATE) * np.diag(_DEPHASING_DIAG)
+
+
+def lindblad_propagator(
+    params: SpinParams,
+    drive_freq: float,
+    nitrogen_mi: int,
+    amplitude: float,
+    duration: float,
+) -> np.ndarray:
+    """Superoperator propagator exp(duration * (C[H] + D[L])) for a constant
+    pulse amplitude held for ``duration`` ns, in the column-stacking basis.
+
+    Computed as U expm(duration * R) U^H with R the generator's real image.
+    """
+    if duration < 0:
+        raise ValueError(f"duration must be >= 0, got {duration}")
+    real = _real_image(lindblad_generator(params, drive_freq, nitrogen_mi, amplitude))
+    return qutrit._U @ qutrit.expm(duration * real[None])[0] @ qutrit._UH
 
 
 def scipy_survival_probability(params, config):

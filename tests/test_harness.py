@@ -7,7 +7,7 @@ from nvbed import cli, harness, heuristics, risk
 from nvbed import lab as labmod
 from nvbed.heuristics import SurvivalTableCache, make_heuristic
 from nvbed.qutrit import ExperimentConfig
-from nvbed.smc import load_cloud, sample_prior
+from helpers import serve_in_background
 
 TINY = dict(
     trials=1,
@@ -116,6 +116,24 @@ class TestRunConfig:
             ("calibration_repetitions", 0),
             ("truth_alpha_range", [0.01, 0.015]),
             ("truth_beta_range", [0.02]),
+            ("heuristics", []),
+            ("heuristics", ["alternating_linear", "alternating_linear"]),
+            ("trials", 1.0),
+            ("trials", True),
+            ("experiments", 4.0),
+            ("particles", 200.0),
+            ("risk_outcomes", 32.0),
+            ("risk_particles", 64.0),
+            ("candidate_m", 5.0),
+            ("n_max", 1e6),
+            ("calibration_repetitions", 3e5),
+            ("seed", 3.0),
+            ("seed", False),
+            ("seed", -1),
+            ("rabi_t_max", 0.0),
+            ("ramsey_t_max", -1.0),
+            ("truth_drift_sigma", -0.1),
+            ("truth_drift_correlation", 1.0),
         ],
     )
     def test_bad_value_fails_before_any_output(self, tmp_path, field, value):
@@ -128,11 +146,26 @@ class TestRunConfig:
             cli.main(["run", "--config", str(path), "--out", str(out)])
         assert not out.exists()
 
+    def test_bad_override_fails_before_any_output(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(TINY))
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="seed"):
+            cli.main(["run", "--config", str(path), "--out", str(out), "--seed", "-1"])
+        assert not out.exists()
+
     def test_written_config_loads_back(self, tmp_path):
         config = tiny_config("alternating_linear", out_dir=str(tmp_path))
         harness.run_comparison(config, log=lambda msg: None)
         loaded = harness.RunConfig.from_file(tmp_path / "config.json")
         assert loaded == config
+        # a run writes its config, records and aggregates, and nothing else
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.json", "curves.csv", "histograms.csv", "records", "summary.json"
+        ]
+        assert [p.name for p in (tmp_path / "records").iterdir()] == [
+            "alternating_linear__trial_000.json"
+        ]
 
 
 class TestRunComparison:
@@ -166,6 +199,30 @@ class TestRunComparison:
         assert cli.main(["curves", "--records", str(tmp_path), "--out", str(again)]) == 0
         assert (again / "curves.csv").read_bytes() == curves
         assert (again / "histograms.csv").read_bytes() == histograms
+
+    def test_interrupted_record_write_leaves_no_record(self, tmp_path, monkeypatch):
+        config = tiny_config("alternating_linear", trials=2, out_dir=str(tmp_path))
+        harness.run_comparison(config, log=lambda msg: None)
+        cut = harness._record_path(tmp_path, "alternating_linear", 1)
+        whole = cut.read_bytes()
+        cut.unlink()
+
+        def interrupted(src, dst):
+            # the process dies with half the record on disk, before the rename
+            with open(src, "r+b") as fh:
+                fh.truncate(len(whole) // 2)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(harness.os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            harness.run_comparison(config, log=lambda msg: None)
+        assert not cut.exists()
+        assert len(harness.load_records(tmp_path)) == 1
+
+        monkeypatch.undo()
+        summary = harness.run_comparison(config, log=lambda msg: None)
+        assert summary["completed"] == 2 and not summary["failures"]
+        assert cut.read_bytes() == whole
 
     def test_resume_under_a_changed_config_is_refused(self, tmp_path):
         def outputs():
@@ -227,7 +284,7 @@ class TestRunComparison:
     def test_tcp_lab_from_the_config(self, tmp_path):
         system = labmod.TrueSystem(labmod.default_truth(), np.random.default_rng(5))
         server = labmod.LabServer(system)
-        server.serve_in_background()
+        serve_in_background(server)
         try:
             config = tiny_config(
                 "alternating_linear", trials=2, out_dir=str(tmp_path),
@@ -292,22 +349,39 @@ class TestRiskHeatmap:
         assert len(calls) == 5
         assert all(reps == {n} for reps, _ in calls)
 
-
-class TestCheckpoints:
-    def test_checkpoint_with_spin_version_loads(self, tmp_path):
-        spec = harness.RunConfig().prior_spec()
-        cloud = sample_prior(spec, 50, np.random.default_rng(0))
-        path = tmp_path / "old.npz"
-        # the earlier layout also stored the cloud's spin version
-        np.savez(
-            path,
-            format_version=np.int64(1),
-            locations=cloud.locations,
-            weights=cloud.weights,
-            last_update_time=np.float64(0.75),
-            spin_version=np.int64(7),
+    def tiny_heatmap(self, tmp_path, **overrides):
+        sizes = dict(
+            outcome_sizes=[8, 16], particle_sizes=[16, 32], reference_outcomes=32,
+            reference_particles=32, cloud_particles=60, candidate_m=2,
+            repetitions_seeds=1, out_dir=str(tmp_path / "out"),
         )
-        loaded = load_cloud(path)
-        assert np.array_equal(loaded.locations, cloud.locations)
-        assert np.array_equal(loaded.weights, cloud.weights)
-        assert loaded.last_update_time == 0.75
+        return {**sizes, **overrides}
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("outcome_sizes", [1, 16]),
+            ("outcome_sizes", []),
+            ("particle_sizes", [16, 1]),
+            ("reference_outcomes", 8),
+            ("reference_particles", 16),
+            ("cloud_particles", 1),
+        ],
+    )
+    def test_bad_size_fails_before_any_work(self, tmp_path, monkeypatch, field, value):
+        monkeypatch.setattr(risk, "risk_profile", None)  # any profile would fail
+        raw = self.tiny_heatmap(tmp_path, **{field: value})
+        match = "dominate" if field.startswith("reference") else field
+        with pytest.raises(ValueError, match=match):
+            harness.HeatmapConfig(**raw)
+        path = tmp_path / "heatmap.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match=match):
+            cli.main(["heatmap", "--config", str(path)])
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_key_is_named(self, tmp_path):
+        path = tmp_path / "heatmap.json"
+        path.write_text(json.dumps({**self.tiny_heatmap(tmp_path), "outcomes": [8]}))
+        with pytest.raises(ValueError, match="'outcomes'"):
+            harness.HeatmapConfig.from_file(path)

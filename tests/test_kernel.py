@@ -16,12 +16,14 @@ from nvbed import qutrit
 from nvbed.qutrit import (
     ExperimentConfig,
     SpinParams,
-    lindblad_generator,
-    lindblad_propagator,
     survival_probability,
     survival_table,
 )
-from oracles import scipy_survival_probability
+from oracles import (
+    lindblad_generator,
+    lindblad_propagator,
+    scipy_survival_probability,
+)
 
 NORMS = 10.0 ** np.arange(-3, 4)
 

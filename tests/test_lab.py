@@ -1,5 +1,6 @@
 import json
 import socket
+import threading
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from nvbed.lab import (
 from nvbed.measurement import ReferenceRates
 from nvbed.qutrit import ExperimentConfig, SpinParams
 from nvbed.smc import DriftParams, ModelParameters
+from helpers import serve_in_background
 
 RUN_CFG = ExperimentConfig("rabi", pulse_time=22.0, repetitions=500)
 
@@ -56,7 +58,7 @@ class LostReplyServer(LabServer):
 def server():
     system = make_system(seed=42)
     srv = LabServer(system, ("127.0.0.1", 0))
-    srv.serve_in_background()
+    serve_in_background(srv)
     yield srv
     srv.shutdown()
     srv.server_close()
@@ -230,6 +232,34 @@ class TestTcpService:
             with pytest.raises(LabProtocolError):
                 client._request({"v": 1, "type": "selfdestruct"})
 
+    @pytest.mark.parametrize("reply", [b"garbage", b"\xff", b"[1]", b"null"])
+    def test_reply_that_is_not_an_object_is_a_protocol_error(self, reply):
+        # a stub server answers the one request with ``reply``; every socket
+        # has a timeout, so a client that waits for more fails, not hangs
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(10)
+
+        def answer_once():
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(10)
+                with conn.makefile("rb") as reader:
+                    reader.readline()
+                    conn.sendall(reply + b"\n")
+                    reader.readline()  # hold the connection until the client closes
+
+        stub = threading.Thread(target=answer_once, daemon=True)
+        stub.start()
+        host, port = listener.getsockname()
+        try:
+            with LabClient(f"{host}:{port}", timeout=10) as client:
+                with pytest.raises(LabProtocolError, match="not a JSON object"):
+                    client.ping()
+        finally:
+            stub.join(timeout=10)
+            listener.close()
+        assert not stub.is_alive()
+
     def test_server_down_raises_connection_error(self):
         with pytest.raises(LabConnectionError):
             LabClient("127.0.0.1:1")  # reserved port, nothing listening
@@ -265,7 +295,7 @@ class TestIdleConnection:
     def test_silent_client_is_dropped(self, monkeypatch):
         monkeypatch.setattr(labmod, "IDLE_TIMEOUT_S", 0.2)
         srv = LabServer(make_system(seed=42), ("127.0.0.1", 0))
-        thread = srv.serve_in_background()
+        thread = serve_in_background(srv)
         try:
             with socket.create_connection(srv.server_address[:2], timeout=10):
                 # the silent connection holds the one-connection server
@@ -282,7 +312,7 @@ class TestIdleConnection:
 class TestLostReply:
     def test_retried_run_executes_once(self):
         srv = LostReplyServer(make_system(seed=42))
-        srv.serve_in_background()
+        serve_in_background(srv)
         try:
             with LabClient(srv.address) as client:
                 datum = client.run(RUN_CFG)

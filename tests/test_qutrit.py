@@ -9,13 +9,11 @@ from nvbed.qutrit import (
     SZ,
     ExperimentConfig,
     SpinParams,
-    build_hamiltonian,
-    lindblad_generator,
-    lindblad_propagator,
     survival_probabilities,
     survival_probability,
     survival_table,
 )
+from oracles import build_hamiltonian, lindblad_generator, lindblad_propagator
 
 TWO_PI_NS = 2.0 * math.pi * 1e-3
 
