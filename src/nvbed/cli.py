@@ -5,7 +5,8 @@
     nvbed heatmap --config cfg.json [--out DIR]
     nvbed curves --records DIR [--out DIR]
 
-``run`` exits 0 only if every trial completed.
+``run`` exits 0 only if every trial completed and the aggregates were
+written.
 """
 
 from __future__ import annotations
@@ -26,11 +27,18 @@ def _cmd_run(args) -> int:
         config, **{k: v for k, v in overrides.items() if v is not None}
     )
     summary = harness.run_comparison(config)
-    print(
+    line = (
         f"completed {summary['completed']}/{summary['expected']} trials, "
         f"{len(summary['failures'])} failures"
     )
-    if summary["failures"] or summary["completed"] < summary["expected"]:
+    if summary["aggregates_error"]:
+        line += f"; aggregates not written: {summary['aggregates_error']}"
+    print(line)
+    if (
+        summary["failures"]
+        or summary["completed"] < summary["expected"]
+        or summary["aggregates_error"]
+    ):
         return 1
     return 0
 
@@ -73,7 +81,11 @@ def _cmd_curves(args) -> int:
         print(f"no records found under {args.records}", file=sys.stderr)
         return 1
     out_dir = args.out or args.records
-    harness.write_aggregates(out_dir, records)
+    try:
+        harness.write_aggregates(out_dir, records)
+    except ValueError as err:
+        print(f"aggregates not written: {err}", file=sys.stderr)
+        return 1
     print(f"wrote curves.csv and histograms.csv to {out_dir}")
     return 0
 

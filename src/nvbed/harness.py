@@ -362,6 +362,9 @@ def run_trial(
             process(*pending)
     finally:
         executor.shutdown(wait=True)
+        # a failed run's future holds its exception, whose traceback holds
+        # this frame: drop it, so the cloud does not wait for the cyclic GC
+        future = None
 
     return TrialRecord(
         heuristic=heuristic_name,
@@ -398,7 +401,9 @@ def run_comparison(config: RunConfig, lab=None, log=None) -> dict:
     Completed trials (existing record files) are skipped, so an interrupted
     run resumes at trial granularity and produces identical outputs.
     Returns a summary dict; per-trial failures are recorded and do not stop
-    the run.
+    the run.  Records that admit no aggregates (their ESM ranges do not
+    overlap) leave ``curves.csv`` and ``histograms.csv`` unwritten, and the
+    summary's ``aggregates_error`` names why.
     """
     if lab is None and config.lab != "in-process":
         with labmod.LabClient(config.lab) as client:
@@ -433,12 +438,18 @@ def run_comparison(config: RunConfig, lab=None, log=None) -> dict:
             )
 
     records = load_records(out_dir)
+    aggregates_error = None
     if records:
-        write_aggregates(out_dir, records)
+        try:
+            write_aggregates(out_dir, records)
+        except ValueError as err:
+            aggregates_error = str(err)
+            log(f"aggregates not written: {err}")
     summary = {
         "completed": len(records),
         "expected": len(config.heuristics) * config.trials,
         "failures": failures,
+        "aggregates_error": aggregates_error,
     }
     with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)
@@ -629,10 +640,13 @@ def risk_heatmap(config: HeatmapConfig, log=None) -> list:
     """MIS-risk accuracy/cost grid against a large-sample reference.
 
     Rows: (n_outcomes, n_particles, seed, log10 mean squared difference from
-    the reference profile, evaluation seconds).  ``seconds`` is the wall time
-    of one :func:`nvbed.risk.risk_profile`, whose candidates run in parallel
-    on the host's cores, so it is not the summed CPU time of the candidates;
-    it is measured wall clock and not byte-reproducible.
+    the reference profile, evaluation seconds).  Each cell measures one
+    :func:`nvbed.risk.risk_profile` over every candidate, whose candidates
+    share one draw set (common random numbers) at the cell's sizes; it is
+    the full-size stage of the policy's design without the screen in front.
+    ``seconds`` is the wall time of that profile, whose candidates run in
+    parallel on the host's cores, so it is not the summed CPU time of the
+    candidates; it is measured wall clock and not byte-reproducible.
     """
     log = log or (lambda msg: print(msg, file=sys.stderr, flush=True))
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))

@@ -190,9 +190,16 @@ class RiskMinimizer(Heuristic):
     """Online policy: pick the candidate minimizing the MIS Bayes risk.
 
     Candidates are the union of the Rabi grid and the Ramsey grid built at
-    the current best tip time.  Reliable estimates (few dropped MIS
-    outcomes) rank ahead of unreliable ones; ties break toward the shortest
-    total evolution time, then the lowest candidate index.
+    the current best tip time.  :func:`nvbed.risk.screened_profile` screens
+    them all cheaply on shared draws, scores only the survivors (those the
+    leader has not beaten by ``risk.SCREEN_SPREAD`` paired standard errors)
+    at ``n_outcomes`` x ``n_particles``, and picks the best survivor by
+    :func:`nvbed.risk.rank`: reliable estimates rank ahead of unreliable
+    ones; ties break toward the shortest total evolution time, then the
+    lowest candidate index.  Sizes too small for the screen
+    (``risk.SCREEN_MIN``) score every candidate at full size.
+    ``last_profile`` lists every candidate with its full or, for the
+    screened-out, its screen estimate.
     """
 
     name: str = "risk"
@@ -210,7 +217,7 @@ class RiskMinimizer(Heuristic):
 
     def _pick(self, cloud, step, rng, repetitions):
         sized = self.candidate_set(cloud, repetitions)
-        profile = risk.risk_profile(
+        profile, best = risk.screened_profile(
             cloud,
             sized,
             self.weights,
@@ -220,15 +227,6 @@ class RiskMinimizer(Heuristic):
             p_table=self.cache.table(cloud.spin_locations, sized),
         )
         self.last_profile = profile
-        best = min(
-            range(len(profile)),
-            key=lambda i: (
-                not profile[i][1].reliable,
-                profile[i][1].value,
-                profile[i][0].evolution_time,
-                i,
-            ),
-        )
         return profile[best][0]
 
 

@@ -24,10 +24,26 @@ shifts and exponentiates in place.  The NV model (the referenced-Poisson
 triple of :mod:`nvbed.measurement`) also takes each particle's survival
 probability as ``p=``, from rows the caller supplies.
 
-:func:`risk_profile` evaluates its candidates on a thread pool as wide as
-the cores this process may run on.  Each candidate draws from its own child
-stream, so the profile does not depend on how the candidates are split
-between threads.
+Candidates of one design share their random draws (common random numbers):
+:func:`draw_shared` takes the outcome ancestors and the inner set from the
+design's stream once, with the inner set's moment columns, and each
+candidate draws only its Poisson counts, from its own child stream.  The
+noise the ranking sees is then the noise of risk *differences*, which the
+shared draws make small.  :func:`risk_profile` scores every candidate so,
+on a thread pool as wide as the cores this process may run on; the profile
+does not depend on how the candidates are split between threads.
+
+:func:`screened_profile` is the design's profile.  It screens every
+candidate on the calling thread, on one shared draw set at
+1/``SCREEN_SHRINK`` of the outcomes and inner particles, and takes the
+leader by :func:`rank` (reliable first, then risk, then evolution time).  A
+candidate survives when its mean excess risk over the leader, paired over
+the shared outcome ancestors that both kept, is at most ``SCREEN_SPREAD``
+paired standard errors; only the survivors are scored again by
+:func:`risk_profile` at full size, on a fresh shared draw set, and the pick
+is the survivor :func:`rank` puts first.  Below ``SCREEN_MIN`` screened
+outcomes or inner particles there is no screen: every candidate gets the
+full profile.
 """
 
 from __future__ import annotations
@@ -141,31 +157,44 @@ def _active_block(q):
     return active, q[np.ix_(active, active)]
 
 
-def _weighted_variance_terms(log_table, base_weights, locations, q):
+def _moment_columns(weights, locations, q):
+    """``(q_block, columns)`` of an inner set under the weight matrix Q.
+
+    Locations are centered at their weighted mean first, which keeps the
+    kernel's second-moment/mean-square cancellation at posterior-variance
+    scale; ``columns`` are [w, w * centered, w * quadratic] over the
+    coordinates Q touches, or None when it touches none.  A shared draw set
+    builds them once for every candidate it serves.
+    """
+    active, q_block = _active_block(np.asarray(q))
+    if len(active) == 0:
+        return q_block, None
+    centered = locations[:, active] - weights @ locations[:, active]
+    quadratic = np.einsum("ij,ij->i", centered @ q_block, centered)
+    columns = np.column_stack(
+        [weights, weights[:, None] * centered, weights * quadratic]
+    )
+    return q_block, columns
+
+
+def _weighted_variance_terms(log_table, q_block, columns):
     """Per-outcome Tr[Q Cov(posterior)] without materializing normalized
     weight rows.
 
     Consumes the float64 ``log_table``: each row is shifted by its maximum
-    and exponentiated in place.  Locations are centered at their weighted
-    mean first, which keeps the second-moment/mean-square cancellation at
-    posterior-variance scale.  The normalizer and the first and second
+    and exponentiated in place.  The normalizer and the first and second
     moments come from one product of the exponentiated table with the
-    columns [w, w * centered, w * quadratic]; returns (terms, kept_row_mask).
+    moment ``columns`` of :func:`_moment_columns`; returns
+    (terms, kept_row_mask).
     """
     n_rows = log_table.shape[0]
-    active, q_block = _active_block(np.asarray(q))
     shift = np.max(log_table, axis=1)
     kept = np.isfinite(shift)
-    if len(active) == 0 or not np.any(kept):
+    if columns is None or not np.any(kept):
         return np.zeros(n_rows), kept
-    centered = locations[:, active] - base_weights @ locations[:, active]
-    quadratic = np.einsum("ij,ij->i", centered @ q_block, centered)
     # rows with no finite entry keep shift 0 so they exp to zero, not nan
     log_table -= np.where(kept, shift, 0.0)[:, None]
     np.exp(log_table, out=log_table)
-    columns = np.column_stack(
-        [base_weights, base_weights[:, None] * centered, base_weights * quadratic]
-    )
     sums = log_table @ columns
     denom, first, second = sums[:, 0], sums[:, 1:-1], sums[:, -1]
     good = denom > 0
@@ -225,6 +254,85 @@ def _downsample(cloud: ParticleCloud, k: int, rng):
     return idx, np.full(k, 1.0 / k)
 
 
+def _rows(p_full, idx) -> dict:
+    """The survival probabilities of the particles ``idx`` as the model's
+    ``p=`` keyword, or nothing for models that take no rows."""
+    return {} if p_full is None else {"p": p_full[idx]}
+
+
+class SharedDraws:
+    """The random draws that the candidates of one design share.
+
+    Holds the outcome ancestors and the down-sampled inner set, with the
+    inner set's locations and moment columns under Q, built once; a
+    candidate adds only its own Poisson counts (:meth:`counts`) and its own
+    likelihood (:meth:`terms`).  Build one with :func:`draw_shared`.
+    """
+
+    def __init__(self, cloud, q, outcome_idx, inner_idx, inner_weights, n_particles):
+        self.cloud = cloud
+        self.q = q
+        self.n_outcomes = len(outcome_idx)
+        self.n_particles = n_particles  # as asked for; the inner set may be smaller
+        self.n_inner = len(inner_idx)
+        self.outcome_idx = outcome_idx
+        self.inner_idx = inner_idx
+        self.outcomes = cloud.locations[outcome_idx]
+        self.inner = cloud.locations[inner_idx]
+        self.moments = _moment_columns(inner_weights, self.inner, q)
+
+    def counts(self, model, config, rng, p_full=None) -> np.ndarray:
+        """One candidate's counts at the shared outcome ancestors, from
+        ``rng``."""
+        return model.sample_counts(
+            self.outcomes, config, rng, **_rows(p_full, self.outcome_idx)
+        )
+
+    def terms(self, model, config, counts, p_full=None) -> tuple:
+        """Per-outcome posterior terms and kept mask of one candidate.
+
+        The model's ``log_rates`` runs once; its ``log_likelihood_matrix``
+        fills one cache-sized block of outcome rows at a time into this
+        thread's workspace, whose moments are taken before the next block is
+        formed.  The table and its moments are float64 throughout.
+        """
+        log_rates = model.log_rates(
+            self.inner, config, **_rows(p_full, self.inner_idx)
+        )
+        n_inner = self.n_inner
+        rows = _block_rows(n_inner)
+        buffer = _block_buffer(rows * n_inner)
+        terms = np.empty(self.n_outcomes)
+        kept = np.empty(self.n_outcomes, dtype=bool)
+        for lo in range(0, self.n_outcomes, rows):
+            hi = min(lo + rows, self.n_outcomes)
+            out = buffer[: (hi - lo) * n_inner].reshape(hi - lo, n_inner)
+            table = model.log_likelihood_matrix(counts[lo:hi], log_rates, out=out)
+            terms[lo:hi], kept[lo:hi] = _weighted_variance_terms(table, *self.moments)
+        return terms, kept
+
+
+def _check_sizes(n_outcomes: int, n_particles: int) -> None:
+    if n_outcomes < 2 or n_particles < 2:
+        raise ValueError("need at least two outcomes and two inner particles")
+
+
+def draw_shared(
+    cloud: ParticleCloud,
+    q: np.ndarray,
+    n_outcomes: int,
+    n_particles: int,
+    rng: np.random.Generator,
+) -> SharedDraws:
+    """One design's shared draws: ``n_outcomes`` outcome ancestors, then an
+    inner set of at most ``n_particles``, both from ``rng``."""
+    _check_sizes(n_outcomes, n_particles)
+    q = _check_q(q, cloud.locations.shape[1])
+    outcome_idx = rng.choice(cloud.size, size=n_outcomes, p=cloud.weights)
+    inner = _downsample(cloud, n_particles, rng)
+    return SharedDraws(cloud, q, outcome_idx, *inner, n_particles)
+
+
 def mis_risk(
     cloud: ParticleCloud,
     config,
@@ -234,6 +342,7 @@ def mis_risk(
     rng: np.random.Generator,
     model=None,
     p_full=None,
+    draws: SharedDraws | None = None,
 ) -> RiskEstimate:
     """Maximum-importance-sampling estimate of the Bayes risk.
 
@@ -242,36 +351,39 @@ def mis_risk(
     Q-weighted posterior variance over outcomes.  ``p_full`` carries the
     survival probability of every particle of the cloud for ``config``; the
     NV model requires it, and outcome models that take no rows are called
-    without it.  The model's ``log_rates`` runs once; its
-    ``log_likelihood_matrix`` fills one cache-sized block of outcome rows at
-    a time into this thread's workspace, whose moments are taken before the
-    next block is formed.  The table and its moments are float64 throughout.
+    without it.
+
+    Alone, the estimate draws from ``rng`` the outcome ancestors, then the
+    counts, then the inner set.  Given the ``draws`` of a design (from
+    :func:`draw_shared` on this cloud and Q, at these sizes), it shares
+    their ancestors, inner set and moment columns, and draws only its
+    counts from ``rng``; draws taken on another cloud, Q or size are refused.
+    The two paths draw in different orders so that a standalone estimate
+    keeps the stream of the whole-table oracle it is tested against.
     """
-    if n_outcomes < 2 or n_particles < 2:
-        raise ValueError("need at least two outcomes and two inner particles")
+    _check_sizes(n_outcomes, n_particles)
     model = model or NvModel()
-    q = _check_q(q, cloud.locations.shape[1])
-    outcome_idx = rng.choice(cloud.size, size=n_outcomes, p=cloud.weights)
     p_full = None if p_full is None else np.asarray(p_full)
-    extra_out = {} if p_full is None else {"p": p_full[outcome_idx]}
-    counts = model.sample_counts(cloud.locations[outcome_idx], config, rng, **extra_out)
-    inner_idx, inner_weights = _downsample(cloud, n_particles, rng)
-    inner = cloud.locations[inner_idx]
-    extra_in = {} if p_full is None else {"p": p_full[inner_idx]}
-    log_rates = model.log_rates(inner, config, **extra_in)
-    n_inner = len(inner_idx)
-    rows = _block_rows(n_inner)
-    buffer = _block_buffer(rows * n_inner)
-    terms = np.empty(n_outcomes)
-    kept = np.empty(n_outcomes, dtype=bool)
-    for lo in range(0, n_outcomes, rows):
-        hi = min(lo + rows, n_outcomes)
-        out = buffer[: (hi - lo) * n_inner].reshape(hi - lo, n_inner)
-        table = model.log_likelihood_matrix(counts[lo:hi], log_rates, out=out)
-        terms[lo:hi], kept[lo:hi] = _weighted_variance_terms(
-            table, inner_weights, inner, q
+    if draws is None:
+        q = _check_q(q, cloud.locations.shape[1])
+        outcome_idx = rng.choice(cloud.size, size=n_outcomes, p=cloud.weights)
+        counts = model.sample_counts(
+            cloud.locations[outcome_idx], config, rng, **_rows(p_full, outcome_idx)
         )
-    return _summarize(terms, kept, n_outcomes, n_inner)
+        inner = _downsample(cloud, n_particles, rng)
+        draws = SharedDraws(cloud, q, outcome_idx, *inner, n_particles)
+    else:
+        if (draws.n_outcomes, draws.n_particles) != (n_outcomes, n_particles):
+            raise ValueError(
+                f"shared draws hold {draws.n_outcomes}x{draws.n_particles}, "
+                f"not {n_outcomes}x{n_particles}"
+            )
+        q = _check_q(q, cloud.locations.shape[1])
+        if cloud is not draws.cloud or not np.array_equal(q, draws.q):
+            raise ValueError("shared draws were drawn on another cloud or Q")
+        counts = draws.counts(model, config, rng, p_full)
+    terms, kept = draws.terms(model, config, counts, p_full)
+    return _summarize(terms, kept, n_outcomes, draws.n_inner)
 
 
 def _summarize(terms, kept, n_outcomes, n_particles) -> RiskEstimate:
@@ -311,28 +423,137 @@ def risk_profile(
 ) -> list:
     """Risk of every candidate against the same cloud snapshot.
 
-    Returns ``[(config, RiskEstimate), ...]`` in input order.  Each candidate
-    consumes its own child random stream, so results are reproducible for a
-    fixed candidate order and seed.  The candidates run on a thread pool
-    with one worker per core this process may run on; since no stream is
-    shared, the results are the same however the candidates are split, and
-    equal those of calling :func:`mis_risk` on each in turn.
-    ``p_table`` holds the survival probabilities, one row per candidate, over
-    the full cloud; the NV model requires it (see
-    :meth:`nvbed.heuristics.SurvivalTableCache.table`).
+    Returns ``[(config, RiskEstimate), ...]`` in input order.  One shared
+    draw set (:func:`draw_shared`) comes from ``rng`` first; then each
+    candidate takes the next child of ``rng.spawn`` for its counts, and its
+    estimate is :func:`mis_risk` on the shared draws.  The candidates run on
+    a thread pool with one worker per core this process may run on; since
+    no stream is shared between them, the profile is the same however the
+    candidates are split, and a profile of the first few candidates is the
+    first few entries of the whole profile.  ``p_table`` holds the survival
+    probabilities, one row per candidate, over the full cloud; the NV model
+    requires it (see :meth:`nvbed.heuristics.SurvivalTableCache.table`).
     """
     if not configs:
         raise ValueError("candidate list is empty")
+    draws = draw_shared(cloud, q, n_outcomes, n_particles, rng)
     streams = rng.spawn(len(configs))
 
     def estimate(i):
         p_full = None if p_table is None else p_table[i]
         # the module global, so that a wrapped mis_risk sees every call
         return mis_risk(
-            cloud, configs[i], q, n_outcomes, n_particles, streams[i], model, p_full
+            cloud, configs[i], q, n_outcomes, n_particles, streams[i], model,
+            p_full, draws,
         )
 
     workers = min(len(configs), len(os.sched_getaffinity(0)))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         estimates = list(pool.map(estimate, range(len(configs))))
     return list(zip(configs, estimates))
+
+
+# The screen of :func:`screened_profile` scores every candidate at
+# 1/SCREEN_SHRINK of the outcomes and of the inner particles (64x128 at the
+# paper's 512x1024), and keeps for the full-size profile each candidate
+# whose mean paired excess risk over the leader is at most SCREEN_SPREAD
+# paired standard errors.  With fewer than SCREEN_MIN screened outcomes or
+# inner particles the rule rests on too few pairs, and on an inner set too
+# small to stand for the posterior, so the design skips the screen.
+SCREEN_SHRINK = 8
+SCREEN_SPREAD = 2.0
+SCREEN_MIN = 32
+
+
+def rank(pair) -> tuple:
+    """Ranking key of a ``(config, RiskEstimate)`` pair, best first:
+    reliable estimates (few dropped MIS outcomes), then lower risk, then
+    shorter total evolution time; ties go to the lower candidate index."""
+    config, estimate = pair
+    return (not estimate.reliable, estimate.value, config.evolution_time)
+
+
+def _best(profile: list, among) -> int:
+    """Index of the best entry of ``profile`` among ``among`` by :func:`rank`."""
+    return min(among, key=lambda i: (rank(profile[i]), i))
+
+
+def _paired_survivors(terms: np.ndarray, kept: np.ndarray, leader: int) -> list:
+    """Indices of the candidates the leader has not beaten.
+
+    ``terms`` and ``kept`` are (candidates, outcomes) over shared outcome
+    ancestors.  Each candidate's excess over the leader is paired outcome by
+    outcome, over the outcomes both kept; with fewer than two such
+    outcomes the pair says nothing and the candidate survives.
+    """
+    both = kept & kept[leader]
+    n = both.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        excess = np.where(both, terms - terms[leader], 0.0)
+        mean = excess.sum(axis=1) / n
+        spread = np.where(both, excess - mean[:, None], 0.0)
+        std_error = np.sqrt((spread**2).sum(axis=1) / (n - 1) / n)
+        beaten = (n >= 2) & (mean > SCREEN_SPREAD * std_error)
+    return np.flatnonzero(~beaten).tolist()
+
+
+def screened_profile(
+    cloud: ParticleCloud,
+    configs: list,
+    q: np.ndarray,
+    rng: np.random.Generator,
+    n_outcomes: int = 512,
+    n_particles: int = 1024,
+    model=None,
+    p_table=None,
+) -> tuple:
+    """A design's profile and pick: a paired screen of every candidate, then
+    the full :func:`risk_profile` of the survivors.
+
+    The screen runs on the calling thread, on one draw set from ``rng`` at
+    1/``SCREEN_SHRINK`` of the sizes, each candidate counting from its own
+    child of ``rng.spawn``; its leader is the candidate that :func:`rank`
+    puts first.  The leader and every candidate within ``SCREEN_SPREAD``
+    paired standard errors of it survive, and those go through
+    :func:`risk_profile` at ``n_outcomes`` x ``n_particles`` on a fresh draw
+    set from ``rng``.  When either screened size would fall below
+    ``SCREEN_MIN``, there is no screen: every candidate survives, and the
+    profile is :func:`risk_profile` of them all on ``rng``.
+
+    Returns ``(profile, best)``: ``profile`` lists every candidate in input
+    order, survivors with their full estimate and the rest with their
+    screen estimate (the estimate's ``n_outcomes`` and ``n_particles`` tell
+    which), and ``best`` is the index of the survivor :func:`rank` puts
+    first.
+    """
+    if not configs:
+        raise ValueError("candidate list is empty")
+    n_screen = n_outcomes // SCREEN_SHRINK
+    n_inner = n_particles // SCREEN_SHRINK
+    if min(n_screen, n_inner) < SCREEN_MIN:
+        profile = risk_profile(
+            cloud, configs, q, rng, n_outcomes=n_outcomes,
+            n_particles=n_particles, model=model, p_table=p_table,
+        )
+        return profile, _best(profile, range(len(profile)))
+    model = model or NvModel()
+    draws = draw_shared(cloud, q, n_screen, n_inner, rng)
+    streams = rng.spawn(len(configs))
+    terms = np.empty((len(configs), n_screen))
+    kept = np.empty((len(configs), n_screen), dtype=bool)
+    profile = []
+    for i, (config, stream) in enumerate(zip(configs, streams)):
+        p_full = None if p_table is None else np.asarray(p_table[i])
+        counts = draws.counts(model, config, stream, p_full)
+        terms[i], kept[i] = draws.terms(model, config, counts, p_full)
+        estimate = _summarize(terms[i], kept[i], n_screen, draws.n_inner)
+        profile.append((config, estimate))
+    survivors = _paired_survivors(terms, kept, _best(profile, range(len(profile))))
+    rows = None if p_table is None else [p_table[i] for i in survivors]
+    full = risk_profile(
+        cloud, [configs[i] for i in survivors], q, rng,
+        n_outcomes=n_outcomes, n_particles=n_particles, model=model, p_table=rows,
+    )
+    for i, pair in zip(survivors, full):
+        profile[i] = pair
+    return profile, _best(profile, survivors)

@@ -54,6 +54,7 @@ from nvbed.risk import (
     _active_block,
     _check_q,
     _downsample,
+    _moment_columns,
     _summarize,
     _weighted_variance_terms,
 )
@@ -170,7 +171,9 @@ def whole_table_mis_risk(
         model.log_likelihood_matrix(counts, model.log_rates(inner, config, **extra_in)),
         dtype=float,
     )
-    terms, kept = _weighted_variance_terms(table, inner_weights, inner, q)
+    terms, kept = _weighted_variance_terms(
+        table, *_moment_columns(inner_weights, inner, q)
+    )
     return _summarize(terms, kept, n_outcomes, len(inner_idx))
 
 

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -84,6 +86,36 @@ class TestRunTrial:
         assert seen == {
             k: calibrated if k < 2 else times[k - 2] for k in range(6)
         }
+
+
+    def test_failed_trial_frees_its_cloud_without_the_cyclic_gc(self):
+        class FirstDesignedRunFails(labmod.InProcessLab):
+            calibrated = False
+
+            def run(self, config):
+                if self.calibrated:
+                    raise RuntimeError("lab fault")
+                self.calibrated = True
+                return super().run(config)
+
+        config = tiny_config("alternating_linear")
+        truth = harness.draw_truth(config, np.random.default_rng(0))
+        lab = FirstDesignedRunFails(
+            labmod.TrueSystem(truth, np.random.default_rng(1))
+        )
+        clouds = []
+        gc.disable()
+        try:
+            try:
+                harness.run_trial(
+                    config, "alternating_linear", 0, lab=lab,
+                    design_probe=lambda step, cloud: clouds.append(weakref.ref(cloud)),
+                )
+            except RuntimeError:
+                pass
+            assert clouds and all(ref() is None for ref in clouds)
+        finally:
+            gc.enable()
 
 
 class TestRunConfig:
@@ -280,6 +312,28 @@ class TestRunComparison:
         clean, _ = harness.run_trial(config, "alternating_linear", 2)
         written = harness._record_path(tmp_path, "alternating_linear", 2)
         assert written.read_text() == clean.to_json() + "\n"
+
+    def test_disjoint_esm_ranges_still_write_the_summary(self, tmp_path, capsys):
+        raw = {
+            "trials": 1, "experiments": 2, "particles": 50,
+            "heuristics": ["ramsey_sweeps", "uniform_risk"], "candidate_m": 3,
+            "risk_outcomes": 8, "risk_particles": 16,
+            "calibration_repetitions": 1000, "out_dir": str(tmp_path),
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["run", "--config", str(path)]) == 1
+        out = capsys.readouterr().out.strip().splitlines()
+        assert out == [
+            "completed 2/2 trials, 0 failures; aggregates not written: "
+            "trials do not share a common ESM range"
+        ]
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["completed"] == 2 and not summary["failures"]
+        assert summary["aggregates_error"] == "trials do not share a common ESM range"
+        assert not (tmp_path / "curves.csv").exists()
+        assert cli.main(["curves", "--records", str(tmp_path)]) == 1
+        assert "common ESM range" in capsys.readouterr().err
 
     def test_tcp_lab_from_the_config(self, tmp_path):
         system = labmod.TrueSystem(labmod.default_truth(), np.random.default_rng(5))

@@ -210,13 +210,14 @@ class TestRiskHeuristics:
 
 class TestRiskRanking:
     def pick(self, monkeypatch, estimates):
-        """Candidate chosen when the profile returns these estimates."""
+        """Candidate chosen when the profile holds these estimates; the sizes
+        are below the screen's floor, so every candidate gets the profile."""
         def fake_profile(cloud, configs, q, rng, **kwargs):
             return list(zip(configs, estimates))
 
         monkeypatch.setattr(risk, "risk_profile", fake_profile)
         cloud = inference_cloud(np.random.default_rng(12), k=50)
-        policy = RiskMinimizer(rabi_m=2, ramsey_m=1)
+        policy = RiskMinimizer(rabi_m=2, ramsey_m=1, n_outcomes=32, n_particles=64)
         chosen = policy._pick(cloud, 0, np.random.default_rng(13), 1)
         return [cfg for cfg, _ in policy.last_profile].index(chosen)
 
@@ -235,6 +236,54 @@ class TestRiskRanking:
             risk.RiskEstimate(0.3, 0.01, 100, 50, n_dropped=40),
         ]
         assert self.pick(monkeypatch, estimates) == 1
+
+
+class TestScreenedPick:
+    """The pick of RiskMinimizer through the real paired screen."""
+
+    @staticmethod
+    def policy():
+        return uniform_risk_heuristic(
+            rabi_m=6, ramsey_m=6, n_outcomes=256, n_particles=256
+        )
+
+    def test_an_unreliable_candidate_loses_to_a_reliable_survivor(self, monkeypatch):
+        cloud = inference_cloud(np.random.default_rng(14), k=300)
+        first = self.policy()
+        favourite = first._pick(cloud, 0, np.random.default_rng(15), 1000)
+
+        class DropsTheFavourite(risk.NvModel):
+            # a tenth of the favourite's outcomes, in the screen and at full
+            # size, are ones no particle explains
+            def sample_counts(self, locations, config, rng, p=None):
+                counts = super().sample_counts(locations, config, rng, p)
+                if config == favourite:
+                    counts[: -(-len(counts) // 10), 0] = -1
+                return counts
+
+            def log_likelihood_matrix(self, counts, log_rates, out=None):
+                table = super().log_likelihood_matrix(counts, log_rates, out)
+                table[np.asarray(counts)[:, 0] < 0] = -np.inf
+                return table
+
+        monkeypatch.setattr(risk, "NvModel", DropsTheFavourite)
+        second = self.policy()
+        chosen = second._pick(cloud, 0, np.random.default_rng(15), 1000)
+        estimates = dict(second.last_profile)
+        # the screen ran, the favourite still looks best, survived it, and lost
+        assert any(est.n_outcomes < 256 for est in estimates.values())
+        assert estimates[favourite].value < estimates[chosen].value
+        assert not estimates[favourite].reliable
+        assert estimates[favourite].n_outcomes == 256
+        assert estimates[chosen].reliable and chosen != favourite
+
+    def test_fixed_seed_gives_a_fixed_pick_and_profile(self):
+        cloud = inference_cloud(np.random.default_rng(16), k=300)
+        a, b = self.policy(), self.policy()
+        assert a._pick(cloud, 0, np.random.default_rng(17), 1000) == b._pick(
+            cloud, 0, np.random.default_rng(17), 1000
+        )
+        assert a.last_profile == b.last_profile
 
 
 class TestSurvivalTableCache:

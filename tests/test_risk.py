@@ -303,8 +303,9 @@ class TestRiskProfile:
 
 
 class TestProfileSplit:
-    """The thread pool cannot change a profile: every candidate keeps its own
-    child stream, whichever worker runs it."""
+    """Candidates share one draw set and count from their own child
+    streams, so neither the thread pool nor the length of the candidate list
+    changes any candidate's estimate."""
 
     @staticmethod
     def inputs(n_configs=7):
@@ -323,19 +324,25 @@ class TestProfileSplit:
             n_outcomes=96, n_particles=128, p_table=p_table,
         )
 
-    def test_profile_equals_a_serial_loop(self):
-        cloud, configs, p_table = self.inputs()
-        streams = np.random.default_rng(63).spawn(len(configs))
-        serial = [
+    @staticmethod
+    def serial(cloud, configs, p_table):
+        """mis_risk on each candidate in turn, on the profile's shared draws."""
+        rng = np.random.default_rng(63)
+        q = uniform_weight_matrix()
+        draws = risk.draw_shared(cloud, q, 96, 128, rng)
+        streams = rng.spawn(len(configs))
+        return [
             mis_risk(
-                cloud, config, uniform_weight_matrix(), 96, 128, stream,
-                p_full=p_table[i],
+                cloud, config, q, 96, 128, stream, p_full=p_table[i], draws=draws
             )
             for i, (config, stream) in enumerate(zip(configs, streams))
         ]
+
+    def test_profile_equals_a_serial_loop(self):
+        cloud, configs, p_table = self.inputs()
         profile = self.profile(cloud, configs, p_table)
         assert [cfg for cfg, _ in profile] == configs
-        assert [est for _, est in profile] == serial
+        assert [est for _, est in profile] == self.serial(cloud, configs, p_table)
 
     def test_a_prefix_profile_is_the_prefix_of_the_profile(self):
         cloud, configs, p_table = self.inputs()
@@ -345,11 +352,172 @@ class TestProfileSplit:
     def test_one_candidate_profile(self):
         cloud, configs, p_table = self.inputs(n_configs=1)
         (config, est), = self.profile(cloud, configs, p_table)
-        stream, = np.random.default_rng(63).spawn(1)
         assert config == configs[0]
-        assert est == mis_risk(
-            cloud, config, uniform_weight_matrix(), 96, 128, stream, p_full=p_table[0]
+        assert [est] == self.serial(cloud, configs, p_table)
+
+    def test_one_or_two_workers_give_the_same_profile(self, monkeypatch):
+        cloud, configs, p_table = self.inputs()
+        profiles = []
+        for cores in ({0}, {0, 1}):
+            monkeypatch.setattr(risk.os, "sched_getaffinity", lambda pid: cores)
+            profiles.append(self.profile(cloud, configs, p_table))
+        assert profiles[0] == profiles[1]
+
+    def test_moment_columns_are_built_once_per_profile(self, monkeypatch):
+        calls = []
+        active_block = risk._active_block
+        monkeypatch.setattr(
+            risk, "_active_block", lambda q: calls.append(q) or active_block(q)
         )
+        cloud, configs, p_table = self.inputs()
+        self.profile(cloud, configs, p_table)
+        assert len(calls) == 1
+
+    def test_shared_draws_must_match_the_cloud_and_q(self):
+        cloud, configs, p_table = self.inputs(n_configs=1)
+        q = uniform_weight_matrix()
+        draws = risk.draw_shared(cloud, q, 96, 128, np.random.default_rng(64))
+        copy = ParticleCloud(cloud.locations.copy(), cloud.weights.copy())
+        for other_cloud, other_q in ((copy, q), (cloud, magnetometry_weight_matrix())):
+            with pytest.raises(ValueError, match="another cloud or Q"):
+                mis_risk(
+                    other_cloud, configs[0], other_q, 96, 128,
+                    np.random.default_rng(65), p_full=p_table[0], draws=draws,
+                )
+
+    def test_shared_draws_must_match_the_sizes(self):
+        cloud, configs, p_table = self.inputs(n_configs=1)
+        q = uniform_weight_matrix()
+        draws = risk.draw_shared(cloud, q, 96, 128, np.random.default_rng(64))
+        with pytest.raises(ValueError, match="96x128"):
+            mis_risk(
+                cloud, configs[0], q, 64, 128, np.random.default_rng(65),
+                p_full=p_table[0], draws=draws,
+            )
+
+
+class TestScreen:
+    """The paired screen of screened_profile on a small NV design."""
+
+    N_OUT, N_PAR = 256, 256
+
+    @staticmethod
+    def inputs(seed, n_configs=16):
+        cloud = nv_cloud(np.random.default_rng(seed), k=400)
+        configs = [
+            ExperimentConfig("rabi", pulse_time=float(t), repetitions=4667)
+            for t in np.linspace(10.0, 300.0, n_configs)
+        ]
+        p_table = qutrit.survival_table(cloud.spin_locations, configs)
+        return cloud, configs, p_table
+
+    def screen(self, cloud, configs, p_table, seed, sizes=(N_OUT, N_PAR)):
+        """(profile, best, survivors) of screened_profile; survivors are the
+        candidates with a full-size estimate."""
+        profile, best = risk.screened_profile(
+            cloud, configs, uniform_weight_matrix(), np.random.default_rng(seed),
+            *sizes, p_table=p_table,
+        )
+        survivors = [
+            i for i, (_, est) in enumerate(profile)
+            if (est.n_outcomes, est.n_particles) == sizes
+        ]
+        return profile, best, survivors
+
+    def screen_estimates(self, cloud, configs, p_table, seed):
+        """The screen's own estimates: mis_risk on its shared draws."""
+        rng = np.random.default_rng(seed)
+        q = uniform_weight_matrix()
+        n_out = self.N_OUT // risk.SCREEN_SHRINK
+        n_par = self.N_PAR // risk.SCREEN_SHRINK
+        draws = risk.draw_shared(cloud, q, n_out, n_par, rng)
+        return [
+            mis_risk(cloud, c, q, n_out, n_par, s, p_full=p_table[i], draws=draws)
+            for i, (c, s) in enumerate(zip(configs, rng.spawn(len(configs))))
+        ]
+
+    @pytest.mark.parametrize("seed", [70, 71, 72])
+    def test_the_leader_survives_and_the_rest_keep_screen_estimates(self, seed):
+        cloud, configs, p_table = self.inputs(seed)
+        profile, best, survivors = self.screen(cloud, configs, p_table, seed)
+        screen = self.screen_estimates(cloud, configs, p_table, seed)
+        leader = min(
+            range(len(configs)), key=lambda i: (risk.rank((configs[i], screen[i])), i)
+        )
+        assert leader in survivors
+        assert 0 < len(survivors) < len(configs)
+        assert [cfg for cfg, _ in profile] == configs
+        for i, (_, est) in enumerate(profile):
+            if i not in survivors:
+                assert est == screen[i]
+                assert est.n_outcomes == self.N_OUT // risk.SCREEN_SHRINK
+        assert best == min(survivors, key=lambda i: (risk.rank(profile[i]), i))
+
+    def test_survivors_get_the_full_profile_on_fresh_draws(self):
+        cloud, configs, p_table = self.inputs(73)
+        profile, _, survivors = self.screen(cloud, configs, p_table, 73)
+        rng = np.random.default_rng(73)
+        # the screen's draws and streams come first
+        risk.draw_shared(cloud, uniform_weight_matrix(), 32, 32, rng)
+        rng.spawn(len(configs))
+        full = risk_profile(
+            cloud, [configs[i] for i in survivors], uniform_weight_matrix(), rng,
+            n_outcomes=self.N_OUT, n_particles=self.N_PAR, p_table=p_table[survivors],
+        )
+        assert [profile[i] for i in survivors] == full
+
+    def test_fixed_seed_gives_a_fixed_screen(self):
+        cloud, configs, p_table = self.inputs(74)
+        assert self.screen(cloud, configs, p_table, 75) == self.screen(
+            cloud, configs, p_table, 75
+        )
+
+    def test_the_screen_starts_at_its_floor(self):
+        cloud, configs, p_table = self.inputs(76)
+        floor = risk.SCREEN_MIN * risk.SCREEN_SHRINK
+        assert (self.N_OUT, self.N_PAR) == (floor, floor)
+        _, _, survivors = self.screen(cloud, configs, p_table, 77)
+        assert len(survivors) < len(configs)
+        for sizes in ((floor - 1, floor), (floor, floor - 1)):
+            profile, best, survivors = self.screen(
+                cloud, configs, p_table, 77, sizes
+            )
+            assert survivors == list(range(len(configs)))
+            assert profile == risk_profile(
+                cloud, configs, uniform_weight_matrix(), np.random.default_rng(77),
+                *sizes, p_table=p_table,
+            )
+            assert best == min(survivors, key=lambda i: (risk.rank(profile[i]), i))
+
+    def test_rank(self):
+        short = ExperimentConfig("rabi", pulse_time=10.0, repetitions=4667)
+        long = ExperimentConfig("rabi", pulse_time=20.0, repetitions=4667)
+        low = risk.RiskEstimate(0.1, 0.01, 100, 50)
+        high = risk.RiskEstimate(0.2, 0.01, 100, 50)
+        dropped = risk.RiskEstimate(0.01, 0.01, 100, 50, n_dropped=40)
+        profile = [(short, dropped), (long, high), (long, low), (short, low)]
+        assert sorted(range(4), key=lambda i: risk.rank(profile[i])) == [3, 2, 1, 0]
+        assert risk._best(profile, [0, 1, 2, 3]) == 3
+        assert risk._best(profile, [0, 1]) == 1
+        assert risk._best([(short, low), (short, low)], [1, 0]) == 0
+
+    def test_paired_rule(self):
+        # the leader (row 0) kept only its first three outcomes, so every
+        # pair is taken over those
+        lead = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        terms = np.stack(
+            [
+                lead,
+                lead + [0.5, -0.5, 0.2, 0, 0, 0],  # level with the leader
+                lead + 0.1,  # behind it on every paired outcome
+                lead + [0.2, 9.0, 9.0, 0, 0, 0],  # only one outcome pairs
+                lead - 9.0,  # ahead of it
+            ]
+        )
+        kept = np.ones_like(terms, dtype=bool)
+        kept[0, 3:] = False
+        kept[3, 1:] = False
+        assert risk._paired_survivors(terms, kept, 0) == [0, 1, 3, 4]
 
 
 class TestBlockedTable:
@@ -472,7 +640,7 @@ class TestOneProductMoments:
             table, weights, locations, q
         )
         terms, kept = risk._weighted_variance_terms(
-            table.copy(), weights, locations, q
+            table.copy(), *risk._moment_columns(weights, locations, q)
         )
         assert terms.dtype == dtype
         np.testing.assert_array_equal(kept, kept_expected)
@@ -510,7 +678,9 @@ class TestOneProductMoments:
     def test_kernel_consumes_its_table(self):
         table, weights, locations = nv_table(4667, 1.0, seed=47, n_out=20)
         before = table.copy()
-        risk._weighted_variance_terms(table, weights, locations, uniform_weight_matrix())
+        risk._weighted_variance_terms(
+            table, *risk._moment_columns(weights, locations, uniform_weight_matrix())
+        )
         shifted = before - before.max(axis=1, keepdims=True)
         np.testing.assert_array_equal(table, np.exp(shifted))
 
@@ -529,6 +699,8 @@ class TestOneProductMoments:
             ]
 
         fused = estimates()
+        # the oracle takes the inner set and Q where the kernel takes columns
+        monkeypatch.setattr(risk, "_moment_columns", lambda w, loc, q: (w, loc, q))
         monkeypatch.setattr(
             risk, "_weighted_variance_terms", three_product_variance_terms
         )
