@@ -307,18 +307,15 @@ def run_trial(
     tracking_requested = False
     executor = ThreadPoolExecutor(max_workers=1)
 
-    def survival(spins: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
-        # design simulated this shape already if the spin block is unchanged
-        row = heuristic.cache.lookup(spins, cfg)
-        return qutrit.survival_probabilities(spins, cfg) if row is None else row
-
     def process(datum: Datum, cfg: ExperimentConfig, planned_esm: float, step: int):
         nonlocal cloud, cumulative_esm, tracking_requested
         now_hours = datum.timestamp / 3600.0
         dt = max(0.0, now_hours - cloud.last_update_time)
         cloud = smc.drift_step(cloud, dt, engine_rng)
+        # while the spin block is unchanged, design holds some or all of the
+        # row: the update simulates only the particles it lacks
         cloud, report = smc.bayes_update(
-            cloud, datum, cfg, engine_rng, survival_fn=survival
+            cloud, datum, cfg, engine_rng, survival_fn=heuristic.cache.row
         )
         cloud.last_update_time = now_hours
         cumulative_esm += planned_esm

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -75,46 +76,86 @@ def _repetitions_for(cloud: ParticleCloud, target_esm: float, n_max: int) -> int
 
 
 class SurvivalTableCache:
-    """Survival rows of one spin block, keyed by ``ExperimentConfig.shape``.
+    """Survival entries of one spin block, held by (pulse shape, particle).
 
-    A survival row is a pure function of the five spin columns and the
-    pulse shape.  The cache keeps a copy of the spin block its rows belong
-    to, and a row is valid exactly while the caller's spin columns equal
-    that copy, so clouds that share a lineage, a copy or nothing at all
-    never see each other's rows.  Design fills the cache
-    through :meth:`table`; the Bayes update reads the executed
-    configuration's row back through :meth:`lookup`.
+    A survival entry is a pure function of one particle's five spin columns
+    and the pulse shape (``ExperimentConfig.shape``).  The cache keeps a
+    copy of the spin block its entries belong to, and an entry is valid
+    exactly while the caller's spin columns equal that copy, so clouds that
+    share a lineage, a copy or nothing at all never see each other's
+    entries.  Design fills the cache through :meth:`table`, at the particles
+    its draws read; the Bayes update takes the executed configuration's
+    whole row through :meth:`row`, which simulates only the entries design
+    left out.  :meth:`lookup` is a pure read that answers only for a whole
+    row.
     """
 
     def __init__(self):
         self._spins = None
-        self._rows = {}
+        self._rows = {}  # shape -> (row over the spin block, held mask)
 
     def _holds(self, spins: np.ndarray) -> bool:
         return self._spins is not None and np.array_equal(self._spins, spins)
 
-    def table(self, spins: np.ndarray, configs: list) -> np.ndarray:
-        """(len(configs), K) survival table over the (K, 5) spin block.
-
-        Only shapes not yet held for this spin block are simulated, in one
-        :func:`qutrit.survival_table` call; a new spin block drops every row.
-        """
+    def _fill(self, spins: np.ndarray, configs: list, at) -> None:
+        """Simulate the entries of ``configs`` at the particles ``at`` that
+        are not held, in one :func:`qutrit.survival_table` call over the
+        shapes that lack any of them and the particles that any lacks."""
         if not self._holds(spins):
             self._spins = np.array(spins)
             self._rows = {}
-        missing = {c.shape: c for c in configs if c.shape not in self._rows}
-        if missing:
-            fresh = qutrit.survival_table(spins, list(missing.values()))
-            fresh.setflags(write=False)  # rows are handed out as views
-            self._rows.update(zip(missing, fresh))
-        return np.stack([self._rows[c.shape] for c in configs])
+        k = len(self._spins)
+        missing = {}
+        for c in configs:
+            if c.shape not in self._rows:
+                self._rows[c.shape] = (np.empty(k), np.zeros(k, dtype=bool))
+            if not self._rows[c.shape][1][at].all():
+                missing[c.shape] = c
+        if not missing:
+            return
+        lacking = np.zeros(k, dtype=bool)
+        for shape in missing:
+            lacking[at] |= ~self._rows[shape][1][at]
+        cols = np.flatnonzero(lacking)
+        fresh = qutrit.survival_table(self._spins[cols], list(missing.values()))
+        for shape, values in zip(missing, fresh):
+            entries, held = self._rows[shape]
+            new = ~held[cols]
+            entries[cols[new]] = values[new]
+            held[cols] = True
+
+    def _whole(self, spins: np.ndarray, config: ExperimentConfig):
+        entry = self._rows.get(config.shape) if self._holds(spins) else None
+        if entry is None or not entry[1].all():
+            return None
+        view = entry[0].view()
+        view.setflags(write=False)
+        return view
+
+    def table(self, spins: np.ndarray, configs: list, particles=None) -> np.ndarray:
+        """(len(configs), len(particles)) survival table over the (K, 5) spin
+        block, at the particle indices ``particles``; None means all K.
+
+        Only entries not yet held for this spin block are simulated; a new
+        spin block drops every entry.
+        """
+        at = slice(None) if particles is None else np.asarray(particles, dtype=np.intp)
+        self._fill(spins, configs, at)
+        return np.stack([self._rows[c.shape][0][at] for c in configs])
 
     def lookup(self, spins: np.ndarray, config: ExperimentConfig):
-        """Cached survival row of this pulse shape over the (K, 5) spin
-        block, or None."""
-        if not self._holds(spins):
-            return None
-        return self._rows.get(config.shape)
+        """Survival row of this pulse shape over the (K, 5) spin block, read
+        only, if every particle's entry is held; otherwise None."""
+        return self._whole(spins, config)
+
+    def row(self, spins: np.ndarray, config: ExperimentConfig) -> np.ndarray:
+        """The whole survival row, read only: :meth:`lookup`'s row, or, when
+        that misses, the row after one simulation of the entries not held."""
+        whole = self.lookup(spins, config)
+        if whole is None:
+            self._fill(spins, [config], slice(None))
+            whole = self._whole(spins, config)
+        return whole
 
 
 @dataclass
@@ -123,8 +164,8 @@ class Heuristic:
 
     Every policy takes the same grid sizes, so one registry can size them
     all; Ramsey sweeps use only the Ramsey grid.  Grids are driven at
-    ``qutrit.ZFS_MHZ``.  ``cache`` holds the survival rows the policy
-    simulated, for the Bayes update to read back.
+    ``qutrit.ZFS_MHZ``.  ``cache`` holds the survival entries the policy
+    simulated, for the Bayes update to read back and complete.
     """
 
     name: str = "base"
@@ -200,6 +241,13 @@ class RiskMinimizer(Heuristic):
     (``risk.SCREEN_MIN``) score every candidate at full size.
     ``last_profile`` lists every candidate with its full or, for the
     screened-out, its screen estimate.
+
+    The profile asks ``cache`` for survival rows after each of its draws,
+    and only at the particles those draws read: every candidate at the
+    screen's, then the survivors at the full-size draws'.  The cache
+    simulates only the entries it does not hold, so a design simulates a
+    few hundred of a paper-scale cloud's particles for most candidates, and
+    the update later completes just the executed configuration's row.
     """
 
     name: str = "risk"
@@ -224,7 +272,7 @@ class RiskMinimizer(Heuristic):
             rng,
             n_outcomes=self.n_outcomes,
             n_particles=self.n_particles,
-            p_table=self.cache.table(cloud.spin_locations, sized),
+            p_table=partial(self.cache.table, cloud.spin_locations),
         )
         self.last_profile = profile
         return profile[best][0]

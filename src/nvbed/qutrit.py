@@ -35,6 +35,7 @@ exponential every path uses.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -114,9 +115,6 @@ _R_TERMS = np.stack(
 # _THETA^17 / 17! is below 5e-17, under double-precision roundoff
 _TAYLOR = [1.0 / math.factorial(k) for k in range(17)]
 _THETA = 0.78
-# matrices per evaluation block, so that the polynomial's work arrays stay
-# small and cache-resident whatever the stack size
-_EXPM_BLOCK = 1024
 
 
 class SimulationAccuracyError(RuntimeError):
@@ -270,31 +268,29 @@ def expm(stack: np.ndarray) -> np.ndarray:
     Scaling and squaring: each matrix is scaled by 2^-s to 1-norm at most
     ``_THETA``, its degree-16 Taylor polynomial is evaluated, and the result
     is squared s times.  s is chosen per matrix; matrices are sorted by s so
-    that every squaring round acts on a leading slice of a block.
+    that every squaring round acts on a leading slice of the stack.
     """
     a = np.asarray(stack, dtype=float)
     n = a.shape[-1]
     flat = a.reshape(-1, n, n)
+    if not len(flat):
+        return np.empty(a.shape)
     norms = np.abs(flat).sum(axis=1).max(axis=1)
     squarings = np.ceil(np.log2(np.maximum(norms / _THETA, 1.0))).astype(np.intp)
     order = None
-    if len(flat) and squarings.min() != squarings.max():
+    if squarings.min() != squarings.max():
         order = np.argsort(-squarings, kind="stable")
         squarings = squarings[order]
-    out = np.empty(flat.shape)
-    for lo in range(0, len(flat), _EXPM_BLOCK):
-        rows = slice(lo, lo + _EXPM_BLOCK)
-        s = squarings[rows]
-        block = flat[rows] if order is None else flat[order[rows]]
-        prop = _taylor_exp(block * np.ldexp(1.0, -s)[:, None, None])
-        for j in range(int(s[0])):
-            m = int(np.count_nonzero(s > j))
-            prop[:m] = prop[:m] @ prop[:m]
-        if order is None:
-            out[rows] = prop
-        else:
-            out[order[rows]] = prop
-    return out.reshape(a.shape)
+        flat = flat[order]
+    prop = _taylor_exp(flat * np.ldexp(1.0, -squarings)[:, None, None])
+    for j in range(int(squarings[0])):
+        m = int(np.count_nonzero(squarings > j))
+        prop[:m] = prop[:m] @ prop[:m]
+    if order is not None:
+        out = np.empty(prop.shape)
+        out[order] = prop
+        prop = out
+    return prop.reshape(a.shape)
 
 
 def _clamp_probability(p, context: str):
@@ -331,7 +327,24 @@ def survival_probability(params: SpinParams, config: ExperimentConfig) -> float:
 #     weight, so the wait-time curve of a hypothesis is a constant plus the
 #     real part of a 3-term complex exponential sum.  On an arithmetic wait
 #     grid each term advances by one complex multiply per step.
+#
+# A table splits its hypotheses into blocks of ``_SURVIVAL_BLOCK`` and runs
+# these family kernels on each block, with one thread per core: the calling
+# thread takes every ``cores``-th block and a pool takes the rest.  Every
+# step of the kernels acts on each hypothesis alone (its own generators,
+# its own propagator and powers, its own branch mean), so an entry does not
+# depend on which other hypotheses share its block or its call: the table
+# is bit-identical to one computed block by block on one thread, and a
+# table over a subset of the hypotheses is the matching columns of the
+# whole table.
 # ----------------------------------------------------------------------------
+
+# hypotheses per block of a survival table.  A block's pulse stack (3 x 256
+# real 9x9 matrices) and its Taylor work arrays stay in a core's cache, and
+# a paper-scale cloud of 4000 makes 16 blocks to share between the cores.
+# Smaller blocks pay more per-block Python work: at 128 the update-only
+# tables of an offline sweep ran slower.
+_SURVIVAL_BLOCK = 256
 
 
 def _real_generators(
@@ -373,20 +386,31 @@ def _wait_eigenvalues(spins: np.ndarray, drive_freq: float) -> np.ndarray:
 
 
 def _arithmetic_step(times: np.ndarray):
-    """If the n times are positive integer multiples of the smallest one, none
-    beyond 4 n + 64 of it, return (step, rows), where ``rows`` maps each
-    multiple to the indices of the times at it; otherwise None."""
-    step = float(np.min(times))
-    if step <= 0:
+    """If the n times are positive integer multiples of a step that divides
+    the smallest one, none beyond 4 n + 64 of it, return (step, rows) for
+    the longest such step, where ``rows`` maps each multiple to the indices
+    of the times at it; otherwise None.
+
+    A grid's step is its smallest time, and a subset of a grid, such as the
+    survivors of a design's screen, finds the grid's step again: its entries
+    then come from the same powers as the whole grid's.
+    """
+    smallest = float(np.min(times))
+    if smallest <= 0:
         return None
-    mult = times / step
-    rounded = np.rint(mult)
-    if np.max(np.abs(mult - rounded)) > 1e-9 or np.max(rounded) > 4 * len(times) + 64:
-        return None
-    rows: dict = {}
-    for i, m in enumerate(rounded.astype(int)):
-        rows.setdefault(int(m), []).append(i)
-    return step, rows
+    limit = 4 * len(times) + 64
+    for divisor in range(1, limit + 1):
+        step = smallest / divisor
+        mult = times / step
+        rounded = np.rint(mult)
+        if np.max(rounded) > limit:  # a shorter step only needs more powers
+            return None
+        if np.max(np.abs(mult - rounded)) <= 1e-9:
+            rows: dict = {}
+            for i, m in enumerate(rounded.astype(int)):
+                rows.setdefault(int(m), []).append(i)
+            return step, rows
+    return None
 
 
 def _survival_rabi_family(
@@ -464,10 +488,18 @@ def survival_table(spins: np.ndarray, configs: list) -> np.ndarray:
 
     ``spins`` is (K, 5); returns (len(configs), K).  Configurations are
     grouped into Rabi families by drive frequency and Ramsey families by
-    (pulse_time, drive frequency) so the grid fast paths apply.
+    (pulse_time, drive frequency) so the grid fast paths apply.  The
+    hypotheses run in blocks of ``_SURVIVAL_BLOCK``, spread over one thread
+    per core; each entry is the same, bit for bit, however the blocks are
+    split between threads, and equals the entry of any table over a subset
+    of the hypotheses that holds it.
     """
+    # risk imports smc, which imports this module: the import waits for a call
+    from .risk import usable_cores
+
     spins = np.atleast_2d(np.asarray(spins, dtype=float))
-    out = np.empty((len(configs), spins.shape[0]))
+    k = spins.shape[0]
+    out = np.empty((len(configs), k))
     groups: dict = {}
     for idx, cfg in enumerate(configs):
         if cfg.kind == "rabi":
@@ -475,14 +507,31 @@ def survival_table(spins: np.ndarray, configs: list) -> np.ndarray:
         else:
             key = ("ramsey", cfg.pulse_time, cfg.drive_frequency)
         groups.setdefault(key, []).append(idx)
-    for key, indices in groups.items():
-        if key[0] == "rabi":
-            times = np.array([configs[i].pulse_time for i in indices])
-            table = _survival_rabi_family(spins, times, key[1])
-        else:
-            times = np.array([configs[i].wait_time for i in indices])
-            table = _survival_ramsey_family(spins, key[1], times, key[2])
-        out[indices] = table
+
+    def run(blocks):
+        for cols in blocks:
+            block = spins[cols]
+            for key, indices in groups.items():
+                if key[0] == "rabi":
+                    times = np.array([configs[i].pulse_time for i in indices])
+                    table = _survival_rabi_family(block, times, key[1])
+                else:
+                    times = np.array([configs[i].wait_time for i in indices])
+                    table = _survival_ramsey_family(block, key[1], times, key[2])
+                out[indices, cols] = table
+
+    blocks = [
+        slice(lo, lo + _SURVIVAL_BLOCK) for lo in range(0, k, _SURVIVAL_BLOCK)
+    ]
+    threads = max(1, min(usable_cores(), len(blocks)))
+    if threads == 1:
+        run(blocks)
+    else:
+        with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+            shares = [pool.submit(run, blocks[t::threads]) for t in range(1, threads)]
+            run(blocks[::threads])
+            for share in shares:
+                share.result()
     return _clamp_probability(out, "survival_table")
 
 

@@ -22,7 +22,8 @@ estimator never holds the whole (n_outcomes, K) table: it asks for one
 block of outcome rows at a time, into a per-thread workspace that it
 shifts and exponentiates in place.  The NV model (the referenced-Poisson
 triple of :mod:`nvbed.measurement`) also takes each particle's survival
-probability as ``p=``, from rows the caller supplies.
+probability as ``p=``, from rows the caller supplies; the estimator reads
+them only at the particles it draws.
 
 Candidates of one design share their random draws (common random numbers):
 :func:`draw_shared` takes the outcome ancestors and the inner set from the
@@ -30,8 +31,11 @@ design's stream once, with the inner set's moment columns, and each
 candidate draws only its Poisson counts, from its own child stream.  The
 noise the ranking sees is then the noise of risk *differences*, which the
 shared draws make small.  :func:`risk_profile` scores every candidate so,
-on a thread pool as wide as the cores this process may run on; the profile
-does not depend on how the candidates are split between threads.
+on a thread pool as wide as the cores this process may run on
+(:func:`usable_cores`); the profile does not depend on how the candidates
+are split between threads.  A profile may ask for its survival rows only
+once its draws are known, and then only at the particles they read
+(``SharedDraws.particles``).
 
 :func:`screened_profile` is the design's profile.  It screens every
 candidate on the calling thread, on one shared draw set at
@@ -111,12 +115,22 @@ def _check_q(q: np.ndarray, dim: int) -> np.ndarray:
     return q
 
 
+def usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the platform
+    reports one (Linux), else the machine's core count.  The width of the
+    profile's pool and of the survival table's blocks."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 class NvModel:
     """Referenced-Poisson outcome model over full 10-parameter hypotheses.
 
     The model never simulates: every call takes the survival probability of
     each particle at hand through ``p``, sliced by the caller from a
-    full-cloud row (``p_full`` of :func:`mis_risk`, ``p_table`` of
+    candidate's row (``p_full`` of :func:`mis_risk`, ``p_table`` of
     :func:`risk_profile`).  Its likelihood is two calls: :meth:`log_rates`
     once per candidate, then :meth:`log_likelihood_matrix` once per block of
     outcome rows.
@@ -126,8 +140,8 @@ class NvModel:
         if p is None:
             raise ValueError(
                 "NvModel needs the survival probabilities p of these particles; "
-                "pass the full-cloud row as p_full (mis_risk) or p_table "
-                "(risk_profile)"
+                "pass the candidate's row as p_full (mis_risk) or the rows as "
+                "p_table (risk_profile)"
             )
         return measurement.expected_counts(
             locations[:, IDX_ALPHA], locations[:, IDX_BETA], p, config.repetitions
@@ -266,7 +280,10 @@ class SharedDraws:
     Holds the outcome ancestors and the down-sampled inner set, with the
     inner set's locations and moment columns under Q, built once; a
     candidate adds only its own Poisson counts (:meth:`counts`) and its own
-    likelihood (:meth:`terms`).  Build one with :func:`draw_shared`.
+    likelihood (:meth:`terms`).  ``particles`` lists, sorted and once each,
+    every particle the draws read; a candidate's survival row enters both
+    methods as its entries there (:meth:`columns`).  Build one with
+    :func:`draw_shared`.
     """
 
     def __init__(self, cloud, q, outcome_idx, inner_idx, inner_weights, n_particles):
@@ -280,25 +297,46 @@ class SharedDraws:
         self.outcomes = cloud.locations[outcome_idx]
         self.inner = cloud.locations[inner_idx]
         self.moments = _moment_columns(inner_weights, self.inner, q)
+        self.particles, where = np.unique(
+            np.concatenate([outcome_idx, inner_idx]), return_inverse=True
+        )
+        self._outcome_at, self._inner_at = np.split(where, [self.n_outcomes])
 
-    def counts(self, model, config, rng, p_full=None) -> np.ndarray:
+    def columns(self, p) -> np.ndarray:
+        """A candidate's survival row ``p`` at :attr:`particles`, from a row
+        over the whole cloud or from one already at :attr:`particles`.  The
+        two readings agree when the draws read every particle, since
+        :attr:`particles` is then every index in order.  None stays None,
+        for models that take no rows."""
+        if p is None:
+            return None
+        p = np.asarray(p)
+        if len(p) == self.cloud.size:
+            return p[self.particles]
+        if len(p) != len(self.particles):
+            raise ValueError(
+                f"a survival row of {len(p)} entries is neither over the cloud "
+                f"({self.cloud.size}) nor at the {len(self.particles)} drawn particles"
+            )
+        return p
+
+    def counts(self, model, config, rng, p=None) -> np.ndarray:
         """One candidate's counts at the shared outcome ancestors, from
-        ``rng``."""
+        ``rng``; ``p`` is its survival row at :attr:`particles`."""
         return model.sample_counts(
-            self.outcomes, config, rng, **_rows(p_full, self.outcome_idx)
+            self.outcomes, config, rng, **_rows(p, self._outcome_at)
         )
 
-    def terms(self, model, config, counts, p_full=None) -> tuple:
-        """Per-outcome posterior terms and kept mask of one candidate.
+    def terms(self, model, config, counts, p=None) -> tuple:
+        """Per-outcome posterior terms and kept mask of one candidate, whose
+        survival row at :attr:`particles` is ``p``.
 
         The model's ``log_rates`` runs once; its ``log_likelihood_matrix``
         fills one cache-sized block of outcome rows at a time into this
         thread's workspace, whose moments are taken before the next block is
         formed.  The table and its moments are float64 throughout.
         """
-        log_rates = model.log_rates(
-            self.inner, config, **_rows(p_full, self.inner_idx)
-        )
+        log_rates = model.log_rates(self.inner, config, **_rows(p, self._inner_at))
         n_inner = self.n_inner
         rows = _block_rows(n_inner)
         buffer = _block_buffer(rows * n_inner)
@@ -349,9 +387,10 @@ def mis_risk(
     Outcomes are drawn from the marginal predictive (via the joint); each
     outcome reweights a fixed inner particle set, and the risk is the mean
     Q-weighted posterior variance over outcomes.  ``p_full`` carries the
-    survival probability of every particle of the cloud for ``config``; the
-    NV model requires it, and outcome models that take no rows are called
-    without it.
+    survival probability of every particle of the cloud for ``config``, or,
+    given ``draws``, only of the particles they read
+    (:meth:`SharedDraws.columns`); the NV model requires it, and outcome
+    models that take no rows are called without it.
 
     Alone, the estimate draws from ``rng`` the outcome ancestors, then the
     counts, then the inner set.  Given the ``draws`` of a design (from
@@ -381,8 +420,8 @@ def mis_risk(
         q = _check_q(q, cloud.locations.shape[1])
         if cloud is not draws.cloud or not np.array_equal(q, draws.q):
             raise ValueError("shared draws were drawn on another cloud or Q")
-        counts = draws.counts(model, config, rng, p_full)
-    terms, kept = draws.terms(model, config, counts, p_full)
+        counts = draws.counts(model, config, rng, draws.columns(p_full))
+    terms, kept = draws.terms(model, config, counts, draws.columns(p_full))
     return _summarize(terms, kept, n_outcomes, draws.n_inner)
 
 
@@ -411,6 +450,15 @@ def trace_weighted_variance(cloud: ParticleCloud, q: np.ndarray) -> float:
     return float(np.trace(q @ smc.posterior_cov(cloud)))
 
 
+def _drawn_rows(p_table, configs, draws):
+    """The survival rows of ``configs`` for ``draws``: ``p_table`` itself
+    (None, or one row per candidate over the cloud), or, from a function
+    ``p_table``, the rows at the particles the draws read."""
+    if callable(p_table):
+        return p_table(configs, draws.particles)
+    return p_table
+
+
 def risk_profile(
     cloud: ParticleCloud,
     configs: list,
@@ -430,24 +478,28 @@ def risk_profile(
     a thread pool with one worker per core this process may run on; since
     no stream is shared between them, the profile is the same however the
     candidates are split, and a profile of the first few candidates is the
-    first few entries of the whole profile.  ``p_table`` holds the survival
-    probabilities, one row per candidate, over the full cloud; the NV model
-    requires it (see :meth:`nvbed.heuristics.SurvivalTableCache.table`).
+    first few entries of the whole profile.  ``p_table`` holds the
+    candidates' survival probabilities, which the NV model requires: one
+    row per candidate over the whole cloud, or a function
+    ``p_table(configs, particles)`` returning the rows of ``configs`` at
+    ``particles``, which the profile calls once, after its draws, with the
+    particles they read (:meth:`nvbed.heuristics.SurvivalTableCache.table`).
     """
     if not configs:
         raise ValueError("candidate list is empty")
     draws = draw_shared(cloud, q, n_outcomes, n_particles, rng)
     streams = rng.spawn(len(configs))
+    rows = _drawn_rows(p_table, configs, draws)
 
     def estimate(i):
-        p_full = None if p_table is None else p_table[i]
+        p_full = None if rows is None else rows[i]
         # the module global, so that a wrapped mis_risk sees every call
         return mis_risk(
             cloud, configs[i], q, n_outcomes, n_particles, streams[i], model,
             p_full, draws,
         )
 
-    workers = min(len(configs), len(os.sched_getaffinity(0)))
+    workers = min(len(configs), usable_cores())
     with ThreadPoolExecutor(max_workers=workers) as pool:
         estimates = list(pool.map(estimate, range(len(configs))))
     return list(zip(configs, estimates))
@@ -520,6 +572,11 @@ def screened_profile(
     ``SCREEN_MIN``, there is no screen: every candidate survives, and the
     profile is :func:`risk_profile` of them all on ``rng``.
 
+    ``p_table`` is as for :func:`risk_profile`.  A function ``p_table`` is
+    asked once per draw set: for every candidate at the particles the
+    screen reads, then for the survivors at the particles of the full-size
+    draws, so rows are simulated only where a draw reads them.
+
     Returns ``(profile, best)``: ``profile`` lists every candidate in input
     order, survivors with their full estimate and the rest with their
     screen estimate (the estimate's ``n_outcomes`` and ``n_particles`` tell
@@ -539,20 +596,23 @@ def screened_profile(
     model = model or NvModel()
     draws = draw_shared(cloud, q, n_screen, n_inner, rng)
     streams = rng.spawn(len(configs))
+    rows = _drawn_rows(p_table, configs, draws)
     terms = np.empty((len(configs), n_screen))
     kept = np.empty((len(configs), n_screen), dtype=bool)
     profile = []
     for i, (config, stream) in enumerate(zip(configs, streams)):
-        p_full = None if p_table is None else np.asarray(p_table[i])
-        counts = draws.counts(model, config, stream, p_full)
-        terms[i], kept[i] = draws.terms(model, config, counts, p_full)
+        p = draws.columns(None if rows is None else rows[i])
+        counts = draws.counts(model, config, stream, p)
+        terms[i], kept[i] = draws.terms(model, config, counts, p)
         estimate = _summarize(terms[i], kept[i], n_screen, draws.n_inner)
         profile.append((config, estimate))
     survivors = _paired_survivors(terms, kept, _best(profile, range(len(profile))))
-    rows = None if p_table is None else [p_table[i] for i in survivors]
+    if p_table is not None and not callable(p_table):
+        p_table = [p_table[i] for i in survivors]
     full = risk_profile(
         cloud, [configs[i] for i in survivors], q, rng,
-        n_outcomes=n_outcomes, n_particles=n_particles, model=model, p_table=rows,
+        n_outcomes=n_outcomes, n_particles=n_particles, model=model,
+        p_table=p_table,
     )
     for i, pair in zip(survivors, full):
         profile[i] = pair

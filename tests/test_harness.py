@@ -1,11 +1,12 @@
 import gc
 import json
+import threading
 import weakref
 
 import numpy as np
 import pytest
 
-from nvbed import cli, harness, heuristics, risk
+from nvbed import cli, harness, heuristics, qutrit, risk
 from nvbed import lab as labmod
 from nvbed.heuristics import SurvivalTableCache, make_heuristic
 from nvbed.qutrit import ExperimentConfig
@@ -23,16 +24,28 @@ TINY = dict(
 
 
 class CountingCache(SurvivalTableCache):
+    """Counts lookups and whole-row hits, and the particles that each whole
+    row the update asks for simulates, read from ``simulated``, which a test
+    appends each simulation's particle count to."""
+
     def __init__(self):
         super().__init__()
         self.lookups = 0
         self.hits = 0
+        self.simulated = []
+        self.rows = []
 
     def lookup(self, spins, config):
         row = super().lookup(spins, config)
         self.lookups += 1
         self.hits += row is not None
         return row
+
+    def row(self, spins, config):
+        done = len(self.simulated)
+        out = super().row(spins, config)
+        self.rows.append(sum(self.simulated[done:]))
+        return out
 
 
 def tiny_config(heuristic, **overrides):
@@ -46,15 +59,27 @@ class TestRunTrial:
         b, _ = harness.run_trial(config, "uniform_risk", 0)
         assert a.to_json() == b.to_json()
 
-    def test_update_reads_rows_from_the_design_cache(self):
+    def test_update_reads_rows_from_the_design_cache(self, monkeypatch):
         config = tiny_config("uniform_risk")
         cache = CountingCache()
         policy = make_heuristic(
             "uniform_risk", rabi_m=5, ramsey_m=5, n_outcomes=32, n_particles=64,
             cache=cache,
         )
+        simulate = qutrit.survival_table
+        trial_thread = threading.get_ident()  # the lab simulates on its own
+
+        def counted(spins, configs):
+            if threading.get_ident() == trial_thread:
+                cache.simulated.append(len(spins))
+            return simulate(spins, configs)
+
+        monkeypatch.setattr(qutrit, "survival_table", counted)
         record, _ = harness.run_trial(config, "uniform_risk", 0, heuristic=policy)
-        assert cache.hits >= 1
+        # every update asks the cache for its row; design drew only some
+        # particles, so at least once the update simulated only the rest
+        assert len(cache.rows) == cache.lookups >= len(record.steps)
+        assert any(0 < n < config.particles for n in cache.rows)
         # the harness sizes the same policy through the registry
         default, _ = harness.run_trial(config, "uniform_risk", 0)
         assert record.to_json() == default.to_json()

@@ -347,6 +347,88 @@ class TestSurvivalTableCache:
             table, real(cloud.spin_locations, self.grid(tip=20.0))
         )
 
+    # the cache holds entries by (pulse shape, particle)
+
+    @staticmethod
+    def counted_cells(monkeypatch):
+        cells = []
+        real = qutrit.survival_table
+
+        def counted(spins, configs):
+            cells.append(len(configs) * len(spins))
+            return real(spins, configs)
+
+        monkeypatch.setattr(qutrit, "survival_table", counted)
+        return cells
+
+    def test_an_overlapping_call_simulates_only_new_particles(self, monkeypatch):
+        spins = inference_cloud(np.random.default_rng(20), k=300).spin_locations
+        full = qutrit.survival_table(spins, self.grid())
+        cells = self.counted_cells(monkeypatch)
+        cache = SurvivalTableCache()
+        first = cache.table(spins, self.grid(), np.arange(200))
+        second = cache.table(spins, self.grid(), np.arange(100, 300))
+        assert cells == [12 * 200, 12 * 100]
+        assert np.array_equal(first, full[:, :200])
+        assert np.array_equal(second, full[:, 100:])
+        # held entries, in any order and repeated, need no simulation
+        idx = [250, 3, 3, 120]
+        assert np.array_equal(cache.table(spins, self.grid(), idx), full[:, idx])
+        assert np.array_equal(cache.table(spins, self.grid()), full)
+        assert len(cells) == 2
+
+    def test_held_entries_never_change(self):
+        # a shape that joins a simulation for the particles it lacks keeps
+        # the entries it held, though the grid's kernel rounds differently
+        spins = inference_cloud(np.random.default_rng(24), k=300).spin_locations
+        grid = self.grid()[:6]
+        cache = SurvivalTableCache()
+        cache.table(spins, grid, np.arange(100))
+        alone = cache.table(spins, grid[3:4], np.arange(100, 150))
+        table = cache.table(spins, grid, np.arange(200))
+        assert np.array_equal(table[3, 100:150], alone[0])
+        assert not np.array_equal(
+            alone[0], qutrit.survival_table(spins, grid)[3, 100:150]
+        )
+
+    def test_lookup_answers_only_for_a_whole_row(self):
+        spins = inference_cloud(np.random.default_rng(21), k=300).spin_locations
+        cache = SurvivalTableCache()
+        config, other = self.grid()[2], self.grid()[3]
+        cache.table(spins, self.grid(), np.arange(150))
+        assert cache.lookup(spins, config) is None
+        row = cache.table(spins, [config])[0]
+        held = cache.lookup(spins, config)
+        assert np.array_equal(held, row)
+        assert not held.flags.writeable
+        assert cache.lookup(spins, other) is None
+
+    def test_row_simulates_only_the_entries_not_held(self, monkeypatch):
+        spins = inference_cloud(np.random.default_rng(23), k=300).spin_locations
+        config = self.grid()[4]
+        # the held third from the grid's table, the rest from the row's own
+        expected = qutrit.survival_table(spins, [config])[0]
+        expected[::3] = qutrit.survival_table(spins, self.grid())[4, ::3]
+        cells = self.counted_cells(monkeypatch)
+        cache = SurvivalTableCache()
+        cache.table(spins, self.grid(), np.arange(0, 300, 3))
+        row = cache.row(spins, config)
+        assert cells == [12 * 100, 200]
+        assert np.array_equal(row, expected)
+        assert not row.flags.writeable
+        assert np.array_equal(cache.row(spins, config), expected)
+        assert len(cells) == 2
+
+    def test_an_in_place_spin_change_drops_every_entry(self, monkeypatch):
+        cloud = inference_cloud(np.random.default_rng(22), k=80)
+        cache = SurvivalTableCache()
+        cache.table(cloud.spin_locations, self.grid())
+        cloud.locations[5, IDX_RABI] += 1e-9
+        cells = self.counted_cells(monkeypatch)
+        assert cache.lookup(cloud.spin_locations, self.grid()[0]) is None
+        cache.table(cloud.spin_locations, self.grid(), [0, 1])
+        assert cells == [12 * 2]
+
 
 class TestFactory:
     def test_known_names(self):

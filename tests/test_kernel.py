@@ -2,9 +2,14 @@
 
 ``qutrit.expm`` is checked against SciPy's ``expm`` and against closed-form
 exponentials of normal matrices; ``survival_table`` against the SciPy
-segment path in ``tests/oracles.py``; hypothesis drives the physical
+segment path in ``tests/oracles.py``, and its blocks and threads against
+the family kernels run on one thread; hypothesis drives the physical
 invariants of the propagator.
 """
+
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -200,6 +205,122 @@ class TestSurvivalAgainstScipy:
             ExperimentConfig("rabi", pulse_time=t) for t in (10.0, 20.0, 20.0, 30.0)
         ]
         self.check(configs, 97)
+
+
+class TestSurvivalBlocks:
+    """``survival_table`` splits its hypotheses into blocks of
+    ``qutrit._SURVIVAL_BLOCK`` on one thread per core; no entry depends on
+    the split or on which other hypotheses share the call."""
+
+    FAMILIES = {
+        "rabi grid": [
+            ExperimentConfig("rabi", pulse_time=5.0 * k) for k in range(1, 21)
+        ],
+        "ramsey grid": [
+            ExperimentConfig("ramsey", pulse_time=22.0, wait_time=100.0 * k)
+            for k in range(1, 21)
+        ],
+        "non-arithmetic pair": [
+            ExperimentConfig("rabi", pulse_time=37.0),
+            ExperimentConfig("rabi", pulse_time=101.3),
+        ],
+    }
+
+    @staticmethod
+    def serial(spins, configs):
+        """The family kernel over every hypothesis at once, on this thread."""
+        first = configs[0]
+        if first.kind == "rabi":
+            times = np.array([c.pulse_time for c in configs])
+            table = qutrit._survival_rabi_family(spins, times, first.drive_frequency)
+        else:
+            waits = np.array([c.wait_time for c in configs])
+            table = qutrit._survival_ramsey_family(
+                spins, first.pulse_time, waits, first.drive_frequency
+            )
+        return qutrit._clamp_probability(table, "serial")
+
+    @staticmethod
+    def cores(monkeypatch, n):
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(n)), raising=False
+        )
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("k", [1, 255, 256, 257, 600])
+    def test_every_split_equals_the_serial_kernel(self, monkeypatch, family, k):
+        spins = random_spins(np.random.default_rng(k), k)
+        configs = self.FAMILIES[family]
+        serial = self.serial(spins, configs)
+        for n in (1, 2, 3):
+            self.cores(monkeypatch, n)
+            assert np.array_equal(survival_table(spins, configs), serial)
+
+    def test_a_subset_gives_the_matching_columns(self):
+        rng = np.random.default_rng(110)
+        spins = random_spins(rng, 600)
+        configs = [c for family in self.FAMILIES.values() for c in family]
+        full = survival_table(spins, configs)
+        for idx in (np.sort(rng.choice(600, 300, replace=False)), [599, 3, 3, 270]):
+            assert np.array_equal(survival_table(spins[idx], configs), full[:, idx])
+
+    def test_more_threads_than_cores_lose_no_block(self, monkeypatch):
+        # blocks write disjoint columns of one table: with four threads on
+        # nine blocks and switches forced every microsecond, a lost or
+        # misplaced block would show
+        spins = random_spins(np.random.default_rng(112), 8 * 256 + 5)
+        configs = self.FAMILIES["ramsey grid"]
+        serial = self.serial(spins, configs)
+        self.cores(monkeypatch, 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert np.array_equal(survival_table(spins, configs), serial)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_the_calling_thread_takes_every_cores_th_block(self, monkeypatch):
+        ran = []
+        family = qutrit._survival_rabi_family
+
+        def recorded(spins, times, drive_freq):
+            ran.append((threading.get_ident(), len(spins)))
+            return family(spins, times, drive_freq)
+
+        monkeypatch.setattr(qutrit, "_survival_rabi_family", recorded)
+        self.cores(monkeypatch, 2)
+        spins = random_spins(np.random.default_rng(111), 600)  # blocks 256, 256, 88
+        survival_table(spins, self.FAMILIES["rabi grid"])
+        caller = threading.get_ident()
+        assert sorted(n for t, n in ran if t == caller) == [88, 256]
+        assert [n for t, n in ran if t != caller] == [256]
+
+
+def test_a_subset_of_a_grid_takes_the_grid_step():
+    # a design's survivors are a subset of its grid; their entries come from
+    # the same step powers as the whole grid's, bit for bit
+    spins = random_spins(np.random.default_rng(113), 40)
+    rabi = [ExperimentConfig("rabi", pulse_time=5.0 * k) for k in range(1, 101)]
+    ramsey = [
+        ExperimentConfig("ramsey", pulse_time=22.0, wait_time=20.0 * k)
+        for k in range(1, 101)
+    ]
+    for grid, picks in ((rabi, [6, 7]), (rabi, [34, 9, 70, 9]), (ramsey, [1, 4, 8])):
+        full = survival_table(spins, grid)
+        assert np.array_equal(survival_table(spins, [grid[i] for i in picks]), full[picks])
+    times = np.array([35.0, 40.0, 500.0])  # 100 powers of 5 ns: over 4 * 3 + 64
+    assert qutrit._arithmetic_step(times[:2])[0] == 5.0
+    assert qutrit._arithmetic_step(times) is None
+
+
+def test_non_arithmetic_ramsey_waits_against_scipy():
+    # no step that divides the smallest wait fits within 4 * 3 + 64 powers,
+    # so the waits take the exp path
+    waits = (75.0, 190.3, 337.5)
+    assert qutrit._arithmetic_step(np.array(waits)) is None
+    configs = [ExperimentConfig("ramsey", pulse_time=22.0, wait_time=w) for w in waits]
+    TestSurvivalAgainstScipy.check(configs, 114)
 
 
 def test_non_finite_survival_raises():

@@ -1,9 +1,13 @@
+import os
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy.special import gammaln, logsumexp
 from scipy.stats import poisson
 
 from nvbed import qutrit, risk
+from nvbed.heuristics import SurvivalTableCache
 from nvbed.qutrit import ExperimentConfig
 from nvbed.risk import (
     NvModel,
@@ -518,6 +522,92 @@ class TestScreen:
         kept[0, 3:] = False
         kept[3, 1:] = False
         assert risk._paired_survivors(terms, kept, 0) == [0, 1, 3, 4]
+
+
+class TestDrawnRows:
+    """A design asks for survival rows only at the particles its draws read."""
+
+    @staticmethod
+    def inputs():
+        cloud = nv_cloud(np.random.default_rng(90), k=600)
+        configs = [
+            ExperimentConfig("rabi", pulse_time=float(t), repetitions=4667)
+            for t in np.linspace(10.0, 300.0, 12)
+        ] + [
+            ExperimentConfig("ramsey", 22.0, float(t), repetitions=4667)
+            for t in np.linspace(100.0, 1200.0, 12)
+        ]
+        return cloud, configs
+
+    def test_lazy_rows_give_the_same_profile_and_pick(self):
+        cloud, configs = self.inputs()
+        spins = cloud.spin_locations
+        q = uniform_weight_matrix()
+        cache = SurvivalTableCache()
+        full = risk.screened_profile(
+            cloud, configs, q, np.random.default_rng(91), 256, 256,
+            p_table=qutrit.survival_table(spins, configs),
+        )
+        lazy = risk.screened_profile(
+            cloud, configs, q, np.random.default_rng(91), 256, 256,
+            p_table=partial(cache.table, spins),
+        )
+        assert lazy == full
+        profile, _ = lazy
+        assert any(est.n_outcomes == 256 // risk.SCREEN_SHRINK for _, est in profile)
+        # no row was simulated over the whole cloud
+        assert all(cache.lookup(spins, c) is None for c in configs)
+
+    def test_a_row_function_is_asked_at_the_drawn_particles(self):
+        cloud, configs = self.inputs()
+        asked = []
+
+        def rows(cfgs, particles):
+            asked.append((len(cfgs), particles))
+            return qutrit.survival_table(cloud.spin_locations[particles], cfgs)
+
+        draws = risk.draw_shared(
+            cloud, uniform_weight_matrix(), 64, 128, np.random.default_rng(92)
+        )
+        risk_profile(
+            cloud, configs, uniform_weight_matrix(), np.random.default_rng(92),
+            n_outcomes=64, n_particles=128, p_table=rows,
+        )
+        (n, particles), = asked
+        assert n == len(configs)
+        assert np.array_equal(particles, draws.particles)
+        assert np.array_equal(
+            particles, np.union1d(draws.outcome_idx, draws.inner_idx)
+        )
+
+    def test_a_row_of_another_length_is_refused(self):
+        cloud, configs = self.inputs()
+        draws = risk.draw_shared(
+            cloud, uniform_weight_matrix(), 64, 128, np.random.default_rng(93)
+        )
+        with pytest.raises(ValueError, match="drawn particles"):
+            draws.columns(np.zeros(len(draws.particles) + 1))
+
+
+class TestUsableCores:
+    def test_without_affinity_the_core_count_serves(self, monkeypatch):
+        cloud, configs = TestDrawnRows.inputs()
+        spins = cloud.spin_locations
+
+        def profile_and_table():
+            table = qutrit.survival_table(spins, configs)
+            profile = risk_profile(
+                cloud, configs, uniform_weight_matrix(), np.random.default_rng(94),
+                n_outcomes=64, n_particles=128, p_table=table,
+            )
+            return profile, table
+
+        profile, table = profile_and_table()
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert risk.usable_cores() == (os.cpu_count() or 1)
+        other_profile, other_table = profile_and_table()
+        assert other_profile == profile
+        assert np.array_equal(other_table, table)
 
 
 class TestBlockedTable:
