@@ -23,6 +23,7 @@ import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,20 @@ from .qutrit import ExperimentConfig, SpinParams
 from .smc import DriftParams, ModelParameters, PriorSpec, SpinPrior
 
 CALIBRATION_PULSE_NS = 2.0
+
+
+def _load_config(cls, path, what: str):
+    """The ``cls`` dataclass set from the JSON object in the file at
+    ``path``; anything but an object, or a key that names no field, is a
+    ValueError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"a {what} must be a JSON object, not {type(raw).__name__}")
+    unknown = set(raw) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    return cls(**raw)
 
 
 @dataclass
@@ -145,17 +160,8 @@ class RunConfig:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "RunConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**raw)
-
-    @classmethod
     def from_file(cls, path) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return _load_config(cls, path, "config")
 
     def prior_spec(self, reference_prior=None) -> PriorSpec:
         spin = SpinPrior(kind=self.prior)
@@ -260,15 +266,12 @@ def run_trial(
     trial_index: int,
     lab=None,
     heuristic: heur.Heuristic | None = None,
-    design_probe=None,
 ) -> tuple:
     """Execute one full trial; returns (TrialRecord, final cloud).
 
     When ``lab`` is None an in-process simulated lab is created from the
     trial's seed chain; passing a lab client (or any object with the lab
     interface) reuses an external experiment computer instead.
-    ``design_probe(step_index, cloud)`` is called at every design invocation,
-    for pipeline instrumentation in tests.
     """
     engine_rng = _rng_for(config.seed, heuristic_name, trial_index, 2)
     design_rng = _rng_for(config.seed, heuristic_name, trial_index, 3)
@@ -291,8 +294,6 @@ def run_trial(
     cloud.last_update_time = calibration_datum.timestamp / 3600.0
 
     def design(step_index: int) -> tuple:
-        if design_probe is not None:
-            design_probe(step_index, cloud)
         cfg = heuristic.next_experiment(cloud, step_index, design_rng)
         planned = smc.expected_esm(cloud, cfg.repetitions)
         return cfg, planned
@@ -625,12 +626,7 @@ class HeatmapConfig:
 
     @classmethod
     def from_file(cls, path) -> "HeatmapConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        unknown = set(raw) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown heatmap config keys: {sorted(unknown)}")
-        return cls(**raw)
+        return _load_config(cls, path, "heatmap config")
 
 
 def risk_heatmap(config: HeatmapConfig, log=None) -> list:
@@ -641,6 +637,8 @@ def risk_heatmap(config: HeatmapConfig, log=None) -> list:
     :func:`nvbed.risk.risk_profile` over every candidate, whose candidates
     share one draw set (common random numbers) at the cell's sizes; it is
     the full-size stage of the policy's design without the screen in front.
+    Like the design, each profile asks the policy's cache for survival rows
+    at the particles its draws read.
     ``seconds`` is the wall time of that profile, whose candidates run in
     parallel on the host's cores, so it is not the summed CPU time of the
     candidates; it is measured wall clock and not byte-reproducible.
@@ -656,7 +654,7 @@ def risk_heatmap(config: HeatmapConfig, log=None) -> list:
     # the candidates and repetitions the policy's design uses
     n = heur._repetitions_for(cloud, policy.target_esm, policy.n_max)
     sized = policy.candidate_set(cloud, n)
-    p_table = policy.cache.table(cloud.spin_locations, sized)
+    p_table = partial(policy.cache.table, cloud.spin_locations)
 
     def profile_values(n_out, n_par, stream):
         return np.array(

@@ -22,8 +22,7 @@ estimator never holds the whole (n_outcomes, K) table: it asks for one
 block of outcome rows at a time, into a per-thread workspace that it
 shifts and exponentiates in place.  The NV model (the referenced-Poisson
 triple of :mod:`nvbed.measurement`) also takes each particle's survival
-probability as ``p=``, from rows the caller supplies; the estimator reads
-them only at the particles it draws.
+probability as ``p=``, from rows the caller supplies.
 
 Candidates of one design share their random draws (common random numbers):
 :func:`draw_shared` takes the outcome ancestors and the inner set from the
@@ -33,9 +32,9 @@ noise the ranking sees is then the noise of risk *differences*, which the
 shared draws make small.  :func:`risk_profile` scores every candidate so,
 on a thread pool as wide as the cores this process may run on
 (:func:`usable_cores`); the profile does not depend on how the candidates
-are split between threads.  A profile may ask for its survival rows only
-once its draws are known, and then only at the particles they read
-(``SharedDraws.particles``).
+are split between threads.  A profile takes its survival rows from a
+function ``p_table(configs, particles)``, which it asks once its draws are
+known, and only at the particles they read (``SharedDraws.particles``).
 
 :func:`screened_profile` is the design's profile.  It screens every
 candidate on the calling thread, on one shared draw set at
@@ -130,7 +129,7 @@ class NvModel:
 
     The model never simulates: every call takes the survival probability of
     each particle at hand through ``p``, sliced by the caller from a
-    candidate's row (``p_full`` of :func:`mis_risk`, ``p_table`` of
+    candidate's row (``p_full`` of :func:`mis_risk`, a row of ``p_table`` of
     :func:`risk_profile`).  Its likelihood is two calls: :meth:`log_rates`
     once per candidate, then :meth:`log_likelihood_matrix` once per block of
     outcome rows.
@@ -282,8 +281,7 @@ class SharedDraws:
     candidate adds only its own Poisson counts (:meth:`counts`) and its own
     likelihood (:meth:`terms`).  ``particles`` lists, sorted and once each,
     every particle the draws read; a candidate's survival row enters both
-    methods as its entries there (:meth:`columns`).  Build one with
-    :func:`draw_shared`.
+    methods as its entries there.  Build one with :func:`draw_shared`.
     """
 
     def __init__(self, cloud, q, outcome_idx, inner_idx, inner_weights, n_particles):
@@ -301,24 +299,6 @@ class SharedDraws:
             np.concatenate([outcome_idx, inner_idx]), return_inverse=True
         )
         self._outcome_at, self._inner_at = np.split(where, [self.n_outcomes])
-
-    def columns(self, p) -> np.ndarray:
-        """A candidate's survival row ``p`` at :attr:`particles`, from a row
-        over the whole cloud or from one already at :attr:`particles`.  The
-        two readings agree when the draws read every particle, since
-        :attr:`particles` is then every index in order.  None stays None,
-        for models that take no rows."""
-        if p is None:
-            return None
-        p = np.asarray(p)
-        if len(p) == self.cloud.size:
-            return p[self.particles]
-        if len(p) != len(self.particles):
-            raise ValueError(
-                f"a survival row of {len(p)} entries is neither over the cloud "
-                f"({self.cloud.size}) nor at the {len(self.particles)} drawn particles"
-            )
-        return p
 
     def counts(self, model, config, rng, p=None) -> np.ndarray:
         """One candidate's counts at the shared outcome ancestors, from
@@ -388,9 +368,9 @@ def mis_risk(
     outcome reweights a fixed inner particle set, and the risk is the mean
     Q-weighted posterior variance over outcomes.  ``p_full`` carries the
     survival probability of every particle of the cloud for ``config``, or,
-    given ``draws``, only of the particles they read
-    (:meth:`SharedDraws.columns`); the NV model requires it, and outcome
-    models that take no rows are called without it.
+    given ``draws``, of the particles they read (``draws.particles``), in
+    that order; a row of another length is refused.  The NV model requires
+    it, and outcome models that take no rows are called without it.
 
     Alone, the estimate draws from ``rng`` the outcome ancestors, then the
     counts, then the inner set.  Given the ``draws`` of a design (from
@@ -402,15 +382,16 @@ def mis_risk(
     """
     _check_sizes(n_outcomes, n_particles)
     model = model or NvModel()
-    p_full = None if p_full is None else np.asarray(p_full)
+    p = None if p_full is None else np.asarray(p_full)
     if draws is None:
         q = _check_q(q, cloud.locations.shape[1])
         outcome_idx = rng.choice(cloud.size, size=n_outcomes, p=cloud.weights)
         counts = model.sample_counts(
-            cloud.locations[outcome_idx], config, rng, **_rows(p_full, outcome_idx)
+            cloud.locations[outcome_idx], config, rng, **_rows(p, outcome_idx)
         )
         inner = _downsample(cloud, n_particles, rng)
         draws = SharedDraws(cloud, q, outcome_idx, *inner, n_particles)
+        p = None if p is None else p[draws.particles]
     else:
         if (draws.n_outcomes, draws.n_particles) != (n_outcomes, n_particles):
             raise ValueError(
@@ -420,8 +401,13 @@ def mis_risk(
         q = _check_q(q, cloud.locations.shape[1])
         if cloud is not draws.cloud or not np.array_equal(q, draws.q):
             raise ValueError("shared draws were drawn on another cloud or Q")
-        counts = draws.counts(model, config, rng, draws.columns(p_full))
-    terms, kept = draws.terms(model, config, counts, draws.columns(p_full))
+        if p is not None and len(p) != len(draws.particles):
+            raise ValueError(
+                f"a survival row of {len(p)} entries is not at the "
+                f"{len(draws.particles)} drawn particles"
+            )
+        counts = draws.counts(model, config, rng, p)
+    terms, kept = draws.terms(model, config, counts, p)
     return _summarize(terms, kept, n_outcomes, draws.n_inner)
 
 
@@ -450,15 +436,6 @@ def trace_weighted_variance(cloud: ParticleCloud, q: np.ndarray) -> float:
     return float(np.trace(q @ smc.posterior_cov(cloud)))
 
 
-def _drawn_rows(p_table, configs, draws):
-    """The survival rows of ``configs`` for ``draws``: ``p_table`` itself
-    (None, or one row per candidate over the cloud), or, from a function
-    ``p_table``, the rows at the particles the draws read."""
-    if callable(p_table):
-        return p_table(configs, draws.particles)
-    return p_table
-
-
 def risk_profile(
     cloud: ParticleCloud,
     configs: list,
@@ -478,18 +455,18 @@ def risk_profile(
     a thread pool with one worker per core this process may run on; since
     no stream is shared between them, the profile is the same however the
     candidates are split, and a profile of the first few candidates is the
-    first few entries of the whole profile.  ``p_table`` holds the
-    candidates' survival probabilities, which the NV model requires: one
-    row per candidate over the whole cloud, or a function
-    ``p_table(configs, particles)`` returning the rows of ``configs`` at
-    ``particles``, which the profile calls once, after its draws, with the
-    particles they read (:meth:`nvbed.heuristics.SurvivalTableCache.table`).
+    first few entries of the whole profile.  ``p_table(configs, particles)``
+    returns the survival rows of ``configs`` at the particle indices
+    ``particles``, as a bound :meth:`nvbed.heuristics.SurvivalTableCache.table`
+    does; the profile calls it once, after its draws, with the particles
+    they read.  The NV model requires it; models that take no rows leave it
+    None.
     """
     if not configs:
         raise ValueError("candidate list is empty")
     draws = draw_shared(cloud, q, n_outcomes, n_particles, rng)
     streams = rng.spawn(len(configs))
-    rows = _drawn_rows(p_table, configs, draws)
+    rows = None if p_table is None else p_table(configs, draws.particles)
 
     def estimate(i):
         p_full = None if rows is None else rows[i]
@@ -499,6 +476,9 @@ def risk_profile(
             p_full, draws,
         )
 
+    # workers only, unlike qutrit.survival_table: with the caller taking a
+    # share, online_wide peak_rss_mb rose to 67.3 MB from 65.5 MB (single 20 s
+    # perfbench runs, seed 2101, 2-core host).  Merge them only on a benchmark.
     workers = min(len(configs), usable_cores())
     with ThreadPoolExecutor(max_workers=workers) as pool:
         estimates = list(pool.map(estimate, range(len(configs))))
@@ -572,10 +552,10 @@ def screened_profile(
     ``SCREEN_MIN``, there is no screen: every candidate survives, and the
     profile is :func:`risk_profile` of them all on ``rng``.
 
-    ``p_table`` is as for :func:`risk_profile`.  A function ``p_table`` is
-    asked once per draw set: for every candidate at the particles the
-    screen reads, then for the survivors at the particles of the full-size
-    draws, so rows are simulated only where a draw reads them.
+    ``p_table`` is as for :func:`risk_profile`, and is asked once per draw
+    set: for every candidate at the particles the screen reads, then for
+    the survivors at the particles of the full-size draws, so rows are
+    simulated only where a draw reads them.
 
     Returns ``(profile, best)``: ``profile`` lists every candidate in input
     order, survivors with their full estimate and the rest with their
@@ -596,19 +576,17 @@ def screened_profile(
     model = model or NvModel()
     draws = draw_shared(cloud, q, n_screen, n_inner, rng)
     streams = rng.spawn(len(configs))
-    rows = _drawn_rows(p_table, configs, draws)
+    rows = None if p_table is None else p_table(configs, draws.particles)
     terms = np.empty((len(configs), n_screen))
     kept = np.empty((len(configs), n_screen), dtype=bool)
     profile = []
     for i, (config, stream) in enumerate(zip(configs, streams)):
-        p = draws.columns(None if rows is None else rows[i])
+        p = None if rows is None else rows[i]
         counts = draws.counts(model, config, stream, p)
         terms[i], kept[i] = draws.terms(model, config, counts, p)
         estimate = _summarize(terms[i], kept[i], n_screen, draws.n_inner)
         profile.append((config, estimate))
     survivors = _paired_survivors(terms, kept, _best(profile, range(len(profile))))
-    if p_table is not None and not callable(p_table):
-        p_table = [p_table[i] for i in survivors]
     full = risk_profile(
         cloud, [configs[i] for i in survivors], q, rng,
         n_outcomes=n_outcomes, n_particles=n_particles, model=model,

@@ -16,6 +16,7 @@ import numpy as np
 from nvbed import lab, risk
 from nvbed.qutrit import ExperimentConfig
 from nvbed.smc import PriorSpec, sample_prior
+from helpers import random_rows
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -54,7 +55,7 @@ def test_profile_workers_call_the_wrapped_names(monkeypatch):
     configs = [
         ExperimentConfig("rabi", float(t), repetitions=500) for t in range(10, 90, 10)
     ]
-    p_table = np.random.default_rng(1).uniform(0.0, 1.0, (len(configs), cloud.size))
+    p_table = random_rows(configs, cloud.size, 1)
     n_outcomes = 16
     with tracing.Instrumentation(recorder):
         profile = risk.risk_profile(

@@ -52,6 +52,20 @@ def tiny_config(heuristic, **overrides):
     return harness.RunConfig(heuristics=[heuristic], **{**TINY, **overrides})
 
 
+def probed(config, name, probe):
+    """The trial's own heuristic, calling ``probe(step, cloud)`` at each of
+    its designs before it designs."""
+    heuristic = harness._sized_heuristic(config, name)
+    design = heuristic.next_experiment
+
+    def next_experiment(cloud, step, rng):
+        probe(step, cloud)
+        return design(cloud, step, rng)
+
+    heuristic.next_experiment = next_experiment
+    return heuristic
+
+
 class TestRunTrial:
     def test_same_seed_gives_identical_record(self):
         config = tiny_config("uniform_risk")
@@ -102,7 +116,8 @@ class TestRunTrial:
             seen[step_index] = cloud.last_update_time
 
         record, _ = harness.run_trial(
-            config, "alternating_linear", 0, design_probe=probe
+            config, "alternating_linear", 0,
+            heuristic=probed(config, "alternating_linear", probe),
         )
         calibrated = record.calibration["timestamp"] / 3600.0
         times = [s["sim_time_s"] / 3600.0 for s in record.steps]
@@ -129,12 +144,15 @@ class TestRunTrial:
             labmod.TrueSystem(truth, np.random.default_rng(1))
         )
         clouds = []
+        heuristic = probed(
+            config, "alternating_linear",
+            lambda step, cloud: clouds.append(weakref.ref(cloud)),
+        )
         gc.disable()
         try:
             try:
                 harness.run_trial(
-                    config, "alternating_linear", 0, lab=lab,
-                    design_probe=lambda step, cloud: clouds.append(weakref.ref(cloud)),
+                    config, "alternating_linear", 0, lab=lab, heuristic=heuristic
                 )
             except RuntimeError:
                 pass
@@ -144,9 +162,11 @@ class TestRunTrial:
 
 
 class TestRunConfig:
-    def test_removed_key_is_rejected(self):
+    def test_removed_key_is_rejected(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"pipeline_concurrency": False}))
         with pytest.raises(ValueError, match="pipeline_concurrency"):
-            harness.RunConfig.from_dict({"pipeline_concurrency": False})
+            harness.RunConfig.from_file(path)
 
     def test_zero_experiments_fail_before_any_trial(self, tmp_path):
         path = tmp_path / "config.json"
@@ -200,6 +220,15 @@ class TestRunConfig:
         path.write_text(json.dumps({field: value}))
         out = tmp_path / "out"
         with pytest.raises(ValueError, match=field):
+            cli.main(["run", "--config", str(path), "--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw", [["trials"], "trials", 3, None])
+    def test_a_config_that_is_no_object_fails_before_any_output(self, tmp_path, raw):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="JSON object"):
             cli.main(["run", "--config", str(path), "--out", str(out)])
         assert not out.exists()
 
@@ -464,3 +493,11 @@ class TestRiskHeatmap:
         path.write_text(json.dumps({**self.tiny_heatmap(tmp_path), "outcomes": [8]}))
         with pytest.raises(ValueError, match="'outcomes'"):
             harness.HeatmapConfig.from_file(path)
+
+    def test_a_config_that_is_no_object_fails_before_any_work(self, tmp_path):
+        path = tmp_path / "heatmap.json"
+        path.write_text(json.dumps(["outcome_sizes"]))
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="JSON object"):
+            cli.main(["heatmap", "--config", str(path), "--out", str(out)])
+        assert not out.exists()

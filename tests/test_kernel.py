@@ -181,7 +181,8 @@ class TestSurvivalAgainstScipy:
 
     def test_ramsey_grid_with_gaps_and_repeats(self):
         # skipped powers, a repeated wait, and [2, 5, 9] steps, which are no
-        # multiples of their smallest wait and take the exp path
+        # multiples of their smallest wait: halving it finds the 37.5 ns
+        # step, so they too take the power path
         step = 37.5
         for multiples in ([1, 2, 5, 5, 9], [2, 5, 9]):
             configs = [
@@ -316,7 +317,7 @@ def test_a_subset_of_a_grid_takes_the_grid_step():
 
 def test_non_arithmetic_ramsey_waits_against_scipy():
     # no step that divides the smallest wait fits within 4 * 3 + 64 powers,
-    # so the waits take the exp path
+    # so each wait is its own step
     waits = (75.0, 190.3, 337.5)
     assert qutrit._arithmetic_step(np.array(waits)) is None
     configs = [ExperimentConfig("ramsey", pulse_time=22.0, wait_time=w) for w in waits]

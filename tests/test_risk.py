@@ -28,6 +28,7 @@ from nvbed.smc import (
     posterior_cov,
     sample_prior,
 )
+from helpers import random_rows
 from oracles import (
     brute_force_risk,
     three_product_variance_terms,
@@ -299,7 +300,7 @@ class TestRiskProfile:
             np.random.default_rng(30),
             n_outcomes=256,
             n_particles=512,
-            p_table=qutrit.survival_table(cloud.spin_locations, candidates),
+            p_table=partial(SurvivalTableCache().table, cloud.spin_locations),
         )
         rabi_best = min(e.value for c, e in profile if c.kind == "rabi")
         ramsey_best = min(e.value for c, e in profile if c.kind == "ramsey")
@@ -318,8 +319,7 @@ class TestProfileSplit:
             ExperimentConfig("rabi", pulse_time=float(t), repetitions=4667)
             for t in np.linspace(10.0, 200.0, n_configs)
         ]
-        p_table = np.random.default_rng(62).uniform(0.0, 1.0, (n_configs, cloud.size))
-        return cloud, configs, p_table
+        return cloud, configs, random_rows(configs, cloud.size, 62)
 
     @staticmethod
     def profile(cloud, configs, p_table):
@@ -335,9 +335,10 @@ class TestProfileSplit:
         q = uniform_weight_matrix()
         draws = risk.draw_shared(cloud, q, 96, 128, rng)
         streams = rng.spawn(len(configs))
+        rows = p_table(configs, draws.particles)
         return [
             mis_risk(
-                cloud, config, q, 96, 128, stream, p_full=p_table[i], draws=draws
+                cloud, config, q, 96, 128, stream, p_full=rows[i], draws=draws
             )
             for i, (config, stream) in enumerate(zip(configs, streams))
         ]
@@ -351,7 +352,7 @@ class TestProfileSplit:
     def test_a_prefix_profile_is_the_prefix_of_the_profile(self):
         cloud, configs, p_table = self.inputs()
         full = self.profile(cloud, configs, p_table)
-        assert self.profile(cloud, configs[:3], p_table[:3]) == full[:3]
+        assert self.profile(cloud, configs[:3], p_table) == full[:3]
 
     def test_one_candidate_profile(self):
         cloud, configs, p_table = self.inputs(n_configs=1)
@@ -363,7 +364,7 @@ class TestProfileSplit:
         cloud, configs, p_table = self.inputs()
         profiles = []
         for cores in ({0}, {0, 1}):
-            monkeypatch.setattr(risk.os, "sched_getaffinity", lambda pid: cores)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
             profiles.append(self.profile(cloud, configs, p_table))
         assert profiles[0] == profiles[1]
 
@@ -381,22 +382,24 @@ class TestProfileSplit:
         cloud, configs, p_table = self.inputs(n_configs=1)
         q = uniform_weight_matrix()
         draws = risk.draw_shared(cloud, q, 96, 128, np.random.default_rng(64))
+        (row,) = p_table(configs, draws.particles)
         copy = ParticleCloud(cloud.locations.copy(), cloud.weights.copy())
         for other_cloud, other_q in ((copy, q), (cloud, magnetometry_weight_matrix())):
             with pytest.raises(ValueError, match="another cloud or Q"):
                 mis_risk(
                     other_cloud, configs[0], other_q, 96, 128,
-                    np.random.default_rng(65), p_full=p_table[0], draws=draws,
+                    np.random.default_rng(65), p_full=row, draws=draws,
                 )
 
     def test_shared_draws_must_match_the_sizes(self):
         cloud, configs, p_table = self.inputs(n_configs=1)
         q = uniform_weight_matrix()
         draws = risk.draw_shared(cloud, q, 96, 128, np.random.default_rng(64))
+        (row,) = p_table(configs, draws.particles)
         with pytest.raises(ValueError, match="96x128"):
             mis_risk(
                 cloud, configs[0], q, 64, 128, np.random.default_rng(65),
-                p_full=p_table[0], draws=draws,
+                p_full=row, draws=draws,
             )
 
 
@@ -412,7 +415,7 @@ class TestScreen:
             ExperimentConfig("rabi", pulse_time=float(t), repetitions=4667)
             for t in np.linspace(10.0, 300.0, n_configs)
         ]
-        p_table = qutrit.survival_table(cloud.spin_locations, configs)
+        p_table = partial(SurvivalTableCache().table, cloud.spin_locations)
         return cloud, configs, p_table
 
     def screen(self, cloud, configs, p_table, seed, sizes=(N_OUT, N_PAR)):
@@ -435,8 +438,9 @@ class TestScreen:
         n_out = self.N_OUT // risk.SCREEN_SHRINK
         n_par = self.N_PAR // risk.SCREEN_SHRINK
         draws = risk.draw_shared(cloud, q, n_out, n_par, rng)
+        rows = p_table(configs, draws.particles)
         return [
-            mis_risk(cloud, c, q, n_out, n_par, s, p_full=p_table[i], draws=draws)
+            mis_risk(cloud, c, q, n_out, n_par, s, p_full=rows[i], draws=draws)
             for i, (c, s) in enumerate(zip(configs, rng.spawn(len(configs))))
         ]
 
@@ -466,7 +470,7 @@ class TestScreen:
         rng.spawn(len(configs))
         full = risk_profile(
             cloud, [configs[i] for i in survivors], uniform_weight_matrix(), rng,
-            n_outcomes=self.N_OUT, n_particles=self.N_PAR, p_table=p_table[survivors],
+            n_outcomes=self.N_OUT, n_particles=self.N_PAR, p_table=p_table,
         )
         assert [profile[i] for i in survivors] == full
 
@@ -544,9 +548,11 @@ class TestDrawnRows:
         spins = cloud.spin_locations
         q = uniform_weight_matrix()
         cache = SurvivalTableCache()
+        whole = SurvivalTableCache()
+        whole.table(spins, configs)  # every row over the whole cloud
         full = risk.screened_profile(
             cloud, configs, q, np.random.default_rng(91), 256, 256,
-            p_table=qutrit.survival_table(spins, configs),
+            p_table=partial(whole.table, spins),
         )
         lazy = risk.screened_profile(
             cloud, configs, q, np.random.default_rng(91), 256, 256,
@@ -582,11 +588,17 @@ class TestDrawnRows:
 
     def test_a_row_of_another_length_is_refused(self):
         cloud, configs = self.inputs()
-        draws = risk.draw_shared(
-            cloud, uniform_weight_matrix(), 64, 128, np.random.default_rng(93)
-        )
-        with pytest.raises(ValueError, match="drawn particles"):
-            draws.columns(np.zeros(len(draws.particles) + 1))
+        q = uniform_weight_matrix()
+        draws = risk.draw_shared(cloud, q, 64, 128, np.random.default_rng(93))
+        # a row over the whole cloud is refused too: shared draws take rows
+        # only at their particles
+        assert len(draws.particles) < cloud.size
+        for n in (len(draws.particles) + 1, cloud.size):
+            with pytest.raises(ValueError, match="drawn particles"):
+                mis_risk(
+                    cloud, configs[0], q, 64, 128, np.random.default_rng(94),
+                    p_full=np.zeros(n), draws=draws,
+                )
 
 
 class TestUsableCores:
@@ -598,7 +610,8 @@ class TestUsableCores:
             table = qutrit.survival_table(spins, configs)
             profile = risk_profile(
                 cloud, configs, uniform_weight_matrix(), np.random.default_rng(94),
-                n_outcomes=64, n_particles=128, p_table=table,
+                n_outcomes=64, n_particles=128,
+                p_table=partial(SurvivalTableCache().table, spins),
             )
             return profile, table
 
