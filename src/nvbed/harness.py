@@ -52,6 +52,15 @@ def _load_config(cls, path, what: str):
     return cls(**raw)
 
 
+def _check_ints(config, least: dict) -> None:
+    """Refuse, with a ValueError naming it, the first field of ``least``
+    that is not an ``int`` (a ``bool`` is not one) of at least its bound."""
+    for name, low in least.items():
+        value = getattr(config, name)
+        if type(value) is not int or value < low:
+            raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
+
+
 @dataclass
 class RunConfig:
     """Settings for a heuristic-comparison run.
@@ -84,10 +93,11 @@ class RunConfig:
     * ``truth_drift_sigma``, ``truth_drift_correlation``: true reference
       drift scale (per sqrt(hour), >= 0) and correlation (in (-1, 1)).
 
-    Construction rejects a value no trial can run with, so ``nvbed run``
-    fails before writing anything.  The count fields and ``seed`` must be
-    ``int`` (not ``bool``).  A run resumes in an ``out_dir`` only if
-    its ``config.json`` matches in every field but ``_RESUME_FREE``.
+    Construction rejects, with a ValueError naming the field, a value no
+    trial can run with, so ``nvbed run`` fails before writing anything.  The
+    count fields and ``seed`` must be ``int``, the other numbers ``int`` or
+    ``float``.  A run resumes in an ``out_dir`` only if its ``config.json``
+    matches in every field but ``_RESUME_FREE``.
     """
 
     heuristics: list = field(default_factory=lambda: ["alternating_linear"])
@@ -114,42 +124,39 @@ class RunConfig:
     truth_drift_correlation: float = 0.7
 
     def __post_init__(self):
-        if not self.heuristics or len(set(self.heuristics)) != len(self.heuristics):
-            raise ValueError(
-                f"heuristics must be non-empty and distinct, got {self.heuristics!r}"
-            )
-        unknown = set(self.heuristics) - set(heur.HEURISTIC_FACTORIES)
-        if unknown:
-            raise ValueError(f"unknown heuristics {sorted(unknown)}")
+        names = self.heuristics
+        if not isinstance(names, (list, tuple)) or not names or not all(
+            isinstance(name, str) and name in heur.HEURISTIC_FACTORIES for name in names
+        ) or len(set(names)) != len(names):
+            raise ValueError(f"heuristics must be distinct known names, got {names!r}")
         SpinPrior(kind=self.prior)  # rejects an unknown prior
-        self.truth_alpha_range = tuple(self.truth_alpha_range)
-        self.truth_beta_range = tuple(self.truth_beta_range)
-        for name, least in (
-            ("trials", 1), ("experiments", 1), ("particles", 2),
-            ("risk_outcomes", 2), ("risk_particles", 2), ("candidate_m", 1),
-            ("n_max", 1), ("calibration_repetitions", 1), ("seed", 0),
-        ):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an int, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}, got {value}")
+        if not isinstance(self.lab, str):  # a bad address fails before any output
+            raise ValueError(f"lab must be an address string, got {self.lab!r}")
+        _check_ints(self, dict(
+            trials=1, experiments=1, particles=2, risk_outcomes=2, risk_particles=2,
+            candidate_m=1, n_max=1, calibration_repetitions=1, seed=0,
+        ))
         if self.n_max > qutrit.MAX_REPETITIONS:
             raise ValueError(f"n_max must be <= 2**53, got {self.n_max}")
-        if not self.target_esm > 0:
-            raise ValueError(f"target_esm must be positive, got {self.target_esm}")
-        for name, ok in (
-            ("rabi_t_max", 0 < self.rabi_t_max < math.inf),
-            ("ramsey_t_max", 0 <= self.ramsey_t_max < math.inf),
-            ("truth_drift_sigma", 0 <= self.truth_drift_sigma < math.inf),
-            ("truth_drift_correlation", -1 < self.truth_drift_correlation < 1),
-        ):
-            if not ok:
-                raise ValueError(f"{name} is out of range, got {getattr(self, name)}")
         for name in ("truth_alpha_range", "truth_beta_range"):
             span = getattr(self, name)
-            if len(span) != 2 or not 0 < span[0] <= span[1] < math.inf:
-                raise ValueError(f"{name} must be a pair 0 < lo <= hi, got {span}")
+            if not (
+                isinstance(span, (list, tuple)) and len(span) == 2
+                and all(type(v) in (int, float) for v in span)
+                and 0 < span[0] <= span[1] < math.inf
+            ):
+                raise ValueError(f"{name} must be a pair 0 < lo <= hi, got {span!r}")
+            setattr(self, name, tuple(span))
+        for name, ok in (
+            ("target_esm", lambda v: v > 0),
+            ("rabi_t_max", lambda v: 0 < v < math.inf),
+            ("ramsey_t_max", lambda v: 0 <= v < math.inf),
+            ("truth_drift_sigma", lambda v: 0 <= v < math.inf),
+            ("truth_drift_correlation", lambda v: -1 < v < 1),
+        ):
+            value = getattr(self, name)
+            if not (type(value) in (int, float) and ok(value)):
+                raise ValueError(f"{name} must be a number in range, got {value!r}")
         if not self.truth_beta_range[1] < self.truth_alpha_range[0]:
             raise ValueError(
                 f"truth_beta_range {self.truth_beta_range} must lie below "
@@ -596,9 +603,9 @@ def write_histogram_csv(path, histogram: dict) -> None:
 class HeatmapConfig:
     """Settings of the risk-evaluation cost heatmap.
 
-    Construction rejects a size below 2 and reference sizes that do not
-    dominate every tested size, so ``nvbed heatmap`` fails before the
-    reference profile runs.
+    Construction rejects, with a ValueError naming the field, any value no
+    heatmap can run with, reference sizes that do not dominate every tested
+    size included, so ``nvbed heatmap`` fails before the reference profile.
     """
 
     outcome_sizes: list = field(default_factory=lambda: [64, 128, 256, 512])
@@ -615,10 +622,17 @@ class HeatmapConfig:
     def __post_init__(self):
         for name in ("outcome_sizes", "particle_sizes"):
             sizes = getattr(self, name)
-            if not sizes or min(sizes) < 2:
-                raise ValueError(f"{name} must be non-empty and >= 2, got {sizes}")
-        if self.cloud_particles < 2:
-            raise ValueError(f"cloud_particles must be >= 2, got {self.cloud_particles}")
+            if not (isinstance(sizes, (list, tuple)) and sizes) or not all(
+                type(size) is int and size >= 2 for size in sizes
+            ):
+                raise ValueError(f"{name} must list ints >= 2, got {sizes!r}")
+        _check_ints(self, dict(
+            reference_outcomes=2, reference_particles=2, cloud_particles=2,
+            candidate_m=1, repetitions_seeds=1, seed=0,
+        ))
+        esm = self.target_esm
+        if not (type(esm) in (int, float) and esm > 0):
+            raise ValueError(f"target_esm must be a number > 0, got {esm!r}")
         if self.reference_outcomes < max(self.outcome_sizes) or (
             self.reference_particles < max(self.particle_sizes)
         ):
@@ -657,15 +671,11 @@ def risk_heatmap(config: HeatmapConfig, log=None) -> list:
     p_table = partial(policy.cache.table, cloud.spin_locations)
 
     def profile_values(n_out, n_par, stream):
-        return np.array(
-            [
-                est.value
-                for _, est in risk.risk_profile(
-                    cloud, sized, policy.weights, stream,
-                    n_outcomes=n_out, n_particles=n_par, p_table=p_table,
-                )
-            ]
+        profile = risk.risk_profile(
+            cloud, sized, policy.weights, stream,
+            n_outcomes=n_out, n_particles=n_par, p_table=p_table,
         )
+        return np.array([estimate.value for _, estimate in profile])
 
     log("evaluating reference profile...")
     reference = profile_values(

@@ -24,23 +24,25 @@ shifts and exponentiates in place.  The NV model (the referenced-Poisson
 triple of :mod:`nvbed.measurement`) also takes each particle's survival
 probability as ``p=``, from rows the caller supplies.
 
-Candidates of one design share their random draws (common random numbers):
-:func:`draw_shared` takes the outcome ancestors and the inner set from the
-design's stream once, with the inner set's moment columns, and each
-candidate draws only its Poisson counts, from its own child stream.  The
-noise the ranking sees is then the noise of risk *differences*, which the
-shared draws make small.  :func:`risk_profile` scores every candidate so,
-on a thread pool as wide as the cores this process may run on
-(:func:`usable_cores`); the profile does not depend on how the candidates
-are split between threads.  A profile takes its survival rows from a
-function ``p_table(configs, particles)``, which it asks once its draws are
-known, and only at the particles they read (``SharedDraws.particles``).
+Every estimate is one :func:`mis_risk` call on one :class:`SharedDraws`:
+:func:`draw_shared` takes the outcome ancestors, then the inner set with
+its moment columns, and the estimate then draws its Poisson counts.  Alone,
+an estimate draws all three from its own stream; the candidates of one
+design share the first two (common random numbers) and each draws only its
+counts, from its own child stream, so the noise the ranking sees is that of
+risk *differences*, which the shared draws make small.
+:func:`risk_profile` scores every candidate so, on a thread pool as wide as
+the cores this process may run on (:func:`usable_cores`); the profile does
+not depend on how the candidates are split between threads.  A profile
+takes its survival rows from a function ``p_table(configs, particles)``,
+which it asks once its draws are known, and only at the particles they read
+(``SharedDraws.particles``).
 
 :func:`screened_profile` is the design's profile.  It screens every
-candidate on the calling thread, on one shared draw set at
-1/``SCREEN_SHRINK`` of the outcomes and inner particles, and takes the
-leader by :func:`rank` (reliable first, then risk, then evolution time).  A
-candidate survives when its mean excess risk over the leader, paired over
+candidate through :func:`mis_risk` on the calling thread, on one shared draw
+set at 1/``SCREEN_SHRINK`` of the outcomes and inner particles, and takes
+the leader by :func:`rank` (reliable first, then risk, then evolution time).
+A candidate survives when its mean excess risk over the leader, paired over
 the shared outcome ancestors that both kept, is at most ``SCREEN_SPREAD``
 paired standard errors; only the survivors are scored again by
 :func:`risk_profile` at full size, on a fresh shared draw set, and the pick
@@ -56,7 +58,7 @@ import mmap
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,13 +68,17 @@ from .smc import IDX_ALPHA, IDX_BETA, ParticleCloud
 
 @dataclass(frozen=True)
 class RiskEstimate:
-    """A sampled Bayes-risk value with its Monte Carlo standard error."""
+    """A sampled Bayes-risk value with its Monte Carlo standard error, and
+    the per-outcome terms it averages as ``samples``, NaN where an outcome
+    was dropped; estimates on one shared draw set pair them outcome by
+    outcome.  ``samples`` take no part in equality."""
 
     value: float
     std_error: float
     n_outcomes: int
     n_particles: int
     n_dropped: int = 0
+    samples: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.value < 0 and self.value > -1e-12:
@@ -278,10 +284,10 @@ class SharedDraws:
 
     Holds the outcome ancestors and the down-sampled inner set, with the
     inner set's locations and moment columns under Q, built once; a
-    candidate adds only its own Poisson counts (:meth:`counts`) and its own
-    likelihood (:meth:`terms`).  ``particles`` lists, sorted and once each,
-    every particle the draws read; a candidate's survival row enters both
-    methods as its entries there.  Build one with :func:`draw_shared`.
+    candidate adds only its own Poisson counts and its own likelihood
+    (:meth:`terms`).  ``particles`` lists, sorted and once each, every
+    particle the draws read; a candidate's survival row enters as its
+    entries there.  Build one with :func:`draw_shared`.
     """
 
     def __init__(self, cloud, q, outcome_idx, inner_idx, inner_weights, n_particles):
@@ -300,15 +306,9 @@ class SharedDraws:
         )
         self._outcome_at, self._inner_at = np.split(where, [self.n_outcomes])
 
-    def counts(self, model, config, rng, p=None) -> np.ndarray:
-        """One candidate's counts at the shared outcome ancestors, from
-        ``rng``; ``p`` is its survival row at :attr:`particles`."""
-        return model.sample_counts(
-            self.outcomes, config, rng, **_rows(p, self._outcome_at)
-        )
-
-    def terms(self, model, config, counts, p=None) -> tuple:
+    def terms(self, model, config, rng, p=None) -> tuple:
         """Per-outcome posterior terms and kept mask of one candidate, whose
+        counts at the shared outcome ancestors come from ``rng`` and whose
         survival row at :attr:`particles` is ``p``.
 
         The model's ``log_rates`` runs once; its ``log_likelihood_matrix``
@@ -316,6 +316,9 @@ class SharedDraws:
         thread's workspace, whose moments are taken before the next block is
         formed.  The table and its moments are float64 throughout.
         """
+        counts = model.sample_counts(
+            self.outcomes, config, rng, **_rows(p, self._outcome_at)
+        )
         log_rates = model.log_rates(self.inner, config, **_rows(p, self._inner_at))
         n_inner = self.n_inner
         rows = _block_rows(n_inner)
@@ -330,11 +333,6 @@ class SharedDraws:
         return terms, kept
 
 
-def _check_sizes(n_outcomes: int, n_particles: int) -> None:
-    if n_outcomes < 2 or n_particles < 2:
-        raise ValueError("need at least two outcomes and two inner particles")
-
-
 def draw_shared(
     cloud: ParticleCloud,
     q: np.ndarray,
@@ -344,7 +342,8 @@ def draw_shared(
 ) -> SharedDraws:
     """One design's shared draws: ``n_outcomes`` outcome ancestors, then an
     inner set of at most ``n_particles``, both from ``rng``."""
-    _check_sizes(n_outcomes, n_particles)
+    if n_outcomes < 2 or n_particles < 2:
+        raise ValueError("need at least two outcomes and two inner particles")
     q = _check_q(q, cloud.locations.shape[1])
     outcome_idx = rng.choice(cloud.size, size=n_outcomes, p=cloud.weights)
     inner = _downsample(cloud, n_particles, rng)
@@ -372,42 +371,32 @@ def mis_risk(
     that order; a row of another length is refused.  The NV model requires
     it, and outcome models that take no rows are called without it.
 
-    Alone, the estimate draws from ``rng`` the outcome ancestors, then the
-    counts, then the inner set.  Given the ``draws`` of a design (from
-    :func:`draw_shared` on this cloud and Q, at these sizes), it shares
-    their ancestors, inner set and moment columns, and draws only its
-    counts from ``rng``; draws taken on another cloud, Q or size are refused.
-    The two paths draw in different orders so that a standalone estimate
-    keeps the stream of the whole-table oracle it is tested against.
+    Given the ``draws`` of a design (from :func:`draw_shared` on this cloud
+    and Q, at these sizes), the estimate shares their ancestors, inner set
+    and moment columns, and draws only its counts from ``rng``; draws taken
+    on another cloud, Q or size are refused.  Alone, it takes its own draws
+    from ``rng`` through :func:`draw_shared` first, so both paths draw in
+    one order: ancestors, inner set, counts.
     """
-    _check_sizes(n_outcomes, n_particles)
     model = model or NvModel()
     p = None if p_full is None else np.asarray(p_full)
     if draws is None:
-        q = _check_q(q, cloud.locations.shape[1])
-        outcome_idx = rng.choice(cloud.size, size=n_outcomes, p=cloud.weights)
-        counts = model.sample_counts(
-            cloud.locations[outcome_idx], config, rng, **_rows(p, outcome_idx)
-        )
-        inner = _downsample(cloud, n_particles, rng)
-        draws = SharedDraws(cloud, q, outcome_idx, *inner, n_particles)
+        draws = draw_shared(cloud, q, n_outcomes, n_particles, rng)
         p = None if p is None else p[draws.particles]
-    else:
-        if (draws.n_outcomes, draws.n_particles) != (n_outcomes, n_particles):
-            raise ValueError(
-                f"shared draws hold {draws.n_outcomes}x{draws.n_particles}, "
-                f"not {n_outcomes}x{n_particles}"
-            )
-        q = _check_q(q, cloud.locations.shape[1])
-        if cloud is not draws.cloud or not np.array_equal(q, draws.q):
-            raise ValueError("shared draws were drawn on another cloud or Q")
-        if p is not None and len(p) != len(draws.particles):
-            raise ValueError(
-                f"a survival row of {len(p)} entries is not at the "
-                f"{len(draws.particles)} drawn particles"
-            )
-        counts = draws.counts(model, config, rng, p)
-    terms, kept = draws.terms(model, config, counts, p)
+    elif (draws.n_outcomes, draws.n_particles) != (n_outcomes, n_particles):
+        raise ValueError(
+            f"shared draws hold {draws.n_outcomes}x{draws.n_particles}, "
+            f"not {n_outcomes}x{n_particles}"
+        )
+    # draw_shared checked its Q, so one equal to it passes that check
+    elif cloud is not draws.cloud or not np.array_equal(q, draws.q):
+        raise ValueError("shared draws were drawn on another cloud or Q")
+    elif p is not None and len(p) != len(draws.particles):
+        raise ValueError(
+            f"a survival row of {len(p)} entries is not at the "
+            f"{len(draws.particles)} drawn particles"
+        )
+    terms, kept = draws.terms(model, config, rng, p)
     return _summarize(terms, kept, n_outcomes, draws.n_inner)
 
 
@@ -427,6 +416,7 @@ def _summarize(terms, kept, n_outcomes, n_particles) -> RiskEstimate:
         n_outcomes=n_outcomes,
         n_particles=n_particles,
         n_dropped=n_outcomes - n_kept,
+        samples=np.where(kept, terms, np.nan),
     )
 
 
@@ -464,16 +454,15 @@ def risk_profile(
     """
     if not configs:
         raise ValueError("candidate list is empty")
+    model = model or NvModel()
     draws = draw_shared(cloud, q, n_outcomes, n_particles, rng)
     streams = rng.spawn(len(configs))
-    rows = None if p_table is None else p_table(configs, draws.particles)
+    rows = p_table(configs, draws.particles) if p_table else [None] * len(configs)
 
-    def estimate(i):
-        p_full = None if rows is None else rows[i]
+    def estimate(config, stream, row):
         # the module global, so that a wrapped mis_risk sees every call
         return mis_risk(
-            cloud, configs[i], q, n_outcomes, n_particles, streams[i], model,
-            p_full, draws,
+            cloud, config, q, n_outcomes, n_particles, stream, model, row, draws
         )
 
     # workers only, unlike qutrit.survival_table: with the caller taking a
@@ -481,7 +470,7 @@ def risk_profile(
     # perfbench runs, seed 2101, 2-core host).  Merge them only on a benchmark.
     workers = min(len(configs), usable_cores())
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        estimates = list(pool.map(estimate, range(len(configs))))
+        estimates = list(pool.map(estimate, configs, streams, rows))
     return list(zip(configs, estimates))
 
 
@@ -542,15 +531,16 @@ def screened_profile(
     """A design's profile and pick: a paired screen of every candidate, then
     the full :func:`risk_profile` of the survivors.
 
-    The screen runs on the calling thread, on one draw set from ``rng`` at
-    1/``SCREEN_SHRINK`` of the sizes, each candidate counting from its own
-    child of ``rng.spawn``; its leader is the candidate that :func:`rank`
-    puts first.  The leader and every candidate within ``SCREEN_SPREAD``
-    paired standard errors of it survive, and those go through
-    :func:`risk_profile` at ``n_outcomes`` x ``n_particles`` on a fresh draw
-    set from ``rng``.  When either screened size would fall below
-    ``SCREEN_MIN``, there is no screen: every candidate survives, and the
-    profile is :func:`risk_profile` of them all on ``rng``.
+    The screen runs on the calling thread: one draw set from ``rng`` at
+    1/``SCREEN_SHRINK`` of the sizes, and one :func:`mis_risk` call on it
+    per candidate, counting from its own child of ``rng.spawn``.  The
+    leader, which :func:`rank` puts first, and every candidate within
+    ``SCREEN_SPREAD`` standard errors of it, paired over the estimates'
+    ``samples``, survive; they go through :func:`risk_profile` at
+    ``n_outcomes`` x ``n_particles`` on a fresh draw set from ``rng``.  When
+    either screened size would fall below ``SCREEN_MIN``, there is no
+    screen: every candidate survives, and the profile is
+    :func:`risk_profile` of them all on ``rng``.
 
     ``p_table`` is as for :func:`risk_profile`, and is asked once per draw
     set: for every candidate at the particles the screen reads, then for
@@ -565,6 +555,7 @@ def screened_profile(
     """
     if not configs:
         raise ValueError("candidate list is empty")
+    model = model or NvModel()
     n_screen = n_outcomes // SCREEN_SHRINK
     n_inner = n_particles // SCREEN_SHRINK
     if min(n_screen, n_inner) < SCREEN_MIN:
@@ -573,20 +564,17 @@ def screened_profile(
             n_particles=n_particles, model=model, p_table=p_table,
         )
         return profile, _best(profile, range(len(profile)))
-    model = model or NvModel()
     draws = draw_shared(cloud, q, n_screen, n_inner, rng)
     streams = rng.spawn(len(configs))
-    rows = None if p_table is None else p_table(configs, draws.particles)
-    terms = np.empty((len(configs), n_screen))
-    kept = np.empty((len(configs), n_screen), dtype=bool)
-    profile = []
-    for i, (config, stream) in enumerate(zip(configs, streams)):
-        p = None if rows is None else rows[i]
-        counts = draws.counts(model, config, stream, p)
-        terms[i], kept[i] = draws.terms(model, config, counts, p)
-        estimate = _summarize(terms[i], kept[i], n_screen, draws.n_inner)
-        profile.append((config, estimate))
-    survivors = _paired_survivors(terms, kept, _best(profile, range(len(profile))))
+    rows = p_table(configs, draws.particles) if p_table else [None] * len(configs)
+    # the module global, so that a wrapped mis_risk sees the screen too
+    profile = [
+        (c, mis_risk(cloud, c, q, n_screen, n_inner, stream, model, row, draws))
+        for c, stream, row in zip(configs, streams, rows)
+    ]
+    samples = np.stack([estimate.samples for _, estimate in profile])
+    leader = _best(profile, range(len(profile)))
+    survivors = _paired_survivors(samples, ~np.isnan(samples), leader)
     full = risk_profile(
         cloud, [configs[i] for i in survivors], q, rng,
         n_outcomes=n_outcomes, n_particles=n_particles, model=model,

@@ -155,16 +155,20 @@ def whole_table_mis_risk(
     survival probability of every particle of the cloud for ``config``; the
     NV model requires it, and outcome models that take no rows are called
     without it.  The table and its moments are float64 throughout.
+
+    It draws from ``rng`` in the order of ``nvbed.risk.mis_risk``: the
+    outcome ancestors, then the inner set, then the counts, so that on one
+    seed the two estimates see the same draws.
     """
     if n_outcomes < 2 or n_particles < 2:
         raise ValueError("need at least two outcomes and two inner particles")
     model = model or NvModel()
     q = _check_q(q, cloud.locations.shape[1])
     outcome_idx = rng.choice(cloud.size, size=n_outcomes, p=cloud.weights)
+    inner_idx, inner_weights = _downsample(cloud, n_particles, rng)
     p_full = None if p_full is None else np.asarray(p_full)
     extra_out = {} if p_full is None else {"p": p_full[outcome_idx]}
     counts = model.sample_counts(cloud.locations[outcome_idx], config, rng, **extra_out)
-    inner_idx, inner_weights = _downsample(cloud, n_particles, rng)
     inner = cloud.locations[inner_idx]
     extra_in = {} if p_full is None else {"p": p_full[inner_idx]}
     table = np.asarray(

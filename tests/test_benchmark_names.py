@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from nvbed import lab, risk
+from nvbed import heuristics, lab, risk
 from nvbed.qutrit import ExperimentConfig
 from nvbed.smc import PriorSpec, sample_prior
 from helpers import random_rows
@@ -70,3 +70,26 @@ def test_profile_workers_call_the_wrapped_names(monkeypatch):
     tables = [s for s in recorder.spans if s.name == "risk.log_likelihood_matrix"]
     assert tables
     assert threading.get_ident() not in {span.thread for span in tables}
+
+
+def test_the_tracer_sees_every_screen_estimate(monkeypatch):
+    # the design's screen estimates each candidate through risk.mis_risk, so
+    # the per-layer risk metrics count the screen as well as the survivors
+    tracing = load_tracing(monkeypatch)
+    recorder = tracing.SpanRecorder("names")
+    cloud = sample_prior(PriorSpec(), 300, np.random.default_rng(3))
+    n_full = 256
+    policy = heuristics.uniform_risk_heuristic(
+        rabi_m=8, ramsey_m=8, n_outcomes=n_full, n_particles=n_full
+    )
+    with tracing.Instrumentation(recorder):
+        policy.next_experiment(cloud, 0, np.random.default_rng(4))
+    profile = policy.last_profile
+    n_screen = n_full // risk.SCREEN_SHRINK
+    survivors = sum(est.n_outcomes == n_full for _, est in profile)
+    assert len(profile) == 16 and survivors >= 1
+    names = [span.name for span in recorder.spans]
+    assert names.count("risk.mis_risk") == len(profile) + survivors
+    assert recorder.counters["risk.outcomes"] == (
+        len(profile) * n_screen + survivors * n_full
+    )

@@ -211,6 +211,12 @@ class TestRunConfig:
             ("ramsey_t_max", -1.0),
             ("truth_drift_sigma", -0.1),
             ("truth_drift_correlation", 1.0),
+            ("heuristics", 3),
+            ("heuristics", [["a"]]),
+            ("truth_alpha_range", 5),
+            ("target_esm", "x"),
+            ("rabi_t_max", None),
+            ("lab", 3),
         ],
     )
     def test_bad_value_fails_before_any_output(self, tmp_path, field, value):
@@ -474,12 +480,22 @@ class TestRiskHeatmap:
             ("reference_outcomes", 8),
             ("reference_particles", 16),
             ("cloud_particles", 1),
+            ("outcome_sizes", 3),
+            ("outcome_sizes", ["a"]),
+            ("cloud_particles", "x"),
+            ("reference_outcomes", None),
+            ("seed", "x"),
+            ("candidate_m", 0),
+            ("repetitions_seeds", 0),
+            ("target_esm", -1),
         ],
     )
     def test_bad_size_fails_before_any_work(self, tmp_path, monkeypatch, field, value):
         monkeypatch.setattr(risk, "risk_profile", None)  # any profile would fail
         raw = self.tiny_heatmap(tmp_path, **{field: value})
-        match = "dominate" if field.startswith("reference") else field
+        # a reference size of the right type is refused for not dominating
+        dominated = field.startswith("reference") and type(value) is int
+        match = "dominate" if dominated else field
         with pytest.raises(ValueError, match=match):
             harness.HeatmapConfig(**raw)
         path = tmp_path / "heatmap.json"

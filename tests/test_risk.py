@@ -378,6 +378,27 @@ class TestProfileSplit:
         self.profile(cloud, configs, p_table)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("model", ["nv", "toy"])
+    def test_a_standalone_estimate_draws_as_a_design_does(self, model):
+        # alone, mis_risk draws the ancestors, the inner set, then the counts
+        # from its one stream: the same estimate as on draw_shared's draws
+        if model == "nv":
+            cloud, (config,), _ = self.inputs(n_configs=1)
+            q, model = uniform_weight_matrix(), NvModel()
+            p_full = np.random.default_rng(66).uniform(0.0, 1.0, cloud.size)
+        else:
+            cloud, config = toy_cloud(np.random.default_rng(66)), 1.5
+            q, model, p_full = np.eye(1), TruncatedPoissonToy(), None
+        alone = mis_risk(
+            cloud, config, q, 96, 128, np.random.default_rng(67), model, p_full
+        )
+        rng = np.random.default_rng(67)
+        draws = risk.draw_shared(cloud, q, 96, 128, rng)
+        row = None if p_full is None else p_full[draws.particles]
+        shared = mis_risk(cloud, config, q, 96, 128, rng, model, row, draws)
+        assert alone == shared
+        np.testing.assert_array_equal(alone.samples, shared.samples)
+
     def test_shared_draws_must_match_the_cloud_and_q(self):
         cloud, configs, p_table = self.inputs(n_configs=1)
         q = uniform_weight_matrix()
