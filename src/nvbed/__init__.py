@@ -5,7 +5,7 @@ from .heuristics import make_heuristic
 from .lab import InProcessLab, LabClient, LabServer, TrueSystem
 from .measurement import Datum, ReferenceRates
 from .qutrit import ExperimentConfig, SpinParams, survival_probability
-from .risk import mis_risk, risk_profile
+from .risk import draw_shared, mis_risk, risk_profile
 from .smc import ModelParameters, ParticleCloud, PriorSpec, sample_prior
 
 __version__ = "0.1.0"
@@ -23,6 +23,7 @@ __all__ = [
     "RunConfig",
     "SpinParams",
     "TrueSystem",
+    "draw_shared",
     "make_heuristic",
     "mis_risk",
     "risk_profile",

@@ -61,6 +61,15 @@ def _check_ints(config, least: dict) -> None:
             raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
 
 
+def _check_strings(config, *names) -> None:
+    """Refuse, with a ValueError naming it, the first field of ``names``
+    that is not a string."""
+    for name in names:
+        value = getattr(config, name)
+        if not isinstance(value, str):
+            raise ValueError(f"{name} must be a string, got {value!r}")
+
+
 @dataclass
 class RunConfig:
     """Settings for a heuristic-comparison run.
@@ -130,8 +139,8 @@ class RunConfig:
         ) or len(set(names)) != len(names):
             raise ValueError(f"heuristics must be distinct known names, got {names!r}")
         SpinPrior(kind=self.prior)  # rejects an unknown prior
-        if not isinstance(self.lab, str):  # a bad address fails before any output
-            raise ValueError(f"lab must be an address string, got {self.lab!r}")
+        # a malformed lab address then fails in LabClient, before any output
+        _check_strings(self, "lab", "out_dir")
         _check_ints(self, dict(
             trials=1, experiments=1, particles=2, risk_outcomes=2, risk_particles=2,
             candidate_m=1, n_max=1, calibration_repetitions=1, seed=0,
@@ -626,6 +635,7 @@ class HeatmapConfig:
                 type(size) is int and size >= 2 for size in sizes
             ):
                 raise ValueError(f"{name} must list ints >= 2, got {sizes!r}")
+        _check_strings(self, "out_dir")
         _check_ints(self, dict(
             reference_outcomes=2, reference_particles=2, cloud_particles=2,
             candidate_m=1, repetitions_seeds=1, seed=0,
@@ -653,9 +663,10 @@ def risk_heatmap(config: HeatmapConfig, log=None) -> list:
     the full-size stage of the policy's design without the screen in front.
     Like the design, each profile asks the policy's cache for survival rows
     at the particles its draws read.
-    ``seconds`` is the wall time of that profile, whose candidates run in
-    parallel on the host's cores, so it is not the summed CPU time of the
-    candidates; it is measured wall clock and not byte-reproducible.
+    ``seconds`` is the wall time of that profile.  Its candidates run on the
+    calling thread at small sizes and in parallel on the host's cores at
+    large ones (``risk._POOL_MIN_CELLS``), so it is not the summed CPU time
+    of the candidates; it is measured wall clock and not byte-reproducible.
     """
     log = log or (lambda msg: print(msg, file=sys.stderr, flush=True))
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))

@@ -231,14 +231,15 @@ class RiskMinimizer(Heuristic):
     """Online policy: pick the candidate minimizing the MIS Bayes risk.
 
     Candidates are the union of the Rabi grid and the Ramsey grid built at
-    the current best tip time.  :func:`nvbed.risk.screened_profile` screens
-    them all cheaply on shared draws, scores only the survivors (those the
-    leader has not beaten by ``risk.SCREEN_SPREAD`` paired standard errors)
-    at ``n_outcomes`` x ``n_particles``, and picks the best survivor by
+    the current best tip time.  :func:`nvbed.risk.screened_profile` runs
+    two stages, each one :func:`nvbed.risk.risk_profile` on its own shared
+    draws: a cheap screen of them all, then the survivors (those the leader
+    has not beaten by ``risk.SCREEN_SPREAD`` paired standard errors) at
+    ``n_outcomes`` x ``n_particles``.  It picks the best survivor by
     :func:`nvbed.risk.rank`: reliable estimates rank ahead of unreliable
     ones; ties break toward the shortest total evolution time, then the
     lowest candidate index.  Sizes too small for the screen
-    (``risk.SCREEN_MIN``) score every candidate at full size.
+    (``risk.SCREEN_MIN``) skip it, and every candidate survives.
     ``last_profile`` lists every candidate with its full or, for the
     screened-out, its screen estimate.
 

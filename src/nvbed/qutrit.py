@@ -35,6 +35,7 @@ exponential every path uses.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
@@ -347,6 +348,16 @@ def survival_probability(params: SpinParams, config: ExperimentConfig) -> float:
 _SURVIVAL_BLOCK = 256
 
 
+def usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the platform
+    reports one (Linux), else the machine's core count.  The width of the
+    survival table's blocks and of the risk profile's pool."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _real_generators(
     spins: np.ndarray, drive_freq: float, amplitude: float, duration: float
 ) -> np.ndarray:
@@ -494,9 +505,6 @@ def survival_table(spins: np.ndarray, configs: list) -> np.ndarray:
     split between threads, and equals the entry of any table over a subset
     of the hypotheses that holds it.
     """
-    # risk imports smc, which imports this module: the import waits for a call
-    from .risk import usable_cores
-
     spins = np.atleast_2d(np.asarray(spins, dtype=float))
     k = spins.shape[0]
     out = np.empty((len(configs), k))

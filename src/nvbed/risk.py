@@ -26,36 +26,38 @@ probability as ``p=``, from rows the caller supplies.
 
 Every estimate is one :func:`mis_risk` call on one :class:`SharedDraws`:
 :func:`draw_shared` takes the outcome ancestors, then the inner set with
-its moment columns, and the estimate then draws its Poisson counts.  Alone,
-an estimate draws all three from its own stream; the candidates of one
-design share the first two (common random numbers) and each draws only its
-counts, from its own child stream, so the noise the ranking sees is that of
-risk *differences*, which the shared draws make small.
-:func:`risk_profile` scores every candidate so, on a thread pool as wide as
-the cores this process may run on (:func:`usable_cores`); the profile does
-not depend on how the candidates are split between threads.  A profile
-takes its survival rows from a function ``p_table(configs, particles)``,
-which it asks once its draws are known, and only at the particles they read
-(``SharedDraws.particles``).
+its moment columns, and the estimate then draws its Poisson counts.  The
+candidates of one design share the first two (common random numbers) and
+each draws only its counts, from its own child stream, so the noise the
+ranking sees is that of risk *differences*, which the shared draws make
+small.
 
-:func:`screened_profile` is the design's profile.  It screens every
-candidate through :func:`mis_risk` on the calling thread, on one shared draw
-set at 1/``SCREEN_SHRINK`` of the outcomes and inner particles, and takes
-the leader by :func:`rank` (reliable first, then risk, then evolution time).
-A candidate survives when its mean excess risk over the leader, paired over
-the shared outcome ancestors that both kept, is at most ``SCREEN_SPREAD``
-paired standard errors; only the survivors are scored again by
-:func:`risk_profile` at full size, on a fresh shared draw set, and the pick
-is the survivor :func:`rank` puts first.  Below ``SCREEN_MIN`` screened
-outcomes or inner particles there is no screen: every candidate gets the
-full profile.
+Every stage of a design is one :func:`risk_profile` call, the only code
+that draws, spawns the candidates' streams and asks for survival rows.  It
+takes them from a function ``p_table(configs, particles)``, asked once its
+draws are known and only at the particles they read
+(``SharedDraws.particles``).  Its candidates run on the calling thread when
+their tables are small (``_POOL_MIN_CELLS``) or the process may run on one
+core, else on a thread pool as wide as the cores it may run on
+(:func:`nvbed.qutrit.usable_cores`); the profile does not depend on where
+they run.
+
+:func:`screened_profile` is the design's profile.  Its screen is a
+:func:`risk_profile` of every candidate at 1/``SCREEN_SHRINK`` of the
+outcomes and inner particles, whose leader is the one :func:`rank` puts
+first (reliable first, then risk, then evolution time).  A candidate
+survives when its mean excess risk over the leader, paired over the shared
+outcome ancestors that both kept, is at most ``SCREEN_SPREAD`` paired
+standard errors; only the survivors are scored again by :func:`risk_profile`
+at full size, on a fresh shared draw set, and the pick is the survivor
+:func:`rank` puts first.  Below ``SCREEN_MIN`` screened outcomes or inner
+particles there is no screen: every candidate survives.
 """
 
 from __future__ import annotations
 
 import math
 import mmap
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -63,6 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import measurement, smc
+from .qutrit import usable_cores
 from .smc import IDX_ALPHA, IDX_BETA, ParticleCloud
 
 
@@ -120,22 +123,12 @@ def _check_q(q: np.ndarray, dim: int) -> np.ndarray:
     return q
 
 
-def usable_cores() -> int:
-    """Cores this process may run on: its CPU affinity where the platform
-    reports one (Linux), else the machine's core count.  The width of the
-    profile's pool and of the survival table's blocks."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 class NvModel:
     """Referenced-Poisson outcome model over full 10-parameter hypotheses.
 
     The model never simulates: every call takes the survival probability of
-    each particle at hand through ``p``, sliced by the caller from a
-    candidate's row (``p_full`` of :func:`mis_risk`, a row of ``p_table`` of
+    each particle at hand through ``p``, sliced from a candidate's row at the
+    drawn particles (``p`` of :func:`mis_risk`, a row of ``p_table`` of
     :func:`risk_profile`).  Its likelihood is two calls: :meth:`log_rates`
     once per candidate, then :meth:`log_likelihood_matrix` once per block of
     outcome rows.
@@ -145,8 +138,8 @@ class NvModel:
         if p is None:
             raise ValueError(
                 "NvModel needs the survival probabilities p of these particles; "
-                "pass the candidate's row as p_full (mis_risk) or the rows as "
-                "p_table (risk_profile)"
+                "pass the candidate's row at the drawn particles as p (mis_risk) "
+                "or the rows as p_table (risk_profile)"
             )
         return measurement.expected_counts(
             locations[:, IDX_ALPHA], locations[:, IDX_BETA], p, config.repetitions
@@ -273,10 +266,10 @@ def _downsample(cloud: ParticleCloud, k: int, rng):
     return idx, np.full(k, 1.0 / k)
 
 
-def _rows(p_full, idx) -> dict:
-    """The survival probabilities of the particles ``idx`` as the model's
-    ``p=`` keyword, or nothing for models that take no rows."""
-    return {} if p_full is None else {"p": p_full[idx]}
+def _rows(p, idx) -> dict:
+    """The entries ``idx`` of the survival row ``p`` as the model's ``p=``
+    keyword, or nothing for models that take no rows."""
+    return {} if p is None else {"p": p[idx]}
 
 
 class SharedDraws:
@@ -287,14 +280,13 @@ class SharedDraws:
     candidate adds only its own Poisson counts and its own likelihood
     (:meth:`terms`).  ``particles`` lists, sorted and once each, every
     particle the draws read; a candidate's survival row enters as its
-    entries there.  Build one with :func:`draw_shared`.
+    entries there.  ``n_inner`` is the inner set's size, which is smaller
+    than the size asked for when the cloud is.  Build one with
+    :func:`draw_shared`.
     """
 
-    def __init__(self, cloud, q, outcome_idx, inner_idx, inner_weights, n_particles):
-        self.cloud = cloud
-        self.q = q
+    def __init__(self, cloud, q, outcome_idx, inner_idx, inner_weights):
         self.n_outcomes = len(outcome_idx)
-        self.n_particles = n_particles  # as asked for; the inner set may be smaller
         self.n_inner = len(inner_idx)
         self.outcome_idx = outcome_idx
         self.inner_idx = inner_idx
@@ -347,57 +339,31 @@ def draw_shared(
     q = _check_q(q, cloud.locations.shape[1])
     outcome_idx = rng.choice(cloud.size, size=n_outcomes, p=cloud.weights)
     inner = _downsample(cloud, n_particles, rng)
-    return SharedDraws(cloud, q, outcome_idx, *inner, n_particles)
+    return SharedDraws(cloud, q, outcome_idx, *inner)
 
 
 def mis_risk(
-    cloud: ParticleCloud,
-    config,
-    q: np.ndarray,
-    n_outcomes: int,
-    n_particles: int,
-    rng: np.random.Generator,
-    model=None,
-    p_full=None,
-    draws: SharedDraws | None = None,
+    draws: SharedDraws, config, rng: np.random.Generator, model=None, p=None
 ) -> RiskEstimate:
-    """Maximum-importance-sampling estimate of the Bayes risk.
+    """Maximum-importance-sampling estimate of the Bayes risk of ``config``
+    on the shared ``draws`` of :func:`draw_shared`.
 
-    Outcomes are drawn from the marginal predictive (via the joint); each
-    outcome reweights a fixed inner particle set, and the risk is the mean
-    Q-weighted posterior variance over outcomes.  ``p_full`` carries the
-    survival probability of every particle of the cloud for ``config``, or,
-    given ``draws``, of the particles they read (``draws.particles``), in
-    that order; a row of another length is refused.  The NV model requires
-    it, and outcome models that take no rows are called without it.
-
-    Given the ``draws`` of a design (from :func:`draw_shared` on this cloud
-    and Q, at these sizes), the estimate shares their ancestors, inner set
-    and moment columns, and draws only its counts from ``rng``; draws taken
-    on another cloud, Q or size are refused.  Alone, it takes its own draws
-    from ``rng`` through :func:`draw_shared` first, so both paths draw in
-    one order: ancestors, inner set, counts.
+    Outcomes are drawn from the marginal predictive (via the joint): the
+    draws' outcome ancestors, each with its Poisson counts from ``rng``.
+    Each outcome reweights the draws' inner set, and the risk is the mean
+    Q-weighted posterior variance over outcomes.  ``p`` carries the survival
+    probability of every particle the draws read (``draws.particles``), in
+    that order, and a row of another length is refused.  The NV model
+    requires it, and outcome models that take no rows are called without it.
     """
-    model = model or NvModel()
-    p = None if p_full is None else np.asarray(p_full)
-    if draws is None:
-        draws = draw_shared(cloud, q, n_outcomes, n_particles, rng)
-        p = None if p is None else p[draws.particles]
-    elif (draws.n_outcomes, draws.n_particles) != (n_outcomes, n_particles):
-        raise ValueError(
-            f"shared draws hold {draws.n_outcomes}x{draws.n_particles}, "
-            f"not {n_outcomes}x{n_particles}"
-        )
-    # draw_shared checked its Q, so one equal to it passes that check
-    elif cloud is not draws.cloud or not np.array_equal(q, draws.q):
-        raise ValueError("shared draws were drawn on another cloud or Q")
-    elif p is not None and len(p) != len(draws.particles):
+    p = None if p is None else np.asarray(p)
+    if p is not None and len(p) != len(draws.particles):
         raise ValueError(
             f"a survival row of {len(p)} entries is not at the "
             f"{len(draws.particles)} drawn particles"
         )
-    terms, kept = draws.terms(model, config, rng, p)
-    return _summarize(terms, kept, n_outcomes, draws.n_inner)
+    terms, kept = draws.terms(model or NvModel(), config, rng, p)
+    return _summarize(terms, kept, draws.n_outcomes, draws.n_inner)
 
 
 def _summarize(terms, kept, n_outcomes, n_particles) -> RiskEstimate:
@@ -426,6 +392,19 @@ def trace_weighted_variance(cloud: ParticleCloud, q: np.ndarray) -> float:
     return float(np.trace(q @ smc.posterior_cov(cloud)))
 
 
+# cells (outcomes x inner particles) of one candidate's MIS table from which
+# a profile runs its candidates on a thread pool; smaller tables run on the
+# calling thread, where the pool's hand-offs cost more than the second core
+# saves.  Medians of interleaved runs, calling thread against pool, on a
+# K = 4000 wide-prior cloud with its table prefilled (2-core host, 1 BLAS
+# thread): 200 candidates at 64x128 (2^13 cells, the paper-scale screen)
+# 54 against 86 ms; 40 candidates at 128x512 and at 256x256 (2^16) 17.6
+# against 23.6 and 20.6 against 25.3 ms, and 100 candidates 42.9 against
+# 49.7 and 44.4 against 52.1 ms; 40 at 256x512 (2^17) 36.6 against 31.5
+# ms; 40 at 512x1024 (full size) 128 against 74 ms.
+_POOL_MIN_CELLS = 1 << 17
+
+
 def risk_profile(
     cloud: ParticleCloud,
     configs: list,
@@ -436,21 +415,25 @@ def risk_profile(
     model=None,
     p_table=None,
 ) -> list:
-    """Risk of every candidate against the same cloud snapshot.
+    """Risk of every candidate against the same cloud snapshot: one stage
+    of a design.
 
     Returns ``[(config, RiskEstimate), ...]`` in input order.  One shared
     draw set (:func:`draw_shared`) comes from ``rng`` first; then each
     candidate takes the next child of ``rng.spawn`` for its counts, and its
-    estimate is :func:`mis_risk` on the shared draws.  The candidates run on
-    a thread pool with one worker per core this process may run on; since
-    no stream is shared between them, the profile is the same however the
-    candidates are split, and a profile of the first few candidates is the
-    first few entries of the whole profile.  ``p_table(configs, particles)``
-    returns the survival rows of ``configs`` at the particle indices
-    ``particles``, as a bound :meth:`nvbed.heuristics.SurvivalTableCache.table`
-    does; the profile calls it once, after its draws, with the particles
-    they read.  The NV model requires it; models that take no rows leave it
-    None.
+    estimate is :func:`mis_risk` on the shared draws.  ``p_table(configs,
+    particles)`` returns the survival rows of ``configs`` at the particle
+    indices ``particles``, as a bound
+    :meth:`nvbed.heuristics.SurvivalTableCache.table` does; the profile
+    calls it once, after its draws, with the particles they read.  The NV
+    model requires it; models that take no rows leave it None.
+
+    With one usable core, or tables below ``_POOL_MIN_CELLS`` cells, the
+    candidates run on the calling thread; otherwise on a thread pool with
+    one worker per core this process may run on, up to one per candidate.  Since no stream is shared
+    between them, the profile is the same wherever the candidates run, and
+    a profile of the first few candidates is the first few entries of the
+    whole profile.
     """
     if not configs:
         raise ValueError("candidate list is empty")
@@ -461,17 +444,19 @@ def risk_profile(
 
     def estimate(config, stream, row):
         # the module global, so that a wrapped mis_risk sees every call
-        return mis_risk(
-            cloud, config, q, n_outcomes, n_particles, stream, model, row, draws
-        )
+        return mis_risk(draws, config, stream, model, row)
 
+    cores = usable_cores()
+    if cores == 1 or draws.n_outcomes * draws.n_inner < _POOL_MIN_CELLS:
+        return list(zip(configs, map(estimate, configs, streams, rows)))
     # workers only, unlike qutrit.survival_table: with the caller taking a
     # share, online_wide peak_rss_mb rose to 67.3 MB from 65.5 MB (single 20 s
     # perfbench runs, seed 2101, 2-core host).  Merge them only on a benchmark.
-    workers = min(len(configs), usable_cores())
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        estimates = list(pool.map(estimate, configs, streams, rows))
-    return list(zip(configs, estimates))
+    # A lone candidate goes to a worker too: on the calling thread it raised
+    # online_wide peak_rss_mb to 67.7-68.0 MB from 65.4-65.9 MB (three 20 s
+    # runs each, interleaved, same host), at no measurable gain in time.
+    with ThreadPoolExecutor(max_workers=min(len(configs), cores)) as pool:
+        return list(zip(configs, pool.map(estimate, configs, streams, rows)))
 
 
 # The screen of :func:`screened_profile` scores every candidate at
@@ -531,21 +516,15 @@ def screened_profile(
     """A design's profile and pick: a paired screen of every candidate, then
     the full :func:`risk_profile` of the survivors.
 
-    The screen runs on the calling thread: one draw set from ``rng`` at
-    1/``SCREEN_SHRINK`` of the sizes, and one :func:`mis_risk` call on it
-    per candidate, counting from its own child of ``rng.spawn``.  The
-    leader, which :func:`rank` puts first, and every candidate within
-    ``SCREEN_SPREAD`` standard errors of it, paired over the estimates'
-    ``samples``, survive; they go through :func:`risk_profile` at
-    ``n_outcomes`` x ``n_particles`` on a fresh draw set from ``rng``.  When
-    either screened size would fall below ``SCREEN_MIN``, there is no
-    screen: every candidate survives, and the profile is
-    :func:`risk_profile` of them all on ``rng``.
-
-    ``p_table`` is as for :func:`risk_profile`, and is asked once per draw
-    set: for every candidate at the particles the screen reads, then for
-    the survivors at the particles of the full-size draws, so rows are
-    simulated only where a draw reads them.
+    The screen is :func:`risk_profile` of every candidate on ``rng`` at
+    1/``SCREEN_SHRINK`` of the sizes.  The leader, which :func:`rank` puts
+    first, and every candidate within ``SCREEN_SPREAD`` standard errors of
+    it, paired over the estimates' ``samples``, survive; they go through
+    :func:`risk_profile` at ``n_outcomes`` x ``n_particles`` on a fresh draw
+    set from ``rng``.  When either screened size would fall below
+    ``SCREEN_MIN``, there is no screen and every candidate survives.
+    ``model`` and ``p_table`` are as for :func:`risk_profile`, so rows are
+    simulated only where a stage's draws read them.
 
     Returns ``(profile, best)``: ``profile`` lists every candidate in input
     order, survivors with their full estimate and the rest with their
@@ -553,32 +532,21 @@ def screened_profile(
     which), and ``best`` is the index of the survivor :func:`rank` puts
     first.
     """
-    if not configs:
-        raise ValueError("candidate list is empty")
-    model = model or NvModel()
+    profile = [None] * len(configs)
+    survivors = list(range(len(configs)))
     n_screen = n_outcomes // SCREEN_SHRINK
     n_inner = n_particles // SCREEN_SHRINK
-    if min(n_screen, n_inner) < SCREEN_MIN:
+    if min(n_screen, n_inner) >= SCREEN_MIN:
         profile = risk_profile(
-            cloud, configs, q, rng, n_outcomes=n_outcomes,
-            n_particles=n_particles, model=model, p_table=p_table,
+            cloud, configs, q, rng, n_outcomes=n_screen, n_particles=n_inner,
+            model=model, p_table=p_table,
         )
-        return profile, _best(profile, range(len(profile)))
-    draws = draw_shared(cloud, q, n_screen, n_inner, rng)
-    streams = rng.spawn(len(configs))
-    rows = p_table(configs, draws.particles) if p_table else [None] * len(configs)
-    # the module global, so that a wrapped mis_risk sees the screen too
-    profile = [
-        (c, mis_risk(cloud, c, q, n_screen, n_inner, stream, model, row, draws))
-        for c, stream, row in zip(configs, streams, rows)
-    ]
-    samples = np.stack([estimate.samples for _, estimate in profile])
-    leader = _best(profile, range(len(profile)))
-    survivors = _paired_survivors(samples, ~np.isnan(samples), leader)
+        samples = np.stack([estimate.samples for _, estimate in profile])
+        leader = _best(profile, survivors)
+        survivors = _paired_survivors(samples, ~np.isnan(samples), leader)
     full = risk_profile(
-        cloud, [configs[i] for i in survivors], q, rng,
-        n_outcomes=n_outcomes, n_particles=n_particles, model=model,
-        p_table=p_table,
+        cloud, [configs[i] for i in survivors], q, rng, n_outcomes=n_outcomes,
+        n_particles=n_particles, model=model, p_table=p_table,
     )
     for i, pair in zip(survivors, full):
         profile[i] = pair

@@ -83,8 +83,7 @@ def brute_force_risk(cloud, config, q, n_outcomes, rng, model=None, p_full=None)
     Samples ``n_outcomes`` particles from the cloud, one datum from each, and
     averages the Q-weighted squared distance between the generating particle
     and the posterior mean computed over the sampled particle set itself.
-    ``p_full`` carries the survival probabilities of the whole cloud, as for
-    :func:`nvbed.risk.mis_risk`.
+    ``p_full`` carries the survival probabilities of the whole cloud.
     """
     if n_outcomes < 2:
         raise ValueError("need at least two outcome samples")
@@ -156,9 +155,10 @@ def whole_table_mis_risk(
     NV model requires it, and outcome models that take no rows are called
     without it.  The table and its moments are float64 throughout.
 
-    It draws from ``rng`` in the order of ``nvbed.risk.mis_risk``: the
-    outcome ancestors, then the inner set, then the counts, so that on one
-    seed the two estimates see the same draws.
+    It draws from ``rng`` in the order of ``nvbed.risk.draw_shared`` and
+    then ``nvbed.risk.mis_risk`` on the one stream: the outcome ancestors,
+    then the inner set, then the counts, so that on one seed the two
+    estimates see the same draws.
     """
     if n_outcomes < 2 or n_particles < 2:
         raise ValueError("need at least two outcomes and two inner particles")

@@ -7,6 +7,7 @@ benchmark runs.
 """
 
 import importlib.util
+import os
 import sys
 import threading
 from pathlib import Path
@@ -48,28 +49,35 @@ def test_instrumentation_wraps_and_restores_every_name(monkeypatch):
 
 def test_profile_workers_call_the_wrapped_names(monkeypatch):
     # risk_profile's pool must reach mis_risk and the model's table through
-    # the attributes the tracer swaps, or the per-layer risk metrics go blank
+    # the attributes the tracer swaps, or the per-layer risk metrics go blank;
+    # with two cores a large table runs on the pool, a small one on the caller
     tracing = load_tracing(monkeypatch)
-    recorder = tracing.SpanRecorder("names")
-    cloud = sample_prior(PriorSpec(), 64, np.random.default_rng(0))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cloud = sample_prior(PriorSpec(), 256, np.random.default_rng(0))
     configs = [
         ExperimentConfig("rabi", float(t), repetitions=500) for t in range(10, 90, 10)
     ]
     p_table = random_rows(configs, cloud.size, 1)
-    n_outcomes = 16
-    with tracing.Instrumentation(recorder):
-        profile = risk.risk_profile(
-            cloud, configs, risk.uniform_weight_matrix(), np.random.default_rng(2),
-            n_outcomes=n_outcomes, n_particles=32, p_table=p_table,
-        )
-    assert len(profile) == 8
-    names = [span.name for span in recorder.spans]
-    assert names.count("risk.risk_profile") == 1
-    assert names.count("risk.mis_risk") == 8
-    assert recorder.counters["risk.outcomes"] == 8 * n_outcomes
-    tables = [s for s in recorder.spans if s.name == "risk.log_likelihood_matrix"]
-    assert tables
-    assert threading.get_ident() not in {span.thread for span in tables}
+    assert 16 * 32 < risk._POOL_MIN_CELLS <= 512 * 256
+    for n_outcomes, n_particles, pooled in ((512, 256, True), (16, 32, False)):
+        recorder = tracing.SpanRecorder("names")
+        with tracing.Instrumentation(recorder):
+            profile = risk.risk_profile(
+                cloud, configs, risk.uniform_weight_matrix(), np.random.default_rng(2),
+                n_outcomes=n_outcomes, n_particles=n_particles, p_table=p_table,
+            )
+        assert len(profile) == 8
+        names = [span.name for span in recorder.spans]
+        assert names.count("risk.risk_profile") == 1
+        assert names.count("risk.mis_risk") == 8
+        assert recorder.counters["risk.outcomes"] == 8 * n_outcomes
+        tables = [s for s in recorder.spans if s.name == "risk.log_likelihood_matrix"]
+        threads = {span.thread for span in tables}
+        assert tables
+        if pooled:
+            assert threading.get_ident() not in threads
+        else:
+            assert threads == {threading.get_ident()}
 
 
 def test_the_tracer_sees_every_screen_estimate(monkeypatch):

@@ -1,5 +1,6 @@
 import gc
 import json
+import os
 import threading
 import weakref
 
@@ -72,6 +73,21 @@ class TestRunTrial:
         a, _ = harness.run_trial(config, "uniform_risk", 0)
         b, _ = harness.run_trial(config, "uniform_risk", 0)
         assert a.to_json() == b.to_json()
+
+    def test_one_or_two_cores_write_the_same_record(self, monkeypatch):
+        # the survival tables and the design's stages spread over the cores;
+        # at these sizes the full-size stage runs on the pool when it may
+        config = tiny_config(
+            "uniform_risk", experiments=2, particles=300, risk_outcomes=512,
+            risk_particles=256,
+        )
+        assert 512 * 256 >= risk._POOL_MIN_CELLS
+        records = []
+        for cores in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+            record, _ = harness.run_trial(config, "uniform_risk", 0)
+            records.append(record.to_json())
+        assert records[0] == records[1]
 
     def test_update_reads_rows_from_the_design_cache(self, monkeypatch):
         config = tiny_config("uniform_risk")
@@ -217,6 +233,7 @@ class TestRunConfig:
             ("target_esm", "x"),
             ("rabi_t_max", None),
             ("lab", 3),
+            ("out_dir", 3),
         ],
     )
     def test_bad_value_fails_before_any_output(self, tmp_path, field, value):
@@ -488,6 +505,7 @@ class TestRiskHeatmap:
             ("candidate_m", 0),
             ("repetitions_seeds", 0),
             ("target_esm", -1),
+            ("out_dir", 3),
         ],
     )
     def test_bad_size_fails_before_any_work(self, tmp_path, monkeypatch, field, value):

@@ -134,6 +134,17 @@ def toy_cloud(rng, k=150):
     return ParticleCloud(x, w / w.sum())
 
 
+def mis_alone(
+    cloud, config, q, n_outcomes, n_particles, rng, model=None, p_full=None
+):
+    """One candidate's estimate on its own draws: :func:`risk.draw_shared`
+    from ``rng``, then :func:`mis_risk` counting from ``rng``, with the row
+    ``p_full`` over the whole cloud sliced at the drawn particles."""
+    draws = risk.draw_shared(cloud, q, n_outcomes, n_particles, rng)
+    p = None if p_full is None else p_full[draws.particles]
+    return mis_risk(draws, config, rng, model, p)
+
+
 class TestAgainstEnumeration:
     def test_brute_force_matches_enumeration(self):
         rng = np.random.default_rng(0)
@@ -150,7 +161,7 @@ class TestAgainstEnumeration:
         cloud = toy_cloud(rng)
         model = TruncatedPoissonToy(zmax=30)
         exact = enumerated_toy_risk(cloud, 1.5, 1.0, 30)
-        est = mis_risk(
+        est = mis_alone(
             cloud, 1.5, np.array([[1.0]]), 4000, cloud.size,
             np.random.default_rng(3), model,
         )
@@ -165,7 +176,7 @@ class TestDegenerateInputs:
         q = np.zeros((10, 10))
         p = np.full(cloud.size, 0.5)
         bf = brute_force_risk(cloud, CFG, q, 50, np.random.default_rng(5), p_full=p)
-        mis = mis_risk(cloud, CFG, q, 50, 64, np.random.default_rng(6), p_full=p)
+        mis = mis_alone(cloud, CFG, q, 50, 64, np.random.default_rng(6), p_full=p)
         assert bf.value == 0.0
         assert mis.value == 0.0
 
@@ -178,7 +189,7 @@ class TestDegenerateInputs:
         p = np.full(cloud.size, 0.5)
         q = uniform_weight_matrix()
         bf = brute_force_risk(cloud, CFG, q, 64, np.random.default_rng(8), p_full=p)
-        mis = mis_risk(cloud, CFG, q, 64, 32, np.random.default_rng(9), p_full=p)
+        mis = mis_alone(cloud, CFG, q, 64, 32, np.random.default_rng(9), p_full=p)
         assert bf.value == pytest.approx(0.0, abs=1e-18)
         assert mis.value == pytest.approx(0.0, abs=1e-18)
 
@@ -186,7 +197,7 @@ class TestDegenerateInputs:
         rng = np.random.default_rng(10)
         cloud = nv_cloud(rng, k=200)
         q = uniform_weight_matrix()
-        est = mis_risk(
+        est = mis_alone(
             cloud, CFG, q, 128, cloud.size, np.random.default_rng(11),
             ConstantLikelihoodModel(),
         )
@@ -201,7 +212,7 @@ class TestEstimatorProperties:
         q = uniform_weight_matrix()
         p = np.full(cloud.size, 0.37)
         bf = brute_force_risk(cloud, CFG, q, 2000, np.random.default_rng(13), p_full=p)
-        mis = mis_risk(cloud, CFG, q, 2000, 300, np.random.default_rng(14), p_full=p)
+        mis = mis_alone(cloud, CFG, q, 2000, 300, np.random.default_rng(14), p_full=p)
         combined = np.hypot(bf.std_error, mis.std_error)
         assert abs(bf.value - mis.value) <= 3 * combined
 
@@ -210,8 +221,10 @@ class TestEstimatorProperties:
         cloud = toy_cloud(rng)
         model = TruncatedPoissonToy()
         q = np.array([[1.0]])
-        a = mis_risk(cloud, 1.5, q, 200, cloud.size, np.random.default_rng(16), model)
-        b = mis_risk(cloud, 1.5, 4 * q, 200, cloud.size, np.random.default_rng(16), model)
+        a, b = (
+            mis_alone(cloud, 1.5, w, 200, cloud.size, np.random.default_rng(16), model)
+            for w in (q, 4 * q)
+        )
         assert b.value == 4 * a.value
 
     def test_general_scaling_within_roundoff(self):
@@ -228,14 +241,14 @@ class TestEstimatorProperties:
         cloud = nv_cloud(rng, k=150)
         q = magnetometry_weight_matrix()
         p = np.full(cloud.size, 0.6)
-        a = mis_risk(cloud, CFG, q, 256, 128, np.random.default_rng(20), p_full=p)
-        b = mis_risk(cloud, CFG, q, 256, 128, np.random.default_rng(20), p_full=p)
+        a = mis_alone(cloud, CFG, q, 256, 128, np.random.default_rng(20), p_full=p)
+        b = mis_alone(cloud, CFG, q, 256, 128, np.random.default_rng(20), p_full=p)
         assert a == b
 
     def test_underflow_outcomes_are_dropped_and_flagged(self):
         rng = np.random.default_rng(21)
         cloud = toy_cloud(rng, k=40)
-        est = mis_risk(
+        est = mis_alone(
             cloud, 1.5, np.array([[1.0]]), 64, cloud.size,
             np.random.default_rng(22), UnderflowingModel(range(7)),
         )
@@ -309,8 +322,8 @@ class TestRiskProfile:
 
 class TestProfileSplit:
     """Candidates share one draw set and count from their own child
-    streams, so neither the thread pool nor the length of the candidate list
-    changes any candidate's estimate."""
+    streams, so neither the thread they run on nor the length of the
+    candidate list changes any candidate's estimate."""
 
     @staticmethod
     def inputs(n_configs=7):
@@ -322,10 +335,10 @@ class TestProfileSplit:
         return cloud, configs, random_rows(configs, cloud.size, 62)
 
     @staticmethod
-    def profile(cloud, configs, p_table):
+    def profile(cloud, configs, p_table, sizes=(96, 128)):
         return risk_profile(
             cloud, configs, uniform_weight_matrix(), np.random.default_rng(63),
-            n_outcomes=96, n_particles=128, p_table=p_table,
+            *sizes, p_table=p_table,
         )
 
     @staticmethod
@@ -337,9 +350,7 @@ class TestProfileSplit:
         streams = rng.spawn(len(configs))
         rows = p_table(configs, draws.particles)
         return [
-            mis_risk(
-                cloud, config, q, 96, 128, stream, p_full=rows[i], draws=draws
-            )
+            mis_risk(draws, config, stream, p=rows[i])
             for i, (config, stream) in enumerate(zip(configs, streams))
         ]
 
@@ -361,12 +372,24 @@ class TestProfileSplit:
         assert [est] == self.serial(cloud, configs, p_table)
 
     def test_one_or_two_workers_give_the_same_profile(self, monkeypatch):
+        # the small tables run on the calling thread, the large ones on the
+        # pool when there are two cores; a screen at 512x256 runs one of each
+        small, large = (96, 128), (512, 256)
+        assert small[0] * small[1] < risk._POOL_MIN_CELLS <= large[0] * large[1]
         cloud, configs, p_table = self.inputs()
-        profiles = []
+        q = uniform_weight_matrix()
+        runs = []
         for cores in ({0}, {0, 1}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
-            profiles.append(self.profile(cloud, configs, p_table))
-        assert profiles[0] == profiles[1]
+            runs.append([
+                self.profile(cloud, configs, p_table, small),
+                self.profile(cloud, configs, p_table, large),
+                risk.screened_profile(
+                    cloud, configs, q, np.random.default_rng(64), *large,
+                    p_table=p_table,
+                ),
+            ])
+        assert runs[0] == runs[1]
 
     def test_moment_columns_are_built_once_per_profile(self, monkeypatch):
         calls = []
@@ -377,51 +400,6 @@ class TestProfileSplit:
         cloud, configs, p_table = self.inputs()
         self.profile(cloud, configs, p_table)
         assert len(calls) == 1
-
-    @pytest.mark.parametrize("model", ["nv", "toy"])
-    def test_a_standalone_estimate_draws_as_a_design_does(self, model):
-        # alone, mis_risk draws the ancestors, the inner set, then the counts
-        # from its one stream: the same estimate as on draw_shared's draws
-        if model == "nv":
-            cloud, (config,), _ = self.inputs(n_configs=1)
-            q, model = uniform_weight_matrix(), NvModel()
-            p_full = np.random.default_rng(66).uniform(0.0, 1.0, cloud.size)
-        else:
-            cloud, config = toy_cloud(np.random.default_rng(66)), 1.5
-            q, model, p_full = np.eye(1), TruncatedPoissonToy(), None
-        alone = mis_risk(
-            cloud, config, q, 96, 128, np.random.default_rng(67), model, p_full
-        )
-        rng = np.random.default_rng(67)
-        draws = risk.draw_shared(cloud, q, 96, 128, rng)
-        row = None if p_full is None else p_full[draws.particles]
-        shared = mis_risk(cloud, config, q, 96, 128, rng, model, row, draws)
-        assert alone == shared
-        np.testing.assert_array_equal(alone.samples, shared.samples)
-
-    def test_shared_draws_must_match_the_cloud_and_q(self):
-        cloud, configs, p_table = self.inputs(n_configs=1)
-        q = uniform_weight_matrix()
-        draws = risk.draw_shared(cloud, q, 96, 128, np.random.default_rng(64))
-        (row,) = p_table(configs, draws.particles)
-        copy = ParticleCloud(cloud.locations.copy(), cloud.weights.copy())
-        for other_cloud, other_q in ((copy, q), (cloud, magnetometry_weight_matrix())):
-            with pytest.raises(ValueError, match="another cloud or Q"):
-                mis_risk(
-                    other_cloud, configs[0], other_q, 96, 128,
-                    np.random.default_rng(65), p_full=row, draws=draws,
-                )
-
-    def test_shared_draws_must_match_the_sizes(self):
-        cloud, configs, p_table = self.inputs(n_configs=1)
-        q = uniform_weight_matrix()
-        draws = risk.draw_shared(cloud, q, 96, 128, np.random.default_rng(64))
-        (row,) = p_table(configs, draws.particles)
-        with pytest.raises(ValueError, match="96x128"):
-            mis_risk(
-                cloud, configs[0], q, 64, 128, np.random.default_rng(65),
-                p_full=row, draws=draws,
-            )
 
 
 class TestScreen:
@@ -461,7 +439,7 @@ class TestScreen:
         draws = risk.draw_shared(cloud, q, n_out, n_par, rng)
         rows = p_table(configs, draws.particles)
         return [
-            mis_risk(cloud, c, q, n_out, n_par, s, p_full=rows[i], draws=draws)
+            mis_risk(draws, c, s, p=rows[i])
             for i, (c, s) in enumerate(zip(configs, rng.spawn(len(configs))))
         ]
 
@@ -617,8 +595,7 @@ class TestDrawnRows:
         for n in (len(draws.particles) + 1, cloud.size):
             with pytest.raises(ValueError, match="drawn particles"):
                 mis_risk(
-                    cloud, configs[0], q, 64, 128, np.random.default_rng(94),
-                    p_full=np.zeros(n), draws=draws,
+                    draws, configs[0], np.random.default_rng(94), p=np.zeros(n)
                 )
 
 
@@ -638,7 +615,7 @@ class TestUsableCores:
 
         profile, table = profile_and_table()
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert risk.usable_cores() == (os.cpu_count() or 1)
+        assert qutrit.usable_cores() == (os.cpu_count() or 1)
         other_profile, other_table = profile_and_table()
         assert other_profile == profile
         assert np.array_equal(other_table, table)
@@ -674,7 +651,7 @@ class TestBlockedTable:
         n_outcomes = 2 if extra_rows is None else rows + extra_rows
         for q in (uniform_weight_matrix(), magnetometry_weight_matrix()):
             model = self.RecordingNvModel()
-            new = mis_risk(
+            new = mis_alone(
                 cloud, config, q, n_outcomes, n_inner, np.random.default_rng(66),
                 model, p_full=p,
             )
@@ -697,7 +674,7 @@ class TestBlockedTable:
         n_outcomes = rows + 40
         model = UnderflowingModel([5, rows + 3])
         q = np.array([[1.0]])
-        new = mis_risk(
+        new = mis_alone(
             cloud, 1.5, q, n_outcomes, cloud.size, np.random.default_rng(68), model
         )
         old = whole_table_mis_risk(
@@ -711,8 +688,8 @@ class TestBlockedTable:
 class TestSurvivalRows:
     def test_nv_model_without_rows_names_them(self):
         cloud = nv_cloud(np.random.default_rng(31), k=50)
-        with pytest.raises(ValueError, match="p_full"):
-            mis_risk(
+        with pytest.raises(ValueError, match=r"as p \(mis_risk\)"):
+            mis_alone(
                 cloud, CFG, uniform_weight_matrix(), 16, 16, np.random.default_rng(32)
             )
         with pytest.raises(ValueError, match="p_table"):
@@ -818,7 +795,9 @@ class TestOneProductMoments:
 
         def estimates():
             return [
-                mis_risk(cloud, config, q, 256, 512, np.random.default_rng(s), p_full=p)
+                mis_alone(
+                    cloud, config, q, 256, 512, np.random.default_rng(s), p_full=p
+                )
                 for s in range(51, 55)
             ]
 
