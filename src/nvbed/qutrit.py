@@ -23,19 +23,26 @@ Basis ordering is (|+1>, |0>, |-1>), so the |0><0| population sits at
 vectorized index 4.
 
 Propagators are computed in a real basis.  The generator maps Hermitian
-operators to Hermitian operators, so in the orthonormal Hermitian operator
-basis B_a (the three diagonal units |i><i|, then (|i><j| + |j><i|)/sqrt(2)
-and i(|i><j| - |j><i|)/sqrt(2) for i < j) it is a real 9x9 matrix
-R = U^H L U, where the columns of the unitary U are vec(B_a).  Hence
-exp(t L) = U exp(t R) U^H, and since |0><0| is itself basis element 1, the
-survival probability of a pulse is exp(t R)[1, 1].  :func:`expm` is the one
-exponential every path uses.
+operators to Hermitian operators, so in an orthonormal Hermitian operator
+basis B_a it is a real 9x9 matrix R = U^H L U, where the columns of the
+unitary U are vec(B_a).  The basis is B_0 = I/sqrt(3), the traceless
+diagonals diag(1, 0, -1)/sqrt(2) and B_2 = diag(1, -2, 1)/sqrt(6), then
+(|i><j| + |j><i|)/sqrt(2) and i(|i><j| - |j><i|)/sqrt(2) for i < j.  Both
+terms of the generator preserve the trace and annihilate the identity, so
+row 0 and column 0 of R vanish: R = 0 (+) R8, and
+exp(t L) = U (1 (+) exp(t R8)) U^H.  Every pulse is therefore an 8x8
+exponential of the traceless block R8.  Since
+|0><0| = B_0/sqrt(3) - 2 B_2/sqrt(6), the survival probability of a pulse
+is 1/3 + (2/3) exp(t R8)[d, d], with d the block index of B_2.
+:func:`expm` is the one exponential every path uses.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
@@ -67,11 +74,11 @@ _DEPHASING_DIAG = np.array(
 
 def _hermitian_basis() -> np.ndarray:
     """Unitary whose columns are vec(B_a) of the real basis (module docstring)."""
-    elements = []
-    for i in range(3):
-        b = np.zeros((3, 3), dtype=complex)
-        b[i, i] = 1.0
-        elements.append(b)
+    elements = [
+        np.eye(3) / math.sqrt(3.0),
+        np.diag([1.0, 0.0, -1.0]) / math.sqrt(2.0),
+        np.diag([1.0, -2.0, 1.0]) / math.sqrt(6.0),
+    ]
     pairs = ((0, 1), (0, 2), (1, 2))
     for phase in (1.0, 1j):
         for i, j in pairs:
@@ -84,9 +91,12 @@ def _hermitian_basis() -> np.ndarray:
 
 _U = _hermitian_basis()
 _UH = _U.conj().T
-# real-basis index of |0><0|; row 4 of U (its vec index) is the unit vector
-# there, so P[4, :] = P_real[1, :] U^H and P[:, 4] = U P_real[:, 1]
-_P0_REAL = 1
+# |0><0| = B_0/sqrt(3) - 2 B_2/sqrt(6): its coefficients on the identity and
+# on B_2, which is index _D of the traceless block.  They are also row 4 of U
+# (the vec index of |0><0|), the only nonzero entries there.
+_P0_I = 1.0 / math.sqrt(3.0)
+_P0_D = -2.0 / math.sqrt(6.0)
+_D = 1
 
 
 def _real_image(superop: np.ndarray) -> np.ndarray:
@@ -99,9 +109,11 @@ def _coherent(h: np.ndarray) -> np.ndarray:
     return -1j * (np.kron(_I3, h) - np.kron(h.conj(), _I3))
 
 
-# Real images of the generator's four terms, one row each:
-# detuning * Sz^2, axial * Sz, drive * Sx (all rad/ns) and the dephasing
-# rate (1/ns).  A generator is its (4,) coefficient vector times this.
+# Traceless blocks of the real images of the generator's four terms, one
+# row each: detuning * Sz^2, axial * Sz, drive * Sx (all rad/ns) and the
+# dephasing rate (1/ns).  A generator's block R8 is its (4,) coefficient
+# vector times this.  Row and column 0 of each 9x9 image vanish (the trace
+# is preserved and the identity annihilated), so dropping them is exact.
 _R_TERMS = np.stack(
     [
         _real_image(_coherent(SZ2)),
@@ -109,7 +121,7 @@ _R_TERMS = np.stack(
         _real_image(_coherent(SX)),
         _real_image(np.diag(_DEPHASING_DIAG)),
     ]
-).reshape(4, 81)
+)[:, 1:, 1:].reshape(4, 64)
 
 # Taylor coefficients 1/k! of the degree-16 polynomial that expm evaluates on
 # matrices scaled to 1-norm <= _THETA, where the remainder
@@ -240,26 +252,64 @@ class ExperimentConfig:
         )
 
 
+def thread_buffer(store: threading.local, size: int) -> np.ndarray:
+    """The first ``size`` entries of this thread's float64 scratch buffer
+    in ``store``, which is kept and replaced only by a larger one.
+
+    The buffer is an anonymous memory map, not a malloc'd array: malloc
+    would place it in the thread's arena, which keeps the memory after the
+    thread ends.  Kept malloc'd buffers raised the process's peak resident
+    memory at paper scale by about 7 MB in the risk profile's workers, and
+    by 8-9 MB in the Taylor step (online_wide peak_rss_mb 71.2-72.1 MB
+    against 62.9 MB mapped; single 30 s perfbench runs, 2-core host).
+    """
+    buffer = getattr(store, "buffer", None)
+    if buffer is None or buffer.size < size:
+        buffer = np.frombuffer(mmap.mmap(-1, 8 * size), dtype=float)
+        store.buffer = buffer
+    return buffer[:size]
+
+
+# the Taylor step's scratch arrays, kept by each thread and as large as the
+# largest stack it exponentiated (a survival-table block: 768 8x8 matrices,
+# 2.4 MB).  A fresh array per operation cost more than its arithmetic,
+# since each freed array went back to the system and the next one faulted
+# its pages in again: on one block the Taylor step took 3.0 ms with a new
+# array per operation, 2.4 ms with six new arrays per call and 1.3 ms on
+# kept arrays, and offline_wide s_per_experiment read 0.072-0.078 s with a
+# new array per operation against 0.050-0.052 s on kept ones (two 30 s
+# perfbench runs each; 2-core x86 host, one BLAS thread).
+_TAYLOR_SCRATCH = threading.local()
+
+
 def _taylor_exp(x: np.ndarray) -> np.ndarray:
     """Degree-16 Taylor polynomial of exp at each matrix of the (m, n, n)
     stack ``x``, in Paterson-Stockmeyer form: p = B0 + X4 (B1 + X4 (B2 +
-    X4 (B3 + c16 X4))) with Bi = c(4i) + ... + c(4i+3) X^3, six products."""
+    X4 (B3 + c16 X4))) with Bi = c(4i) + ... + c(4i+3) X^3, six products.
+
+    Every product and sum is written into this thread's scratch buffer, and
+    so is the result: it is valid until the thread's next call.
+    """
     c = _TAYLOR
-    x2 = x @ x
-    x3 = x2 @ x
-    x4 = x2 @ x2
-
-    def part(k):
-        out = c[k + 1] * x + c[k + 2] * x2
-        out += c[k + 3] * x3
-        out.reshape(len(x), -1)[:, :: x.shape[-1] + 1] += c[k]
-        return out
-
-    acc = part(12)
-    acc += c[16] * x4
-    for k in (8, 4, 0):
-        acc = x4 @ acc
-        acc += part(k)
+    x2, x3, x4, acc, part, term = thread_buffer(
+        _TAYLOR_SCRATCH, 6 * x.size
+    ).reshape(6, *x.shape)
+    np.matmul(x, x, out=x2)
+    np.matmul(x2, x, out=x3)
+    np.matmul(x2, x2, out=x4)
+    diagonal = part.reshape(len(x), -1)[:, :: x.shape[-1] + 1]
+    for k in (12, 8, 4, 0):
+        # part = c(k) + c(k+1) X + c(k+2) X^2 + c(k+3) X^3
+        np.multiply(x, c[k + 1], out=part)
+        part += np.multiply(x2, c[k + 2], out=term)
+        part += np.multiply(x3, c[k + 3], out=term)
+        diagonal += c[k]
+        if k == 12:
+            np.multiply(x4, c[16], out=acc)
+            acc += part
+        else:
+            np.matmul(x4, acc, out=term)
+            np.add(term, part, out=acc)
     return acc
 
 
@@ -269,29 +319,34 @@ def expm(stack: np.ndarray) -> np.ndarray:
     Scaling and squaring: each matrix is scaled by 2^-s to 1-norm at most
     ``_THETA``, its degree-16 Taylor polynomial is evaluated, and the result
     is squared s times.  s is chosen per matrix; matrices are sorted by s so
-    that every squaring round acts on a leading slice of the stack.
+    that every squaring round acts on a leading slice of the stack.  A
+    matrix with a nan or inf entry comes out non-finite and leaves the
+    others as they would be without it.
     """
     a = np.asarray(stack, dtype=float)
     n = a.shape[-1]
     flat = a.reshape(-1, n, n)
     if not len(flat):
         return np.empty(a.shape)
-    norms = np.abs(flat).sum(axis=1).max(axis=1)
+    # column sums by einsum: a sum over the middle axis took 3.5x as long
+    norms = np.einsum("mij->mj", np.abs(flat)).max(axis=1)
+    # a non-finite matrix takes no squarings: its exponential is non-finite
+    # anyway, and its nan or inf count, cast to an integer, would stop the
+    # squaring of every other matrix in the stack
+    norms[~np.isfinite(norms)] = 0.0
     squarings = np.ceil(np.log2(np.maximum(norms / _THETA, 1.0))).astype(np.intp)
-    order = None
-    if squarings.min() != squarings.max():
-        order = np.argsort(-squarings, kind="stable")
-        squarings = squarings[order]
-        flat = flat[order]
-    prop = _taylor_exp(flat * np.ldexp(1.0, -squarings)[:, None, None])
+    order = np.argsort(-squarings, kind="stable")
+    squarings = squarings[order]
+    # the scaled copy is the squarings' workspace, then the result
+    work = flat[order]
+    work *= np.ldexp(1.0, -squarings)[:, None, None]
+    prop = _taylor_exp(work)
     for j in range(int(squarings[0])):
         m = int(np.count_nonzero(squarings > j))
-        prop[:m] = prop[:m] @ prop[:m]
-    if order is not None:
-        out = np.empty(prop.shape)
-        out[order] = prop
-        prop = out
-    return prop.reshape(a.shape)
+        np.matmul(prop[:m], prop[:m], out=work[:m])
+        prop[:m] = work[:m]
+    work[order] = prop
+    return work.reshape(a.shape)
 
 
 def _clamp_probability(p, context: str):
@@ -317,11 +372,13 @@ def survival_probability(params: SpinParams, config: ExperimentConfig) -> float:
 # The particle filter needs p(x, e) for thousands of hypotheses at once, and
 # the risk-based design heuristics need it for every candidate in a grid of
 # configurations.  Every pulse propagator is one call of ``expm`` on the
-# stack of real-basis generators of all hypotheses and mI branches, built
-# directly from the four precomputed real images ``_R_TERMS``.  The
-# structured grids of the design heuristics admit two fast paths:
+# stack of 8x8 traceless blocks of the real-basis generators of all
+# hypotheses and mI branches, built directly from the four precomputed
+# blocks ``_R_TERMS``.  The structured grids of the design heuristics admit
+# two fast paths:
 #   * a Rabi family on an arithmetic pulse-time grid composes powers of the
-#     single-step propagator, applied to the real |0><0| state, and
+#     single-step block propagator, applied to its column d (the traceless
+#     part of |0><0|), and
 #   * Ramsey wait segments have a diagonal generator in the column-stacking
 #     basis.  Its three population entries have eigenvalue 0, and each of
 #     the other six pairs with its complex conjugate, in eigenvalue and in
@@ -341,7 +398,7 @@ def survival_probability(params: SpinParams, config: ExperimentConfig) -> float:
 # ----------------------------------------------------------------------------
 
 # hypotheses per block of a survival table.  A block's pulse stack (3 x 256
-# real 9x9 matrices) and its Taylor work arrays stay in a core's cache, and
+# real 8x8 matrices) and its Taylor work arrays stay in a core's cache, and
 # a paper-scale cloud of 4000 makes 16 blocks to share between the cores.
 # Smaller blocks pay more per-block Python work: at 128 the update-only
 # tables of an offline sweep ran slower.
@@ -361,8 +418,8 @@ def usable_cores() -> int:
 def _real_generators(
     spins: np.ndarray, drive_freq: float, amplitude: float, duration: float
 ) -> np.ndarray:
-    """duration times the real-basis generators of all hypotheses and mI
-    branches, shape (3K, 9, 9), branch-major.
+    """duration times the traceless blocks R8 of the real-basis generators
+    of all hypotheses and mI branches, shape (3K, 8, 8), branch-major.
 
     ``spins`` is (K, 5) with columns (rabi_max, zeeman, zfs_offset,
     hyperfine, dephasing_rate).
@@ -376,7 +433,7 @@ def _real_generators(
     coeffs[:, :, 2] = _ANGULAR * amplitude * spins[:, 0]
     coeffs[:, :, 3] = _RATE * spins[:, 4]
     coeffs *= duration
-    return (coeffs.reshape(3 * k, 4) @ _R_TERMS).reshape(3 * k, 9, 9)
+    return (coeffs.reshape(3 * k, 4) @ _R_TERMS).reshape(3 * k, 8, 8)
 
 
 def _wait_eigenvalues(spins: np.ndarray, drive_freq: float) -> np.ndarray:
@@ -437,17 +494,22 @@ def _steps(times: np.ndarray) -> list:
 def _survival_rabi_family(
     spins: np.ndarray, pulse_times: np.ndarray, drive_freq: float
 ) -> np.ndarray:
-    """Survival probabilities for a family of Rabi pulse times, (n_times, K)."""
+    """Survival probabilities for a family of Rabi pulse times, (n_times, K).
+
+    Each power of the step's block propagator E = exp(step R8) advances the
+    8-vector column d of the previous power; the branch's survival at that
+    power is 1/3 + (2/3) E^m[d, d] (module docstring).
+    """
     k = spins.shape[0]
     out = np.empty((len(pulse_times), 3 * k))
     for step, rows in _steps(np.asarray(pulse_times, dtype=float)):
         prop = expm(_real_generators(spins, drive_freq, 1.0, step))
-        state = prop[:, :, _P0_REAL, None]
+        state = prop[:, :, _D, None]
         for power in range(1, max(rows) + 1):
             if power > 1:
                 state = prop @ state
             if power in rows:
-                out[rows[power]] = state[:, _P0_REAL, 0]
+                out[rows[power]] = _P0_I**2 + _P0_D**2 * state[:, _D, 0]
     return out.reshape(len(pulse_times), 3, k).mean(axis=1)
 
 
@@ -461,10 +523,17 @@ def _ramsey_weights(
     spins: np.ndarray, pulse_time: float, drive_freq: float
 ) -> np.ndarray:
     """w_j = P[4, j] * P[j, 4] of each hypothesis's pulse propagator P,
-    shape (3K, 9), branch-major.  Only row and column 4 of
-    P = U P_real U^H are formed, from row and column 1 of P_real."""
-    pulse = expm(_real_generators(spins, drive_freq, 1.0, float(pulse_time)))
-    return (pulse[:, _P0_REAL, :] @ _UH) * (pulse[:, :, _P0_REAL] @ _U.T)
+    shape (3K, 9), branch-major.
+
+    Only row and column 4 of P = U (1 (+) E) U^H are formed, with E the 8x8
+    block propagator.  Row 4 of U holds the coefficients of |0><0|, _P0_I
+    on B_0 and _P0_D on B_2, so P[4, :] = (_P0_I, _P0_D E[d, :]) U^H and
+    P[:, 4] = U (_P0_I, _P0_D E[:, d]): only row d and column d of E enter.
+    """
+    block = expm(_real_generators(spins, drive_freq, 1.0, float(pulse_time)))
+    row = _P0_I * _UH[0] + (_P0_D * block[:, _D, :]) @ _UH[1:]
+    col = _P0_I * _U[:, 0] + (_P0_D * block[:, :, _D]) @ _U[:, 1:].T
+    return row * col
 
 
 def _survival_ramsey_family(

@@ -57,7 +57,6 @@ particles there is no screen: every candidate survives.
 from __future__ import annotations
 
 import math
-import mmap
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -65,7 +64,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import measurement, smc
-from .qutrit import usable_cores
+from .qutrit import thread_buffer, usable_cores
 from .smc import IDX_ALPHA, IDX_BETA, ParticleCloud
 
 
@@ -223,29 +222,14 @@ def _weighted_variance_terms(log_table, q_block, columns):
 # enough that the kernel's per-block Python work stays small (512 outcomes
 # over 1024 inner particles make two blocks of 256 rows)
 _MIS_BLOCK_BYTES = 1 << 21
+# each thread's buffer for its blocks (qutrit.thread_buffer), at least one
+# block large, reused across blocks and candidates
 _workspace = threading.local()
 
 
 def _block_rows(n_particles: int) -> int:
     """Outcome rows per block of an MIS table over ``n_particles`` columns."""
     return max(1, _MIS_BLOCK_BYTES // (8 * n_particles))
-
-
-def _block_buffer(size: int) -> np.ndarray:
-    """This thread's float64 workspace of ``size`` entries, reused across
-    blocks and candidates.
-
-    The workspace is an anonymous memory map, not a malloc'd array: malloc
-    would place it in the thread's own arena, which keeps the memory after
-    the thread ends, and a profile's workers then raised the process's peak
-    resident memory by about 7 MB at paper scale.
-    """
-    buffer = getattr(_workspace, "buffer", None)
-    if buffer is None or buffer.size < size:
-        entries = max(size, _MIS_BLOCK_BYTES // 8)
-        buffer = np.frombuffer(mmap.mmap(-1, 8 * entries), dtype=float)
-        _workspace.buffer = buffer
-    return buffer[:size]
 
 
 def _downsample(cloud: ParticleCloud, k: int, rng):
@@ -314,7 +298,8 @@ class SharedDraws:
         log_rates = model.log_rates(self.inner, config, **_rows(p, self._inner_at))
         n_inner = self.n_inner
         rows = _block_rows(n_inner)
-        buffer = _block_buffer(rows * n_inner)
+        size = max(rows * n_inner, _MIS_BLOCK_BYTES // 8)
+        buffer = thread_buffer(_workspace, size)
         terms = np.empty(self.n_outcomes)
         kept = np.empty(self.n_outcomes, dtype=bool)
         for lo in range(0, self.n_outcomes, rows):
@@ -449,7 +434,11 @@ def risk_profile(
     cores = usable_cores()
     if cores == 1 or draws.n_outcomes * draws.n_inner < _POOL_MIN_CELLS:
         return list(zip(configs, map(estimate, configs, streams, rows)))
-    # workers only, unlike qutrit.survival_table: with the caller taking a
+    # the workers assume one BLAS thread each: at OpenBLAS's default count,
+    # every worker's moment product starts threads of its own, and 40
+    # candidates at 512x1024 on a K = 4000 cloud took 207 ms against
+    # 75 ms with OPENBLAS_NUM_THREADS=1 (2-core host); see nvbed.cli.
+    # Workers only, unlike qutrit.survival_table: with the caller taking a
     # share, online_wide peak_rss_mb rose to 67.3 MB from 65.5 MB (single 20 s
     # perfbench runs, seed 2101, 2-core host).  Merge them only on a benchmark.
     # A lone candidate goes to a worker too: on the calling thread it raised

@@ -9,8 +9,10 @@
   :func:`lindblad_propagator` are one branch's rotating-frame Hamiltonian,
   its complex column-stacking generator and that generator's propagator;
   they mirror the unit convention that ``nvbed.qutrit._real_generators``
-  and ``_wait_eigenvalues`` apply, and check the real-basis images and
-  ``nvbed.qutrit.expm``.
+  and ``_wait_eigenvalues`` apply, and check ``nvbed.qutrit.expm`` and the
+  real-basis images: each generator's whole 9x9 image here, of which the
+  kernel keeps only the 8x8 traceless block, since row 0 and column 0 (on
+  the identity) vanish.
 * :func:`scipy_survival_probability` simulates one hypothesis with SciPy's
   complex ``expm`` of each segment's column-stacking generator; it checks
   the real-basis kernel of ``nvbed.qutrit``.
@@ -242,7 +244,9 @@ def lindblad_propagator(
     """Superoperator propagator exp(duration * (C[H] + D[L])) for a constant
     pulse amplitude held for ``duration`` ns, in the column-stacking basis.
 
-    Computed as U expm(duration * R) U^H with R the generator's real image.
+    Computed as U expm(duration * R) U^H with R the generator's whole 9x9
+    real image, identity row and column included, unlike the kernel's 8x8
+    traceless block.
     """
     if duration < 0:
         raise ValueError(f"duration must be >= 0, got {duration}")

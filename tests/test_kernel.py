@@ -1,9 +1,10 @@
 """The real-basis propagator kernel against references that do not share it.
 
 ``qutrit.expm`` is checked against SciPy's ``expm`` and against closed-form
-exponentials of normal matrices; ``survival_table`` against the SciPy
-segment path in ``tests/oracles.py``, and its blocks and threads against
-the family kernels run on one thread; hypothesis drives the physical
+exponentials of normal matrices; the kernel's 8x8 traceless blocks against
+the complex generators of ``tests/oracles.py``; ``survival_table`` against
+the SciPy segment path there, and its blocks and threads against the
+family kernels run on one thread; hypothesis drives the physical
 invariants of the propagator.
 """
 
@@ -102,10 +103,30 @@ class TestExpm:
         out = qutrit.expm(stack)
         assert out.shape == stack.shape
         np.testing.assert_array_equal(stack, before)
+        # the result is the caller's: the next call's scratch work leaves it
+        kept = out.copy()
+        qutrit.expm(2.0 * stack)
+        np.testing.assert_array_equal(out, kept)
         np.testing.assert_allclose(out[1, 2], scipy_expm(stack[1, 2]), rtol=1e-12)
         assert qutrit.expm(np.zeros((0, 9, 9))).shape == (0, 9, 9)
         identities = np.tile(np.eye(9), (4, 1, 1))
         np.testing.assert_array_equal(qutrit.expm(np.zeros((4, 9, 9))), identities)
+
+    def test_a_non_finite_matrix_leaves_the_others_exact(self):
+        # the nan or inf 1-norm of one matrix must not set the squarings of
+        # the stack: each finite matrix keeps its own, and the non-finite
+        # ones come out non-finite
+        rng = np.random.default_rng(58)
+        norms = np.array([5.0, 0.3, 40.0, 2.0, 7.0])
+        stack = scaled_to_norms(rng.normal(size=(5, 9, 9)), norms)
+        stack[1, 2, 6] = np.nan
+        stack[3, 0, 4] = np.inf
+        with np.errstate(invalid="ignore"):
+            out = qutrit.expm(stack)
+        finite = [0, 2, 4]
+        err = relative_frobenius(out[finite], scipy_expm(stack[finite]))
+        assert err.max() <= 1e-12
+        assert not np.isfinite(out[1]).all() and not np.isfinite(out[3]).all()
 
     def test_propagator_matches_scipy_of_the_complex_generator(self):
         rng = np.random.default_rng(59)
@@ -120,6 +141,55 @@ class TestExpm:
                 rtol=0,
                 atol=1e-12,
             )
+
+
+class TestTracelessBlock:
+    """The kernel exponentiates only the 8x8 traceless block of each real
+    generator; row 0 and column 0 of the 9x9 image, on B_0 = I/sqrt(3),
+    must vanish for that to be exact."""
+
+    # one unit coefficient per term of the generator: detuning * Sz^2,
+    # axial * Sz, drive * Sx and the dephasing rate
+    TERMS = [
+        SpinParams(0.0, 0.0, 1.0, 0.0, 0.0),
+        SpinParams(0.0, 1.0, 0.0, 0.0, 0.0),
+        SpinParams(1.0, 0.0, 0.0, 0.0, 0.0),
+        SpinParams(0.0, 0.0, 0.0, 0.0, 1.0),
+    ]
+
+    def test_the_basis_starts_with_the_identity_and_holds_the_population(self):
+        u = qutrit._U
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(9), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(u[:, 0], np.eye(3).flatten() / np.sqrt(3.0))
+        # row 4 of U, the vec index of |0><0|, holds its coefficients
+        row = np.zeros(9)
+        row[[0, 1 + qutrit._D]] = qutrit._P0_I, qutrit._P0_D
+        np.testing.assert_array_equal(u[4], row)
+
+    def test_every_term_preserves_trace_and_annihilates_the_identity(self):
+        for params in self.TERMS:
+            gen = lindblad_generator(params, qutrit.ZFS_MHZ, 0, 1.0)
+            image = qutrit._real_image(gen)
+            image /= np.abs(image).max()
+            assert np.abs(image[0]).max() <= 1e-15
+            assert np.abs(image[:, 0]).max() <= 1e-15
+            # the generator is real in the basis: nothing was lost to .real
+            unit = qutrit._UH @ gen @ qutrit._U
+            assert np.abs(unit.imag).max() <= 1e-15 * np.abs(unit).max()
+
+    def test_blocks_match_the_complex_generators(self):
+        rng = np.random.default_rng(52)
+        spins = random_spins(rng, 4)
+        drive, amplitude, duration = 2871.5, 0.7, 33.0
+        blocks = qutrit._real_generators(spins, drive, amplitude, duration)
+        assert blocks.shape == (12, 8, 8)
+        for b, mi in enumerate(qutrit._MI_BRANCHES):
+            for i, row in enumerate(spins):
+                gen = lindblad_generator(SpinParams(*row), drive, mi, amplitude)
+                image = duration * qutrit._real_image(gen)
+                np.testing.assert_allclose(
+                    blocks[4 * b + i], image[1:, 1:], rtol=0, atol=1e-14
+                )
 
 
 class TestSurvivalAgainstScipy:
@@ -325,12 +395,39 @@ def test_non_arithmetic_ramsey_waits_against_scipy():
 
 
 def test_non_finite_survival_raises():
-    # a pulse far past any physical length overflows the kernel to nan,
-    # which must not pass the [0, 1] clamp as a probability
+    # a non-finite spin row makes a non-finite survival entry, which must
+    # not pass the [0, 1] clamp as a probability; the other rows of its
+    # family still get their own entries
     spins = random_spins(np.random.default_rng(103), 3)
-    config = ExperimentConfig("rabi", pulse_time=1e300)
-    with np.errstate(all="ignore"), pytest.raises(qutrit.SimulationAccuracyError):
-        survival_table(spins, [config])
+    spins[1, 0] = np.nan
+    configs = [
+        ExperimentConfig("rabi", pulse_time=20.0),
+        ExperimentConfig("ramsey", pulse_time=20.0, wait_time=100.0),
+    ]
+    for config in configs:
+        with np.errstate(all="ignore"), pytest.raises(qutrit.SimulationAccuracyError):
+            survival_table(spins, [config])
+    with np.errstate(all="ignore"):
+        family = qutrit._survival_rabi_family(spins, np.array([20.0, 40.0]), 2870.0)
+    assert np.isnan(family[:, 1]).all()
+    finite = [0, 2]
+    grid = [ExperimentConfig("rabi", pulse_time=t) for t in (20.0, 40.0)]
+    np.testing.assert_array_equal(family[:, finite], survival_table(spins[finite], grid))
+
+
+def test_long_pulse_relaxes_to_the_mixed_state():
+    # with dephasing, every traceless mode of a driven pulse decays, so a
+    # pulse far past T2* leaves the maximally mixed state, survival 1/3;
+    # the 8x8 block decays to zero however long the pulse
+    spins = random_spins(np.random.default_rng(103), 5)
+    assert np.all(spins[:, 4] > 0)
+    for t in (1e8, 1e300):
+        configs = [
+            ExperimentConfig("rabi", pulse_time=t),
+            ExperimentConfig("ramsey", pulse_time=t, wait_time=100.0),
+        ]
+        table = survival_table(spins, configs)
+        np.testing.assert_allclose(table, 1.0 / 3.0, rtol=0, atol=1e-12)
 
 
 def test_ramsey_terms_pair_up_with_their_conjugates():
