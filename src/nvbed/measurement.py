@@ -100,17 +100,34 @@ class EsmInputs:
 
 def expected_counts(alpha1, beta1, p, repetitions) -> np.ndarray:
     """Expected totals of X, Y and Z on a leading axis of 3; the trailing
-    axes broadcast over arrays of hypothesis values."""
-    signal = beta1 + p * (alpha1 - beta1)
-    return repetitions * np.stack(np.broadcast_arrays(alpha1, beta1, signal))
+    axes broadcast over arrays of hypothesis values.
+
+    Each row is written into one new array, with the arithmetic of
+    N * [alpha1, beta1, beta1 + p * (alpha1 - beta1)] and no broadcast
+    copies, since the risk estimator forms it once per candidate."""
+    rates = np.empty((3, *np.broadcast(alpha1, beta1, p).shape))
+    np.multiply(alpha1, repetitions, out=rates[0, ...])
+    np.multiply(beta1, repetitions, out=rates[1, ...])
+    signal = rates[2, ...]
+    np.subtract(alpha1, beta1, out=signal)
+    signal *= p
+    signal += beta1
+    signal *= repetitions
+    return rates
 
 
 def log_rate_rows(rates) -> np.ndarray:
     """(4, K) rows [log(rates); -sum(rates)] of K rate columns, the factor of
     :func:`log_likelihood_table` that depends on the hypotheses only.
     Admissible rates are positive (0 < beta1 < alpha1, p in [0, 1]), so the
-    log is finite."""
-    return np.vstack([np.log(rates), -rates.sum(axis=0)])
+    log is finite.  The sum runs X + Y, then + Z."""
+    rows = np.empty((4, rates.shape[1]))
+    np.log(rates, out=rows[:3])
+    total = rows[3]
+    np.add(rates[0], rates[1], out=total)
+    total += rates[2]
+    np.negative(total, out=total)
+    return rows
 
 
 def log_likelihood_table(counts, log_rates, out=None) -> np.ndarray:
@@ -119,9 +136,10 @@ def log_likelihood_table(counts, log_rates, out=None) -> np.ndarray:
 
     One product, [counts, 1] @ [log(rates); -sum(rates)], forms the table
     in a single pass over it, written into ``out`` when one is given."""
-    counts = np.asarray(counts, dtype=float)
-    ones = np.ones((len(counts), 1))
-    return np.matmul(np.hstack([counts, ones]), log_rates, out=out)
+    design = np.empty((len(counts), 4))
+    design[:, :3] = counts
+    design[:, 3] = 1.0
+    return np.matmul(design, log_rates, out=out)
 
 
 def sample_datum(

@@ -32,13 +32,24 @@ each draws only its counts, from its own child stream, so the noise the
 ranking sees is that of risk *differences*, which the shared draws make
 small.
 
+What does not depend on the candidate is formed once per draw set: the
+drawn locations, the moment columns, and where each drawn particle sits in
+the survival row.  A candidate forms only its own numbers, each into one
+array: its rates at the outcome ancestors and their counts, the (4, K')
+log-rate rows of the inner set, each block of table rows in its thread's
+workspace, and the sums of its estimate.  None of it goes through
+broadcast, stacked or concatenated copies, and the estimate's mean and
+standard deviation are two sums, not ``np.mean`` and ``np.std``: at the
+screen's 64x128, that bookkeeping cost more than the arithmetic.
+
 Every stage of a design is one :func:`risk_profile` call, the only code
 that draws, spawns the candidates' streams and asks for survival rows.  It
 takes them from a function ``p_table(configs, particles)``, asked once its
 draws are known and only at the particles they read
 (``SharedDraws.particles``).  Its candidates run on the calling thread when
-their tables are small (``_POOL_MIN_CELLS``) or the process may run on one
-core, else on a thread pool as wide as the cores it may run on
+their tables are small (``_POOL_MIN_CELLS``), when they are few
+(``_POOL_MIN_CANDIDATES``) or when the process may run on one core, else on
+a thread pool as wide as the cores it may run on
 (:func:`nvbed.qutrit.usable_cores`); the profile does not depend on where
 they run.
 
@@ -188,29 +199,46 @@ def _moment_columns(weights, locations, q):
     return q_block, columns
 
 
+# floor of the shifted log table before its exponential.  numpy's exp slows
+# sharply where it returns a subnormal or zero: on a 64x128 table, an entry
+# near -720 took about 100 ns and one below -745 13 ns, against 1 ns above
+# -708 (x86 host with AVX-512).  An entry this far below its row's maximum,
+# exp(0) = 1, adds less than an ulp to each moment where the maximum's
+# particle has weight.  The floor is taken only where the table's minimum is
+# below it: that read costs a third of the floor's pass, and design tables
+# at the repetitions the ESM target sets held no such entry.
+_EXP_FLOOR = -700.0
+
+
 def _weighted_variance_terms(log_table, q_block, columns):
     """Per-outcome Tr[Q Cov(posterior)] without materializing normalized
     weight rows.
 
-    Consumes the float64 ``log_table``: each row is shifted by its maximum
-    and exponentiated in place.  The normalizer and the first and second
-    moments come from one product of the exponentiated table with the
-    moment ``columns`` of :func:`_moment_columns`; returns
-    (terms, kept_row_mask).
+    Consumes the float64 ``log_table``: each row is shifted by its maximum,
+    floored at ``_EXP_FLOOR`` and exponentiated in place.  The normalizer
+    and the first and second moments come from one product of the
+    exponentiated table with the moment ``columns`` of
+    :func:`_moment_columns`; returns (terms, kept_row_mask).  Only a row
+    that is kept has a meaningful term.
     """
-    n_rows = log_table.shape[0]
-    shift = np.max(log_table, axis=1)
+    shift = log_table.max(axis=1)
     kept = np.isfinite(shift)
-    if columns is None or not np.any(kept):
-        return np.zeros(n_rows), kept
-    # rows with no finite entry keep shift 0 so they exp to zero, not nan
-    log_table -= np.where(kept, shift, 0.0)[:, None]
+    if columns is None or not kept.any():
+        return np.zeros(len(log_table)), kept
+    if kept.all():
+        log_table -= shift[:, None]
+    else:
+        # rows with no finite entry keep shift 0, so they are not nan
+        log_table -= np.where(kept, shift, 0.0)[:, None]
+    if log_table.min() < _EXP_FLOOR:
+        np.maximum(log_table, _EXP_FLOOR, out=log_table)
     np.exp(log_table, out=log_table)
     sums = log_table @ columns
     denom, first, second = sums[:, 0], sums[:, 1:-1], sums[:, -1]
     good = denom > 0
-    kept &= good
-    denom = np.where(good, denom, 1.0)
+    if not good.all():
+        kept &= good
+        denom = np.where(good, denom, 1.0)
     means = first / denom[:, None]
     mean_square = np.einsum("ij,ij->i", means @ q_block, means)
     terms = second / denom - mean_square
@@ -259,13 +287,15 @@ def _rows(p, idx) -> dict:
 class SharedDraws:
     """The random draws that the candidates of one design share.
 
-    Holds the outcome ancestors and the down-sampled inner set, with the
-    inner set's locations and moment columns under Q, built once; a
-    candidate adds only its own Poisson counts and its own likelihood
-    (:meth:`terms`).  ``particles`` lists, sorted and once each, every
-    particle the draws read; a candidate's survival row enters as its
-    entries there.  ``n_inner`` is the inner set's size, which is smaller
-    than the size asked for when the cloud is.  Build one with
+    Formed once, when the draws are: the outcome ancestors and their
+    locations, the down-sampled inner set with its locations and its moment
+    columns under Q, and ``particles``, which lists, sorted and once each,
+    every particle the draws read, with the place of each ancestor and
+    inner particle in it.  Formed per candidate, by :meth:`terms`: its
+    survival entries at those places, its rates and Poisson counts, its
+    inner log-rate rows and its table, block by block, in the calling
+    thread's workspace.  ``n_inner`` is the inner set's size, which is
+    smaller than the size asked for when the cloud is.  Build one with
     :func:`draw_shared`.
     """
 
@@ -281,6 +311,8 @@ class SharedDraws:
             np.concatenate([outcome_idx, inner_idx]), return_inverse=True
         )
         self._outcome_at, self._inner_at = np.split(where, [self.n_outcomes])
+        self._block = _block_rows(self.n_inner)
+        self._workspace_size = max(self._block * self.n_inner, _MIS_BLOCK_BYTES // 8)
 
     def terms(self, model, config, rng, p=None) -> tuple:
         """Per-outcome posterior terms and kept mask of one candidate, whose
@@ -296,10 +328,8 @@ class SharedDraws:
             self.outcomes, config, rng, **_rows(p, self._outcome_at)
         )
         log_rates = model.log_rates(self.inner, config, **_rows(p, self._inner_at))
-        n_inner = self.n_inner
-        rows = _block_rows(n_inner)
-        size = max(rows * n_inner, _MIS_BLOCK_BYTES // 8)
-        buffer = thread_buffer(_workspace, size)
+        n_inner, rows = self.n_inner, self._block
+        buffer = thread_buffer(_workspace, self._workspace_size)
         terms = np.empty(self.n_outcomes)
         kept = np.empty(self.n_outcomes, dtype=bool)
         for lo in range(0, self.n_outcomes, rows):
@@ -352,22 +382,31 @@ def mis_risk(
 
 
 def _summarize(terms, kept, n_outcomes, n_particles) -> RiskEstimate:
-    kept_terms = terms[kept]
+    """The estimate of one candidate's per-outcome ``terms``, of which the
+    ``kept`` ones count.  The mean and the standard deviation are the
+    reductions ``np.mean`` and ``np.std(ddof=1)`` perform, written out: a
+    sum, then a sum of squared deviations from the mean.  On a screen's 64
+    terms they took 6.8 us against 20.6 us for the two calls."""
+    every = kept.all()
+    kept_terms = terms if every else terms[kept]
     n_kept = len(kept_terms)
     if n_kept == 0:
         raise ValueError("every sampled outcome underflowed; cloud too degenerate")
-    value = float(kept_terms.mean())
+    mean = kept_terms.sum() / n_kept
     if n_kept > 1:
-        std_error = float(kept_terms.std(ddof=1) / math.sqrt(n_kept))
+        deviations = kept_terms - mean
+        deviations *= deviations
+        variance = deviations.sum() / (n_kept - 1)
+        std_error = math.sqrt(variance) / math.sqrt(n_kept)
     else:
         std_error = float("inf")
     return RiskEstimate(
-        value=max(value, 0.0),
+        value=max(float(mean), 0.0),
         std_error=std_error,
         n_outcomes=n_outcomes,
         n_particles=n_particles,
         n_dropped=n_outcomes - n_kept,
-        samples=np.where(kept, terms, np.nan),
+        samples=terms if every else np.where(kept, terms, np.nan),
     )
 
 
@@ -377,17 +416,21 @@ def trace_weighted_variance(cloud: ParticleCloud, q: np.ndarray) -> float:
     return float(np.trace(q @ smc.posterior_cov(cloud)))
 
 
-# cells (outcomes x inner particles) of one candidate's MIS table from which
-# a profile runs its candidates on a thread pool; smaller tables run on the
-# calling thread, where the pool's hand-offs cost more than the second core
-# saves.  Medians of interleaved runs, calling thread against pool, on a
-# K = 4000 wide-prior cloud with its table prefilled (2-core host, 1 BLAS
-# thread): 200 candidates at 64x128 (2^13 cells, the paper-scale screen)
-# 54 against 86 ms; 40 candidates at 128x512 and at 256x256 (2^16) 17.6
-# against 23.6 and 20.6 against 25.3 ms, and 100 candidates 42.9 against
-# 49.7 and 44.4 against 52.1 ms; 40 at 256x512 (2^17) 36.6 against 31.5
-# ms; 40 at 512x1024 (full size) 128 against 74 ms.
+# cells (outcomes x inner particles) of one candidate's MIS table, and
+# candidates, from which a profile runs its candidates on a thread pool;
+# smaller tables or fewer candidates run on the calling thread, where the
+# pool's hand-offs cost more than the second core saves.  Each worker starts
+# a thread and faults in its own workspace page by page (1.3 ms for 2 MB
+# here), about one full-size estimate.  Medians of ten interleaved profiles,
+# calling thread against pool, on a K = 4000 wide-prior cloud with its table
+# prefilled (2-core host, 1 BLAS thread): 200 candidates at 64x128 (2^13
+# cells, the paper-scale screen) 25.3 against 46.5 ms; at 256x512 (2^17),
+# 2, 4 and 8 candidates 2.5 against 3.0, 5.3 against 5.7 and 6.5 against
+# 7.2 ms, but 16 and 40 candidates 11.3 against 10.1 and 29.7 against 24.4
+# ms; at 512x1024 (full size), 2 and 8 candidates 6.9 against 7.4 and 18.7
+# against 21.5 ms, and 40 candidates 87.3 against 57.6 ms.
 _POOL_MIN_CELLS = 1 << 17
+_POOL_MIN_CANDIDATES = 8
 
 
 def risk_profile(
@@ -413,12 +456,13 @@ def risk_profile(
     calls it once, after its draws, with the particles they read.  The NV
     model requires it; models that take no rows leave it None.
 
-    With one usable core, or tables below ``_POOL_MIN_CELLS`` cells, the
-    candidates run on the calling thread; otherwise on a thread pool with
-    one worker per core this process may run on, up to one per candidate.  Since no stream is shared
-    between them, the profile is the same wherever the candidates run, and
-    a profile of the first few candidates is the first few entries of the
-    whole profile.
+    With one usable core, tables below ``_POOL_MIN_CELLS`` cells or fewer
+    than ``_POOL_MIN_CANDIDATES`` candidates, the candidates run on the
+    calling thread; otherwise on a thread pool with one worker per core
+    this process may run on, up to one per candidate.  Since no stream is
+    shared between them, the profile is the same wherever the candidates
+    run, and a profile of the first few candidates is the first few entries
+    of the whole profile.
     """
     if not configs:
         raise ValueError("candidate list is empty")
@@ -432,8 +476,20 @@ def risk_profile(
         return mis_risk(draws, config, stream, model, row)
 
     cores = usable_cores()
-    if cores == 1 or draws.n_outcomes * draws.n_inner < _POOL_MIN_CELLS:
-        return list(zip(configs, map(estimate, configs, streams, rows)))
+    if (
+        cores == 1
+        or len(configs) < _POOL_MIN_CANDIDATES
+        or draws.n_outcomes * draws.n_inner < _POOL_MIN_CELLS
+    ):
+        # the calling thread's workspace lasts one profile, as a worker's
+        # does: kept, a full-size stage on this thread held 2 MB to the end
+        # of the run, and online_wide peak_rss_mb read 65.3 MB against
+        # 63.5 MB for the parent's pool (20 s perfbench runs, 2-core host);
+        # dropped, 62.1-63.4 MB against 61.6-64.4 MB
+        try:
+            return list(zip(configs, map(estimate, configs, streams, rows)))
+        finally:
+            vars(_workspace).clear()
     # the workers assume one BLAS thread each: at OpenBLAS's default count,
     # every worker's moment product starts threads of its own, and 40
     # candidates at 512x1024 on a K = 4000 cloud took 207 ms against
@@ -441,9 +497,6 @@ def risk_profile(
     # Workers only, unlike qutrit.survival_table: with the caller taking a
     # share, online_wide peak_rss_mb rose to 67.3 MB from 65.5 MB (single 20 s
     # perfbench runs, seed 2101, 2-core host).  Merge them only on a benchmark.
-    # A lone candidate goes to a worker too: on the calling thread it raised
-    # online_wide peak_rss_mb to 67.7-68.0 MB from 65.4-65.9 MB (three 20 s
-    # runs each, interleaved, same host), at no measurable gain in time.
     with ThreadPoolExecutor(max_workers=min(len(configs), cores)) as pool:
         return list(zip(configs, pool.map(estimate, configs, streams, rows)))
 

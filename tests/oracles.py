@@ -28,10 +28,20 @@
 * :func:`whole_table_mis_risk` is the MIS estimator over one whole
   (n_outcomes, n_particles) table; it checks the block-at-a-time
   ``nvbed.risk.mis_risk``.
+* :func:`stacked_expected_counts`, :func:`stacked_log_rate_rows` and
+  :func:`hstacked_log_likelihood_table` are the referenced-Poisson rates and
+  likelihood table formed through broadcast, stacked and hstacked copies,
+  as ``nvbed.measurement`` once formed them; :func:`unfloored_variance_terms`
+  is the one-product moment kernel with no floor under its exponential, and
+  :func:`stacked_mis_risk` is one candidate's estimate on shared draws
+  through all of them and ``np.mean``/``np.std``.  They check, bit for bit,
+  that the estimator forms the same numbers with less bookkeeping.
 * :func:`fisher_information`, :func:`fisher_information_inverse` and
   :func:`interpolated_variance_bound` are the closed-form information of
   one referenced triple; they check :func:`nvbed.measurement.esm`.
 """
+
+import math
 
 import numpy as np
 from scipy.linalg import expm
@@ -53,14 +63,16 @@ from nvbed.qutrit import (
 )
 from nvbed.risk import (
     NvModel,
+    RiskEstimate,
     _active_block,
+    _block_rows,
     _check_q,
     _downsample,
     _moment_columns,
     _summarize,
     _weighted_variance_terms,
 )
-from nvbed.smc import UpdateOptions, UpdateReport, bayes_update
+from nvbed.smc import IDX_ALPHA, IDX_BETA, UpdateOptions, UpdateReport, bayes_update
 
 
 def _posterior_weight_table(log_table, base_weights):
@@ -181,6 +193,87 @@ def whole_table_mis_risk(
         table, *_moment_columns(inner_weights, inner, q)
     )
     return _summarize(terms, kept, n_outcomes, len(inner_idx))
+
+
+def stacked_expected_counts(alpha1, beta1, p, repetitions):
+    """Expected totals of X, Y and Z on a leading axis of 3, from stacked
+    broadcast copies of the three per-shot rates."""
+    signal = beta1 + p * (alpha1 - beta1)
+    return repetitions * np.stack(np.broadcast_arrays(alpha1, beta1, signal))
+
+
+def stacked_log_rate_rows(rates):
+    """(4, K) rows [log(rates); -sum(rates)], stacked."""
+    return np.vstack([np.log(rates), -rates.sum(axis=0)])
+
+
+def hstacked_log_likelihood_table(counts, log_rates, out=None):
+    """(m, K) table [counts, 1] @ log_rates, its ones column hstacked."""
+    counts = np.asarray(counts, dtype=float)
+    ones = np.ones((len(counts), 1))
+    return np.matmul(np.hstack([counts, ones]), log_rates, out=out)
+
+
+def unfloored_variance_terms(log_table, q_block, columns):
+    """The one-product moment kernel of ``nvbed.risk`` with no floor: every
+    shifted entry goes to ``np.exp`` as it is, and every row is masked with
+    ``np.where``.  Consumes ``log_table``; returns (terms, kept_row_mask)."""
+    n_rows = log_table.shape[0]
+    shift = np.max(log_table, axis=1)
+    kept = np.isfinite(shift)
+    if columns is None or not np.any(kept):
+        return np.zeros(n_rows), kept
+    log_table -= np.where(kept, shift, 0.0)[:, None]
+    np.exp(log_table, out=log_table)
+    sums = log_table @ columns
+    denom, first, second = sums[:, 0], sums[:, 1:-1], sums[:, -1]
+    good = denom > 0
+    kept &= good
+    denom = np.where(good, denom, 1.0)
+    means = first / denom[:, None]
+    mean_square = np.einsum("ij,ij->i", means @ q_block, means)
+    terms = second / denom - mean_square
+    return terms, kept
+
+
+def stacked_mis_risk(draws, config, rng, p):
+    """One candidate's NV estimate on the shared ``draws`` of
+    ``nvbed.risk.draw_shared``, its counts from ``rng`` and its survival row
+    ``p`` at ``draws.particles``: the rates through
+    :func:`stacked_expected_counts`, the table through
+    :func:`stacked_log_rate_rows` and :func:`hstacked_log_likelihood_table`
+    in the estimator's blocks of rows, the terms through
+    :func:`unfloored_variance_terms`, and the value and standard error
+    through ``np.mean`` and ``np.std``."""
+    def rates(locations, at):
+        return stacked_expected_counts(
+            locations[:, IDX_ALPHA], locations[:, IDX_BETA], p[at],
+            config.repetitions,
+        )
+
+    outcome_at = np.searchsorted(draws.particles, draws.outcome_idx)
+    inner_at = np.searchsorted(draws.particles, draws.inner_idx)
+    counts = rng.poisson(rates(draws.outcomes, outcome_at)).T
+    log_rates = stacked_log_rate_rows(rates(draws.inner, inner_at))
+    rows = _block_rows(draws.n_inner)
+    terms = np.empty(draws.n_outcomes)
+    kept = np.empty(draws.n_outcomes, dtype=bool)
+    for lo in range(0, draws.n_outcomes, rows):
+        table = hstacked_log_likelihood_table(counts[lo : lo + rows], log_rates)
+        terms[lo : lo + rows], kept[lo : lo + rows] = unfloored_variance_terms(
+            table, *draws.moments
+        )
+    kept_terms = terms[kept]
+    n_kept = len(kept_terms)
+    return RiskEstimate(
+        value=max(float(kept_terms.mean()), 0.0),
+        std_error=float(kept_terms.std(ddof=1) / math.sqrt(n_kept))
+        if n_kept > 1 else float("inf"),
+        n_outcomes=draws.n_outcomes,
+        n_particles=draws.n_inner,
+        n_dropped=draws.n_outcomes - n_kept,
+        samples=np.where(kept, terms, np.nan),
+    )
 
 
 def bayes_update_sequence(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -292,6 +293,13 @@ class TestConfigValidation:
         assert cfg.shape == ("ramsey", 22.0, 640.0, 2871.5)
         assert ExperimentConfig("ramsey", 22.0, 640.0, 2871.5, 3).shape == cfg.shape
         assert ExperimentConfig("ramsey", 22.0, 640.0, 2870.0, 4667).shape != cfg.shape
+
+    def test_shape_follows_the_fields(self):
+        # shape is spelled out; a new field must join it, in field order, or
+        # configs that differ in it would share survival rows and waveforms
+        cfg = ExperimentConfig("ramsey", 22.0, 640.0, 2871.5, 4667)
+        names = [f.name for f in dataclasses.fields(cfg) if f.name != "repetitions"]
+        assert cfg.shape == tuple(getattr(cfg, name) for name in names)
 
     @pytest.mark.parametrize("value", [2.9, True, "500", None])
     def test_from_dict_takes_only_integral_repetitions(self, value):

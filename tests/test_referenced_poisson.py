@@ -1,18 +1,26 @@
 """The one referenced-Poisson model against independent implementations.
 
-The likelihood table is checked against SciPy's Poisson log-pmf, and the
-samplers against the scalar and per-column draws they replaced.
+The likelihood table is checked against SciPy's Poisson log-pmf, the
+samplers against the scalar and per-column draws they replaced, and the
+rates, rows and table, bit for bit, against the stacked copies they were
+once formed through.
 """
 
 import numpy as np
 import pytest
 from scipy.stats import poisson
 
+from nvbed import measurement
 from nvbed.measurement import Datum, ReferenceRates, log_likelihood, sample_datum
 from nvbed.qutrit import ExperimentConfig
 from nvbed.risk import NvModel
 from nvbed.smc import IDX_ALPHA, IDX_BETA, PriorSpec, sample_prior
-from oracles import poisson_logpmf
+from oracles import (
+    hstacked_log_likelihood_table,
+    poisson_logpmf,
+    stacked_expected_counts,
+    stacked_log_rate_rows,
+)
 
 
 def hypotheses(k, seed):
@@ -88,3 +96,33 @@ class TestSamplingOrder:
         expected = np.column_stack([old.poisson(r) for r in rates])
         assert np.array_equal(counts, expected)
         assert rng.bit_generator.state == old.bit_generator.state
+
+
+class TestFormedWithoutCopies:
+    """expected_counts, log_rate_rows and log_likelihood_table write their
+    rows into one array each; the numbers are the stacked oracles', bit for
+    bit."""
+
+    @pytest.mark.parametrize("n", [1, 4667, 1_000_000])
+    def test_rates_rows_and_table_equal_the_stacked_ones(self, n):
+        locations, p = hypotheses(300, seed=5)
+        alpha, beta = locations[:, IDX_ALPHA], locations[:, IDX_BETA]
+        rates = measurement.expected_counts(alpha, beta, p, n)
+        np.testing.assert_array_equal(rates, stacked_expected_counts(alpha, beta, p, n))
+        rows = measurement.log_rate_rows(rates)
+        np.testing.assert_array_equal(rows, stacked_log_rate_rows(rates))
+        counts = np.random.default_rng(6).poisson(rates[:, :70]).T
+        out = np.empty((70, 300))
+        table = measurement.log_likelihood_table(counts, rows, out=out)
+        assert table is out
+        np.testing.assert_array_equal(
+            table, hstacked_log_likelihood_table(counts, rows)
+        )
+
+    def test_rates_broadcast_as_the_stacked_ones(self):
+        alpha, beta = np.array([0.05, 0.06, 0.2]), np.array([[0.02], [0.03]])
+        for args in ((0.05, 0.02, 0.3), (alpha, 0.02, 0.7), (alpha, beta, 0.4)):
+            rates = measurement.expected_counts(*args, 4667)
+            expected = stacked_expected_counts(*args, 4667)
+            assert rates.shape == expected.shape
+            np.testing.assert_array_equal(rates, expected)

@@ -1,4 +1,5 @@
 import os
+import threading
 from functools import partial
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 from scipy.special import gammaln, logsumexp
 from scipy.stats import poisson
 
-from nvbed import qutrit, risk
+from nvbed import qutrit, risk, smc
 from nvbed.heuristics import SurvivalTableCache
+from nvbed.measurement import ReferenceRates, sample_datum
 from nvbed.qutrit import ExperimentConfig
 from nvbed.risk import (
     NvModel,
@@ -31,7 +33,9 @@ from nvbed.smc import (
 from helpers import random_rows
 from oracles import (
     brute_force_risk,
+    stacked_mis_risk,
     three_product_variance_terms,
+    unfloored_variance_terms,
     whole_table_mis_risk,
 )
 
@@ -373,10 +377,11 @@ class TestProfileSplit:
 
     def test_one_or_two_workers_give_the_same_profile(self, monkeypatch):
         # the small tables run on the calling thread, the large ones on the
-        # pool when there are two cores; a screen at 512x256 runs one of each
+        # pool when there are two cores and enough candidates; a screen at
+        # 512x256 runs its few survivors on the calling thread
         small, large = (96, 128), (512, 256)
         assert small[0] * small[1] < risk._POOL_MIN_CELLS <= large[0] * large[1]
-        cloud, configs, p_table = self.inputs()
+        cloud, configs, p_table = self.inputs(n_configs=risk._POOL_MIN_CANDIDATES)
         q = uniform_weight_matrix()
         runs = []
         for cores in ({0}, {0, 1}):
@@ -390,6 +395,28 @@ class TestProfileSplit:
                 ),
             ])
         assert runs[0] == runs[1]
+
+    def test_few_candidates_run_on_the_calling_thread(self, monkeypatch):
+        # a worker's start costs about one full-size estimate, so a large
+        # table with few candidates stays on the calling thread, whose
+        # workspace then lasts the profile, as a worker's does
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        threads = []
+
+        class ThreadRecordingModel(NvModel):
+            def log_likelihood_matrix(self, counts, log_rates, out=None):
+                threads.append(threading.get_ident())
+                return super().log_likelihood_matrix(counts, log_rates, out)
+
+        cloud, configs, p_table = self.inputs(n_configs=risk._POOL_MIN_CANDIDATES)
+        for n, pooled in ((len(configs) - 1, False), (len(configs), True)):
+            threads.clear()
+            risk_profile(
+                cloud, configs[:n], uniform_weight_matrix(), np.random.default_rng(63),
+                512, 256, model=ThreadRecordingModel(), p_table=p_table,
+            )
+            assert (threading.get_ident() not in threads) == pooled
+            assert getattr(risk._workspace, "buffer", None) is None
 
     def test_moment_columns_are_built_once_per_profile(self, monkeypatch):
         calls = []
@@ -811,6 +838,84 @@ class TestOneProductMoments:
             assert new.value == pytest.approx(old.value, rel=1e-12, abs=0)
             assert new.std_error == pytest.approx(old.std_error, rel=1e-12, abs=0)
             assert new.n_dropped == old.n_dropped
+
+
+def posterior_cloud(k, seed):
+    """A wide-prior cloud after three Rabi data of one of its particles."""
+    rng = np.random.default_rng(seed)
+    cloud = sample_prior(PriorSpec(), k, rng)
+    truth = cloud.locations[0]
+    refs = ReferenceRates(truth[IDX_ALPHA], truth[IDX_BETA])
+    for t in (40.0, 120.0, 260.0):
+        config = ExperimentConfig("rabi", pulse_time=t, repetitions=5000)
+        p = qutrit.survival_probabilities(cloud.spin_locations[:1], config)[0]
+        datum = sample_datum(p, refs, config.repetitions, rng)
+        cloud, _ = smc.bayes_update(cloud, datum, config, rng)
+    return cloud
+
+
+class TestFormedPerCandidate:
+    """mis_risk forms only what depends on the candidate, with no stacked
+    copies; its estimates are the stacked oracle's, bit for bit."""
+
+    @pytest.mark.parametrize("sizes", [(64, 128), (512, 1024)])
+    @pytest.mark.parametrize("posterior", [False, True])
+    def test_estimates_equal_the_stacked_ones(self, sizes, posterior):
+        if posterior:
+            cloud = posterior_cloud(2000, seed=81)
+        else:
+            cloud = sample_prior(PriorSpec(), 2000, np.random.default_rng(81))
+        configs = [
+            ExperimentConfig("rabi", pulse_time=t, repetitions=5126)
+            for t in (20.0, 75.0, 310.0)
+        ] + [
+            ExperimentConfig("ramsey", pulse_time=22.0, wait_time=w, repetitions=5126)
+            for w in (100.0, 900.0)
+        ]
+        table = partial(SurvivalTableCache().table, cloud.spin_locations)
+        for q in (uniform_weight_matrix(), magnetometry_weight_matrix()):
+            draws = risk.draw_shared(cloud, q, *sizes, np.random.default_rng(82))
+            assert (draws.n_outcomes, draws.n_inner) == sizes
+            rows = table(configs, draws.particles)
+            streams = np.random.default_rng(83).spawn(len(configs))
+            again = np.random.default_rng(83).spawn(len(configs))
+            for config, stream, other, row in zip(configs, streams, again, rows):
+                new = mis_risk(draws, config, stream, p=row)
+                old = stacked_mis_risk(draws, config, other, row)
+                assert new.value == old.value
+                assert new.std_error == old.std_error
+                assert new.n_dropped == old.n_dropped
+                np.testing.assert_array_equal(new.samples, old.samples)
+
+    def test_the_floor_leaves_every_kept_term(self):
+        # entries below -745 exp to zero and those between -745 and -708 to
+        # subnormals; floored at -700 they add less than an ulp to each moment
+        table, weights, locations = nv_table(4667, 1.0, seed=85, n_out=60)
+        rng = np.random.default_rng(86)
+        deep = rng.uniform(size=table.shape) < 0.2
+        deep[np.arange(len(table)), table.argmax(axis=1)] = False
+        depth = np.where(
+            rng.uniform(size=table.shape) < 0.5,
+            rng.uniform(-745.0, -700.0, table.shape),
+            rng.uniform(-2000.0, -745.0, table.shape),
+        )
+        table = np.where(deep, table.max(axis=1, keepdims=True) + depth, table)
+        table[7] = -np.inf
+        rows = np.arange(len(table)) != 7
+        shifted = table[rows] - table[rows].max(axis=1, keepdims=True)
+        assert ((shifted > -745) & (shifted < -708)).any(axis=1).all()
+        assert (shifted < -745).any(axis=1).all()
+        for q in (uniform_weight_matrix(), magnetometry_weight_matrix()):
+            moments = risk._moment_columns(weights, locations, q)
+            floored = table.copy()
+            terms, kept = risk._weighted_variance_terms(floored, *moments)
+            expected, kept_expected = unfloored_variance_terms(table.copy(), *moments)
+            np.testing.assert_array_equal(kept, kept_expected)
+            assert np.flatnonzero(~kept).tolist() == [7]
+            np.testing.assert_array_equal(terms[kept], expected[kept])
+            np.testing.assert_array_equal(
+                floored[rows], np.exp(np.maximum(shifted, risk._EXP_FLOOR))
+            )
 
 
 class TestWeightMatrices:
