@@ -665,9 +665,8 @@ def risk_heatmap(config: HeatmapConfig, log=None) -> list:
     at the particles its draws read.
     ``seconds`` is the wall time of that profile.  Its candidates run on the
     calling thread at small sizes and in parallel on the host's cores at
-    large ones (``risk._POOL_MIN_CELLS`` and ``risk._POOL_MIN_CANDIDATES``),
-    so it is not the summed CPU time of the candidates; it is measured wall
-    clock and not byte-reproducible.
+    large ones (``risk._POOL_MIN_CELLS``), so it is not the summed CPU time
+    of the candidates; it is measured wall clock and not byte-reproducible.
     """
     log = log or (lambda msg: print(msg, file=sys.stderr, flush=True))
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))

@@ -47,9 +47,8 @@ that draws, spawns the candidates' streams and asks for survival rows.  It
 takes them from a function ``p_table(configs, particles)``, asked once its
 draws are known and only at the particles they read
 (``SharedDraws.particles``).  Its candidates run on the calling thread when
-their tables are small (``_POOL_MIN_CELLS``), when they are few
-(``_POOL_MIN_CANDIDATES``) or when the process may run on one core, else on
-a thread pool as wide as the cores it may run on
+their tables are small (``_POOL_MIN_CELLS``) or the process may run on one
+core, else on a thread pool as wide as the cores it may run on
 (:func:`nvbed.qutrit.usable_cores`); the profile does not depend on where
 they run.
 
@@ -179,66 +178,70 @@ def _active_block(q):
     return active, q[np.ix_(active, active)]
 
 
+# floor of the shifted log table before its exponential.  numpy's exp slows
+# sharply where it returns a subnormal or zero: on a 64x128 table, an entry
+# near -720 took about 100 ns and one below -745 13 ns, against 1 ns above
+# -708 (x86 host with AVX-512).  Raised to the floor, the entries of a row
+# add at most exp(-700) times the weight sum to its normalizer, which holds
+# at least the weight of the row's maximum, exp(0) = 1.  So an inner set
+# takes the floor only when each weight is at least _FLOOR_MIN_SHARE of
+# their sum, so that what the floor adds is less than an ulp of the
+# normalizer; a set with a zero or tinier weight is not floored.
+_EXP_FLOOR = -700.0
+_FLOOR_MIN_SHARE = 2.0**53 * math.exp(_EXP_FLOOR)
+
+
 def _moment_columns(weights, locations, q):
-    """``(q_block, columns)`` of an inner set under the weight matrix Q.
+    """``(q_block, columns, floor)`` of an inner set under the weight
+    matrix Q.
 
     Locations are centered at their weighted mean first, which keeps the
     kernel's second-moment/mean-square cancellation at posterior-variance
     scale; ``columns`` are [w, w * centered, w * quadratic] over the
-    coordinates Q touches, or None when it touches none.  A shared draw set
-    builds them once for every candidate it serves.
+    coordinates Q touches, or None when it touches none.  ``floor`` is
+    ``_EXP_FLOOR`` when every weight is at least ``_FLOOR_MIN_SHARE`` of
+    their sum, else None.  A shared draw set builds them once for every
+    candidate it serves.
     """
     active, q_block = _active_block(np.asarray(q))
+    floor = _EXP_FLOOR if weights.min() >= _FLOOR_MIN_SHARE * weights.sum() else None
     if len(active) == 0:
-        return q_block, None
+        return q_block, None, floor
     centered = locations[:, active] - weights @ locations[:, active]
     quadratic = np.einsum("ij,ij->i", centered @ q_block, centered)
     columns = np.column_stack(
         [weights, weights[:, None] * centered, weights * quadratic]
     )
-    return q_block, columns
+    return q_block, columns, floor
 
 
-# floor of the shifted log table before its exponential.  numpy's exp slows
-# sharply where it returns a subnormal or zero: on a 64x128 table, an entry
-# near -720 took about 100 ns and one below -745 13 ns, against 1 ns above
-# -708 (x86 host with AVX-512).  An entry this far below its row's maximum,
-# exp(0) = 1, adds less than an ulp to each moment where the maximum's
-# particle has weight.  The floor is taken only where the table's minimum is
-# below it: that read costs a third of the floor's pass, and design tables
-# at the repetitions the ESM target sets held no such entry.
-_EXP_FLOOR = -700.0
-
-
-def _weighted_variance_terms(log_table, q_block, columns):
+def _weighted_variance_terms(log_table, q_block, columns, floor=None):
     """Per-outcome Tr[Q Cov(posterior)] without materializing normalized
     weight rows.
 
     Consumes the float64 ``log_table``: each row is shifted by its maximum,
-    floored at ``_EXP_FLOOR`` and exponentiated in place.  The normalizer
-    and the first and second moments come from one product of the
-    exponentiated table with the moment ``columns`` of
-    :func:`_moment_columns`; returns (terms, kept_row_mask).  Only a row
-    that is kept has a meaningful term.
+    raised to ``floor`` when one is given and exponentiated in place.  The
+    normalizer and the first and second moments come from one product of
+    the exponentiated table with the moment ``columns``; ``q_block``,
+    ``columns`` and ``floor`` are those of :func:`_moment_columns`.
+    Returns (terms, kept_row_mask); only a row that is kept has a
+    meaningful term.
     """
-    shift = log_table.max(axis=1)
+    n_rows = log_table.shape[0]
+    shift = np.max(log_table, axis=1)
     kept = np.isfinite(shift)
-    if columns is None or not kept.any():
-        return np.zeros(len(log_table)), kept
-    if kept.all():
-        log_table -= shift[:, None]
-    else:
-        # rows with no finite entry keep shift 0, so they are not nan
-        log_table -= np.where(kept, shift, 0.0)[:, None]
-    if log_table.min() < _EXP_FLOOR:
-        np.maximum(log_table, _EXP_FLOOR, out=log_table)
+    if columns is None or not np.any(kept):
+        return np.zeros(n_rows), kept
+    # rows with no finite entry keep shift 0 so they exp to zero, not nan
+    log_table -= np.where(kept, shift, 0.0)[:, None]
+    if floor is not None:
+        np.maximum(log_table, floor, out=log_table)
     np.exp(log_table, out=log_table)
     sums = log_table @ columns
     denom, first, second = sums[:, 0], sums[:, 1:-1], sums[:, -1]
     good = denom > 0
-    if not good.all():
-        kept &= good
-        denom = np.where(good, denom, 1.0)
+    kept &= good
+    denom = np.where(good, denom, 1.0)
     means = first / denom[:, None]
     mean_square = np.einsum("ij,ij->i", means @ q_block, means)
     terms = second / denom - mean_square
@@ -387,8 +390,7 @@ def _summarize(terms, kept, n_outcomes, n_particles) -> RiskEstimate:
     reductions ``np.mean`` and ``np.std(ddof=1)`` perform, written out: a
     sum, then a sum of squared deviations from the mean.  On a screen's 64
     terms they took 6.8 us against 20.6 us for the two calls."""
-    every = kept.all()
-    kept_terms = terms if every else terms[kept]
+    kept_terms = terms[kept]
     n_kept = len(kept_terms)
     if n_kept == 0:
         raise ValueError("every sampled outcome underflowed; cloud too degenerate")
@@ -406,7 +408,7 @@ def _summarize(terms, kept, n_outcomes, n_particles) -> RiskEstimate:
         n_outcomes=n_outcomes,
         n_particles=n_particles,
         n_dropped=n_outcomes - n_kept,
-        samples=terms if every else np.where(kept, terms, np.nan),
+        samples=np.where(kept, terms, np.nan),
     )
 
 
@@ -416,21 +418,18 @@ def trace_weighted_variance(cloud: ParticleCloud, q: np.ndarray) -> float:
     return float(np.trace(q @ smc.posterior_cov(cloud)))
 
 
-# cells (outcomes x inner particles) of one candidate's MIS table, and
-# candidates, from which a profile runs its candidates on a thread pool;
-# smaller tables or fewer candidates run on the calling thread, where the
-# pool's hand-offs cost more than the second core saves.  Each worker starts
-# a thread and faults in its own workspace page by page (1.3 ms for 2 MB
-# here), about one full-size estimate.  Medians of ten interleaved profiles,
-# calling thread against pool, on a K = 4000 wide-prior cloud with its table
-# prefilled (2-core host, 1 BLAS thread): 200 candidates at 64x128 (2^13
-# cells, the paper-scale screen) 25.3 against 46.5 ms; at 256x512 (2^17),
-# 2, 4 and 8 candidates 2.5 against 3.0, 5.3 against 5.7 and 6.5 against
-# 7.2 ms, but 16 and 40 candidates 11.3 against 10.1 and 29.7 against 24.4
-# ms; at 512x1024 (full size), 2 and 8 candidates 6.9 against 7.4 and 18.7
-# against 21.5 ms, and 40 candidates 87.3 against 57.6 ms.
+# cells (outcomes x inner particles) of one candidate's MIS table from which
+# a profile runs its candidates on a thread pool; smaller tables run on the
+# calling thread, where the pool's hand-offs cost more than the second core
+# saves.  Medians of ten interleaved profiles, calling thread against pool,
+# on a K = 4000 wide-prior cloud with its table prefilled (2-core host,
+# 1 BLAS thread): 200 candidates at 64x128 (2^13 cells, the paper-scale
+# screen) 25.3 against 46.5 ms; 40 at 256x512 (2^17) 29.7 against 24.4 ms;
+# 40 at 512x1024 (full size) 87.3 against 57.6 ms.  Earlier runs on the same
+# host put 2^16 below the line: 40 candidates at 128x512 and at 256x256 took
+# 17.6 against 23.6 and 20.6 against 25.3 ms, and 100 candidates 42.9
+# against 49.7 and 44.4 against 52.1 ms.
 _POOL_MIN_CELLS = 1 << 17
-_POOL_MIN_CANDIDATES = 8
 
 
 def risk_profile(
@@ -456,13 +455,12 @@ def risk_profile(
     calls it once, after its draws, with the particles they read.  The NV
     model requires it; models that take no rows leave it None.
 
-    With one usable core, tables below ``_POOL_MIN_CELLS`` cells or fewer
-    than ``_POOL_MIN_CANDIDATES`` candidates, the candidates run on the
-    calling thread; otherwise on a thread pool with one worker per core
-    this process may run on, up to one per candidate.  Since no stream is
-    shared between them, the profile is the same wherever the candidates
-    run, and a profile of the first few candidates is the first few entries
-    of the whole profile.
+    With one usable core, or tables below ``_POOL_MIN_CELLS`` cells, the
+    candidates run on the calling thread; otherwise on a thread pool with
+    one worker per core this process may run on, up to one per candidate.
+    Since no stream is shared between them, the profile is the same wherever
+    the candidates run, and a profile of the first few candidates is the
+    first few entries of the whole profile.
     """
     if not configs:
         raise ValueError("candidate list is empty")
@@ -476,20 +474,8 @@ def risk_profile(
         return mis_risk(draws, config, stream, model, row)
 
     cores = usable_cores()
-    if (
-        cores == 1
-        or len(configs) < _POOL_MIN_CANDIDATES
-        or draws.n_outcomes * draws.n_inner < _POOL_MIN_CELLS
-    ):
-        # the calling thread's workspace lasts one profile, as a worker's
-        # does: kept, a full-size stage on this thread held 2 MB to the end
-        # of the run, and online_wide peak_rss_mb read 65.3 MB against
-        # 63.5 MB for the parent's pool (20 s perfbench runs, 2-core host);
-        # dropped, 62.1-63.4 MB against 61.6-64.4 MB
-        try:
-            return list(zip(configs, map(estimate, configs, streams, rows)))
-        finally:
-            vars(_workspace).clear()
+    if cores == 1 or draws.n_outcomes * draws.n_inner < _POOL_MIN_CELLS:
+        return list(zip(configs, map(estimate, configs, streams, rows)))
     # the workers assume one BLAS thread each: at OpenBLAS's default count,
     # every worker's moment product starts threads of its own, and 40
     # candidates at 512x1024 on a K = 4000 cloud took 207 ms against
@@ -497,6 +483,14 @@ def risk_profile(
     # Workers only, unlike qutrit.survival_table: with the caller taking a
     # share, online_wide peak_rss_mb rose to 67.3 MB from 65.5 MB (single 20 s
     # perfbench runs, seed 2101, 2-core host).  Merge them only on a benchmark.
+    # A few candidates go to the workers too, though each worker's start (a
+    # thread, then its 2 MB workspace faulted in page by page, 1.3 ms) costs
+    # about one full-size estimate: 2 and 8 candidates at 512x1024 took 6.9
+    # and 18.7 ms on the calling thread against 7.4 and 21.5 ms on the pool
+    # (ten interleaved profiles, same host).  But the calling thread keeps
+    # its workspace to the end of the run, and a lone candidate there raised
+    # online_wide peak_rss_mb to 67.7-68.0 MB from 65.4-65.9 MB (three 20 s
+    # runs each, interleaved).  Move them only with benchmark pairs for both.
     with ThreadPoolExecutor(max_workers=min(len(configs), cores)) as pool:
         return list(zip(configs, pool.map(estimate, configs, streams, rows)))
 

@@ -261,7 +261,7 @@ def stacked_mis_risk(draws, config, rng, p):
     for lo in range(0, draws.n_outcomes, rows):
         table = hstacked_log_likelihood_table(counts[lo : lo + rows], log_rates)
         terms[lo : lo + rows], kept[lo : lo + rows] = unfloored_variance_terms(
-            table, *draws.moments
+            table, *draws.moments[:2]
         )
     kept_terms = terms[kept]
     n_kept = len(kept_terms)

@@ -76,14 +76,12 @@ class TestRunTrial:
 
     def test_one_or_two_cores_write_the_same_record(self, monkeypatch):
         # the survival tables and the design's stages spread over the cores;
-        # at these sizes the full-size stage runs on the pool when it may,
-        # however few candidates survive the screen
+        # at these sizes the full-size stage runs on the pool when it may
         config = tiny_config(
             "uniform_risk", experiments=2, particles=300, risk_outcomes=512,
             risk_particles=256,
         )
         assert 512 * 256 >= risk._POOL_MIN_CELLS
-        monkeypatch.setattr(risk, "_POOL_MIN_CANDIDATES", 1)
         records = []
         for cores in ({0}, {0, 1}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)

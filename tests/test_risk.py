@@ -1,5 +1,4 @@
 import os
-import threading
 from functools import partial
 
 import numpy as np
@@ -377,11 +376,10 @@ class TestProfileSplit:
 
     def test_one_or_two_workers_give_the_same_profile(self, monkeypatch):
         # the small tables run on the calling thread, the large ones on the
-        # pool when there are two cores and enough candidates; a screen at
-        # 512x256 runs its few survivors on the calling thread
+        # pool when there are two cores; a screen at 512x256 runs one of each
         small, large = (96, 128), (512, 256)
         assert small[0] * small[1] < risk._POOL_MIN_CELLS <= large[0] * large[1]
-        cloud, configs, p_table = self.inputs(n_configs=risk._POOL_MIN_CANDIDATES)
+        cloud, configs, p_table = self.inputs()
         q = uniform_weight_matrix()
         runs = []
         for cores in ({0}, {0, 1}):
@@ -395,28 +393,6 @@ class TestProfileSplit:
                 ),
             ])
         assert runs[0] == runs[1]
-
-    def test_few_candidates_run_on_the_calling_thread(self, monkeypatch):
-        # a worker's start costs about one full-size estimate, so a large
-        # table with few candidates stays on the calling thread, whose
-        # workspace then lasts the profile, as a worker's does
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        threads = []
-
-        class ThreadRecordingModel(NvModel):
-            def log_likelihood_matrix(self, counts, log_rates, out=None):
-                threads.append(threading.get_ident())
-                return super().log_likelihood_matrix(counts, log_rates, out)
-
-        cloud, configs, p_table = self.inputs(n_configs=risk._POOL_MIN_CANDIDATES)
-        for n, pooled in ((len(configs) - 1, False), (len(configs), True)):
-            threads.clear()
-            risk_profile(
-                cloud, configs[:n], uniform_weight_matrix(), np.random.default_rng(63),
-                512, 256, model=ThreadRecordingModel(), p_table=p_table,
-            )
-            assert (threading.get_ident() not in threads) == pooled
-            assert getattr(risk._workspace, "buffer", None) is None
 
     def test_moment_columns_are_built_once_per_profile(self, monkeypatch):
         calls = []
@@ -887,11 +863,12 @@ class TestFormedPerCandidate:
                 assert new.n_dropped == old.n_dropped
                 np.testing.assert_array_equal(new.samples, old.samples)
 
-    def test_the_floor_leaves_every_kept_term(self):
-        # entries below -745 exp to zero and those between -745 and -708 to
-        # subnormals; floored at -700 they add less than an ulp to each moment
-        table, weights, locations = nv_table(4667, 1.0, seed=85, n_out=60)
-        rng = np.random.default_rng(86)
+    @staticmethod
+    def deep_table(seed):
+        """An NV table whose rows each hold entries below -745 and between
+        -745 and -708 of their maximum, and whose row 7 is -inf."""
+        table, weights, locations = nv_table(4667, 1.0, seed=seed, n_out=60)
+        rng = np.random.default_rng(seed + 1)
         deep = rng.uniform(size=table.shape) < 0.2
         deep[np.arange(len(table)), table.argmax(axis=1)] = False
         depth = np.where(
@@ -901,21 +878,52 @@ class TestFormedPerCandidate:
         )
         table = np.where(deep, table.max(axis=1, keepdims=True) + depth, table)
         table[7] = -np.inf
-        rows = np.arange(len(table)) != 7
-        shifted = table[rows] - table[rows].max(axis=1, keepdims=True)
+        shifted = table[8:] - table[8:].max(axis=1, keepdims=True)
         assert ((shifted > -745) & (shifted < -708)).any(axis=1).all()
         assert (shifted < -745).any(axis=1).all()
+        return table, weights, locations
+
+    def test_the_floor_leaves_every_kept_term(self):
+        # entries below -745 exp to zero and those between -745 and -708 to
+        # subnormals; floored at -700 they add less than an ulp to each moment
+        table, weights, locations = self.deep_table(85)
+        rows = np.arange(len(table)) != 7
+        shifted = table[rows] - table[rows].max(axis=1, keepdims=True)
         for q in (uniform_weight_matrix(), magnetometry_weight_matrix()):
             moments = risk._moment_columns(weights, locations, q)
+            assert moments[2] == risk._EXP_FLOOR
             floored = table.copy()
             terms, kept = risk._weighted_variance_terms(floored, *moments)
-            expected, kept_expected = unfloored_variance_terms(table.copy(), *moments)
+            expected, kept_expected = unfloored_variance_terms(
+                table.copy(), *moments[:2]
+            )
             np.testing.assert_array_equal(kept, kept_expected)
             assert np.flatnonzero(~kept).tolist() == [7]
             np.testing.assert_array_equal(terms[kept], expected[kept])
             np.testing.assert_array_equal(
                 floored[rows], np.exp(np.maximum(shifted, risk._EXP_FLOOR))
             )
+
+    @pytest.mark.parametrize("tiny", [0.0, 1e-300])
+    def test_no_floor_where_the_maximum_may_carry_no_weight(self, tiny):
+        # a particle of zero or negligible weight holds the maximum of rows
+        # whose every weighted entry is below -700 of it: floored, those
+        # rows would be kept on entries raised to exp(-700)
+        table, weights, locations = self.deep_table(87)
+        weights = weights.copy()
+        weights[0] = tiny
+        weights /= weights.sum()
+        table[30:40, 0] = table[30:40].max(axis=1) + 760.0
+        for q in (uniform_weight_matrix(), magnetometry_weight_matrix()):
+            moments = risk._moment_columns(weights, locations, q)
+            assert moments[2] is None
+            terms, kept = risk._weighted_variance_terms(table.copy(), *moments)
+            expected, kept_expected = unfloored_variance_terms(
+                table.copy(), *moments[:2]
+            )
+            np.testing.assert_array_equal(kept, kept_expected)
+            np.testing.assert_array_equal(terms[kept], expected[kept])
+            assert not kept[30:40].any() if tiny == 0.0 else kept[30:40].all()
 
 
 class TestWeightMatrices:
