@@ -11,9 +11,9 @@ written.
 Run ``nvbed run`` with one BLAS thread (``OPENBLAS_NUM_THREADS=1``, or
 ``OMP_NUM_THREADS=1`` / ``MKL_NUM_THREADS=1`` for other BLAS builds).  The
 design's risk profile and the survival tables already run one thread per
-core, and each worker's BLAS products would start threads of their own:
-40 candidates at 512x1024 on a K = 4000 cloud took 207 ms on the profile's
-pool at the default BLAS thread count, against 75 ms with one BLAS thread
+core, and each thread's BLAS products would start threads of their own:
+40 candidates at 512x1024 on a K = 4000 cloud took 207 ms on two threads
+at the default BLAS thread count, against 75 ms with one BLAS thread
 (2-core host).
 """
 

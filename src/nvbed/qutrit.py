@@ -253,36 +253,40 @@ class ExperimentConfig:
         )
 
 
-def thread_buffer(store: threading.local, size: int) -> np.ndarray:
-    """The first ``size`` entries of this thread's float64 scratch buffer
-    in ``store``, which is kept and replaced only by a larger one.
+_SCRATCH = threading.local()
+
+
+def thread_buffer(size: int) -> np.ndarray:
+    """The first ``size`` entries of this thread's float64 scratch buffer,
+    which is kept and replaced only by a larger one.
+
+    The Taylor step of :func:`expm` and the MIS table blocks of
+    :mod:`nvbed.risk` both work in it.  No caller holds a view of the
+    scratch across a call that may take it: ``expm`` copies its result out
+    before it returns, and a risk profile asks for its survival rows before
+    any estimate.
 
     The buffer is an anonymous memory map, not a malloc'd array: malloc
     would place it in the thread's arena, which keeps the memory after the
-    thread ends.  Kept malloc'd buffers raised the process's peak resident
-    memory at paper scale by about 7 MB in the risk profile's workers, and
-    by 8-9 MB in the Taylor step (online_wide peak_rss_mb 71.2-72.1 MB
-    against 62.9 MB mapped; single 30 s perfbench runs, 2-core host).
+    thread ends.  A malloc'd buffer read online_wide peak_rss_mb
+    64.1-65.1 MB against 60.4-61.1 MB mapped (3 pairs of 55 s perfbench
+    runs, 2-core host).
     """
-    buffer = getattr(store, "buffer", None)
+    buffer = getattr(_SCRATCH, "buffer", None)
     if buffer is None or buffer.size < size:
         buffer = np.frombuffer(mmap.mmap(-1, 8 * size), dtype=float)
-        store.buffer = buffer
+        _SCRATCH.buffer = buffer
     return buffer[:size]
 
 
-# the Taylor step's scratch arrays, kept by each thread and as large as the
-# largest stack it exponentiated (a survival-table block: 768 8x8 matrices,
-# 2.4 MB).  A fresh array per operation cost more than its arithmetic,
-# since each freed array went back to the system and the next one faulted
-# its pages in again: on one block the Taylor step took 3.0 ms with a new
-# array per operation, 2.4 ms with six new arrays per call and 1.3 ms on
-# kept arrays, and offline_wide s_per_experiment read 0.072-0.078 s with a
-# new array per operation against 0.050-0.052 s on kept ones (two 30 s
-# perfbench runs each; 2-core x86 host, one BLAS thread).
-_TAYLOR_SCRATCH = threading.local()
-
-
+# The Taylor step works on arrays each thread keeps (thread_buffer).  A
+# fresh array per operation cost more than its arithmetic, since each freed
+# array went back to the system and the next one faulted its pages in
+# again: on one block the Taylor step took 3.0 ms with a new array per
+# operation, 2.4 ms with six new arrays per call and 1.3 ms on kept arrays,
+# and offline_wide s_per_experiment read 0.072-0.078 s with a new array per
+# operation against 0.050-0.052 s on kept ones (two 30 s perfbench runs
+# each; 2-core x86 host, one BLAS thread).
 def _taylor_exp(x: np.ndarray) -> np.ndarray:
     """Degree-16 Taylor polynomial of exp at each matrix of the (m, n, n)
     stack ``x``, in Paterson-Stockmeyer form: p = B0 + X4 (B1 + X4 (B2 +
@@ -292,9 +296,7 @@ def _taylor_exp(x: np.ndarray) -> np.ndarray:
     so is the result: it is valid until the thread's next call.
     """
     c = _TAYLOR
-    x2, x3, x4, acc, part, term = thread_buffer(
-        _TAYLOR_SCRATCH, 6 * x.size
-    ).reshape(6, *x.shape)
+    x2, x3, x4, acc, part, term = thread_buffer(6 * x.size).reshape(6, *x.shape)
     np.matmul(x, x, out=x2)
     np.matmul(x2, x, out=x3)
     np.matmul(x2, x2, out=x4)
@@ -392,14 +394,13 @@ def survival_probability(params: SpinParams, config: ExperimentConfig) -> float:
 #     grid each term advances by one complex multiply per step.
 #
 # A table splits its hypotheses into blocks of ``_SURVIVAL_BLOCK`` and runs
-# these family kernels on each block, with one thread per core: the calling
-# thread takes every ``cores``-th block and a pool takes the rest.  Every
-# step of the kernels acts on each hypothesis alone (its own generators,
-# its own propagator and powers, its own branch mean), so an entry does not
-# depend on which other hypotheses share its block or its call: the table
-# is bit-identical to one computed block by block on one thread, and a
-# table over a subset of the hypotheses is the matching columns of the
-# whole table.
+# these family kernels on each block, spread by ``fan_out`` over one thread
+# per core, the calling thread among them.  Every step of the kernels acts
+# on each hypothesis alone (its own generators, its own propagator and
+# powers, its own branch mean), so an entry does not depend on which other
+# hypotheses share its block or its call: the table is bit-identical to one
+# computed block by block on one thread, and a table over a subset of the
+# hypotheses is the matching columns of the whole table.
 # ----------------------------------------------------------------------------
 
 # hypotheses per block of a survival table.  A block's pulse stack (3 x 256
@@ -412,12 +413,34 @@ _SURVIVAL_BLOCK = 256
 
 def usable_cores() -> int:
     """Cores this process may run on: its CPU affinity where the platform
-    reports one (Linux), else the machine's core count.  The width of the
-    survival table's blocks and of the risk profile's pool."""
+    reports one (Linux), else the machine's core count.  The most threads
+    :func:`fan_out` uses."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+def fan_out(run, units) -> None:
+    """``run(units[t::n])`` for t < n = min(:func:`usable_cores`,
+    len(units)): the calling thread runs ``units[0::n]`` and a pool of
+    n - 1 workers the other shares; with n = 1 no pool starts.  An
+    exception in any share is raised here.
+
+    The calling thread takes a share: on workers only, offline_wide
+    peak_rss_mb rose to 55.1-55.2 MB from 53.0-53.4 MB and setup_s to
+    4.4-4.9 ms from 3.8-4.2 ms (single 20 s perfbench runs, seed 2101,
+    2-core host).  Each thread assumes one BLAS thread (:mod:`nvbed.cli`).
+    """
+    threads = max(1, min(usable_cores(), len(units)))
+    if threads == 1:
+        run(units)
+        return
+    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+        shares = [pool.submit(run, units[t::threads]) for t in range(1, threads)]
+        run(units[::threads])
+        for share in shares:
+            share.result()
 
 
 def _real_generators(
@@ -602,22 +625,9 @@ def survival_table(spins: np.ndarray, configs: list) -> np.ndarray:
                     table = _survival_ramsey_family(block, key[1], times, key[2])
                 out[indices, cols] = table
 
-    blocks = [
+    fan_out(run, [
         slice(lo, lo + _SURVIVAL_BLOCK) for lo in range(0, k, _SURVIVAL_BLOCK)
-    ]
-    # the caller takes a share, unlike risk.risk_profile: on workers only,
-    # offline_wide peak_rss_mb rose to 55.1-55.2 MB from 53.0-53.4 MB and
-    # setup_s to 4.4-4.9 ms from 3.8-4.2 ms (single 20 s perfbench runs, seed
-    # 2101, 2-core host).  Merge the two fan-outs only on a benchmark.
-    threads = max(1, min(usable_cores(), len(blocks)))
-    if threads == 1:
-        run(blocks)
-    else:
-        with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-            shares = [pool.submit(run, blocks[t::threads]) for t in range(1, threads)]
-            run(blocks[::threads])
-            for share in shares:
-                share.result()
+    ])
     return _clamp_probability(out, "survival_table")
 
 

@@ -19,10 +19,11 @@ so that small analytically tractable models can stand in for the NV model
 in verification.  A table row may differ from the exact log-likelihood by
 a constant of that row, which the estimator's row-max shift cancels.  The
 estimator never holds the whole (n_outcomes, K) table: it asks for one
-block of outcome rows at a time, into a per-thread workspace that it
-shifts and exponentiates in place.  The NV model (the referenced-Poisson
-triple of :mod:`nvbed.measurement`) also takes each particle's survival
-probability as ``p=``, from rows the caller supplies.
+block of outcome rows at a time, into its thread's scratch buffer
+(:func:`nvbed.qutrit.thread_buffer`), which it shifts and exponentiates in
+place.  The NV model (the referenced-Poisson triple of
+:mod:`nvbed.measurement`) also takes each particle's survival probability
+as ``p=``, from rows the caller supplies.
 
 Every estimate is one :func:`mis_risk` call on one :class:`SharedDraws`:
 :func:`draw_shared` takes the outcome ancestors, then the inner set with
@@ -47,10 +48,9 @@ that draws, spawns the candidates' streams and asks for survival rows.  It
 takes them from a function ``p_table(configs, particles)``, asked once its
 draws are known and only at the particles they read
 (``SharedDraws.particles``).  Its candidates run on the calling thread when
-their tables are small (``_POOL_MIN_CELLS``) or the process may run on one
-core, else on a thread pool as wide as the cores it may run on
-(:func:`nvbed.qutrit.usable_cores`); the profile does not depend on where
-they run.
+their tables are small (``_POOL_MIN_CELLS``), else spread over the cores by
+:func:`nvbed.qutrit.fan_out`, as the survival tables are; the profile does
+not depend on where they run.
 
 :func:`screened_profile` is the design's profile.  Its screen is a
 :func:`risk_profile` of every candidate at 1/``SCREEN_SHRINK`` of the
@@ -67,14 +67,12 @@ particles there is no screen: every candidate survives.
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import measurement, smc
-from .qutrit import thread_buffer, usable_cores
+from .qutrit import fan_out, thread_buffer
 from .smc import IDX_ALPHA, IDX_BETA, ParticleCloud
 
 
@@ -253,9 +251,6 @@ def _weighted_variance_terms(log_table, q_block, columns, floor=None):
 # enough that the kernel's per-block Python work stays small (512 outcomes
 # over 1024 inner particles make two blocks of 256 rows)
 _MIS_BLOCK_BYTES = 1 << 21
-# each thread's buffer for its blocks (qutrit.thread_buffer), at least one
-# block large, reused across blocks and candidates
-_workspace = threading.local()
 
 
 def _block_rows(n_particles: int) -> int:
@@ -332,7 +327,7 @@ class SharedDraws:
         )
         log_rates = model.log_rates(self.inner, config, **_rows(p, self._inner_at))
         n_inner, rows = self.n_inner, self._block
-        buffer = thread_buffer(_workspace, self._workspace_size)
+        buffer = thread_buffer(self._workspace_size)
         terms = np.empty(self.n_outcomes)
         kept = np.empty(self.n_outcomes, dtype=bool)
         for lo in range(0, self.n_outcomes, rows):
@@ -419,16 +414,16 @@ def trace_weighted_variance(cloud: ParticleCloud, q: np.ndarray) -> float:
 
 
 # cells (outcomes x inner particles) of one candidate's MIS table from which
-# a profile runs its candidates on a thread pool; smaller tables run on the
-# calling thread, where the pool's hand-offs cost more than the second core
-# saves.  Medians of ten interleaved profiles, calling thread against pool,
-# on a K = 4000 wide-prior cloud with its table prefilled (2-core host,
-# 1 BLAS thread): 200 candidates at 64x128 (2^13 cells, the paper-scale
-# screen) 25.3 against 46.5 ms; 40 at 256x512 (2^17) 29.7 against 24.4 ms;
-# 40 at 512x1024 (full size) 87.3 against 57.6 ms.  Earlier runs on the same
-# host put 2^16 below the line: 40 candidates at 128x512 and at 256x256 took
-# 17.6 against 23.6 and 20.6 against 25.3 ms, and 100 candidates 42.9
-# against 49.7 and 44.4 against 52.1 ms.
+# a profile fans its candidates out (qutrit.fan_out); smaller tables run on
+# the calling thread, where spreading them costs more than the second core
+# saves.  Fanning out every stage, the 64x128 screens included, read
+# online_wide setup_s 0.162-0.191 s against 0.146-0.161 s and
+# s_per_experiment 0.061-0.070 s against 0.057-0.065 s, worse in each of 4
+# pairs of 55 s perfbench runs (2-core host, 1 BLAS thread).  The benchmark
+# has no stage between 2^13 and 2^19 cells; there the line rests on profile
+# timings against a workers-only pool: 40 candidates at 256x512 (2^17) took
+# 29.7 ms on the calling thread against 24.4 ms, and at 128x512 17.6
+# against 23.6 ms.
 _POOL_MIN_CELLS = 1 << 17
 
 
@@ -455,12 +450,12 @@ def risk_profile(
     calls it once, after its draws, with the particles they read.  The NV
     model requires it; models that take no rows leave it None.
 
-    With one usable core, or tables below ``_POOL_MIN_CELLS`` cells, the
-    candidates run on the calling thread; otherwise on a thread pool with
-    one worker per core this process may run on, up to one per candidate.
-    Since no stream is shared between them, the profile is the same wherever
-    the candidates run, and a profile of the first few candidates is the
-    first few entries of the whole profile.
+    Below ``_POOL_MIN_CELLS`` cells per table the candidates run on the
+    calling thread; from there on :func:`nvbed.qutrit.fan_out` spreads
+    them, one unit each, over the cores.  Since no stream is shared between
+    them, the profile is the same wherever the candidates run, and a
+    profile of the first few candidates is the first few entries of the
+    whole profile.
     """
     if not configs:
         raise ValueError("candidate list is empty")
@@ -468,31 +463,18 @@ def risk_profile(
     draws = draw_shared(cloud, q, n_outcomes, n_particles, rng)
     streams = rng.spawn(len(configs))
     rows = p_table(configs, draws.particles) if p_table else [None] * len(configs)
+    estimates = [None] * len(configs)
 
-    def estimate(config, stream, row):
-        # the module global, so that a wrapped mis_risk sees every call
-        return mis_risk(draws, config, stream, model, row)
+    def run(share):
+        for i in share:
+            # the module global, so that a wrapped mis_risk sees every call
+            estimates[i] = mis_risk(draws, configs[i], streams[i], model, rows[i])
 
-    cores = usable_cores()
-    if cores == 1 or draws.n_outcomes * draws.n_inner < _POOL_MIN_CELLS:
-        return list(zip(configs, map(estimate, configs, streams, rows)))
-    # the workers assume one BLAS thread each: at OpenBLAS's default count,
-    # every worker's moment product starts threads of its own, and 40
-    # candidates at 512x1024 on a K = 4000 cloud took 207 ms against
-    # 75 ms with OPENBLAS_NUM_THREADS=1 (2-core host); see nvbed.cli.
-    # Workers only, unlike qutrit.survival_table: with the caller taking a
-    # share, online_wide peak_rss_mb rose to 67.3 MB from 65.5 MB (single 20 s
-    # perfbench runs, seed 2101, 2-core host).  Merge them only on a benchmark.
-    # A few candidates go to the workers too, though each worker's start (a
-    # thread, then its 2 MB workspace faulted in page by page, 1.3 ms) costs
-    # about one full-size estimate: 2 and 8 candidates at 512x1024 took 6.9
-    # and 18.7 ms on the calling thread against 7.4 and 21.5 ms on the pool
-    # (ten interleaved profiles, same host).  But the calling thread keeps
-    # its workspace to the end of the run, and a lone candidate there raised
-    # online_wide peak_rss_mb to 67.7-68.0 MB from 65.4-65.9 MB (three 20 s
-    # runs each, interleaved).  Move them only with benchmark pairs for both.
-    with ThreadPoolExecutor(max_workers=min(len(configs), cores)) as pool:
-        return list(zip(configs, pool.map(estimate, configs, streams, rows)))
+    if draws.n_outcomes * draws.n_inner < _POOL_MIN_CELLS:
+        run(range(len(configs)))
+    else:
+        fan_out(run, range(len(configs)))
+    return list(zip(configs, estimates))
 
 
 # The screen of :func:`screened_profile` scores every candidate at

@@ -48,9 +48,10 @@ def test_instrumentation_wraps_and_restores_every_name(monkeypatch):
 
 
 def test_profile_workers_call_the_wrapped_names(monkeypatch):
-    # risk_profile's pool must reach mis_risk and the model's table through
+    # risk_profile's threads must reach mis_risk and the model's table through
     # the attributes the tracer swaps, or the per-layer risk metrics go blank;
-    # with two cores a large table runs on the pool, a small one on the caller
+    # with two cores large tables fan out to the caller and one worker, small
+    # ones run on the caller only
     tracing = load_tracing(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     cloud = sample_prior(PriorSpec(), 256, np.random.default_rng(0))
@@ -59,7 +60,7 @@ def test_profile_workers_call_the_wrapped_names(monkeypatch):
     ]
     p_table = random_rows(configs, cloud.size, 1)
     assert 16 * 32 < risk._POOL_MIN_CELLS <= 512 * 256
-    for n_outcomes, n_particles, pooled in ((512, 256, True), (16, 32, False)):
+    for n_outcomes, n_particles, fans_out in ((512, 256, True), (16, 32, False)):
         recorder = tracing.SpanRecorder("names")
         with tracing.Instrumentation(recorder):
             profile = risk.risk_profile(
@@ -74,8 +75,8 @@ def test_profile_workers_call_the_wrapped_names(monkeypatch):
         tables = [s for s in recorder.spans if s.name == "risk.log_likelihood_matrix"]
         threads = {span.thread for span in tables}
         assert tables
-        if pooled:
-            assert threading.get_ident() not in threads
+        if fans_out:
+            assert len(threads) == 2 and threading.get_ident() in threads
         else:
             assert threads == {threading.get_ident()}
 

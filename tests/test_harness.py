@@ -76,7 +76,7 @@ class TestRunTrial:
 
     def test_one_or_two_cores_write_the_same_record(self, monkeypatch):
         # the survival tables and the design's stages spread over the cores;
-        # at these sizes the full-size stage runs on the pool when it may
+        # at these sizes the full-size stage fans out when it may
         config = tiny_config(
             "uniform_risk", experiments=2, particles=300, risk_outcomes=512,
             risk_particles=256,

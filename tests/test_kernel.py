@@ -4,8 +4,9 @@
 exponentials of normal matrices; the kernel's 8x8 traceless blocks against
 the complex generators of ``tests/oracles.py``; ``survival_table`` against
 the SciPy segment path there, and its blocks and threads against the
-family kernels run on one thread; hypothesis drives the physical
-invariants of the propagator.
+family kernels run on one thread; ``qutrit.fan_out``, which spreads the
+kernels' work over the cores, by the units each thread runs; hypothesis
+drives the physical invariants of the propagator.
 """
 
 import os
@@ -55,6 +56,13 @@ def rotation_blocks(re, im, exp=False):
             out[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] *= np.exp(a)
     out[8, 8] = np.exp(re[4]) if exp else re[4]
     return out
+
+
+def cores(monkeypatch, n):
+    """Make ``n`` cores usable to this process, as its CPU affinity."""
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: set(range(n)), raising=False
+    )
 
 
 def random_spins(rng, k):
@@ -311,12 +319,6 @@ class TestSurvivalBlocks:
             )
         return qutrit._clamp_probability(table, "serial")
 
-    @staticmethod
-    def cores(monkeypatch, n):
-        monkeypatch.setattr(
-            os, "sched_getaffinity", lambda pid: set(range(n)), raising=False
-        )
-
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     @pytest.mark.parametrize("k", [1, 255, 256, 257, 600])
     def test_every_split_equals_the_serial_kernel(self, monkeypatch, family, k):
@@ -324,7 +326,7 @@ class TestSurvivalBlocks:
         configs = self.FAMILIES[family]
         serial = self.serial(spins, configs)
         for n in (1, 2, 3):
-            self.cores(monkeypatch, n)
+            cores(monkeypatch, n)
             assert np.array_equal(survival_table(spins, configs), serial)
 
     def test_a_subset_gives_the_matching_columns(self):
@@ -342,7 +344,7 @@ class TestSurvivalBlocks:
         spins = random_spins(np.random.default_rng(112), 8 * 256 + 5)
         configs = self.FAMILIES["ramsey grid"]
         serial = self.serial(spins, configs)
-        self.cores(monkeypatch, 4)
+        cores(monkeypatch, 4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -360,12 +362,62 @@ class TestSurvivalBlocks:
             return family(spins, times, drive_freq)
 
         monkeypatch.setattr(qutrit, "_survival_rabi_family", recorded)
-        self.cores(monkeypatch, 2)
+        cores(monkeypatch, 2)
         spins = random_spins(np.random.default_rng(111), 600)  # blocks 256, 256, 88
         survival_table(spins, self.FAMILIES["rabi grid"])
         caller = threading.get_ident()
         assert sorted(n for t, n in ran if t == caller) == [88, 256]
         assert [n for t, n in ran if t != caller] == [256]
+
+
+class TestFanOut:
+    """``qutrit.fan_out`` spreads shares of its units over at most one
+    thread per usable core, the calling thread among them."""
+
+    @staticmethod
+    def record(monkeypatch, n_cores, units):
+        """(thread, unit) of every unit run by one fan_out."""
+        cores(monkeypatch, n_cores)
+        ran = []
+        qutrit.fan_out(
+            lambda share: ran.extend((threading.get_ident(), u) for u in share),
+            units,
+        )
+        return ran
+
+    @pytest.mark.parametrize("n_cores", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_units", [0, 1, 2, 3, 7])
+    def test_every_unit_runs_once_and_the_caller_takes_every_nth(
+        self, monkeypatch, n_cores, n_units
+    ):
+        units = range(10, 10 + n_units)
+        ran = self.record(monkeypatch, n_cores, units)
+        assert sorted(u for _, u in ran) == list(units)
+        n = max(1, min(n_cores, n_units))
+        caller = threading.get_ident()
+        assert [u for t, u in ran if t == caller] == list(units[0::n])
+        assert len({t for t, _ in ran}) <= n
+
+    def test_one_core_or_one_unit_starts_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("fan_out started a pool")
+
+        monkeypatch.setattr(qutrit, "ThreadPoolExecutor", no_pool)
+        caller = threading.get_ident()
+        for n_cores, units in ((1, range(5)), (4, range(1)), (4, range(0))):
+            ran = self.record(monkeypatch, n_cores, units)
+            assert ran == [(caller, u) for u in units]
+
+    @pytest.mark.parametrize("failing", [0, 1], ids=["caller", "worker"])
+    def test_an_exception_in_any_share_is_raised(self, monkeypatch, failing):
+        cores(monkeypatch, 2)
+
+        def run(share):
+            if failing in share:
+                raise ValueError(f"share of unit {failing}")
+
+        with pytest.raises(ValueError, match=f"share of unit {failing}"):
+            qutrit.fan_out(run, range(4))
 
 
 def test_a_subset_of_a_grid_takes_the_grid_step():

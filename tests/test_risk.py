@@ -375,8 +375,8 @@ class TestProfileSplit:
         assert [est] == self.serial(cloud, configs, p_table)
 
     def test_one_or_two_workers_give_the_same_profile(self, monkeypatch):
-        # the small tables run on the calling thread, the large ones on the
-        # pool when there are two cores; a screen at 512x256 runs one of each
+        # the small tables run on the calling thread, the large ones fan out
+        # when there are two cores; a screen at 512x256 runs one of each
         small, large = (96, 128), (512, 256)
         assert small[0] * small[1] < risk._POOL_MIN_CELLS <= large[0] * large[1]
         cloud, configs, p_table = self.inputs()
@@ -622,6 +622,63 @@ class TestUsableCores:
         other_profile, other_table = profile_and_table()
         assert other_profile == profile
         assert np.array_equal(other_table, table)
+
+
+class TestOneScratchBuffer:
+    """The Taylor step and the MIS table blocks work in one scratch buffer
+    per thread (qutrit.thread_buffer), and no result is a view of it."""
+
+    @staticmethod
+    def one_core(monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+    def test_tables_and_exponentials_outlive_a_full_size_profile(self, monkeypatch):
+        self.one_core(monkeypatch)
+        cloud, configs = TestDrawnRows.inputs()
+        spins = cloud.spin_locations
+        rng = np.random.default_rng(95)
+        table = qutrit.survival_table(spins, configs)
+        # a survival-table block's pulse stack, scaled so that some matrices
+        # take no squarings and some take several
+        stack = rng.normal(size=(768, 8, 8)) * np.geomspace(1e-3, 10.0, 768)[
+            :, None, None
+        ]
+        exponentials = qutrit.expm(stack)
+        kept = table.copy(), exponentials.copy()
+        sizes = (512, 256)
+        assert sizes[0] * sizes[1] >= risk._POOL_MIN_CELLS
+        risk_profile(
+            cloud, configs, uniform_weight_matrix(), rng, *sizes,
+            p_table=partial(SurvivalTableCache().table, spins),
+        )
+        assert np.array_equal(table, kept[0])
+        assert np.array_equal(exponentials, kept[1])
+
+    def test_a_table_between_stages_leaves_the_design(self, monkeypatch):
+        self.one_core(monkeypatch)
+        cloud, configs = TestDrawnRows.inputs()
+        spins = cloud.spin_locations
+        stage = risk.risk_profile
+
+        def design():
+            return risk.screened_profile(
+                cloud, configs, uniform_weight_matrix(),
+                np.random.default_rng(96), 512, 256,
+                p_table=partial(SurvivalTableCache().table, spins),
+            )
+
+        def stage_then_table(*args, **kwargs):
+            profile = stage(*args, **kwargs)
+            qutrit.survival_table(spins, configs)
+            return profile
+
+        plain = design()
+        monkeypatch.setattr(risk, "risk_profile", stage_then_table)
+        interleaved = design()
+        assert interleaved[1] == plain[1]
+        assert interleaved[0] == plain[0]
+        for (_, a), (_, b) in zip(interleaved[0], plain[0]):
+            assert np.array_equal(a.samples, b.samples, equal_nan=True)
 
 
 class TestBlockedTable:
