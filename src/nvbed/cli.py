@@ -28,11 +28,17 @@ import numpy as np
 from . import harness, lab as labmod
 
 
+def _override(obj, **values):
+    """The dataclass ``obj`` with each field of ``values`` that is not None
+    replaced, through its own validation."""
+    changes = {k: v for k, v in values.items() if v is not None}
+    return dataclasses.replace(obj, **changes)
+
+
 def _cmd_run(args) -> int:
-    config = harness.RunConfig.from_file(args.config)
-    overrides = {"seed": args.seed, "out_dir": args.out, "lab": args.lab}
-    config = dataclasses.replace(
-        config, **{k: v for k, v in overrides.items() if v is not None}
+    config = _override(
+        harness.RunConfig.from_file(args.config),
+        seed=args.seed, out_dir=args.out, lab=args.lab,
     )
     summary = harness.run_comparison(config)
     line = (
@@ -53,31 +59,19 @@ def _cmd_run(args) -> int:
 
 def _cmd_serve(args) -> int:
     truth = labmod.default_truth()
-    if args.alpha is not None or args.beta is not None or args.drift_sigma is not None:
-        from .measurement import ReferenceRates
-        from .smc import DriftParams, ModelParameters
-
-        alpha = args.alpha if args.alpha is not None else truth.refs.bright
-        beta = args.beta if args.beta is not None else truth.refs.dark
-        sigma = (
-            args.drift_sigma
-            if args.drift_sigma is not None
-            else truth.drift.sigma_alpha
-        )
-        truth = ModelParameters(
-            spin=truth.spin,
-            refs=ReferenceRates(alpha, beta),
-            drift=DriftParams(sigma, sigma, truth.drift.correlation),
-        )
+    sigma = args.drift_sigma
+    truth = dataclasses.replace(
+        truth,
+        refs=_override(truth.refs, bright=args.alpha, dark=args.beta),
+        drift=_override(truth.drift, sigma_alpha=sigma, sigma_beta=sigma),
+    )
     system = labmod.TrueSystem(truth, np.random.default_rng(args.seed))
     labmod.serve(args.bind, system)
     return 0
 
 
 def _cmd_heatmap(args) -> int:
-    config = harness.HeatmapConfig.from_file(args.config)
-    if args.out is not None:
-        config = dataclasses.replace(config, out_dir=args.out)
+    config = _override(harness.HeatmapConfig.from_file(args.config), out_dir=args.out)
     rows = harness.risk_heatmap(config)
     print(f"wrote {len(rows)} heatmap rows to {config.out_dir}/heatmap.csv")
     return 0

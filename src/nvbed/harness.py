@@ -36,6 +36,8 @@ from .qutrit import ExperimentConfig, SpinParams
 from .smc import DriftParams, ModelParameters, PriorSpec, SpinPrior
 
 CALIBRATION_PULSE_NS = 2.0
+# points of the geometric ESM grid the learning curves are sampled on
+ESM_GRID_POINTS = 100
 
 
 def _load_config(cls, path, what: str):
@@ -116,8 +118,8 @@ class RunConfig:
     particles: int = 4000
     risk_outcomes: int = 512
     risk_particles: int = 1024
-    target_esm: float = 20.0
-    n_max: int = 1_000_000
+    target_esm: float = heur.DEFAULT_TARGET_ESM
+    n_max: int = heur.DEFAULT_N_MAX
     seed: int = 0
     lab: str = "in-process"
     out_dir: str = "results"
@@ -508,13 +510,16 @@ def load_records(out_dir) -> list:
 
 
 def write_aggregates(out_dir, records: list) -> None:
-    """Write ``curves.csv`` and ``histograms.csv`` of the records to out_dir."""
+    """Write ``curves.csv`` and ``histograms.csv`` of the records to out_dir,
+    which is created if missing."""
+    curves = learning_curve_stats(records)
     out_dir = Path(out_dir)
-    write_curves_csv(out_dir / "curves.csv", learning_curve_stats(records))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_curves_csv(out_dir / "curves.csv", curves)
     write_histogram_csv(out_dir / "histograms.csv", experiment_histogram(records))
 
 
-def learning_curve_stats(records: list, n_grid: int = 100) -> dict:
+def learning_curve_stats(records: list) -> dict:
     """Median and 10%/90% posterior-variance envelopes on a common ESM grid.
 
     Each trial's per-parameter posterior variance is interpolated onto the
@@ -534,11 +539,11 @@ def learning_curve_stats(records: list, n_grid: int = 100) -> dict:
     lo, hi = max(starts), min(ends)
     if not hi > lo:
         raise ValueError("trials do not share a common ESM range")
-    grid = np.geomspace(lo, hi, n_grid)
+    grid = np.geomspace(lo, hi, ESM_GRID_POINTS)
     out = {"esm_grid": grid.tolist(), "heuristics": {}}
     for name, group in sorted(by_heuristic.items()):
         n_params = len(group[0]["steps"][0]["posterior_variance"])
-        sampled = np.empty((len(group), n_grid, n_params))
+        sampled = np.empty((len(group), ESM_GRID_POINTS, n_params))
         for t, record in enumerate(group):
             esms = np.array([s["cumulative_esm"] for s in record["steps"]])
             variances = np.array([s["posterior_variance"] for s in record["steps"]])
@@ -624,7 +629,7 @@ class HeatmapConfig:
     cloud_particles: int = 4000
     candidate_m: int = 25
     repetitions_seeds: int = 3
-    target_esm: float = 20.0
+    target_esm: float = heur.DEFAULT_TARGET_ESM
     seed: int = 0
     out_dir: str = "results"
 

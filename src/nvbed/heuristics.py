@@ -255,7 +255,7 @@ class RiskMinimizer(Heuristic):
     weights: np.ndarray = field(default_factory=risk.uniform_weight_matrix)
     n_outcomes: int = 512
     n_particles: int = 1024
-    last_profile: list = field(default=None, repr=False)
+    last_profile: list = field(default=None, init=False, repr=False)
 
     def candidate_set(self, cloud: ParticleCloud, repetitions: int) -> list:
         """The Rabi and Ramsey grids, each candidate at ``repetitions``."""

@@ -48,6 +48,8 @@ from .smc import DriftParams, ModelParameters
 
 PROTOCOL_VERSION = 1
 IDLE_TIMEOUT_S = 600.0
+# relative standard deviation of each reference after a refocus
+REFOCUS_SIGMA = 0.01
 
 
 class LabProtocolError(RuntimeError):
@@ -100,7 +102,7 @@ class TrueSystem:
 
     The true references follow a correlated random walk, reflected so that
     0 < beta < alpha always holds; a tracking operation refocuses them back
-    to their nominal values up to a multiplicative refocus error.
+    to their nominal values up to a relative refocus error ``REFOCUS_SIGMA``.
 
     ``_waveforms``, the one waveform store, maps each shape a successful run
     uploaded to the truth's survival probability; ``uploads`` is its size.
@@ -109,10 +111,9 @@ class TrueSystem:
     truth: ModelParameters
     rng: np.random.Generator
     timings: LabTimings = field(default_factory=LabTimings)
-    refocus_sigma: float = 0.01
-    clock: float = 0.0  # simulated seconds
 
     def __post_init__(self):
+        self.clock = 0.0  # simulated seconds
         self.alpha = self.truth.refs.bright
         self.beta = self.truth.refs.dark
         self._waveforms = {}
@@ -167,7 +168,7 @@ class TrueSystem:
     def track(self) -> None:
         """Refocus: restore the references to nominal up to a refocus error."""
         self.clock += self.timings.track_duration_s
-        eps_a, eps_b = self.rng.normal(0.0, self.refocus_sigma, size=2)
+        eps_a, eps_b = self.rng.normal(0.0, REFOCUS_SIGMA, size=2)
         self.alpha, self.beta = _reflect_refs(
             self.truth.refs.bright * (1.0 + eps_a),
             self.truth.refs.dark * (1.0 + eps_b),
@@ -383,7 +384,11 @@ class LabClient:
             {"v": PROTOCOL_VERSION, "type": "run", "config": config.to_dict()}
         )
         self.last_cache_hit = bool(response.get("cache_hit"))
-        return Datum.from_dict(response["datum"])
+        try:
+            return Datum.from_dict(response["datum"])
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
+            reply = str(response)[:200]
+            raise LabProtocolError(f"no usable datum in reply {reply}") from err
 
     def track(self) -> None:
         self._request({"v": PROTOCOL_VERSION, "type": "track"})

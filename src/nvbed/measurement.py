@@ -187,7 +187,7 @@ def choose_repetitions(
     per_shot: ReferenceRates,
     per_shot_sigmas: tuple,
     target_esm: float,
-    n_max: int = 1_000_000,
+    n_max: int,
 ) -> tuple:
     """Smallest repetition count whose expected ESM reaches ``target_esm``.
 

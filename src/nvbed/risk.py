@@ -432,8 +432,8 @@ def risk_profile(
     configs: list,
     q: np.ndarray,
     rng: np.random.Generator,
-    n_outcomes: int = 512,
-    n_particles: int = 1024,
+    n_outcomes: int,
+    n_particles: int,
     model=None,
     p_table=None,
 ) -> list:
@@ -526,8 +526,8 @@ def screened_profile(
     configs: list,
     q: np.ndarray,
     rng: np.random.Generator,
-    n_outcomes: int = 512,
-    n_particles: int = 1024,
+    n_outcomes: int,
+    n_particles: int,
     model=None,
     p_table=None,
 ) -> tuple:

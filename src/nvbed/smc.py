@@ -49,6 +49,31 @@ CALIBRATED_COV = np.array(
     ]
 )
 _CALIBRATED_COLUMNS = [IDX_RABI, IDX_ZFS, IDX_HYPERFINE, IDX_DEPHASING]
+# uniform Zeeman range (MHz) of the "wide" and "calibrated" spin priors
+ZEEMAN_RANGE = (0.0, 10.0)
+# "tight" only: the Zeeman prior is no longer widened.  The calibration run
+# marginalized the Zeeman splitting out, so these values (MHz) are a
+# plausible stand-in for a previously measured field.
+TIGHT_ZEEMAN_MEAN = 2.0
+TIGHT_ZEEMAN_STD = 0.1
+
+# inverse-Wishart hyperprior on the per-hour reference drift covariance; its
+# mean, DRIFT_SCALE / (DRIFT_DOF - 3), has scales 0.036 and correlation 0.7
+DRIFT_DOF = 30.0
+DRIFT_SCALE = (DRIFT_DOF - 3.0) * np.array(
+    [[0.036**2, 0.7 * 0.036**2], [0.7 * 0.036**2, 0.036**2]]
+)
+for _fixed in (CALIBRATED_MEAN, CALIBRATED_COV, DRIFT_SCALE):
+    _fixed.setflags(write=False)
+
+# The update's schedule.  An update is split into m tempered sub-updates
+# with likelihood exponent 1/m, where m = max(1, ceil(expected ESM of the
+# datum / ESM_PER_STEP)); ESM_PER_STEP = math.inf gives the single plain
+# update.  Liu-West resampling with a = LIU_WEST_A runs between sub-updates
+# (and after the final one) whenever n_eff drops below RESAMPLE_THRESHOLD * K.
+ESM_PER_STEP = 10.0
+RESAMPLE_THRESHOLD = 0.5
+LIU_WEST_A = 0.98
 
 
 class DegenerateUpdateError(RuntimeError):
@@ -146,21 +171,15 @@ def _check_constraints(locations: np.ndarray) -> np.ndarray:
 class SpinPrior:
     """Prior over the five spin columns.
 
-    ``wide`` uses the uniform ranges of the first heuristic comparison;
-    ``calibrated`` keeps the Zeeman splitting uniform on [0, 10] MHz but draws
-    the other four parameters from the stored calibration posterior;
-    ``tight`` additionally narrows the Zeeman splitting to a normal.
+    ``wide`` uses the uniform ranges of the first heuristic comparison, the
+    Zeeman splitting uniform on ``ZEEMAN_RANGE``; ``calibrated`` keeps that
+    Zeeman prior but draws the other four parameters from the calibration
+    posterior ``CALIBRATED_MEAN``, ``CALIBRATED_COV``; ``tight``
+    additionally narrows the Zeeman splitting to a normal of mean
+    ``TIGHT_ZEEMAN_MEAN`` and deviation ``TIGHT_ZEEMAN_STD``.
     """
 
     kind: str = "wide"  # "wide" | "calibrated" | "tight"
-    mean: np.ndarray = field(default_factory=lambda: CALIBRATED_MEAN.copy())
-    cov: np.ndarray = field(default_factory=lambda: CALIBRATED_COV.copy())
-    zeeman_range: tuple = (0.0, 10.0)
-    # "tight" only: the Zeeman prior is no longer widened.  The calibration
-    # run marginalized the Zeeman splitting out, so these values are a
-    # plausible stand-in for a previously measured field.
-    tight_zeeman_mean: float = 2.0
-    tight_zeeman_std: float = 0.1
 
     def __post_init__(self):
         if self.kind not in ("wide", "calibrated", "tight"):
@@ -192,42 +211,6 @@ class ReferencePrior:
         return out
 
 
-@dataclass(frozen=True)
-class DriftPrior:
-    """Inverse-Wishart prior on the per-hour drift covariance of the references."""
-
-    dof: float = 30.0
-    scale: np.ndarray = field(
-        default_factory=lambda: (30.0 - 3.0)
-        * np.array(
-            [[0.036**2, 0.7 * 0.036**2], [0.7 * 0.036**2, 0.036**2]]
-        )
-    )
-
-    def __post_init__(self):
-        if self.dof <= 3.0:
-            raise ValueError("dof must exceed 3 for the prior mean to exist")
-
-    def sample_chart(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw n covariances and return (log sa, log sb, atanh rho) rows.
-
-        Consumes the same variates as ``scipy.stats.invwishart.rvs(dof,
-        scale, n, rng)``, in the same order: the Bartlett factor
-        A = [[a, 0], [b, c]] with b ~ N(0, 1), a^2 ~ chi2(dof - 1) and
-        c^2 ~ chi2(dof).  The covariance is S = L L^T with L = C A^-1 and C
-        the Cholesky factor of the scale, so in closed form sa = L00, sb is
-        the norm of row 1 of L, and rho = L10 / sb.
-        """
-        b = rng.normal(size=(n, 1))[:, 0]
-        chi = rng.chisquare(df=(self.dof - 1.0) + np.arange(2.0), size=(n, 2)) ** 0.5
-        a, c = chi[:, 0], chi[:, 1]
-        chol = np.linalg.cholesky(np.asarray(self.scale, dtype=float))
-        sa = chol[0, 0] / a
-        l10 = (chol[1, 0] - chol[1, 1] * b / c) / a
-        sb = np.hypot(l10, chol[1, 1] / c)
-        return np.column_stack([np.log(sa), np.log(sb), np.arctanh(l10 / sb)])
-
-
 def default_reference_prior() -> ReferencePrior:
     """Fallback reference prior for offline experiments without a calibration run."""
     return empirical_reference_prior(15000, 6000, 300_000)
@@ -235,9 +218,12 @@ def default_reference_prior() -> ReferencePrior:
 
 @dataclass(frozen=True)
 class PriorSpec:
+    """The prior :func:`sample_prior` draws from: a spin prior and a Gamma
+    prior on the references.  The drift columns always come from the
+    inverse-Wishart hyperprior ``DRIFT_DOF``, ``DRIFT_SCALE``."""
+
     spin: SpinPrior = field(default_factory=SpinPrior)
     references: ReferencePrior = field(default_factory=default_reference_prior)
-    drift: DriftPrior = field(default_factory=DriftPrior)
 
 
 def empirical_reference_prior(
@@ -280,23 +266,25 @@ def _sample_spin(prior: SpinPrior, n: int, rng: np.random.Generator) -> np.ndarr
     out = np.empty((n, 5))
     if prior.kind == "wide":
         out[:, IDX_RABI] = rng.uniform(0.0, 20.0, size=n)
-        out[:, IDX_ZEEMAN] = rng.uniform(*prior.zeeman_range, size=n)
+        out[:, IDX_ZEEMAN] = rng.uniform(*ZEEMAN_RANGE, size=n)
         out[:, IDX_ZFS] = rng.uniform(-5.0, 5.0, size=n)
         out[:, IDX_HYPERFINE] = rng.uniform(1.5, 3.5, size=n)
         out[:, IDX_DEPHASING] = 1.0 / rng.uniform(1.0, 20.0, size=n)
         return out
     out[:, _CALIBRATED_COLUMNS] = _redraw(
-        lambda rows: rng.multivariate_normal(prior.mean, prior.cov, size=rows.size),
+        lambda rows: rng.multivariate_normal(
+            CALIBRATED_MEAN, CALIBRATED_COV, size=rows.size
+        ),
         lambda four: (four[:, 0] > 0) & (four[:, 3] > 0),
         n,
         "calibrated spin prior kept producing negative rates",
     )
     if prior.kind == "calibrated":
-        out[:, IDX_ZEEMAN] = rng.uniform(*prior.zeeman_range, size=n)
+        out[:, IDX_ZEEMAN] = rng.uniform(*ZEEMAN_RANGE, size=n)
     else:
         out[:, IDX_ZEEMAN] = _redraw(
             lambda rows: rng.normal(
-                prior.tight_zeeman_mean, prior.tight_zeeman_std, size=rows.size
+                TIGHT_ZEEMAN_MEAN, TIGHT_ZEEMAN_STD, size=rows.size
             ),
             lambda zee: zee >= 0,
             n,
@@ -317,6 +305,27 @@ def _sample_references(
     )
 
 
+def _sample_drift_chart(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw n drift covariances from the hyperprior and return
+    (log sa, log sb, atanh rho) rows.
+
+    Consumes the same variates as ``scipy.stats.invwishart.rvs(DRIFT_DOF,
+    DRIFT_SCALE, n, rng)``, in the same order: the Bartlett factor
+    A = [[a, 0], [b, c]] with b ~ N(0, 1), a^2 ~ chi2(dof - 1) and
+    c^2 ~ chi2(dof).  The covariance is S = L L^T with L = C A^-1 and C the
+    Cholesky factor of the scale, so in closed form sa = L00, sb is the norm
+    of row 1 of L, and rho = L10 / sb.
+    """
+    b = rng.normal(size=(n, 1))[:, 0]
+    chi = rng.chisquare(df=(DRIFT_DOF - 1.0) + np.arange(2.0), size=(n, 2)) ** 0.5
+    a, c = chi[:, 0], chi[:, 1]
+    chol = np.linalg.cholesky(DRIFT_SCALE)
+    sa = chol[0, 0] / a
+    l10 = (chol[1, 0] - chol[1, 1] * b / c) / a
+    sb = np.hypot(l10, chol[1, 1] / c)
+    return np.column_stack([np.log(sa), np.log(sb), np.arctanh(l10 / sb)])
+
+
 def sample_prior(spec: PriorSpec, k: int, rng: np.random.Generator) -> ParticleCloud:
     """Draw K i.i.d. particles from the prior with uniform weights."""
     if k < 2:
@@ -324,7 +333,7 @@ def sample_prior(spec: PriorSpec, k: int, rng: np.random.Generator) -> ParticleC
     locations = np.empty((k, N_PARAMS))
     locations[:, SPIN_SLICE] = _sample_spin(spec.spin, k, rng)
     locations[:, IDX_ALPHA:IDX_BETA + 1] = _sample_references(spec.references, k, rng)
-    locations[:, IDX_LOG_SIGMA_ALPHA:] = spec.drift.sample_chart(k, rng)
+    locations[:, IDX_LOG_SIGMA_ALPHA:] = _sample_drift_chart(k, rng)
     return ParticleCloud(locations, np.full(k, 1.0 / k))
 
 
@@ -375,22 +384,6 @@ def expected_esm(cloud: ParticleCloud, repetitions: int) -> float:
 # ----------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UpdateOptions:
-    """Controls for the Bayes update.
-
-    An update is split into m tempered sub-updates with likelihood exponent
-    1/m, where m = max(1, ceil(expected ESM of the datum / esm_per_step));
-    ``esm_per_step=math.inf`` gives the single plain update.  Liu-West
-    resampling runs between sub-updates (and after the final one) whenever
-    n_eff drops below resample_threshold * K.
-    """
-
-    esm_per_step: float = 10.0
-    resample_threshold: float = 0.5
-    liu_west_a: float = 0.98
-
-
 @dataclass
 class UpdateReport:
     substeps: int = 1
@@ -404,7 +397,6 @@ def bayes_update(
     datum: Datum,
     config: ExperimentConfig,
     rng: np.random.Generator,
-    options: UpdateOptions = UpdateOptions(),
     survival_fn=None,
 ) -> tuple:
     """Multiply particle weights by the datum likelihood and renormalize.
@@ -413,16 +405,17 @@ def bayes_update(
     over particles; the default is the exact batched simulator.  Returns
     ``(cloud, UpdateReport)``; raises :class:`DegenerateUpdateError` when all
     weights underflow even after retrying with a finer tempering schedule.
+    The schedule is ``ESM_PER_STEP``, ``RESAMPLE_THRESHOLD``, ``LIU_WEST_A``.
     """
     if survival_fn is None:
         survival_fn = survival_probabilities
     datum_esm = expected_esm(cloud, datum.repetitions)
-    m = max(1, math.ceil(datum_esm / options.esm_per_step))
+    m = max(1, math.ceil(datum_esm / ESM_PER_STEP))
     try:
-        return _tempered_update(cloud, datum, config, rng, options, survival_fn, m)
+        return _tempered_update(cloud, datum, config, rng, survival_fn, m)
     except DegenerateUpdateError:
         result, report = _tempered_update(
-            cloud, datum, config, rng, options, survival_fn, 2 * m
+            cloud, datum, config, rng, survival_fn, 2 * m
         )
         report.retried = True
         return result, report
@@ -435,15 +428,15 @@ def _log_likelihoods(cloud, datum, config, survival_fn):
     )
 
 
-def _tempered_update(cloud, datum, config, rng, options, survival_fn, m):
+def _tempered_update(cloud, datum, config, rng, survival_fn, m):
     current = cloud.copy()
     report = UpdateReport(substeps=m)
     logl = _log_likelihoods(current, datum, config, survival_fn)
     for step in range(m):
         current.weights = _reweight(current.weights, logl / m)
         n_eff = effective_sample_size(current)
-        if n_eff < options.resample_threshold * current.size:
-            current = liu_west_resample(current, options.liu_west_a, rng)
+        if n_eff < RESAMPLE_THRESHOLD * current.size:
+            current = liu_west_resample(current, LIU_WEST_A, rng)
             report.resampled = True
             if step + 1 < m:
                 logl = _log_likelihoods(current, datum, config, survival_fn)

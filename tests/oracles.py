@@ -18,7 +18,7 @@
   the real-basis kernel of ``nvbed.qutrit``.
 * :func:`invwishart_chart` draws the drift chart through
   ``scipy.stats.invwishart``; it checks the closed-form draw of
-  :meth:`nvbed.smc.DriftPrior.sample_chart`.
+  :func:`nvbed.smc._sample_drift_chart`.
 * :func:`poisson_logpmf` is the elementwise Poisson log-pmf through SciPy's
   ``xlogy``/``gammaln``; it checks the likelihood of
   ``nvbed.measurement``.
@@ -72,7 +72,7 @@ from nvbed.risk import (
     _summarize,
     _weighted_variance_terms,
 )
-from nvbed.smc import IDX_ALPHA, IDX_BETA, UpdateOptions, UpdateReport, bayes_update
+from nvbed.smc import IDX_ALPHA, IDX_BETA, UpdateReport, bayes_update
 
 
 def _posterior_weight_table(log_table, base_weights):
@@ -276,9 +276,7 @@ def stacked_mis_risk(draws, config, rng, p):
     )
 
 
-def bayes_update_sequence(
-    cloud, data, configs, rng, options=UpdateOptions(), survival_fn=None
-):
+def bayes_update_sequence(cloud, data, configs, rng, survival_fn=None):
     """Update on a batch of data jointly.
 
     By the chain rule the joint update is the composition of the single-datum
@@ -287,7 +285,7 @@ def bayes_update_sequence(
     """
     report = UpdateReport(substeps=0)
     for datum, config in zip(data, configs):
-        cloud, rep = bayes_update(cloud, datum, config, rng, options, survival_fn)
+        cloud, rep = bayes_update(cloud, datum, config, rng, survival_fn)
         report.substeps += rep.substeps
         report.resampled |= rep.resampled
         report.n_eff = rep.n_eff
@@ -365,9 +363,9 @@ def scipy_survival_probability(params, config):
     return total / 3.0
 
 
-def invwishart_chart(prior, n, rng):
+def invwishart_chart(dof, scale, n, rng):
     """(log sa, log sb, atanh rho) rows of n inverse-Wishart draws."""
-    draws = invwishart.rvs(df=prior.dof, scale=prior.scale, size=n, random_state=rng)
+    draws = invwishart.rvs(df=dof, scale=scale, size=n, random_state=rng)
     draws = np.asarray(draws).reshape(n, 2, 2)
     sa = np.sqrt(draws[:, 0, 0])
     sb = np.sqrt(draws[:, 1, 1])

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import os
 import threading
@@ -7,10 +8,12 @@ import weakref
 import numpy as np
 import pytest
 
-from nvbed import cli, harness, heuristics, qutrit, risk
+from nvbed import cli, harness, heuristics, qutrit, risk, smc
 from nvbed import lab as labmod
 from nvbed.heuristics import SurvivalTableCache, make_heuristic
+from nvbed.measurement import ReferenceRates
 from nvbed.qutrit import ExperimentConfig
+from nvbed.smc import DriftParams
 from helpers import serve_in_background
 
 TINY = dict(
@@ -177,6 +180,61 @@ class TestRunTrial:
             gc.enable()
 
 
+class TestTracking:
+    """A tracking request from the update tracks the lab, and resets the
+    cloud's references, before the next experiment is submitted."""
+
+    def fire_on(self, calls):
+        """A ``should_track`` that answers True on the given 1-based calls."""
+        count = itertools.count(1)
+        return lambda cloud, spec: next(count) in calls
+
+    def tracked_trial(self, monkeypatch):
+        tracks, resets = [], []
+        track, reset = labmod.TrueSystem.track, smc.reference_reset
+
+        def counting_track(system):
+            tracks.append(system.clock)
+            track(system)
+
+        def recording_reset(cloud, spec, rng):
+            out = reset(cloud, spec, rng)
+            resets.append((cloud, out))
+            return out
+
+        monkeypatch.setattr(labmod.TrueSystem, "track", counting_track)
+        monkeypatch.setattr(smc, "reference_reset", recording_reset)
+        monkeypatch.setattr(heuristics, "should_track", self.fire_on({2, 3, 5}))
+        config = tiny_config("uniform_risk", experiments=7)
+        record, _ = harness.run_trial(config, "uniform_risk", 0)
+        return record, tracks, resets
+
+    def test_requests_track_before_the_experiment_after_next(self, monkeypatch):
+        record, tracks, resets = self.tracked_trial(monkeypatch)
+        # once at the trial start, then once per request; a request from the
+        # update on datum n tracks before experiment n + 2, which is the next
+        # one submitted
+        assert len(tracks) == 4
+        assert record.tracking_steps == [4, 5, 7]
+        assert [s["step"] for s in record.steps if s["tracked_before"]] == [4, 5, 7]
+        assert len(resets) == 3
+        for before, after in resets:
+            refs = slice(smc.IDX_ALPHA, smc.IDX_BETA + 1)
+            assert np.all(after.locations[:, refs] != before.locations[:, refs])
+            assert np.array_equal(after.spin_locations, before.spin_locations)
+            assert np.array_equal(
+                after.locations[:, smc.IDX_LOG_SIGMA_ALPHA:],
+                before.locations[:, smc.IDX_LOG_SIGMA_ALPHA:],
+            )
+            assert np.array_equal(after.weights, before.weights)
+
+    def test_a_tracked_trial_repeats_exactly(self, monkeypatch):
+        first, _, _ = self.tracked_trial(monkeypatch)
+        second, _, _ = self.tracked_trial(monkeypatch)
+        assert first.tracking_steps == [4, 5, 7]
+        assert first.to_json() == second.to_json()
+
+
 class TestRunConfig:
     def test_removed_key_is_rejected(self, tmp_path):
         path = tmp_path / "config.json"
@@ -308,6 +366,18 @@ class TestRunComparison:
         assert cli.main(["curves", "--records", str(tmp_path), "--out", str(again)]) == 0
         assert (again / "curves.csv").read_bytes() == curves
         assert (again / "histograms.csv").read_bytes() == histograms
+
+    def test_curves_creates_a_missing_out_dir(self, tmp_path):
+        config = tiny_config(
+            "alternating_linear", trials=2, out_dir=str(tmp_path / "run")
+        )
+        harness.run_comparison(config, log=lambda msg: None)
+        out = tmp_path / "new" / "curves"
+        assert not out.parent.exists()
+        args = ["curves", "--records", config.out_dir, "--out", str(out)]
+        assert cli.main(args) == 0
+        for name in ("curves.csv", "histograms.csv"):
+            assert (out / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
 
     def test_interrupted_record_write_leaves_no_record(self, tmp_path, monkeypatch):
         config = tiny_config("alternating_linear", trials=2, out_dir=str(tmp_path))
@@ -442,6 +512,44 @@ class TestRunComparison:
             len(r["tracking_steps"]) for r in records
         )
         assert server.system.clock >= records[-1]["steps"][-1]["sim_time_s"] > 0
+
+
+class TestServe:
+    def served(self, monkeypatch, *args):
+        """The bind address and system ``nvbed serve`` would serve."""
+        served = []
+        monkeypatch.setattr(labmod, "serve", lambda *call: served.append(call))
+        assert cli.main(["serve", *args]) == 0
+        [(bind, system)] = served
+        return bind, system
+
+    def test_defaults_serve_the_default_truth(self, monkeypatch):
+        bind, system = self.served(monkeypatch)
+        assert bind == "127.0.0.1:7777"
+        assert system.truth == labmod.default_truth()
+        expected = np.random.default_rng(0).bit_generator.state
+        assert system.rng.bit_generator.state == expected
+
+    @pytest.mark.parametrize(
+        "args, refs, sigma",
+        [
+            (["--alpha", "0.06", "--beta", "0.03", "--drift-sigma", "0.05"],
+             (0.06, 0.03), 0.05),
+            (["--beta", "0.01"], (0.05, 0.01), 0.036),
+            (["--drift-sigma", "0"], (0.05, 0.02), 0.0),
+        ],
+    )
+    def test_overrides_are_applied(self, monkeypatch, args, refs, sigma):
+        default = labmod.default_truth()
+        _, system = self.served(monkeypatch, "--bind", "0.0.0.0:9", *args)
+        assert system.truth.spin == default.spin
+        assert system.truth.refs == ReferenceRates(*refs)
+        assert system.truth.drift == DriftParams(sigma, sigma, 0.7)
+
+    def test_alpha_below_the_true_dark_rate_is_refused(self, monkeypatch):
+        monkeypatch.setattr(labmod, "serve", lambda bind, system: None)
+        with pytest.raises(ValueError, match="dark"):
+            cli.main(["serve", "--alpha", "0.01"])
 
 
 class TestRiskHeatmap:

@@ -126,8 +126,8 @@ class TestTrueSystem:
         drifted = abs(system.alpha - 0.05)
         assert drifted > 0.005  # the walk has wandered
         system.track()
-        assert abs(system.alpha - 0.05) <= 4 * system.refocus_sigma * 0.05
-        assert abs(system.beta - 0.02) <= 4 * system.refocus_sigma * 0.02
+        assert abs(system.alpha - 0.05) <= 4 * labmod.REFOCUS_SIGMA * 0.05
+        assert abs(system.beta - 0.02) <= 4 * labmod.REFOCUS_SIGMA * 0.02
         assert system.tracking_count == 1
 
     def test_clock_advances_by_experiment_duration(self):
@@ -259,6 +259,48 @@ class TestTcpService:
             stub.join(timeout=10)
             listener.close()
         assert not stub.is_alive()
+
+    @pytest.mark.parametrize(
+        "datum",
+        [
+            "absent",
+            {"X": 1, "Z": 1, "N": 10},  # no dark count
+            {"X": "a", "Y": 1, "Z": 1, "N": 10},
+            {"X": -1, "Y": 1, "Z": 1, "N": 10},
+            None,
+        ],
+    )
+    def test_reply_with_a_malformed_datum_is_a_protocol_error(self, datum):
+        # a one-shot stub answers the run with an ok reply to its id that
+        # carries ``datum``
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(10)
+        reply = {"v": 1, "status": "ok", "cache_hit": False}
+        if datum != "absent":
+            reply["datum"] = datum
+
+        def answer_once():
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(10)
+                with conn.makefile("rb") as reader:
+                    request = json.loads(reader.readline())
+                    answer = {**reply, "id": request["id"]}
+                    conn.sendall((json.dumps(answer) + "\n").encode())
+                    reader.readline()  # hold the connection until the client closes
+
+        stub = threading.Thread(target=answer_once, daemon=True)
+        stub.start()
+        host, port = listener.getsockname()
+        try:
+            with LabClient(f"{host}:{port}", timeout=10) as client:
+                with pytest.raises(LabProtocolError, match="no usable datum") as err:
+                    client.run(RUN_CFG)
+        finally:
+            stub.join(timeout=10)
+            listener.close()
+        assert not stub.is_alive()
+        assert "'status': 'ok'" in str(err.value)  # names the reply
 
     def test_server_down_raises_connection_error(self):
         with pytest.raises(LabConnectionError):

@@ -136,7 +136,7 @@ class TestEsm:
 class TestChooseRepetitions:
     def test_known_value_with_perfect_knowledge(self):
         n, saturated = choose_repetitions(
-            ReferenceRates(0.05, 0.02), (0.0, 0.0), target_esm=20.0
+            ReferenceRates(0.05, 0.02), (0.0, 0.0), target_esm=20.0, n_max=1_000_000
         )
         assert (n, saturated) == (4667, False)
 
@@ -165,7 +165,7 @@ class TestChooseRepetitions:
 
     def test_tiny_target_floors_at_one(self):
         n, saturated = choose_repetitions(
-            ReferenceRates(0.05, 0.02), (0.0, 0.0), target_esm=1e-12
+            ReferenceRates(0.05, 0.02), (0.0, 0.0), target_esm=1e-12, n_max=1_000_000
         )
         assert (n, saturated) == (1, False)
 

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
+from nvbed import smc
 from nvbed.measurement import Datum
 from nvbed.qutrit import ExperimentConfig
 from nvbed.smc import (
@@ -19,14 +20,13 @@ from nvbed.smc import (
     IDX_ZEEMAN,
     DegenerateUpdateError,
     DriftParams,
-    DriftPrior,
     ParticleCloud,
     PriorSpec,
     RedrawLimitError,
     ReferencePrior,
     SpinPrior,
-    UpdateOptions,
     _check_constraints,
+    _sample_drift_chart,
     bayes_update,
     drift_step,
     effective_sample_size,
@@ -97,7 +97,7 @@ class TestPriorSampling:
         loc = cloud.locations
         sampled = loc[:, [IDX_RABI, 2, 3, IDX_DEPHASING]].mean(axis=0)
         target = np.array([11.55, -0.86, 2.18, 0.35])
-        sigma = np.sqrt(np.diag(spec.spin.cov) / 40000)
+        sigma = np.sqrt(np.diag(smc.CALIBRATED_COV) / 40000)
         assert np.all(np.abs(sampled - target) <= 5 * sigma)
         # zeeman stays wide
         assert loc[:, IDX_ZEEMAN].max() > 8.0
@@ -107,17 +107,16 @@ class TestPriorSampling:
         spec = PriorSpec(spin=SpinPrior(kind="tight"))
         cloud = sample_prior(spec, 5000, rng)
         zee = cloud.locations[:, IDX_ZEEMAN]
-        assert zee.std() == pytest.approx(spec.spin.tight_zeeman_std, rel=0.1)
-        assert zee.mean() == pytest.approx(spec.spin.tight_zeeman_mean, abs=0.02)
+        assert zee.std() == pytest.approx(smc.TIGHT_ZEEMAN_STD, rel=0.1)
+        assert zee.mean() == pytest.approx(smc.TIGHT_ZEEMAN_MEAN, abs=0.02)
 
     def test_drift_hyperprior_mean(self):
         rng = np.random.default_rng(3)
-        prior = DriftPrior()
-        chart = prior.sample_chart(20000, rng)
+        chart = _sample_drift_chart(20000, rng)
         sa2 = np.exp(2 * chart[:, 0])
         sb2 = np.exp(2 * chart[:, 1])
         cross = np.exp(chart[:, 0] + chart[:, 1]) * np.tanh(chart[:, 2])
-        target = prior.scale / (prior.dof - 3)
+        target = smc.DRIFT_SCALE / (smc.DRIFT_DOF - 3)
         assert sa2.mean() == pytest.approx(target[0, 0], rel=0.05)
         assert sb2.mean() == pytest.approx(target[1, 1], rel=0.05)
         assert cross.mean() == pytest.approx(target[0, 1], rel=0.05)
@@ -126,13 +125,26 @@ class TestPriorSampling:
 
     @pytest.mark.parametrize("n", [1, 7, 4000])
     def test_drift_chart_matches_invwishart_on_the_same_seed(self, n):
-        prior = DriftPrior()
         ours, theirs = np.random.default_rng(29), np.random.default_rng(29)
-        chart = prior.sample_chart(n, ours)
-        expected = invwishart_chart(prior, n, theirs)
+        chart = _sample_drift_chart(n, ours)
+        expected = invwishart_chart(smc.DRIFT_DOF, smc.DRIFT_SCALE, n, theirs)
         np.testing.assert_allclose(chart, expected, rtol=1e-12, atol=0.0)
         # the same draws were taken, so both streams continue identically
         assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_prior_specs_compare_and_hash_by_value(self):
+        assert PriorSpec() == PriorSpec()
+        assert PriorSpec(spin=SpinPrior("tight")) != PriorSpec()
+        tight = {PriorSpec(spin=SpinPrior("tight")), PriorSpec(spin=SpinPrior("tight"))}
+        assert len(tight) == 1
+
+    @pytest.mark.parametrize("name", ["CALIBRATED_MEAN", "CALIBRATED_COV", "DRIFT_SCALE"])
+    def test_fixed_prior_arrays_are_read_only(self, name):
+        fixed = getattr(smc, name)
+        before = fixed.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            fixed[0] = 1.0
+        assert np.array_equal(fixed, before)
 
     def test_inconsistent_reference_prior_fails(self):
         rng = np.random.default_rng(4)
@@ -173,21 +185,33 @@ class TestEffectiveSampleSize:
         assert effective_sample_size(cloud) == pytest.approx(8.0 / 3.0)
 
 
+@pytest.fixture
+def schedule(monkeypatch):
+    """Sets the update schedule's ESM per step and resample threshold for
+    one test."""
+
+    def set_schedule(esm_per_step, resample_threshold):
+        monkeypatch.setattr(smc, "ESM_PER_STEP", esm_per_step)
+        monkeypatch.setattr(smc, "RESAMPLE_THRESHOLD", resample_threshold)
+
+    return set_schedule
+
+
 class TestBayesUpdate:
-    def test_constant_likelihood_leaves_weights(self):
+    def test_constant_likelihood_leaves_weights(self, schedule):
         rng = np.random.default_rng(6)
         cloud = make_cloud(rng, k=50)
         cloud.locations[:, IDX_ALPHA] = 0.05
         cloud.locations[:, IDX_BETA] = 0.02
         datum = Datum(480, 210, 330, repetitions=100)
-        options = UpdateOptions(esm_per_step=math.inf, resample_threshold=0.0)
+        schedule(esm_per_step=math.inf, resample_threshold=0.0)
         updated, report = bayes_update(
-            cloud, datum, RABI_CFG, rng, options, constant_survival(0.4)
+            cloud, datum, RABI_CFG, rng, constant_survival(0.4)
         )
         assert np.allclose(updated.weights, cloud.weights, rtol=1e-12)
         assert not report.resampled
 
-    def test_two_particle_posterior_matches_direct_arithmetic(self):
+    def test_two_particle_posterior_matches_direct_arithmetic(self, schedule):
         rng = np.random.default_rng(7)
         locations = np.zeros((2, 10))
         locations[:, IDX_RABI] = 10.0
@@ -201,14 +225,8 @@ class TestBayesUpdate:
         def survival(spins, config):
             return ps
 
-        updated, _ = bayes_update(
-            cloud,
-            datum,
-            RABI_CFG,
-            rng,
-            UpdateOptions(esm_per_step=math.inf, resample_threshold=0.0),
-            survival,
-        )
+        schedule(esm_per_step=math.inf, resample_threshold=0.0)
+        updated, _ = bayes_update(cloud, datum, RABI_CFG, rng, survival)
         n = 100
         likes = np.array(
             [
@@ -220,26 +238,16 @@ class TestBayesUpdate:
         expected = likes / likes.sum()
         assert np.allclose(updated.weights, expected, rtol=1e-10)
 
-    def test_tempered_single_step_equals_plain(self):
+    def test_tempered_single_step_equals_plain(self, schedule):
         rng_a = np.random.default_rng(8)
         rng_b = np.random.default_rng(8)
         cloud = make_cloud(np.random.default_rng(9), k=80)
         datum = Datum(3, 1, 2, repetitions=1)  # tiny ESM forces m = 1
-        plain, _ = bayes_update(
-            cloud,
-            datum,
-            RABI_CFG,
-            rng_a,
-            UpdateOptions(esm_per_step=math.inf, resample_threshold=0.0),
-            constant_survival(0.5),
-        )
+        schedule(esm_per_step=math.inf, resample_threshold=0.0)
+        plain, _ = bayes_update(cloud, datum, RABI_CFG, rng_a, constant_survival(0.5))
+        schedule(esm_per_step=1e9, resample_threshold=0.0)
         tempered, report = bayes_update(
-            cloud,
-            datum,
-            RABI_CFG,
-            rng_b,
-            UpdateOptions(esm_per_step=1e9, resample_threshold=0.0),
-            constant_survival(0.5),
+            cloud, datum, RABI_CFG, rng_b, constant_survival(0.5)
         )
         assert report.substeps == 1
         assert np.array_equal(plain.weights, tempered.weights)
@@ -251,17 +259,17 @@ class TestBayesUpdate:
         updated, _ = bayes_update(cloud, datum, RABI_CFG, rng, survival_fn=constant_survival(0.5))
         assert abs(updated.weights.sum() - 1.0) <= 1e-12
 
-    def test_sequential_consistency_chain_rule(self):
+    def test_sequential_consistency_chain_rule(self, schedule):
         rng = np.random.default_rng(11)
         cloud = make_cloud(rng, k=60)
         data = [Datum(6, 2, 4, repetitions=100), Datum(4, 3, 5, repetitions=100)]
-        options = UpdateOptions(esm_per_step=math.inf, resample_threshold=0.0)
+        schedule(esm_per_step=math.inf, resample_threshold=0.0)
         survival = constant_survival(0.45)
 
-        step1, _ = bayes_update(cloud, data[0], RABI_CFG, rng, options, survival)
-        chained, _ = bayes_update(step1, data[1], RABI_CFG, rng, options, survival)
+        step1, _ = bayes_update(cloud, data[0], RABI_CFG, rng, survival)
+        chained, _ = bayes_update(step1, data[1], RABI_CFG, rng, survival)
         joint, _ = bayes_update_sequence(
-            cloud, data, [RABI_CFG, RABI_CFG], rng, options, survival
+            cloud, data, [RABI_CFG, RABI_CFG], rng, survival
         )
         assert np.array_equal(chained.weights, joint.weights)
 
@@ -280,7 +288,7 @@ class TestBayesUpdate:
         product /= product.sum()
         assert np.allclose(chained.weights, product, rtol=1e-12)
 
-    def test_resample_triggers_iff_threshold_crossed(self):
+    def test_resample_triggers_iff_threshold_crossed(self, schedule):
         rng = np.random.default_rng(12)
         cloud = make_cloud(rng, k=100)
         datum = Datum(5, 2, 3, repetitions=100)
@@ -291,29 +299,40 @@ class TestBayesUpdate:
             out[:3] = 0.01
             return out
 
+        schedule(esm_per_step=math.inf, resample_threshold=0.5)
         hit, report_hit = bayes_update(
-            cloud,
-            Datum(5, 2, 300, repetitions=100),
-            RABI_CFG,
-            rng,
-            UpdateOptions(esm_per_step=math.inf, resample_threshold=0.5),
-            spiky,
+            cloud, Datum(5, 2, 300, repetitions=100), RABI_CFG, rng, spiky
         )
         assert report_hit.resampled
         assert not np.array_equal(hit.spin_locations, cloud.spin_locations)
 
+        schedule(esm_per_step=math.inf, resample_threshold=0.0)
         miss, report_miss = bayes_update(
-            cloud,
-            datum,
-            RABI_CFG,
-            rng,
-            UpdateOptions(esm_per_step=math.inf, resample_threshold=0.0),
-            constant_survival(0.5),
+            cloud, datum, RABI_CFG, rng, constant_survival(0.5)
         )
         assert not report_miss.resampled
         assert np.array_equal(miss.locations, cloud.locations)
 
-    def test_degenerate_update_raises_after_retry(self):
+    def test_the_schedule_is_read_at_each_call(self, monkeypatch, schedule):
+        cloud = make_cloud(np.random.default_rng(30), k=120)
+        datum = Datum(520, 195, 300, repetitions=100)
+        datum_esm = smc.expected_esm(cloud, datum.repetitions)
+        schedule(esm_per_step=datum_esm / 3.5, resample_threshold=0.0)
+        _, report = bayes_update(
+            cloud, datum, RABI_CFG, np.random.default_rng(0), constant_survival(0.5)
+        )
+        assert report.substeps == 4 and not report.resampled
+        # a = 1 resamples without smoothing: every location is an ancestor's
+        schedule(esm_per_step=math.inf, resample_threshold=1.1)
+        monkeypatch.setattr(smc, "LIU_WEST_A", 1.0)
+        updated, report = bayes_update(
+            cloud, datum, RABI_CFG, np.random.default_rng(0), constant_survival(0.5)
+        )
+        assert report.substeps == 1 and report.resampled
+        original = {tuple(row) for row in cloud.locations}
+        assert all(tuple(row) in original for row in updated.locations)
+
+    def test_degenerate_update_raises_after_retry(self, schedule):
         # the only particle compatible with the datum carries zero weight
         rng = np.random.default_rng(13)
         locations = np.zeros((2, 10))
@@ -322,15 +341,9 @@ class TestBayesUpdate:
         locations[:, IDX_LOG_SIGMA_ALPHA:] = -3.0
         cloud = ParticleCloud(locations, np.array([1.0, 0.0]))
         datum = Datum(100_000, 0, 0, repetitions=1)
+        schedule(esm_per_step=math.inf, resample_threshold=0.0)
         with pytest.raises(DegenerateUpdateError):
-            bayes_update(
-                cloud,
-                datum,
-                RABI_CFG,
-                rng,
-                UpdateOptions(esm_per_step=math.inf, resample_threshold=0.0),
-                constant_survival(0.5),
-            )
+            bayes_update(cloud, datum, RABI_CFG, rng, constant_survival(0.5))
 
 
 class TestLiuWest:
