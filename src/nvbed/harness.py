@@ -30,12 +30,20 @@ import numpy as np
 
 from . import heuristics as heur
 from . import lab as labmod
-from . import qutrit, risk, smc
+from . import risk, smc
 from .measurement import Datum, ReferenceRates
 from .qutrit import ExperimentConfig, SpinParams
 from .smc import DriftParams, ModelParameters, PriorSpec, SpinPrior
 
 CALIBRATION_PULSE_NS = 2.0
+# repetitions of the reference-only run that sets the reference prior
+CALIBRATION_REPETITIONS = 300_000
+# simulated truth: reference rates (photons per shot) uniform in these
+# ranges, and the reference drift's scale (per sqrt(hour)) and correlation
+TRUTH_ALPHA_RANGE = (0.045, 0.055)
+TRUTH_BETA_RANGE = (0.018, 0.022)
+TRUTH_DRIFT_SIGMA = 0.036
+TRUTH_DRIFT_CORRELATION = 0.7
 # points of the geometric ESM grid the learning curves are sampled on
 ESM_GRID_POINTS = 100
 
@@ -87,28 +95,23 @@ class RunConfig:
     * ``particles``: SMC particle count K.
     * ``risk_outcomes``, ``risk_particles``: MIS outcome samples and inner
       particles per candidate (online policies).
-    * ``target_esm``, ``n_max``: expected ESM each experiment aims at, and
-      the cap on its repetition count.
     * ``seed``: root of every random stream of the run, >= 0.
     * ``lab``: ``"in-process"`` or ``"tcp://host:port"``.
     * ``out_dir``: where the config, records and aggregates go.
-    * ``calibration_repetitions``: repetitions of the reference-only run
-      that sets the reference prior.
-    * ``rabi_t_max``, ``ramsey_t_max``: longest Rabi pulse and Ramsey wait
-      (ns) of the grids.
     * ``candidate_m``: points per Rabi and per Ramsey grid of the online
       policies; offline sweeps get ``max(1, experiments // 2)``.
-    * ``truth_alpha_range``, ``truth_beta_range``: uniform ranges of the
-      true reference rates (photons per shot), pairs with
-      0 < beta_lo <= beta_hi < alpha_lo <= alpha_hi.
-    * ``truth_drift_sigma``, ``truth_drift_correlation``: true reference
-      drift scale (per sqrt(hour), >= 0) and correlation (in (-1, 1)).
+
+    What no run varies is a constant: the ESM target, repetition cap and
+    grid lengths (``heuristics.TARGET_ESM``, ``N_MAX``, ``RABI_T_MAX``,
+    ``RAMSEY_T_MAX``), the calibration run (``CALIBRATION_REPETITIONS``)
+    and the simulated truth (``TRUTH_ALPHA_RANGE``, ``TRUTH_BETA_RANGE``,
+    ``TRUTH_DRIFT_SIGMA``, ``TRUTH_DRIFT_CORRELATION``).
 
     Construction rejects, with a ValueError naming the field, a value no
     trial can run with, so ``nvbed run`` fails before writing anything.  The
-    count fields and ``seed`` must be ``int``, the other numbers ``int`` or
-    ``float``.  A run resumes in an ``out_dir`` only if its ``config.json``
-    matches in every field but ``_RESUME_FREE``.
+    numbers must be ``int`` (a ``bool`` is not one).  A run resumes in an
+    ``out_dir`` only if its ``config.json`` matches in every field but
+    ``_RESUME_FREE``.
     """
 
     heuristics: list = field(default_factory=lambda: ["alternating_linear"])
@@ -118,21 +121,10 @@ class RunConfig:
     particles: int = 4000
     risk_outcomes: int = 512
     risk_particles: int = 1024
-    target_esm: float = heur.DEFAULT_TARGET_ESM
-    n_max: int = heur.DEFAULT_N_MAX
     seed: int = 0
     lab: str = "in-process"
     out_dir: str = "results"
-    calibration_repetitions: int = 300_000
-    rabi_t_max: float = 500.0
-    ramsey_t_max: float = 2000.0
     candidate_m: int = 100
-    # ground-truth generation (references are drawn uniformly per trial,
-    # spin parameters from the same prior the engine uses)
-    truth_alpha_range: tuple = (0.045, 0.055)
-    truth_beta_range: tuple = (0.018, 0.022)
-    truth_drift_sigma: float = 0.036
-    truth_drift_correlation: float = 0.7
 
     def __post_init__(self):
         names = self.heuristics
@@ -145,34 +137,8 @@ class RunConfig:
         _check_strings(self, "lab", "out_dir")
         _check_ints(self, dict(
             trials=1, experiments=1, particles=2, risk_outcomes=2, risk_particles=2,
-            candidate_m=1, n_max=1, calibration_repetitions=1, seed=0,
+            candidate_m=1, seed=0,
         ))
-        if self.n_max > qutrit.MAX_REPETITIONS:
-            raise ValueError(f"n_max must be <= 2**53, got {self.n_max}")
-        for name in ("truth_alpha_range", "truth_beta_range"):
-            span = getattr(self, name)
-            if not (
-                isinstance(span, (list, tuple)) and len(span) == 2
-                and all(type(v) in (int, float) for v in span)
-                and 0 < span[0] <= span[1] < math.inf
-            ):
-                raise ValueError(f"{name} must be a pair 0 < lo <= hi, got {span!r}")
-            setattr(self, name, tuple(span))
-        for name, ok in (
-            ("target_esm", lambda v: v > 0),
-            ("rabi_t_max", lambda v: 0 < v < math.inf),
-            ("ramsey_t_max", lambda v: 0 <= v < math.inf),
-            ("truth_drift_sigma", lambda v: 0 <= v < math.inf),
-            ("truth_drift_correlation", lambda v: -1 < v < 1),
-        ):
-            value = getattr(self, name)
-            if not (type(value) in (int, float) and ok(value)):
-                raise ValueError(f"{name} must be a number in range, got {value!r}")
-        if not self.truth_beta_range[1] < self.truth_alpha_range[0]:
-            raise ValueError(
-                f"truth_beta_range {self.truth_beta_range} must lie below "
-                f"truth_alpha_range {self.truth_alpha_range}"
-            )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -200,19 +166,16 @@ def _rng_for(config_seed, heuristic, trial, stream) -> np.random.Generator:
 
 def draw_truth(config: RunConfig, rng: np.random.Generator) -> ModelParameters:
     """Per-trial ground truth: spin from the run's prior, references uniform
-    in the configured ranges, drift at the configured scales."""
+    in ``TRUTH_ALPHA_RANGE`` and ``TRUTH_BETA_RANGE``, drift at
+    ``TRUTH_DRIFT_SIGMA`` and ``TRUTH_DRIFT_CORRELATION``."""
     spin_cloud = smc.sample_prior(config.prior_spec(), 2, rng)
     spin = SpinParams(*spin_cloud.locations[0, :5])
-    alpha = rng.uniform(*config.truth_alpha_range)
-    beta = rng.uniform(*config.truth_beta_range)
+    alpha = rng.uniform(*TRUTH_ALPHA_RANGE)
+    beta = rng.uniform(*TRUTH_BETA_RANGE)
     return ModelParameters(
         spin=spin,
         refs=ReferenceRates(alpha, beta),
-        drift=DriftParams(
-            config.truth_drift_sigma,
-            config.truth_drift_sigma,
-            config.truth_drift_correlation,
-        ),
+        drift=DriftParams(TRUTH_DRIFT_SIGMA, TRUTH_DRIFT_SIGMA, TRUTH_DRIFT_CORRELATION),
     )
 
 
@@ -223,21 +186,18 @@ def _sized_heuristic(config: RunConfig, name: str) -> heur.Heuristic:
     the trial budget; online candidate grids have ``candidate_m`` points.
     """
     m = max(1, config.experiments // 2)
-    sizes = dict(
-        target_esm=config.target_esm,
-        n_max=config.n_max,
-        rabi_t_max=config.rabi_t_max,
-        ramsey_t_max=config.ramsey_t_max,
-    )
+    sizes = {}
     if name in heur.RISK_HEURISTICS:
         m = config.candidate_m
-        sizes.update(n_outcomes=config.risk_outcomes, n_particles=config.risk_particles)
+        sizes = dict(n_outcomes=config.risk_outcomes, n_particles=config.risk_particles)
     return heur.make_heuristic(name, rabi_m=m, ramsey_m=m, **sizes)
 
 
-def calibrate_reference_prior(lab, repetitions: int):
-    """Measure the references once (any pulse works; only X and Y are used)
-    and build the empirical Gamma prior from the totals."""
+def calibrate_reference_prior(lab):
+    """Measure the references once, ``CALIBRATION_REPETITIONS`` times (any
+    pulse works; only X and Y are used), and build the empirical Gamma prior
+    from the totals."""
+    repetitions = CALIBRATION_REPETITIONS
     config = ExperimentConfig(
         "rabi", pulse_time=CALIBRATION_PULSE_NS, repetitions=repetitions
     )
@@ -304,9 +264,7 @@ def run_trial(
 
     # tracking at trial start, then the reference-only calibration run
     lab.track()
-    reference_prior, calibration_datum = calibrate_reference_prior(
-        lab, config.calibration_repetitions
-    )
+    reference_prior, calibration_datum = calibrate_reference_prior(lab)
     prior_spec = config.prior_spec(reference_prior)
     cloud = smc.sample_prior(prior_spec, config.particles, engine_rng)
     cloud.last_update_time = calibration_datum.timestamp / 3600.0
@@ -389,7 +347,7 @@ def run_trial(
         trial_index=trial_index,
         particles=config.particles,
         experiments=config.experiments,
-        target_esm=config.target_esm,
+        target_esm=heur.TARGET_ESM,
         truth=None if truth is None else _truth_dict(truth),
         calibration=calibration_datum.to_dict(),
         tracking_steps=tracking_steps,
@@ -401,12 +359,17 @@ def _record_path(out_dir: Path, heuristic: str, trial: int) -> Path:
     return out_dir / "records" / f"{heuristic}__trial_{trial:03d}.json"
 
 
-def _write_record(path: Path, text: str) -> None:
+def _write_whole(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` whole or not at all: it goes to a name that
     ``load_records`` and the resume check do not see, then is renamed."""
     partial = path.with_name(path.name + ".partial")
-    partial.write_text(text, encoding="utf-8")
+    with open(partial, "w", encoding="utf-8") as fh:
+        fh.write(text)
     os.replace(partial, path)
+
+
+def _json_text(obj: dict) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def run_comparison(config: RunConfig, lab=None, log=None) -> dict:
@@ -428,9 +391,7 @@ def run_comparison(config: RunConfig, lab=None, log=None) -> dict:
     out_dir = Path(config.out_dir)
     _check_resumable(config, out_dir / "config.json")
     (out_dir / "records").mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "config.json", "w", encoding="utf-8") as fh:
-        json.dump(config.to_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_whole(out_dir / "config.json", _json_text(config.to_dict()))
 
     failures = []
     for name in config.heuristics:
@@ -446,7 +407,7 @@ def run_comparison(config: RunConfig, lab=None, log=None) -> dict:
                 log(f"FAILED {name} trial {trial}: {err!r}")
                 failures.append({"heuristic": name, "trial": trial, "error": repr(err)})
                 continue
-            _write_record(path, record.to_json() + "\n")
+            _write_whole(path, record.to_json() + "\n")
             log(
                 f"{name} trial {trial}: {len(record.steps)} experiments, "
                 f"{record.steps[-1]['cumulative_esm']:.0f} ESM, "
@@ -467,9 +428,7 @@ def run_comparison(config: RunConfig, lab=None, log=None) -> dict:
         "failures": failures,
         "aggregates_error": aggregates_error,
     }
-    with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_whole(out_dir / "summary.json", _json_text(summary))
     return summary
 
 
@@ -629,7 +588,6 @@ class HeatmapConfig:
     cloud_particles: int = 4000
     candidate_m: int = 25
     repetitions_seeds: int = 3
-    target_esm: float = heur.DEFAULT_TARGET_ESM
     seed: int = 0
     out_dir: str = "results"
 
@@ -645,9 +603,6 @@ class HeatmapConfig:
             reference_outcomes=2, reference_particles=2, cloud_particles=2,
             candidate_m=1, repetitions_seeds=1, seed=0,
         ))
-        esm = self.target_esm
-        if not (type(esm) in (int, float) and esm > 0):
-            raise ValueError(f"target_esm must be a number > 0, got {esm!r}")
         if self.reference_outcomes < max(self.outcome_sizes) or (
             self.reference_particles < max(self.particle_sizes)
         ):
@@ -677,12 +632,10 @@ def risk_heatmap(config: HeatmapConfig, log=None) -> list:
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
     cloud = smc.sample_prior(PriorSpec(), config.cloud_particles, rng)
     policy = heur.uniform_risk_heuristic(
-        rabi_m=config.candidate_m,
-        ramsey_m=config.candidate_m,
-        target_esm=config.target_esm,
+        rabi_m=config.candidate_m, ramsey_m=config.candidate_m
     )
     # the candidates and repetitions the policy's design uses
-    n = heur._repetitions_for(cloud, policy.target_esm, policy.n_max)
+    n = heur._repetitions_for(cloud)
     sized = policy.candidate_set(cloud, n)
     p_table = partial(policy.cache.table, cloud.spin_locations)
 

@@ -4,8 +4,8 @@ Two offline policies sweep predetermined grids (alternating Rabi/Ramsey, and
 back-to-back Ramsey sweeps); two online policies pick the candidate that
 minimizes the sampled Bayes risk under a uniform or magnetometry-focused
 weight matrix.  All policies choose the repetition count so that the
-expected ESM of the next datum hits a common target, which keeps heuristics
-comparable independent of reference brightness.
+expected ESM of the next datum hits one common target, ``TARGET_ESM``, which
+keeps heuristics comparable independent of reference brightness.
 """
 
 from __future__ import annotations
@@ -21,8 +21,12 @@ from .measurement import ReferenceRates, choose_repetitions
 from .qutrit import ExperimentConfig
 from .smc import IDX_RABI, ParticleCloud, PriorSpec
 
-DEFAULT_TARGET_ESM = 20.0
-DEFAULT_N_MAX = 1_000_000
+# expected ESM each experiment aims at, and the cap on its repetition count
+TARGET_ESM = 20.0
+N_MAX = 1_000_000
+# longest Rabi pulse and longest Ramsey wait (ns) of the grids
+RABI_T_MAX = 500.0
+RAMSEY_T_MAX = 2000.0
 
 
 def experiment_set_rabi(t_max: float, m: int) -> list:
@@ -67,11 +71,11 @@ def should_track(cloud: ParticleCloud, spec: PriorSpec) -> bool:
     return posterior_alpha < prior.alpha_mean - 5.0 * prior.alpha_std
 
 
-def _repetitions_for(cloud: ParticleCloud, target_esm: float, n_max: int) -> int:
+def _repetitions_for(cloud: ParticleCloud) -> int:
     a1, b1, sa1, sb1 = smc.posterior_refs(cloud)
     if not 0.0 < b1 < a1:
-        return n_max
-    n, _ = choose_repetitions(ReferenceRates(a1, b1), (sa1, sb1), target_esm, n_max)
+        return N_MAX
+    n, _ = choose_repetitions(ReferenceRates(a1, b1), (sa1, sb1), TARGET_ESM, N_MAX)
     return n
 
 
@@ -169,29 +173,23 @@ class Heuristic:
     """
 
     name: str = "base"
-    target_esm: float = DEFAULT_TARGET_ESM
-    n_max: int = DEFAULT_N_MAX
-    rabi_t_max: float = 500.0
     rabi_m: int = 100
-    ramsey_t_max: float = 2000.0
     ramsey_m: int = 100
     cache: SurvivalTableCache = field(default_factory=SurvivalTableCache)
 
     def next_experiment(
         self, cloud: ParticleCloud, step: int, rng: np.random.Generator
     ) -> ExperimentConfig:
-        """The next pulse, at the repetition count that meets ``target_esm``."""
-        n = _repetitions_for(cloud, self.target_esm, self.n_max)
+        """The next pulse, at the repetition count that meets ``TARGET_ESM``."""
+        n = _repetitions_for(cloud)
         return replace(self._pick(cloud, step, rng, n), repetitions=n)
 
     def rabi_grid(self) -> list:
-        return experiment_set_rabi(self.rabi_t_max, self.rabi_m)
+        return experiment_set_rabi(RABI_T_MAX, self.rabi_m)
 
     def ramsey_grid(self, cloud: ParticleCloud) -> list:
         """Ramsey grid at the cloud's current best tip time."""
-        return experiment_set_ramsey(
-            best_tip_time(cloud), self.ramsey_t_max, self.ramsey_m
-        )
+        return experiment_set_ramsey(best_tip_time(cloud), RAMSEY_T_MAX, self.ramsey_m)
 
     def _pick(self, cloud, step, rng, repetitions) -> ExperimentConfig:
         """The next experiment, to run ``repetitions`` times."""
@@ -304,8 +302,8 @@ HEURISTIC_FACTORIES = {
 
 
 def make_heuristic(name: str, **kwargs) -> Heuristic:
-    """The named policy; keyword arguments set its fields (grid sizes,
-    ESM target, and for the online policies the MIS sizes)."""
+    """The named policy; keyword arguments set its fields (grid sizes, and
+    for the online policies the MIS sizes)."""
     try:
         factory = HEURISTIC_FACTORIES[name]
     except KeyError:

@@ -385,10 +385,13 @@ class LabClient:
         )
         self.last_cache_hit = bool(response.get("cache_hit"))
         try:
-            return Datum.from_dict(response["datum"])
+            datum = Datum.from_dict(response["datum"])
+            if datum.repetitions != config.repetitions:
+                raise ValueError(f"N is not the {config.repetitions} requested")
         except (KeyError, TypeError, ValueError, OverflowError) as err:
             reply = str(response)[:200]
             raise LabProtocolError(f"no usable datum in reply {reply}") from err
+        return datum
 
     def track(self) -> None:
         self._request({"v": PROTOCOL_VERSION, "type": "track"})

@@ -71,13 +71,16 @@ class Datum:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Datum":
-        return cls(
-            bright_counts=int(d["X"]),
-            dark_counts=int(d["Y"]),
-            signal_counts=int(d["Z"]),
-            repetitions=int(d["N"]),
-            timestamp=float(d.get("timestamp", 0.0)),
-        )
+        """The datum of a JSON-style dict, whose counts and ``N`` must be
+        ``int`` (a ``bool`` is not one) and whose timestamp, if given, a
+        finite ``int`` or ``float``."""
+        counts = [d[key] for key in ("X", "Y", "Z", "N")]
+        if not all(type(v) is int for v in counts):
+            raise ValueError(f"counts and N must be ints, got {counts!r}")
+        timestamp = d.get("timestamp", 0.0)
+        if type(timestamp) not in (int, float) or not math.isfinite(timestamp):
+            raise ValueError(f"timestamp must be a finite number, got {timestamp!r}")
+        return cls(*counts, timestamp=float(timestamp))
 
 
 @dataclass(frozen=True)

@@ -261,14 +261,11 @@ class TestRunConfig:
             ("risk_outcomes", 1),
             ("risk_particles", 1),
             ("candidate_m", 0),
-            ("n_max", 0),
-            ("n_max", 2**53 + 1),
-            ("target_esm", 0.0),
-            ("calibration_repetitions", 0),
-            ("truth_alpha_range", [0.01, 0.015]),
-            ("truth_beta_range", [0.02]),
-            ("heuristics", []),
-            ("heuristics", ["alternating_linear", "alternating_linear"]),
+            # pinned ids: pytest names a list value by its place in this list
+            pytest.param("heuristics", [], id="heuristics-value14"),
+            pytest.param(
+                "heuristics", ["alternating_linear"] * 2, id="heuristics-value15"
+            ),
             ("trials", 1.0),
             ("trials", True),
             ("experiments", 4.0),
@@ -276,20 +273,11 @@ class TestRunConfig:
             ("risk_outcomes", 32.0),
             ("risk_particles", 64.0),
             ("candidate_m", 5.0),
-            ("n_max", 1e6),
-            ("calibration_repetitions", 3e5),
             ("seed", 3.0),
             ("seed", False),
             ("seed", -1),
-            ("rabi_t_max", 0.0),
-            ("ramsey_t_max", -1.0),
-            ("truth_drift_sigma", -0.1),
-            ("truth_drift_correlation", 1.0),
             ("heuristics", 3),
-            ("heuristics", [["a"]]),
-            ("truth_alpha_range", 5),
-            ("target_esm", "x"),
-            ("rabi_t_max", None),
+            pytest.param("heuristics", [["a"]], id="heuristics-value33"),
             ("lab", 3),
             ("out_dir", 3),
         ],
@@ -385,8 +373,11 @@ class TestRunComparison:
         cut = harness._record_path(tmp_path, "alternating_linear", 1)
         whole = cut.read_bytes()
         cut.unlink()
+        replace = os.replace
 
         def interrupted(src, dst):
+            if dst != cut:  # the config's rewrite goes through
+                return replace(src, dst)
             # the process dies with half the record on disk, before the rename
             with open(src, "r+b") as fh:
                 fh.truncate(len(whole) // 2)
@@ -402,6 +393,77 @@ class TestRunComparison:
         summary = harness.run_comparison(config, log=lambda msg: None)
         assert summary["completed"] == 2 and not summary["failures"]
         assert cut.read_bytes() == whole
+
+    @pytest.mark.parametrize("name", ["config.json", "summary.json"])
+    def test_interrupted_rewrite_keeps_the_file_whole(self, tmp_path, monkeypatch, name):
+        config = tiny_config("alternating_linear", trials=2, out_dir=str(tmp_path))
+        harness.run_comparison(config, log=lambda msg: None)
+        path = tmp_path / name
+        whole = path.read_bytes()
+
+        class CutFile:
+            """A text file whose writes stop with an interrupt at 40 characters."""
+
+            def __init__(self, fh):
+                self.fh, self.room = fh, 40
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: self.room])
+                if len(text) > self.room:
+                    raise KeyboardInterrupt
+                self.room -= len(text)
+
+        def cut_open(file, mode="r", **kwargs):
+            fh = open(file, mode, **kwargs)
+            if "w" in mode and os.path.basename(file).startswith(name):
+                return CutFile(fh)
+            return fh
+
+        # a resume is interrupted while it rewrites ``name``
+        monkeypatch.setattr(harness, "open", cut_open, raising=False)
+        with pytest.raises(KeyboardInterrupt):
+            harness.run_comparison(config, log=lambda msg: None)
+        assert path.read_bytes() == whole
+
+        monkeypatch.undo()
+        summary = harness.run_comparison(config, log=lambda msg: None)
+        assert summary["completed"] == 2 and not summary["failures"]
+        assert path.read_bytes() == whole
+        assert not path.with_name(name + ".partial").exists()
+
+    def test_a_config_with_the_retired_settings_resumes_once_they_are_deleted(
+        self, tmp_path
+    ):
+        config = tiny_config("alternating_linear", trials=2, out_dir=str(tmp_path))
+        harness.run_comparison(config, log=lambda msg: None)
+        lost = harness._record_path(tmp_path, "alternating_linear", 1)
+        lost.unlink()
+        # the nine settings a config.json once held, at their old defaults;
+        # each is now a constant
+        retired = {
+            "target_esm": 20.0, "n_max": 1_000_000, "calibration_repetitions": 300_000,
+            "rabi_t_max": 500.0, "ramsey_t_max": 2000.0,
+            "truth_alpha_range": [0.045, 0.055], "truth_beta_range": [0.018, 0.022],
+            "truth_drift_sigma": 0.036, "truth_drift_correlation": 0.7,
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**config.to_dict(), **retired}, indent=2))
+        with pytest.raises(ValueError, match="unknown config keys") as err:
+            harness.run_comparison(config, log=lambda msg: None)
+        assert all(repr(key) in str(err.value) for key in retired)
+        assert not lost.exists()
+
+        path.write_text(json.dumps(config.to_dict(), indent=2))
+        summary = harness.run_comparison(config, log=lambda msg: None)
+        assert summary["completed"] == 2 and not summary["failures"]
+        fresh, _ = harness.run_trial(config, "alternating_linear", 1)
+        assert lost.read_text() == fresh.to_json() + "\n"
 
     def test_resume_under_a_changed_config_is_refused(self, tmp_path):
         def outputs():
@@ -460,12 +522,14 @@ class TestRunComparison:
         written = harness._record_path(tmp_path, "alternating_linear", 2)
         assert written.read_text() == clean.to_json() + "\n"
 
-    def test_disjoint_esm_ranges_still_write_the_summary(self, tmp_path, capsys):
+    def test_disjoint_esm_ranges_still_write_the_summary(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(harness, "CALIBRATION_REPETITIONS", 1000)
         raw = {
             "trials": 1, "experiments": 2, "particles": 50,
             "heuristics": ["ramsey_sweeps", "uniform_risk"], "candidate_m": 3,
-            "risk_outcomes": 8, "risk_particles": 16,
-            "calibration_repetitions": 1000, "out_dir": str(tmp_path),
+            "risk_outcomes": 8, "risk_particles": 16, "out_dir": str(tmp_path),
         }
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw))
@@ -582,9 +646,8 @@ class TestRiskHeatmap:
             [str(r["n_outcomes"]), str(r["n_particles"]), "0"] for r in rows
         ]
         # the reference and every cell ran at the design's size
-        policy = heuristics.uniform_risk_heuristic()
         cloud = calls[0][1]
-        n = heuristics._repetitions_for(cloud, policy.target_esm, policy.n_max)
+        n = heuristics._repetitions_for(cloud)
         assert len(calls) == 5
         assert all(reps == {n} for reps, _ in calls)
 
@@ -612,7 +675,6 @@ class TestRiskHeatmap:
             ("seed", "x"),
             ("candidate_m", 0),
             ("repetitions_seeds", 0),
-            ("target_esm", -1),
             ("out_dir", 3),
         ],
     )

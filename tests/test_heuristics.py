@@ -146,7 +146,7 @@ class TestOfflineHeuristics:
     def test_repetitions_meet_esm_target(self):
         rng = np.random.default_rng(3)
         cloud = inference_cloud(rng, k=300)
-        heuristic = AlternatingLinear(target_esm=20.0)
+        heuristic = AlternatingLinear()
         config = heuristic.next_experiment(cloud, 0, rng)
         a1, b1, sa1, sb1 = posterior_refs(cloud)
 

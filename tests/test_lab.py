@@ -268,6 +268,16 @@ class TestTcpService:
             {"X": "a", "Y": 1, "Z": 1, "N": 10},
             {"X": -1, "Y": 1, "Z": 1, "N": 10},
             None,
+            # nothing is coerced: each below is one wrong field of a datum
+            # that answers RUN_CFG
+            {"X": 1.7, "Y": 1, "Z": 1, "N": 500},
+            {"X": 1, "Y": True, "Z": 1, "N": 500},
+            {"X": 1, "Y": 1, "Z": "3", "N": 500},
+            {"X": 1, "Y": 1, "Z": 1, "N": 500.0},
+            {"X": 1, "Y": 1, "Z": 1, "N": 10},  # not the requested N
+            {"X": 1, "Y": 1, "Z": 1, "N": 500, "timestamp": "5"},
+            {"X": 1, "Y": 1, "Z": 1, "N": 500, "timestamp": float("nan")},
+            {"X": 1, "Y": 1, "Z": 1, "N": 500, "timestamp": float("inf")},
         ],
     )
     def test_reply_with_a_malformed_datum_is_a_protocol_error(self, datum):
