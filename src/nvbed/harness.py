@@ -87,8 +87,8 @@ class RunConfig:
     A config file is a JSON object with any subset of these fields; unknown
     keys are rejected.
 
-    * ``heuristics``: registry names of the policies to compare, at least
-      one, none twice.
+    * ``heuristics``: names of the policies to compare, from
+      ``heuristics.POLICIES``; at least one, none twice.
     * ``prior``: spin prior kind, ``"wide"``, ``"calibrated"`` or ``"tight"``.
     * ``trials``, ``experiments``: trials per policy, experiments per trial
       (at least one).
@@ -129,9 +129,12 @@ class RunConfig:
     def __post_init__(self):
         names = self.heuristics
         if not isinstance(names, (list, tuple)) or not names or not all(
-            isinstance(name, str) and name in heur.HEURISTIC_FACTORIES for name in names
+            isinstance(name, str) and name in heur.POLICIES for name in names
         ) or len(set(names)) != len(names):
-            raise ValueError(f"heuristics must be distinct known names, got {names!r}")
+            raise ValueError(
+                f"heuristics must be distinct known names, got {names!r}; "
+                f"choose from {sorted(heur.POLICIES)}"
+            )
         SpinPrior(kind=self.prior)  # rejects an unknown prior
         # a malformed lab address then fails in LabClient, before any output
         _check_strings(self, "lab", "out_dir")
@@ -187,7 +190,7 @@ def _sized_heuristic(config: RunConfig, name: str) -> heur.Heuristic:
     """
     m = max(1, config.experiments // 2)
     sizes = {}
-    if name in heur.RISK_HEURISTICS:
+    if issubclass(heur.POLICIES[name], heur.RiskMinimizer):
         m = config.candidate_m
         sizes = dict(n_outcomes=config.risk_outcomes, n_particles=config.risk_particles)
     return heur.make_heuristic(name, rabi_m=m, ramsey_m=m, **sizes)
@@ -320,15 +323,18 @@ def run_trial(
     try:
         pending = None  # (datum, config, planned_esm, step)
         for n in range(1, n_exp + 1):
-            if tracking_requested:
+            tracked = tracking_requested
+            if tracked:
                 lab.track()
-                cloud = smc.reference_reset(cloud, prior_spec, engine_rng)
                 tracking_steps.append(n)
                 tracking_requested = False
             cfg, planned = queue.pop(n)
             future = executor.submit(lab.run, cfg)
             if pending is not None:
                 process(*pending)
+                if tracked:
+                    # between the data measured before and after the track
+                    cloud = smc.reference_reset(cloud, prior_spec, engine_rng)
                 if n + 1 <= n_exp:
                     queue[n + 1] = design(n)
             pending = (future.result(), cfg, planned, n)
@@ -378,7 +384,9 @@ def run_comparison(config: RunConfig, lab=None, log=None) -> dict:
     Without a ``lab`` argument, ``config.lab`` names the lab: in-process labs
     with fresh truths, or one client to ``tcp://host:port`` for the whole run.
     Completed trials (existing record files) are skipped, so an interrupted
-    run resumes at trial granularity and produces identical outputs.
+    run resumes at trial granularity, with identical outputs from in-process
+    labs; a ``tcp://`` lab's clock, stream and waveform store, which its data
+    depend on, are not restored.
     Returns a summary dict; per-trial failures are recorded and do not stop
     the run.  Records that admit no aggregates (their ESM ranges do not
     overlap) leave ``curves.csv`` and ``histograms.csv`` unwritten, and the
@@ -631,8 +639,8 @@ def risk_heatmap(config: HeatmapConfig, log=None) -> list:
     log = log or (lambda msg: print(msg, file=sys.stderr, flush=True))
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
     cloud = smc.sample_prior(PriorSpec(), config.cloud_particles, rng)
-    policy = heur.uniform_risk_heuristic(
-        rabi_m=config.candidate_m, ramsey_m=config.candidate_m
+    policy = heur.make_heuristic(
+        "uniform_risk", rabi_m=config.candidate_m, ramsey_m=config.candidate_m
     )
     # the candidates and repetitions the policy's design uses
     n = heur._repetitions_for(cloud)

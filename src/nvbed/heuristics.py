@@ -1,9 +1,9 @@
 """Experiment-design policies for the heuristic comparison.
 
-Two offline policies sweep predetermined grids (alternating Rabi/Ramsey, and
-back-to-back Ramsey sweeps); two online policies pick the candidate that
-minimizes the sampled Bayes risk under a uniform or magnetometry-focused
-weight matrix.  All policies choose the repetition count so that the
+``POLICIES`` maps each name to its policy class.  Two offline policies sweep
+fixed grids (alternating Rabi/Ramsey, and back-to-back Ramsey sweeps); two
+online policies pick the candidate that minimizes the sampled Bayes risk
+under their class's uniform or magnetometry weight matrix.  All policies choose the repetition count so that the
 expected ESM of the next datum hits one common target, ``TARGET_ESM``, which
 keeps heuristics comparable independent of reference brightness.
 """
@@ -172,10 +172,9 @@ class Heuristic:
     simulated, for the Bayes update to read back and complete.
     """
 
-    name: str = "base"
     rabi_m: int = 100
     ramsey_m: int = 100
-    cache: SurvivalTableCache = field(default_factory=SurvivalTableCache)
+    cache: SurvivalTableCache = field(default_factory=SurvivalTableCache, init=False)
 
     def next_experiment(
         self, cloud: ParticleCloud, step: int, rng: np.random.Generator
@@ -196,7 +195,6 @@ class Heuristic:
         raise NotImplementedError
 
 
-@dataclass
 class AlternatingLinear(Heuristic):
     """Offline alternation between a Rabi sweep and a Ramsey sweep.
 
@@ -205,8 +203,6 @@ class AlternatingLinear(Heuristic):
     pulse time follows the current best tip time.
     """
 
-    name: str = "alternating_linear"
-
     def _pick(self, cloud, step, rng, repetitions):
         cursor = step // 2
         if step % 2 == 0:
@@ -214,11 +210,8 @@ class AlternatingLinear(Heuristic):
         return self.ramsey_grid(cloud)[cursor % self.ramsey_m]
 
 
-@dataclass
 class RamseySweeps(Heuristic):
     """Offline back-to-back sweeps through one Ramsey wait-time grid."""
-
-    name: str = "ramsey_sweeps"
 
     def _pick(self, cloud, step, rng, repetitions):
         return self.ramsey_grid(cloud)[step % self.ramsey_m]
@@ -249,8 +242,8 @@ class RiskMinimizer(Heuristic):
     the update later completes just the executed configuration's row.
     """
 
-    name: str = "risk"
-    weights: np.ndarray = field(default_factory=risk.uniform_weight_matrix)
+    # the five spin parameters weighed alike; every instance shares it
+    weights = risk.uniform_weight_matrix()
     n_outcomes: int = 512
     n_particles: int = 1024
     last_profile: list = field(default=None, init=False, repr=False)
@@ -277,37 +270,31 @@ class RiskMinimizer(Heuristic):
         return profile[best][0]
 
 
-def uniform_risk_heuristic(**kwargs) -> RiskMinimizer:
-    return RiskMinimizer(
-        name="uniform_risk", weights=risk.uniform_weight_matrix(), **kwargs
-    )
+class MagnetometryRisk(RiskMinimizer):
+    """Online policy whose Bayes risk weighs only the Zeeman splitting."""
+
+    weights = risk.magnetometry_weight_matrix()
 
 
-def magnetometry_risk_heuristic(**kwargs) -> RiskMinimizer:
-    return RiskMinimizer(
-        name="magnetometry_risk", weights=risk.magnetometry_weight_matrix(), **kwargs
-    )
+for _shared in (RiskMinimizer.weights, MagnetometryRisk.weights):
+    _shared.setflags(write=False)
 
-
-# the online policies, which also take ``n_outcomes`` and ``n_particles``
-RISK_HEURISTICS = {
-    "uniform_risk": uniform_risk_heuristic,
-    "magnetometry_risk": magnetometry_risk_heuristic,
-}
-HEURISTIC_FACTORIES = {
+# every policy by name; the online ones are the RiskMinimizer classes
+POLICIES = {
     "alternating_linear": AlternatingLinear,
     "ramsey_sweeps": RamseySweeps,
-    **RISK_HEURISTICS,
+    "uniform_risk": RiskMinimizer,
+    "magnetometry_risk": MagnetometryRisk,
 }
 
 
-def make_heuristic(name: str, **kwargs) -> Heuristic:
-    """The named policy; keyword arguments set its fields (grid sizes, and
-    for the online policies the MIS sizes)."""
+def make_heuristic(name: str, **sizes) -> Heuristic:
+    """The named policy of ``POLICIES``; keywords set its sizes (grid sizes,
+    and for the online policies the MIS sizes)."""
     try:
-        factory = HEURISTIC_FACTORIES[name]
+        policy = POLICIES[name]
     except KeyError:
         raise ValueError(
-            f"unknown heuristic {name!r}; choose from {sorted(HEURISTIC_FACTORIES)}"
+            f"unknown heuristic {name!r}; choose from {sorted(POLICIES)}"
         ) from None
-    return factory(**kwargs)
+    return policy(**sizes)

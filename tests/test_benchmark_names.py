@@ -88,8 +88,8 @@ def test_the_tracer_sees_every_screen_estimate(monkeypatch):
     recorder = tracing.SpanRecorder("names")
     cloud = sample_prior(PriorSpec(), 300, np.random.default_rng(3))
     n_full = 256
-    policy = heuristics.uniform_risk_heuristic(
-        rabi_m=8, ramsey_m=8, n_outcomes=n_full, n_particles=n_full
+    policy = heuristics.make_heuristic(
+        "uniform_risk", rabi_m=8, ramsey_m=8, n_outcomes=n_full, n_particles=n_full
     )
     with tracing.Instrumentation(recorder):
         policy.next_experiment(cloud, 0, np.random.default_rng(4))

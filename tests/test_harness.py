@@ -2,6 +2,7 @@ import gc
 import itertools
 import json
 import os
+import re
 import threading
 import weakref
 
@@ -96,9 +97,9 @@ class TestRunTrial:
         config = tiny_config("uniform_risk")
         cache = CountingCache()
         policy = make_heuristic(
-            "uniform_risk", rabi_m=5, ramsey_m=5, n_outcomes=32, n_particles=64,
-            cache=cache,
+            "uniform_risk", rabi_m=5, ramsey_m=5, n_outcomes=32, n_particles=64
         )
+        policy.cache = cache
         simulate = qutrit.survival_table
         trial_thread = threading.get_ident()  # the lab simulates on its own
 
@@ -181,8 +182,10 @@ class TestRunTrial:
 
 
 class TestTracking:
-    """A tracking request from the update tracks the lab, and resets the
-    cloud's references, before the next experiment is submitted."""
+    """A tracking request from the update tracks the lab before the next
+    experiment is submitted, and resets the cloud's references once the
+    update on the datum measured before the track is done, before the next
+    design."""
 
     def fire_on(self, calls):
         """A ``should_track`` that answers True on the given 1-based calls."""
@@ -228,6 +231,45 @@ class TestTracking:
             )
             assert np.array_equal(after.weights, before.weights)
 
+    def test_a_reset_falls_between_the_updates_on_either_side_of_its_track(
+        self, monkeypatch
+    ):
+        events = []  # (kind, simulated seconds) in the order they happen
+        track, reset, update = (
+            labmod.TrueSystem.track, smc.reference_reset, smc.bayes_update
+        )
+
+        def recording_track(system):
+            events.append(("track", system.clock))
+            track(system)
+
+        def recording_reset(cloud, spec, rng):
+            events.append(("reset", None))
+            return reset(cloud, spec, rng)
+
+        def recording_update(cloud, datum, config, rng, **kwargs):
+            events.append(("update", datum.timestamp))
+            return update(cloud, datum, config, rng, **kwargs)
+
+        monkeypatch.setattr(labmod.TrueSystem, "track", recording_track)
+        monkeypatch.setattr(smc, "reference_reset", recording_reset)
+        monkeypatch.setattr(smc, "bayes_update", recording_update)
+        monkeypatch.setattr(heuristics, "should_track", self.fire_on({2, 3, 5}))
+        config = tiny_config("alternating_linear", experiments=7)
+        harness.run_trial(config, "alternating_linear", 0)
+        kinds = [kind for kind, _ in events]
+        assert kinds.count("track") == 4 and kinds.count("reset") == 3
+        assert kinds.count("update") == 7
+        for at, (kind, _) in enumerate(events):
+            if kind != "reset":
+                continue
+            tracked = [clock for k, clock in events[:at] if k == "track"][-1]
+            # every datum measured before the track is updated on before the
+            # reset, and every datum measured after it only after the reset
+            for when, (k, stamp) in enumerate(events):
+                if k == "update":
+                    assert (when < at) == (stamp <= tracked)
+
     def test_a_tracked_trial_repeats_exactly(self, monkeypatch):
         first, _, _ = self.tracked_trial(monkeypatch)
         second, _, _ = self.tracked_trial(monkeypatch)
@@ -235,7 +277,51 @@ class TestTracking:
         assert first.to_json() == second.to_json()
 
 
+ONLINE = {"uniform_risk", "magnetometry_risk"}
+
+
+@pytest.mark.parametrize("name", sorted(heuristics.POLICIES))
+class TestEveryPolicy:
+    """Every registry name runs through the harness."""
+
+    def test_the_harness_sizes_it_by_kind(self, name):
+        config = tiny_config(name, experiments=6)
+        policy = harness._sized_heuristic(config, name)
+        assert type(policy) is heuristics.POLICIES[name]
+        if name in ONLINE:
+            assert (policy.rabi_m, policy.ramsey_m) == (5, 5)
+            assert (policy.n_outcomes, policy.n_particles) == (32, 64)
+        else:
+            assert (policy.rabi_m, policy.ramsey_m) == (3, 3)
+            assert not hasattr(policy, "n_outcomes")
+
+    def test_a_trial_records_its_name(self, name):
+        config = tiny_config(name, experiments=2)
+        record, _ = harness.run_trial(config, name, 0)
+        assert record.heuristic == name
+        assert len(record.steps) == 2
+
+
+@pytest.mark.parametrize(
+    "name, weighed",
+    [("uniform_risk", list(range(5))), ("magnetometry_risk", [smc.IDX_ZEEMAN])],
+)
+def test_an_online_policy_weighs_what_its_name_says(name, weighed):
+    policy = harness._sized_heuristic(tiny_config(name), name)
+    assert np.flatnonzero(np.diag(policy.weights)).tolist() == weighed
+    assert np.count_nonzero(policy.weights) == len(weighed)
+    # the class's matrix, which every instance shares
+    assert not policy.weights.flags.writeable
+
+
 class TestRunConfig:
+    def test_an_unknown_policy_names_the_known_ones(self):
+        known = [
+            "alternating_linear", "magnetometry_risk", "ramsey_sweeps", "uniform_risk"
+        ]
+        with pytest.raises(ValueError, match=re.escape(str(known))):
+            harness.RunConfig(heuristics=["unifrom_risk"])
+
     def test_removed_key_is_rejected(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"pipeline_concurrency": False}))

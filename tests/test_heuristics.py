@@ -3,6 +3,7 @@ import pytest
 
 from nvbed import qutrit, risk
 from nvbed.heuristics import (
+    POLICIES,
     AlternatingLinear,
     RamseySweeps,
     RiskMinimizer,
@@ -10,10 +11,8 @@ from nvbed.heuristics import (
     best_tip_time,
     experiment_set_rabi,
     experiment_set_ramsey,
-    magnetometry_risk_heuristic,
     make_heuristic,
     should_track,
-    uniform_risk_heuristic,
 )
 from nvbed.measurement import EsmInputs, ReferenceRates, esm
 from nvbed.qutrit import ExperimentConfig
@@ -162,8 +161,8 @@ class TestRiskHeuristics:
     def test_candidate_union_and_selection(self):
         rng = np.random.default_rng(4)
         cloud = inference_cloud(rng, k=250)
-        heuristic = uniform_risk_heuristic(
-            rabi_m=12, ramsey_m=12, n_outcomes=64, n_particles=128
+        heuristic = make_heuristic(
+            "uniform_risk", rabi_m=12, ramsey_m=12, n_outcomes=64, n_particles=128
         )
         candidates = heuristic.candidate_set(cloud, 1)
         assert len(candidates) == 24
@@ -182,8 +181,8 @@ class TestRiskHeuristics:
         cloud = inference_cloud(rng, k=250)
         picks = []
         for scale in (1.0, 4.0, 0.25):
-            heuristic = uniform_risk_heuristic(
-                rabi_m=10, ramsey_m=10, n_outcomes=64, n_particles=128
+            heuristic = make_heuristic(
+                "uniform_risk", rabi_m=10, ramsey_m=10, n_outcomes=64, n_particles=128
             )
             heuristic.weights = scale * heuristic.weights
             picks.append(heuristic.next_experiment(cloud, 0, np.random.default_rng(7)))
@@ -192,8 +191,8 @@ class TestRiskHeuristics:
     def test_magnetometry_under_tight_prior_selects_ramsey(self):
         rng = np.random.default_rng(8)
         cloud = sample_prior(PriorSpec(spin=SpinPrior(kind="tight")), 1200, rng)
-        heuristic = magnetometry_risk_heuristic(
-            rabi_m=20, ramsey_m=20, n_outcomes=192, n_particles=384
+        heuristic = make_heuristic(
+            "magnetometry_risk", rabi_m=20, ramsey_m=20, n_outcomes=192, n_particles=384
         )
         config = heuristic.next_experiment(cloud, 0, np.random.default_rng(9))
         assert config.kind == "ramsey"
@@ -201,8 +200,9 @@ class TestRiskHeuristics:
     def test_fixed_seed_selection_is_deterministic(self):
         rng = np.random.default_rng(10)
         cloud = inference_cloud(rng, k=200)
-        h1 = magnetometry_risk_heuristic(rabi_m=8, ramsey_m=8, n_outcomes=64, n_particles=96)
-        h2 = magnetometry_risk_heuristic(rabi_m=8, ramsey_m=8, n_outcomes=64, n_particles=96)
+        sizes = dict(rabi_m=8, ramsey_m=8, n_outcomes=64, n_particles=96)
+        h1 = make_heuristic("magnetometry_risk", **sizes)
+        h2 = make_heuristic("magnetometry_risk", **sizes)
         a = h1.next_experiment(cloud, 3, np.random.default_rng(11))
         b = h2.next_experiment(cloud, 3, np.random.default_rng(11))
         assert a == b
@@ -243,8 +243,8 @@ class TestScreenedPick:
 
     @staticmethod
     def policy():
-        return uniform_risk_heuristic(
-            rabi_m=6, ramsey_m=6, n_outcomes=256, n_particles=256
+        return make_heuristic(
+            "uniform_risk", rabi_m=6, ramsey_m=6, n_outcomes=256, n_particles=256
         )
 
     def test_an_unreliable_candidate_loses_to_a_reliable_survivor(self, monkeypatch):
@@ -300,10 +300,10 @@ class TestSurvivalTableCache:
         first = inference_cloud(np.random.default_rng(1), k=300)
         second = inference_cloud(np.random.default_rng(2), k=300)
         sizes = dict(rabi_m=6, ramsey_m=6, n_outcomes=32, n_particles=64)
-        shared = uniform_risk_heuristic(**sizes)
+        shared = make_heuristic("uniform_risk", **sizes)
         shared.next_experiment(first, 0, np.random.default_rng(3))
         reused = shared.next_experiment(second, 0, np.random.default_rng(4))
-        fresh = uniform_risk_heuristic(**sizes)
+        fresh = make_heuristic("uniform_risk", **sizes)
         expected = fresh.next_experiment(second, 0, np.random.default_rng(4))
         assert reused == expected
         assert [e for _, e in shared.last_profile] == [e for _, e in fresh.last_profile]
@@ -438,7 +438,7 @@ class TestFactory:
             "uniform_risk",
             "magnetometry_risk",
         ):
-            assert make_heuristic(name).name == name
+            assert type(make_heuristic(name)) is POLICIES[name]
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
