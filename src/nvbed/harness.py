@@ -327,14 +327,15 @@ def run_trial(
             if tracked:
                 lab.track()
                 tracking_steps.append(n)
-                tracking_requested = False
             cfg, planned = queue.pop(n)
             future = executor.submit(lab.run, cfg)
             if pending is not None:
                 process(*pending)
                 if tracked:
-                    # between the data measured before and after the track
+                    # between the data measured before and after the track,
+                    # which serves any request the update before it raised
                     cloud = smc.reference_reset(cloud, prior_spec, engine_rng)
+                    tracking_requested = False
                 if n + 1 <= n_exp:
                     queue[n + 1] = design(n)
             pending = (future.result(), cfg, planned, n)

@@ -185,14 +185,17 @@ class TestTracking:
     """A tracking request from the update tracks the lab before the next
     experiment is submitted, and resets the cloud's references once the
     update on the datum measured before the track is done, before the next
-    design."""
+    design.  That track serves a request the update raises, so it asks for
+    no second one."""
 
     def fire_on(self, calls):
         """A ``should_track`` that answers True on the given 1-based calls."""
         count = itertools.count(1)
         return lambda cloud, spec: next(count) in calls
 
-    def tracked_trial(self, monkeypatch):
+    def recorded(self, monkeypatch):
+        """Lists that the lab's tracks (by lab clock) and the resets (as
+        (cloud before, cloud after)) are appended to."""
         tracks, resets = [], []
         track, reset = labmod.TrueSystem.track, smc.reference_reset
 
@@ -207,6 +210,10 @@ class TestTracking:
 
         monkeypatch.setattr(labmod.TrueSystem, "track", counting_track)
         monkeypatch.setattr(smc, "reference_reset", recording_reset)
+        return tracks, resets
+
+    def tracked_trial(self, monkeypatch):
+        tracks, resets = self.recorded(monkeypatch)
         monkeypatch.setattr(heuristics, "should_track", self.fire_on({2, 3, 5}))
         config = tiny_config("uniform_risk", experiments=7)
         record, _ = harness.run_trial(config, "uniform_risk", 0)
@@ -216,11 +223,12 @@ class TestTracking:
         record, tracks, resets = self.tracked_trial(monkeypatch)
         # once at the trial start, then once per request; a request from the
         # update on datum n tracks before experiment n + 2, which is the next
-        # one submitted
-        assert len(tracks) == 4
-        assert record.tracking_steps == [4, 5, 7]
-        assert [s["step"] for s in record.steps if s["tracked_before"]] == [4, 5, 7]
-        assert len(resets) == 3
+        # one submitted.  The request of call 3, from the update on datum 3,
+        # which was measured before the track at 4, is served by that track.
+        assert len(tracks) == 3
+        assert record.tracking_steps == [4, 7]
+        assert [s["step"] for s in record.steps if s["tracked_before"]] == [4, 7]
+        assert len(resets) == 2
         for before, after in resets:
             refs = slice(smc.IDX_ALPHA, smc.IDX_BETA + 1)
             assert np.all(after.locations[:, refs] != before.locations[:, refs])
@@ -258,7 +266,7 @@ class TestTracking:
         config = tiny_config("alternating_linear", experiments=7)
         harness.run_trial(config, "alternating_linear", 0)
         kinds = [kind for kind, _ in events]
-        assert kinds.count("track") == 4 and kinds.count("reset") == 3
+        assert kinds.count("track") == 3 and kinds.count("reset") == 2
         assert kinds.count("update") == 7
         for at, (kind, _) in enumerate(events):
             if kind != "reset":
@@ -273,11 +281,35 @@ class TestTracking:
     def test_a_tracked_trial_repeats_exactly(self, monkeypatch):
         first, _, _ = self.tracked_trial(monkeypatch)
         second, _, _ = self.tracked_trial(monkeypatch)
-        assert first.tracking_steps == [4, 5, 7]
+        assert first.tracking_steps == [4, 7]
         assert first.to_json() == second.to_json()
 
+    def test_one_sag_is_tracked_once_and_reset_once(self, monkeypatch):
+        """With ``should_track`` as it is, which reads the cloud: the update on
+        the sagged datum measured before the track asks for no second one."""
 
-ONLINE = {"uniform_risk", "magnetometry_risk"}
+        class SaggingLab(labmod.InProcessLab):
+            """Its bright reference falls to 60 % before its third run, the
+            second experiment, and stays down until a track."""
+
+            runs = 0
+
+            def run(self, config):
+                self.runs += 1
+                if self.runs == 3:
+                    self.system.alpha *= 0.6
+                return super().run(config)
+
+        tracks, resets = self.recorded(monkeypatch)
+        system = labmod.TrueSystem(labmod.default_truth(), np.random.default_rng(7))
+        config = tiny_config("alternating_linear", experiments=14)
+        record, _ = harness.run_trial(
+            config, "alternating_linear", 0, lab=SaggingLab(system)
+        )
+        assert len(record.tracking_steps) == 1 and record.tracking_steps[0] > 3
+        # the trial start's and the sag's
+        assert len(tracks) == 2
+        assert len(resets) == 1
 
 
 @pytest.mark.parametrize("name", sorted(heuristics.POLICIES))
@@ -288,7 +320,7 @@ class TestEveryPolicy:
         config = tiny_config(name, experiments=6)
         policy = harness._sized_heuristic(config, name)
         assert type(policy) is heuristics.POLICIES[name]
-        if name in ONLINE:
+        if issubclass(heuristics.POLICIES[name], heuristics.RiskMinimizer):
             assert (policy.rabi_m, policy.ramsey_m) == (5, 5)
             assert (policy.n_outcomes, policy.n_particles) == (32, 64)
         else:
