@@ -33,7 +33,7 @@ from . import lab as labmod
 from . import risk, smc
 from .measurement import Datum, ReferenceRates
 from .qutrit import ExperimentConfig, SpinParams
-from .smc import DriftParams, ModelParameters, PriorSpec, SpinPrior
+from .smc import DriftParams, ModelParameters, PriorSpec
 
 CALIBRATION_PULSE_NS = 2.0
 # repetitions of the reference-only run that sets the reference prior
@@ -89,7 +89,7 @@ class RunConfig:
 
     * ``heuristics``: names of the policies to compare, from
       ``heuristics.POLICIES``; at least one, none twice.
-    * ``prior``: spin prior kind, ``"wide"``, ``"calibrated"`` or ``"tight"``.
+    * ``prior``: the spin prior, a name in ``smc.SPIN_PRIORS``.
     * ``trials``, ``experiments``: trials per policy, experiments per trial
       (at least one).
     * ``particles``: SMC particle count K.
@@ -135,7 +135,7 @@ class RunConfig:
                 f"heuristics must be distinct known names, got {names!r}; "
                 f"choose from {sorted(heur.POLICIES)}"
             )
-        SpinPrior(kind=self.prior)  # rejects an unknown prior
+        PriorSpec(spin=self.prior)  # rejects an unknown prior
         # a malformed lab address then fails in LabClient, before any output
         _check_strings(self, "lab", "out_dir")
         _check_ints(self, dict(
@@ -150,11 +150,8 @@ class RunConfig:
     def from_file(cls, path) -> "RunConfig":
         return _load_config(cls, path, "config")
 
-    def prior_spec(self, reference_prior=None) -> PriorSpec:
-        spin = SpinPrior(kind=self.prior)
-        if reference_prior is None:
-            return PriorSpec(spin=spin)
-        return PriorSpec(spin=spin, references=reference_prior)
+    def prior_spec(self, reference_prior=smc.DEFAULT_REFERENCE_PRIOR) -> PriorSpec:
+        return PriorSpec(spin=self.prior, references=reference_prior)
 
 
 def _seed_for(config_seed: int, heuristic: str, trial: int, stream: int):

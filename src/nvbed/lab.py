@@ -2,9 +2,10 @@
 
 Owns a hidden ground-truth NV system whose bright/dark references drift as a
 reflected random walk in simulated time, executes experiment configurations,
-and returns count triples.  The clock is simulated (it advances by the
-computed experiment duration plus configurable overheads), so runs are fast
-and bit-reproducible regardless of wall-clock timing.
+and returns count triples.  The clock is simulated, so runs are fast and
+bit-reproducible regardless of wall-clock timing: a run advances it by
+:func:`experiment_seconds` plus ``REQUEST_OVERHEAD_S`` (and
+``UPLOAD_LATENCY_S`` on a new shape), a track by ``TRACK_DURATION_S``.
 
 A run whose ``ExperimentConfig.shape`` was uploaded before is a cache hit:
 it skips the upload latency and reuses the stored survival probability.
@@ -19,10 +20,11 @@ field::
                "N": ..., "timestamp": ...}, "cache_hit": false}
               {"v": 1, "status": "error", "error": "..."}
 
-Every request line gets exactly one response line; malformed JSON, a bad
-config or a failed run gets an error response on the open connection.  One
-connection is served at a time and others queue; one idle for
-``IDLE_TIMEOUT_S``, far above a paper-scale gap between requests, is dropped.
+Every request line gets exactly one response line; a line that is not UTF-8
+JSON, a bad config or a failed run gets an error response on the open
+connection.  One connection is served at a time and others queue; one idle
+for ``IDLE_TIMEOUT_S``, far above a paper-scale gap between requests, is
+dropped.
 
 A request may carry an ``"id"`` string, which its response echoes.  The
 server keeps the response to the last request that had an id and answers a
@@ -37,7 +39,7 @@ import json
 import secrets
 import socket
 import socketserver
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,6 +52,17 @@ PROTOCOL_VERSION = 1
 IDLE_TIMEOUT_S = 600.0
 # relative standard deviation of each reference after a refocus
 REFOCUS_SIGMA = 0.01
+# Per-shot pulse-sequence timings (ns): the preparation laser, settling, each
+# of the three measurement windows and the adiabatic dark-reference transfer.
+# Invented values; real setups calibrate them independently.
+PREPARE_NS = 3000.0
+SETTLE_NS = 1000.0
+MEASURE_NS = 300.0
+ADIABATIC_NS = 2000.0
+# per-request overheads (s): uploading a new waveform, any request, a track
+UPLOAD_LATENCY_S = 0.5
+REQUEST_OVERHEAD_S = 0.01
+TRACK_DURATION_S = 5.0
 
 
 class LabProtocolError(RuntimeError):
@@ -60,32 +73,16 @@ class LabConnectionError(ConnectionError):
     """The experiment computer could not be reached."""
 
 
-@dataclass(frozen=True)
-class LabTimings:
-    """Per-shot pulse-sequence timings (ns) and request overheads (s).
-
-    The per-shot durations are invented defaults for the preparation laser,
-    settling, the three measurement windows, and the adiabatic dark-reference
-    transfer; real setups calibrate them independently.
-    """
-
-    prepare_ns: float = 3000.0
-    settle_ns: float = 1000.0
-    measure_ns: float = 300.0
-    adiabatic_ns: float = 2000.0
-    upload_latency_s: float = 0.5
-    request_overhead_s: float = 0.01
-    track_duration_s: float = 5.0
-
-    def experiment_seconds(self, config: ExperimentConfig) -> float:
-        per_shot = (
-            self.prepare_ns
-            + self.settle_ns
-            + config.evolution_time
-            + 3.0 * self.measure_ns
-            + self.adiabatic_ns
-        )
-        return config.repetitions * per_shot * 1e-9
+def experiment_seconds(config: ExperimentConfig) -> float:
+    """Simulated seconds the pulse sequence of ``config`` takes, all shots."""
+    per_shot = (
+        PREPARE_NS
+        + SETTLE_NS
+        + config.evolution_time
+        + 3.0 * MEASURE_NS
+        + ADIABATIC_NS
+    )
+    return config.repetitions * per_shot * 1e-9
 
 
 def default_truth() -> ModelParameters:
@@ -103,6 +100,7 @@ class TrueSystem:
     The true references follow a correlated random walk, reflected so that
     0 < beta < alpha always holds; a tracking operation refocuses them back
     to their nominal values up to a relative refocus error ``REFOCUS_SIGMA``.
+    ``clock`` counts simulated seconds by the module's timing constants.
 
     ``_waveforms``, the one waveform store, maps each shape a successful run
     uploaded to the truth's survival probability; ``uploads`` is its size.
@@ -110,7 +108,6 @@ class TrueSystem:
 
     truth: ModelParameters
     rng: np.random.Generator
-    timings: LabTimings = field(default_factory=LabTimings)
 
     def __post_init__(self):
         self.clock = 0.0  # simulated seconds
@@ -147,10 +144,8 @@ class TrueSystem:
             p = self._waveforms[shape]
         else:
             p = survival_probability(self.truth.spin, config)
-        clock = self.clock if cache_hit else self.clock + self.timings.upload_latency_s
-        elapsed = (
-            self.timings.experiment_seconds(config) + self.timings.request_overhead_s
-        )
+        clock = self.clock if cache_hit else self.clock + UPLOAD_LATENCY_S
+        elapsed = experiment_seconds(config) + REQUEST_OVERHEAD_S
         clock += elapsed
         stream = self.rng.bit_generator.state
         try:
@@ -167,7 +162,7 @@ class TrueSystem:
 
     def track(self) -> None:
         """Refocus: restore the references to nominal up to a refocus error."""
-        self.clock += self.timings.track_duration_s
+        self.clock += TRACK_DURATION_S
         eps_a, eps_b = self.rng.normal(0.0, REFOCUS_SIGMA, size=2)
         self.alpha, self.beta = _reflect_refs(
             self.truth.refs.bright * (1.0 + eps_a),
@@ -256,7 +251,7 @@ class _LabRequestHandler(socketserver.StreamRequestHandler):
     def handle(self):
         try:
             for raw in self.rfile:
-                response = self.server.respond(raw.decode("utf-8"))
+                response = self.server.respond(raw)
                 self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))
                 self.wfile.flush()
         except TimeoutError:
@@ -274,11 +269,13 @@ class LabServer(socketserver.TCPServer):
         self._last_id = None
         self._last_response = None
 
-    def respond(self, line: str) -> dict:
+    def respond(self, line: bytes | str) -> dict:
         """The response to one request line; a repeated id gets the stored one."""
         try:
+            if isinstance(line, bytes):
+                line = line.decode("utf-8")
             message = json.loads(line)
-        except json.JSONDecodeError as err:
+        except (ValueError, RecursionError) as err:  # not UTF-8, bad or too deep
             return _error(f"bad json: {err}")
         request_id = message.get("id") if isinstance(message, dict) else None
         if request_id is None:
@@ -350,7 +347,7 @@ class LabClient:
             raise LabConnectionError("server closed the connection")
         try:
             response = json.loads(line.decode("utf-8"))
-        except ValueError:  # JSON and UTF-8 decoding errors alike
+        except (ValueError, RecursionError):  # bad JSON or UTF-8, or too deep
             response = None
         if not isinstance(response, dict):
             raise LabProtocolError(f"reply is not a JSON object: {line[:80]!r}")

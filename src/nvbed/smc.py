@@ -24,7 +24,7 @@ dephasing_rate >= 0.  Proposals that violate them are redrawn.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,6 +49,13 @@ CALIBRATED_COV = np.array(
     ]
 )
 _CALIBRATED_COLUMNS = [IDX_RABI, IDX_ZFS, IDX_HYPERFINE, IDX_DEPHASING]
+# The spin priors, by name, over the five spin columns.  "wide" uses the
+# uniform ranges of the first heuristic comparison, the Zeeman splitting
+# uniform on ZEEMAN_RANGE; "calibrated" keeps that Zeeman prior but draws the
+# other four parameters from the calibration posterior CALIBRATED_MEAN,
+# CALIBRATED_COV; "tight" additionally narrows the Zeeman splitting to a
+# normal of mean TIGHT_ZEEMAN_MEAN and deviation TIGHT_ZEEMAN_STD.
+SPIN_PRIORS = ("wide", "calibrated", "tight")
 # uniform Zeeman range (MHz) of the "wide" and "calibrated" spin priors
 ZEEMAN_RANGE = (0.0, 10.0)
 # "tight" only: the Zeeman prior is no longer widened.  The calibration run
@@ -168,25 +175,6 @@ def _check_constraints(locations: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SpinPrior:
-    """Prior over the five spin columns.
-
-    ``wide`` uses the uniform ranges of the first heuristic comparison, the
-    Zeeman splitting uniform on ``ZEEMAN_RANGE``; ``calibrated`` keeps that
-    Zeeman prior but draws the other four parameters from the calibration
-    posterior ``CALIBRATED_MEAN``, ``CALIBRATED_COV``; ``tight``
-    additionally narrows the Zeeman splitting to a normal of mean
-    ``TIGHT_ZEEMAN_MEAN`` and deviation ``TIGHT_ZEEMAN_STD``.
-    """
-
-    kind: str = "wide"  # "wide" | "calibrated" | "tight"
-
-    def __post_init__(self):
-        if self.kind not in ("wide", "calibrated", "tight"):
-            raise ValueError(f"unknown spin prior kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
 class ReferencePrior:
     """Independent Gamma priors on the per-shot reference rates."""
 
@@ -211,21 +199,6 @@ class ReferencePrior:
         return out
 
 
-def default_reference_prior() -> ReferencePrior:
-    """Fallback reference prior for offline experiments without a calibration run."""
-    return empirical_reference_prior(15000, 6000, 300_000)
-
-
-@dataclass(frozen=True)
-class PriorSpec:
-    """The prior :func:`sample_prior` draws from: a spin prior and a Gamma
-    prior on the references.  The drift columns always come from the
-    inverse-Wishart hyperprior ``DRIFT_DOF``, ``DRIFT_SCALE``."""
-
-    spin: SpinPrior = field(default_factory=SpinPrior)
-    references: ReferencePrior = field(default_factory=default_reference_prior)
-
-
 def empirical_reference_prior(
     bright_counts: int, dark_counts: int, repetitions: int
 ) -> ReferencePrior:
@@ -240,6 +213,27 @@ def empirical_reference_prior(
         beta_mean=dark_counts / n,
         beta_std=3.0 * math.sqrt(dark_counts) / n,
     )
+
+
+# fallback reference prior for offline experiments without a calibration run
+DEFAULT_REFERENCE_PRIOR = empirical_reference_prior(15000, 6000, 300_000)
+
+
+@dataclass(frozen=True)
+class PriorSpec:
+    """The prior :func:`sample_prior` draws from: a spin prior named in
+    ``SPIN_PRIORS`` and a Gamma prior on the references.  The drift columns
+    always come from the inverse-Wishart hyperprior ``DRIFT_DOF``,
+    ``DRIFT_SCALE``."""
+
+    spin: str = "wide"
+    references: ReferencePrior = DEFAULT_REFERENCE_PRIOR
+
+    def __post_init__(self):
+        if self.spin not in SPIN_PRIORS:
+            raise ValueError(
+                f"unknown spin prior {self.spin!r}; choose from {list(SPIN_PRIORS)}"
+            )
 
 
 MAX_REDRAW_ROUNDS = 1000
@@ -262,9 +256,9 @@ def _redraw(propose, valid, n: int, what: str) -> np.ndarray:
     raise RedrawLimitError(what)
 
 
-def _sample_spin(prior: SpinPrior, n: int, rng: np.random.Generator) -> np.ndarray:
+def _sample_spin(prior: str, n: int, rng: np.random.Generator) -> np.ndarray:
     out = np.empty((n, 5))
-    if prior.kind == "wide":
+    if prior == "wide":
         out[:, IDX_RABI] = rng.uniform(0.0, 20.0, size=n)
         out[:, IDX_ZEEMAN] = rng.uniform(*ZEEMAN_RANGE, size=n)
         out[:, IDX_ZFS] = rng.uniform(-5.0, 5.0, size=n)
@@ -279,7 +273,7 @@ def _sample_spin(prior: SpinPrior, n: int, rng: np.random.Generator) -> np.ndarr
         n,
         "calibrated spin prior kept producing negative rates",
     )
-    if prior.kind == "calibrated":
+    if prior == "calibrated":
         out[:, IDX_ZEEMAN] = rng.uniform(*ZEEMAN_RANGE, size=n)
     else:
         out[:, IDX_ZEEMAN] = _redraw(

@@ -354,6 +354,11 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=re.escape(str(known))):
             harness.RunConfig(heuristics=["unifrom_risk"])
 
+    def test_an_unknown_prior_names_the_known_ones(self):
+        known = ["wide", "calibrated", "tight"]
+        with pytest.raises(ValueError, match=re.escape(str(known))):
+            harness.RunConfig(prior="widest")
+
     def test_removed_key_is_rejected(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"pipeline_concurrency": False}))

@@ -23,7 +23,6 @@ from nvbed.smc import (
     ParticleCloud,
     PriorSpec,
     ReferencePrior,
-    SpinPrior,
     posterior_refs,
     sample_prior,
 )
@@ -39,7 +38,7 @@ def single_particle_cloud(**columns):
 
 
 def inference_cloud(rng, k=400):
-    spec = PriorSpec(spin=SpinPrior(kind="calibrated"))
+    spec = PriorSpec(spin="calibrated")
     return sample_prior(spec, k, rng)
 
 
@@ -190,7 +189,7 @@ class TestRiskHeuristics:
 
     def test_magnetometry_under_tight_prior_selects_ramsey(self):
         rng = np.random.default_rng(8)
-        cloud = sample_prior(PriorSpec(spin=SpinPrior(kind="tight")), 1200, rng)
+        cloud = sample_prior(PriorSpec(spin="tight"), 1200, rng)
         heuristic = make_heuristic(
             "magnetometry_risk", rabi_m=20, ramsey_m=20, n_outcomes=192, n_particles=384
         )

@@ -12,7 +12,6 @@ from nvbed.lab import (
     LabConnectionError,
     LabProtocolError,
     LabServer,
-    LabTimings,
     TrueSystem,
     default_truth,
 )
@@ -92,7 +91,7 @@ class TestWaveformCache:
         second = system.clock - t1
         assert system.uploads == 1
         assert system.cache_hits == 1
-        assert first - second == pytest.approx(system.timings.upload_latency_s)
+        assert first - second == pytest.approx(labmod.UPLOAD_LATENCY_S)
 
 
 class TestTrueSystem:
@@ -130,12 +129,24 @@ class TestTrueSystem:
         assert abs(system.beta - 0.02) <= 4 * labmod.REFOCUS_SIGMA * 0.02
         assert system.tracking_count == 1
 
-    def test_clock_advances_by_experiment_duration(self):
-        timings = LabTimings(upload_latency_s=0.0, request_overhead_s=0.0)
-        system = TrueSystem(make_truth(sigma=0.0), np.random.default_rng(0), timings)
+    def test_clock_advances_by_experiment_duration(self, monkeypatch):
+        monkeypatch.setattr(labmod, "UPLOAD_LATENCY_S", 0.0)
+        monkeypatch.setattr(labmod, "REQUEST_OVERHEAD_S", 0.0)
+        system = make_system(sigma=0.0)
         system.execute(RUN_CFG)
         per_shot_ns = 3000 + 1000 + 22.0 + 3 * 300 + 2000
         assert system.clock == pytest.approx(500 * per_shot_ns * 1e-9)
+        # a Ramsey shot evolves for both pulses and the wait
+        start = system.clock
+        system.execute(
+            ExperimentConfig("ramsey", pulse_time=22.0, wait_time=40.0, repetitions=300)
+        )
+        per_shot_ns = 3000 + 1000 + (2 * 22.0 + 40.0) + 3 * 300 + 2000
+        assert system.clock - start == pytest.approx(300 * per_shot_ns * 1e-9)
+        monkeypatch.setattr(labmod, "TRACK_DURATION_S", 7.25)
+        start = system.clock
+        system.track()
+        assert system.clock - start == pytest.approx(7.25)
 
     def test_identical_seeds_replay_identically(self):
         configs = [
@@ -208,12 +219,15 @@ class TestTcpService:
             (server.server_address[0], server.server_address[1]), timeout=10
         ) as sock:
             with sock.makefile("rb") as reader:
-                sock.sendall(b"this is not json\n")
-                reply = json.loads(reader.readline())
-                assert reply["status"] == "error"
-                sock.sendall(b'{"v": 1, "type": "ping"}\n')
-                reply = json.loads(reader.readline())
-                assert reply["status"] == "ok"
+                # not JSON, not UTF-8, nested deeper than the parser goes
+                for line in (b"this is not json", b"\xff\xfe", b"[" * 100000):
+                    sock.sendall(line + b"\n")
+                    reply = json.loads(reader.readline())
+                    assert reply["status"] == "error"
+                    assert reply["error"].startswith("bad json")
+                    sock.sendall(b'{"v": 1, "type": "ping"}\n')
+                    reply = json.loads(reader.readline())
+                    assert reply["status"] == "ok"
 
     def test_unknown_type_and_version_mismatch(self, server):
         with socket.create_connection(
@@ -232,7 +246,10 @@ class TestTcpService:
             with pytest.raises(LabProtocolError):
                 client._request({"v": 1, "type": "selfdestruct"})
 
-    @pytest.mark.parametrize("reply", [b"garbage", b"\xff", b"[1]", b"null"])
+    @pytest.mark.parametrize(
+        "reply",
+        [b"garbage", b"\xff", b"[1]", b"null", pytest.param(b"[" * 100000, id="deep")],
+    )
     def test_reply_that_is_not_an_object_is_a_protocol_error(self, reply):
         # a stub server answers the one request with ``reply``; every socket
         # has a timeout, so a client that waits for more fails, not hangs

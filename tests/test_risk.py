@@ -25,7 +25,6 @@ from nvbed.smc import (
     IDX_BETA,
     ParticleCloud,
     PriorSpec,
-    SpinPrior,
     posterior_cov,
     sample_prior,
 )
@@ -42,7 +41,7 @@ CFG = ExperimentConfig("rabi", pulse_time=50.0, repetitions=2000)
 
 
 def nv_cloud(rng, k=400):
-    spec = PriorSpec(spin=SpinPrior(kind="calibrated"))
+    spec = PriorSpec(spin="calibrated")
     return sample_prior(spec, k, rng)
 
 
@@ -298,7 +297,7 @@ class TestRiskProfile:
         # Ramsey wait time must beat every Rabi pulse time on the
         # magnetometry-weighted risk.
         rng = np.random.default_rng(29)
-        cloud = sample_prior(PriorSpec(spin=SpinPrior(kind="tight")), 1500, rng)
+        cloud = sample_prior(PriorSpec(spin="tight"), 1500, rng)
         tip = 22.0  # quarter period at the calibrated drive strength
         candidates = [
             ExperimentConfig("rabi", pulse_time=float(t), repetitions=5000)

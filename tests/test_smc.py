@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
-from nvbed import smc
+from nvbed import harness, smc
 from nvbed.measurement import Datum
 from nvbed.qutrit import ExperimentConfig
 from nvbed.smc import (
@@ -24,7 +24,6 @@ from nvbed.smc import (
     PriorSpec,
     RedrawLimitError,
     ReferencePrior,
-    SpinPrior,
     _check_constraints,
     _sample_drift_chart,
     bayes_update,
@@ -92,7 +91,7 @@ class TestPriorSampling:
 
     def test_calibrated_prior_moments(self):
         rng = np.random.default_rng(1)
-        spec = PriorSpec(spin=SpinPrior(kind="calibrated"))
+        spec = PriorSpec(spin="calibrated")
         cloud = sample_prior(spec, 40000, rng)
         loc = cloud.locations
         sampled = loc[:, [IDX_RABI, 2, 3, IDX_DEPHASING]].mean(axis=0)
@@ -104,7 +103,7 @@ class TestPriorSampling:
 
     def test_tight_prior_narrows_zeeman(self):
         rng = np.random.default_rng(2)
-        spec = PriorSpec(spin=SpinPrior(kind="tight"))
+        spec = PriorSpec(spin="tight")
         cloud = sample_prior(spec, 5000, rng)
         zee = cloud.locations[:, IDX_ZEEMAN]
         assert zee.std() == pytest.approx(smc.TIGHT_ZEEMAN_STD, rel=0.1)
@@ -134,9 +133,20 @@ class TestPriorSampling:
 
     def test_prior_specs_compare_and_hash_by_value(self):
         assert PriorSpec() == PriorSpec()
-        assert PriorSpec(spin=SpinPrior("tight")) != PriorSpec()
-        tight = {PriorSpec(spin=SpinPrior("tight")), PriorSpec(spin=SpinPrior("tight"))}
+        assert PriorSpec(spin="tight") != PriorSpec()
+        tight = {PriorSpec(spin="tight"), PriorSpec(spin="tight")}
         assert len(tight) == 1
+
+    def test_a_spin_prior_is_given_by_name(self):
+        # the run's "tight" prior, whose moments test_tight_prior_narrows_zeeman checks
+        by_run = harness.RunConfig(prior="tight").prior_spec()
+        by_name = PriorSpec(spin="tight")
+        np.testing.assert_array_equal(
+            sample_prior(by_name, 500, np.random.default_rng(5)).locations,
+            sample_prior(by_run, 500, np.random.default_rng(5)).locations,
+        )
+        with pytest.raises(ValueError, match="medium"):
+            PriorSpec(spin="medium")
 
     @pytest.mark.parametrize("name", ["CALIBRATED_MEAN", "CALIBRATED_COV", "DRIFT_SCALE"])
     def test_fixed_prior_arrays_are_read_only(self, name):
