@@ -6,8 +6,8 @@ so a hypothesis is simulated as three independent 3-level systems (one per
 mI branch) and the survival probability is their uniform average.
 
 Unit convention, applied where the runtime builds its generators
-(``_real_generators`` for pulses, ``_wait_eigenvalues`` for the diagonal
-wait generator) and mirrored coefficient by coefficient by the Hamiltonian
+(``_real_generators`` for pulses, ``_ramsey_terms`` for the eigenvalues of
+the diagonal wait generator) and mirrored coefficient by coefficient by the Hamiltonian
 and Lindblad-generator oracles of the tests:
 
 * frequencies in MHz, dephasing rates in 1/us,
@@ -34,7 +34,9 @@ exp(t L) = U (1 (+) exp(t R8)) U^H.  Every pulse is therefore an 8x8
 exponential of the traceless block R8.  Since
 |0><0| = B_0/sqrt(3) - 2 B_2/sqrt(6), the survival probability of a pulse
 is 1/3 + (2/3) exp(t R8)[d, d], with d the block index of B_2.
-:func:`expm` is the one exponential every path uses.
+:func:`expm` is the one exponential every path uses: scaling and squaring
+around the degree-18 Taylor polynomial in five matrix products of Bader,
+Blanes and Casas (2019), on matrices scaled to 1-norm at most 1.09.
 """
 
 from __future__ import annotations
@@ -123,11 +125,23 @@ _R_TERMS = np.stack(
     ]
 )[:, 1:, 1:].reshape(4, 64)
 
-# Taylor coefficients 1/k! of the degree-16 polynomial that expm evaluates on
-# matrices scaled to 1-norm <= _THETA, where the remainder
-# _THETA^17 / 17! is below 5e-17, under double-precision roundoff
-_TAYLOR = [1.0 / math.factorial(k) for k in range(17)]
-_THETA = 0.78
+# Bader, Blanes and Casas (Mathematics 7, 1174, 2019): row i holds B(i+1)'s
+# coefficients on I, A, A^2, A^3 and A^6, and with A9 = B1 B5 + B4 the five
+# products of T18 = B2 + (B3 + A9) A9 make the degree-18 Taylor polynomial,
+# each coefficient within 1e-15 relative of 1/k!.  expm evaluates it on
+# matrices scaled to 1-norm <= _THETA, where the remainder _THETA^19 / 19!
+# is below 5e-17, under double-precision roundoff
+_COEF18 = np.array([
+    [0.0, -0.10036558103014462, -0.00802924648241157, -0.00089213849804573, 0.0],
+    [0.0, 0.3978497494996451, 1.3678377846041172, 0.49828962252538267,
+     -6.378981945947233e-04],
+    [-10.967639605296206, 1.680158138789062, 0.05717798464788655,
+     -0.0069821012248805206, 3.349750170860705e-05],
+    [-0.09043168323908106, -0.06764045190713819, 0.06759613017704597,
+     0.029555257042931552, -1.391802575160607e-05],
+    [0.0, 0.0, -0.09233646193671186, -0.016936493900208172, -1.400867981820361e-05],
+])
+_THETA = 1.09
 
 
 class SimulationAccuracyError(RuntimeError):
@@ -260,8 +274,8 @@ def thread_buffer(size: int) -> np.ndarray:
     """The first ``size`` entries of this thread's float64 scratch buffer,
     which is kept and replaced only by a larger one.
 
-    The Taylor step of :func:`expm` and the MIS table blocks of
-    :mod:`nvbed.risk` both work in it.  No caller holds a view of the
+    :func:`expm` and the MIS table blocks of :mod:`nvbed.risk` both work
+    in it, in at most 2 MiB at paper scale.  No caller holds a view of the
     scratch across a call that may take it: ``expm`` copies its result out
     before it returns, and a risk profile asks for its survival rows before
     any estimate.
@@ -279,64 +293,56 @@ def thread_buffer(size: int) -> np.ndarray:
     return buffer[:size]
 
 
-# The Taylor step works on arrays each thread keeps (thread_buffer).  A
-# fresh array per operation cost more than its arithmetic, since each freed
-# array went back to the system and the next one faulted its pages in
-# again: on one block the Taylor step took 3.0 ms with a new array per
-# operation, 2.4 ms with six new arrays per call and 1.3 ms on kept arrays,
-# and offline_wide s_per_experiment read 0.072-0.078 s with a new array per
-# operation against 0.050-0.052 s on kept ones (two 30 s perfbench runs
-# each; 2-core x86 host, one BLAS thread).
-def _taylor_exp(x: np.ndarray) -> np.ndarray:
-    """Degree-16 Taylor polynomial of exp at each matrix of the (m, n, n)
-    stack ``x``, in Paterson-Stockmeyer form: p = B0 + X4 (B1 + X4 (B2 +
-    X4 (B3 + c16 X4))) with Bi = c(4i) + ... + c(4i+3) X^3, six products.
-
-    Every product and sum is written into this thread's scratch buffer, and
-    so is the result: it is valid until the thread's next call.
-    """
-    c = _TAYLOR
-    x2, x3, x4, acc, part, term = thread_buffer(6 * x.size).reshape(6, *x.shape)
+# expm works on arrays each thread keeps (thread_buffer).  A fresh array
+# per operation cost more than its arithmetic, since each freed array went
+# back to the system and the next one faulted its pages in again: on one
+# block the degree-16 Taylor step that came before took 3.0 ms with a new
+# array per operation and 1.3 ms on kept arrays, and offline_wide
+# s_per_experiment read 0.072-0.078 s against 0.050-0.052 s (two 30 s
+# perfbench runs each).  On kept arrays one expm of a 150-hypothesis block
+# now takes 425 us, 569 us in that degree-16 form (fastest of 200; 2-core
+# x86 host, one BLAS thread).
+def _taylor_exp(powers: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Degree-18 Taylor polynomial of exp at each matrix A of the stack
+    ``powers[0]``, written over ``terms[1]`` and returned.  ``powers``
+    (4, m, n, n) takes A^2, A^3 and A^6, and ``terms`` B1 ... B5."""
+    x, x2, x3, x6 = powers
     np.matmul(x, x, out=x2)
     np.matmul(x2, x, out=x3)
-    np.matmul(x2, x2, out=x4)
-    diagonal = part.reshape(len(x), -1)[:, :: x.shape[-1] + 1]
-    for k in (12, 8, 4, 0):
-        # part = c(k) + c(k+1) X + c(k+2) X^2 + c(k+3) X^3
-        np.multiply(x, c[k + 1], out=part)
-        part += np.multiply(x2, c[k + 2], out=term)
-        part += np.multiply(x3, c[k + 3], out=term)
-        diagonal += c[k]
-        if k == 12:
-            np.multiply(x4, c[16], out=acc)
-            acc += part
-        else:
-            np.matmul(x4, acc, out=term)
-            np.add(term, part, out=acc)
-    return acc
+    np.matmul(x3, x3, out=x6)
+    m, n = x.shape[:2]
+    np.matmul(_COEF18[:, 1:], powers.reshape(4, -1), out=terms.reshape(5, -1))
+    terms.reshape(5, m, n * n)[2:4, :, :: n + 1] += _COEF18[2:4, :1, None]
+    b1, b2, b3, b4, b5 = terms
+    a9 = np.matmul(b1, b5, out=x)
+    a9 += b4
+    b3 += a9
+    b2 += np.matmul(b3, a9, out=x2)
+    return b2
 
 
 def expm(stack: np.ndarray) -> np.ndarray:
     """Matrix exponential of every matrix in a real (..., n, n) stack.
 
     Scaling and squaring: each matrix is scaled by 2^-s to 1-norm at most
-    ``_THETA``, its degree-16 Taylor polynomial is evaluated, and the result
-    is squared s times.  s is chosen per matrix; matrices are sorted by s so
-    that every squaring round acts on a leading slice of the stack.  A
-    matrix with a nan or inf entry comes out non-finite and leaves the
-    others as they would be without it.
+    ``_THETA``, its degree-18 Taylor polynomial is evaluated in five
+    products, and the result is squared s times.  s is chosen per matrix;
+    matrices are sorted by s so that every squaring round acts on a leading
+    slice of the stack.  A matrix with a nan or inf entry comes out
+    non-finite and leaves the others as they would be without it.
     """
     a = np.asarray(stack, dtype=float)
     n = a.shape[-1]
     flat = a.reshape(-1, n, n)
-    if not len(flat):
+    m = len(flat)
+    if not m:
         return np.empty(a.shape)
-    # column sums by einsum: a sum over the middle axis took 3.5x as long.
-    # The largest is taken along the long axis of a transposed copy: numpy
-    # reduces n entries per matrix one row at a time, and on 768 8x8
-    # matrices .max(axis=1) took 54 us against 9 us for the copy and its
-    # reduction (2-core x86 host); the maximum is exact either way
-    norms = np.ascontiguousarray(np.einsum("mij->mj", np.abs(flat)).T).max(axis=0)
+    powers, terms = np.split(thread_buffer(9 * m * n * n).reshape(9, m, n, n), [4])
+    # column sums by a GEMM against a 0/1 selector, laid out (n, m) so that
+    # the largest is taken along the long axis: on 768 8x8 matrices a max
+    # over axis 1 took 54 us against 9 us (2-core x86 host)
+    magnitudes = np.abs(flat, out=terms[0]).reshape(m, n * n)
+    norms = (np.tile(np.eye(n), n) @ magnitudes.T).max(axis=0)
     # a non-finite matrix takes no squarings: its exponential is non-finite
     # anyway, and its nan or inf count, cast to an integer, would stop the
     # squaring of every other matrix in the stack
@@ -344,16 +350,22 @@ def expm(stack: np.ndarray) -> np.ndarray:
     squarings = np.ceil(np.log2(np.maximum(norms / _THETA, 1.0))).astype(np.intp)
     order = np.argsort(-squarings, kind="stable")
     squarings = squarings[order]
-    # the scaled copy is the squarings' workspace, then the result
-    work = flat[order]
-    work *= np.ldexp(1.0, -squarings)[:, None, None]
-    prop = _taylor_exp(work)
-    for j in range(int(squarings[0])):
-        m = int(np.count_nonzero(squarings > j))
-        np.matmul(prop[:m], prop[:m], out=work[:m])
-        prop[:m] = work[:m]
-    work[order] = prop
-    return work.reshape(a.shape)
+    np.take(flat, order, axis=0, out=powers[0], mode="clip")
+    powers[0] *= np.ldexp(1.0, -squarings)[:, None, None]
+    prop, spare = _taylor_exp(powers, terms), powers[0]
+    # squarings alternate between two buffers, and each round's finished
+    # tail, [count(s > j), done), is written to the result once
+    out = np.empty((m, n, n))
+    done = m
+    for j in range(int(squarings[0]) + 1):
+        live = int(np.count_nonzero(squarings > j))
+        out[order[live:done]] = prop[live:done]
+        if not live:
+            break
+        np.matmul(prop[:live], prop[:live], out=spare[:live])
+        prop, spare = spare, prop
+        done = live
+    return out.reshape(a.shape)
 
 
 def _clamp_probability(p, context: str):
@@ -390,7 +402,9 @@ def survival_probability(params: SpinParams, config: ExperimentConfig) -> float:
 #     basis.  Its three population entries have eigenvalue 0, and each of
 #     the other six pairs with its complex conjugate, in eigenvalue and in
 #     weight, so the wait-time curve of a hypothesis is a constant plus the
-#     real part of a 3-term complex exponential sum.  On an arithmetic wait
+#     real part of a 3-term complex exponential sum.  The constant and the
+#     three weights come from row d and column d of the pulse's block
+#     propagator, the eigenvalues in closed form.  On an arithmetic wait
 #     grid each term advances by one complex multiply per step.
 #
 # A table splits its hypotheses into blocks of ``_SURVIVAL_BLOCK`` and runs
@@ -403,12 +417,14 @@ def survival_probability(params: SpinParams, config: ExperimentConfig) -> float:
 # hypotheses is the matching columns of the whole table.
 # ----------------------------------------------------------------------------
 
-# hypotheses per block of a survival table.  A block's pulse stack (3 x 256
-# real 8x8 matrices) and its Taylor work arrays stay in a core's cache, and
-# a paper-scale cloud of 4000 makes 16 blocks to share between the cores.
-# Smaller blocks pay more per-block Python work: at 128 the update-only
-# tables of an offline sweep ran slower.
-_SURVIVAL_BLOCK = 256
+# hypotheses per block of a survival table.  A block's expm workspace (9 x
+# 3 x 150 8x8 matrices, 2.07 MB) fits the 2 MiB thread_buffer holds for an
+# MIS block (risk._MIS_BLOCK_BYTES), so it never grows the buffer, and a
+# core's cache.  One thread, fastest of 7-15 (2-core x86 host, 2 MiB L2 per
+# core): a K = 4000 5 ns Rabi row took 14.0-16.7 ms at blocks of 128, 150
+# and 170 and 18.7-19.4 ms at 256, but the 200-candidate design grid at
+# K = 1500, whose power loops pay per block, 107 ms at 150 and 99 at 256.
+_SURVIVAL_BLOCK = 150
 
 
 def usable_cores() -> int:
@@ -462,23 +478,6 @@ def _real_generators(
     coeffs[:, :, 3] = _RATE * spins[:, 4]
     coeffs *= duration
     return (coeffs.reshape(3 * k, 4) @ _R_TERMS).reshape(3 * k, 8, 8)
-
-
-def _wait_eigenvalues(spins: np.ndarray, drive_freq: float) -> np.ndarray:
-    """Diagonal of the zero-amplitude generator, shape (3, K, 9), in 1/ns."""
-    spins = np.atleast_2d(np.asarray(spins, dtype=float))
-    k = spins.shape[0]
-    detuning = _ANGULAR * (spins[:, 2] + ZFS_MHZ - drive_freq)
-    gamma = _RATE * spins[:, 4]
-    out = np.zeros((3, k, 9), dtype=complex)
-    m_r = _M[np.arange(9) % 3]
-    m_c = _M[np.arange(9) // 3]
-    for b, mi in enumerate(_MI_BRANCHES):
-        axial = _ANGULAR * (spins[:, 1] + spins[:, 3] * mi)
-        h_r = detuning[:, None] * m_r[None, :] ** 2 + axial[:, None] * m_r[None, :]
-        h_c = detuning[:, None] * m_c[None, :] ** 2 + axial[:, None] * m_c[None, :]
-        out[b] = -1j * (h_r - h_c) + gamma[:, None] * _DEPHASING_DIAG[None, :]
-    return out
 
 
 def _arithmetic_step(times: np.ndarray):
@@ -545,23 +544,37 @@ def _survival_rabi_family(
 # conjugate partners (vec 1, 2 and 5) complete the wait generator's diagonal
 _POPULATIONS = [0, 4, 8]
 _COHERENCES = [3, 6, 7]
+# real E[:, d] -> P[j, 4] - 1/3 at the populations, then Re and Im P[j, 4]
+# at the coherences, for P = U (1 (+) E) U^H (see _ramsey_terms)
+_WAIT_PROJECTION = _P0_D * np.hstack(
+    [_U[_POPULATIONS + _COHERENCES, 1:].real.T, _U[_COHERENCES, 1:].imag.T]
+)
 
 
-def _ramsey_weights(
-    spins: np.ndarray, pulse_time: float, drive_freq: float
-) -> np.ndarray:
-    """w_j = P[4, j] * P[j, 4] of each hypothesis's pulse propagator P,
-    shape (3K, 9), branch-major.
+def _ramsey_terms(spins: np.ndarray, pulse_time: float, drive_freq: float) -> tuple:
+    """(c, w, lam), shapes (3K,), (3K, 3) and (3K, 3), branch-major: a Ramsey
+    wait t survives with c + Re sum_j 2 w_j exp(lam_j t), j over coherences.
 
-    Only row and column 4 of P = U (1 (+) E) U^H are formed, with E the 8x8
-    block propagator.  Row 4 of U holds the coefficients of |0><0|, _P0_I
-    on B_0 and _P0_D on B_2, so P[4, :] = (_P0_I, _P0_D E[d, :]) U^H and
-    P[:, 4] = U (_P0_I, _P0_D E[:, d]): only row d and column d of E enter.
+    With P the pulse propagator, w_j = P[4, j] P[j, 4] and lam_j is the wait
+    generator's entry, in closed form; c sums w over the populations.  Row 4
+    of U holds _P0_I on B_0 and _P0_D on B_2, so with E the 8x8 block
+    propagator P[:, 4] = U (_P0_I, _P0_D E[:, d]) and P[4, :] is the
+    conjugate of the same with row d of E: one real GEMM each.
     """
     block = expm(_real_generators(spins, drive_freq, 1.0, float(pulse_time)))
-    row = _P0_I * _UH[0] + (_P0_D * block[:, _D, :]) @ _UH[1:]
-    col = _P0_I * _U[:, 0] + (_P0_D * block[:, :, _D]) @ _U[:, 1:].T
-    return row * col
+    col = block[:, :, _D] @ _WAIT_PROJECTION
+    row = block[:, _D, :] @ _WAIT_PROJECTION
+    const = ((1.0 / 3.0 + row[:, :3]) * (1.0 / 3.0 + col[:, :3])).sum(axis=1)
+    weights = (row[:, 3:6] - 1j * row[:, 6:]) * (col[:, 3:6] + 1j * col[:, 6:])
+    detuning = np.tile(_ANGULAR * (spins[:, 2] + ZFS_MHZ - drive_freq), 3)
+    axial = _ANGULAR * (spins[:, 1] + np.multiply.outer(_MI_BRANCHES, spins[:, 3]))
+    axial, rate = axial.ravel(), np.tile(_RATE * spins[:, 4], 3)
+    # -i (h_r - h_c) - (m_r - m_c)^2 rate / 2 with h_m = detuning m^2 + axial m,
+    # at (r, c) = (0, 1), (0, 2) and (1, 2)
+    lam = np.column_stack(
+        [-1j * (detuning + axial), -2j * axial, 1j * (detuning - axial)]
+    ) - np.multiply.outer(rate, [0.5, 2.0, 0.5])
+    return const, weights, lam
 
 
 def _survival_ramsey_family(
@@ -570,20 +583,16 @@ def _survival_ramsey_family(
     """Survival probabilities for a family of Ramsey wait times at a fixed
     pulse time, (n_waits, K).
 
-    With W(t) = exp(lambda * t) the diagonal wait propagator,
-    p(t) = sum_j w_j W_j(t) = c + Re sum_{j in 3, 6, 7} 2 w_j exp(lambda_j t),
-    where c sums the population weights (lambda = 0).  On an arithmetic wait
-    grid exp(lambda_j * m * step) is z_j^m with z_j = exp(lambda_j * step).
+    p(t) = c + Re sum_j 2 w_j exp(lam_j t) (:func:`_ramsey_terms`).  On an
+    arithmetic wait grid exp(lam_j * m * step) is z_j^m with
+    z_j = exp(lam_j * step).
     """
     k = spins.shape[0]
-    weights = _ramsey_weights(spins, pulse_time, drive_freq)
-    const = weights[:, _POPULATIONS].real.sum(axis=1)
-    terms = 2.0 * weights[:, _COHERENCES]
-    lam = _wait_eigenvalues(spins, drive_freq).reshape(3 * k, 9)[:, _COHERENCES]
+    const, weights, lam = _ramsey_terms(spins, pulse_time, drive_freq)
     out = np.empty((len(wait_times), 3 * k))
     for step, rows in _steps(np.asarray(wait_times, dtype=float)):
         z = np.exp(lam * step)
-        stepped = terms.copy()
+        stepped = 2.0 * weights
         for power in range(1, max(rows) + 1):
             stepped *= z
             if power in rows:

@@ -9,10 +9,11 @@
   :func:`lindblad_propagator` are one branch's rotating-frame Hamiltonian,
   its complex column-stacking generator and that generator's propagator;
   they mirror the unit convention that ``nvbed.qutrit._real_generators``
-  and ``_wait_eigenvalues`` apply, and check ``nvbed.qutrit.expm`` and the
-  real-basis images: each generator's whole 9x9 image here, of which the
+  and ``_ramsey_terms`` apply, and check ``nvbed.qutrit.expm``, the
+  real-basis images (each generator's whole 9x9 image here, of which the
   kernel keeps only the 8x8 traceless block, since row 0 and column 0 (on
-  the identity) vanish.
+  the identity) vanish) and the Ramsey kernel's weights and wait
+  eigenvalues, which it forms without the 9x9 propagator or generator.
 * :func:`scipy_survival_probability` simulates one hypothesis with SciPy's
   complex ``expm`` of each segment's column-stacking generator; it checks
   the real-basis kernel of ``nvbed.qutrit``.

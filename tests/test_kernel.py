@@ -9,9 +9,13 @@ kernels' work over the cores, by the units each thread runs; hypothesis
 drives the physical invariants of the propagator.
 """
 
+import math
 import os
+import subprocess
 import sys
 import threading
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +23,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
 
-from nvbed import qutrit
+from nvbed import qutrit, risk
 from nvbed.qutrit import (
     ExperimentConfig,
     SpinParams,
@@ -135,6 +139,31 @@ class TestExpm:
         err = relative_frobenius(out[finite], scipy_expm(stack[finite]))
         assert err.max() <= 1e-12
         assert not np.isfinite(out[1]).all() and not np.isfinite(out[3]).all()
+
+    def test_the_five_product_form_is_the_degree_18_taylor_polynomial(self):
+        # the only check on where _COEF18 came from: expanded exactly as a
+        # scalar polynomial, T18 = B2 + (B3 + A9) A9 with A9 = B1 B5 + B4
+        # must hold 1/k! for every k <= 18 and nothing beyond, and the
+        # remainder at the scaling bound must be below double roundoff
+        def poly(row):  # exact coefficients of x^0 ... x^24
+            coeffs = [Fraction(0)] * 25
+            for power, c in zip((0, 1, 2, 3, 6), row):
+                coeffs[power] = Fraction(float(c))
+            return coeffs
+
+        def add(p, q):
+            return [a + b for a, b in zip(p, q)]
+
+        def mul(p, q):  # exact here: no product reaches past x^24
+            return [sum(p[i] * q[k - i] for i in range(k + 1)) for k in range(25)]
+
+        b1, b2, b3, b4, b5 = (poly(row) for row in qutrit._COEF18)
+        a9 = add(mul(b1, b5), b4)
+        t18 = add(b2, mul(add(b3, a9), a9))
+        assert all(c == 0 for c in t18[19:])
+        for k in range(19):
+            assert abs(float(t18[k] * math.factorial(k)) - 1.0) <= 1e-14, k
+        assert qutrit._THETA**19 / math.factorial(19) < 5e-17
 
     def test_propagator_matches_scipy_of_the_complex_generator(self):
         rng = np.random.default_rng(59)
@@ -363,11 +392,28 @@ class TestSurvivalBlocks:
 
         monkeypatch.setattr(qutrit, "_survival_rabi_family", recorded)
         cores(monkeypatch, 2)
-        spins = random_spins(np.random.default_rng(111), 600)  # blocks 256, 256, 88
+        block = qutrit._SURVIVAL_BLOCK
+        spins = random_spins(np.random.default_rng(111), 2 * block + 88)
         survival_table(spins, self.FAMILIES["rabi grid"])
         caller = threading.get_ident()
-        assert sorted(n for t, n in ran if t == caller) == [88, 256]
-        assert [n for t, n in ran if t != caller] == [256]
+        assert sorted(n for t, n in ran if t == caller) == [88, block]
+        assert [n for t, n in ran if t != caller] == [block]
+
+    def test_a_blocks_workspace_fits_the_mis_scratch(self, monkeypatch):
+        # the thread buffer already holds risk._MIS_BLOCK_BYTES for an MIS
+        # block; a survival block asking no more cannot grow it
+        asked = []
+        buffer = qutrit.thread_buffer
+
+        def recorded(size):
+            asked.append(size)
+            return buffer(size)
+
+        monkeypatch.setattr(qutrit, "thread_buffer", recorded)
+        cores(monkeypatch, 1)
+        spins = random_spins(np.random.default_rng(115), qutrit._SURVIVAL_BLOCK)
+        survival_table(spins, [c for family in self.FAMILIES.values() for c in family])
+        assert asked and 8 * max(asked) <= risk._MIS_BLOCK_BYTES
 
 
 class TestFanOut:
@@ -483,16 +529,78 @@ def test_long_pulse_relaxes_to_the_mixed_state():
 
 
 def test_ramsey_terms_pair_up_with_their_conjugates():
-    """Populations (vec 0, 4, 8) wait with eigenvalue 0; coherences 3, 6
-    and 7 are the conjugates of 1, 2 and 5, in eigenvalue and in weight."""
-    spins = random_spins(np.random.default_rng(101), 200)
-    weights = qutrit._ramsey_weights(spins, 22.0, 2871.0)
-    lam = qutrit._wait_eigenvalues(spins, 2871.0).reshape(-1, 9)
-    for values in (weights, lam):
-        partners = np.conj(values[:, [1, 2, 5]])
-        np.testing.assert_allclose(values[:, [3, 6, 7]], partners, rtol=0, atol=1e-14)
-    assert np.all(lam[:, [0, 4, 8]] == 0)
+    """On the oracle's 9x9 pulse propagator P and wait generator G, the
+    populations (vec 0, 4, 8) wait with eigenvalue 0, and coherences 3, 6
+    and 7 are the conjugates of 1, 2 and 5, in eigenvalue and in weight
+    w_j = P[4, j] P[j, 4]; the kernel's constant, coherence weights and
+    eigenvalues are those of the oracle."""
+    spins = random_spins(np.random.default_rng(101), 40)
+    pulse, drive = 22.0, 2871.0
+    const, weights, lam = qutrit._ramsey_terms(spins, pulse, drive)
     assert qutrit._POPULATIONS == [0, 4, 8] and qutrit._COHERENCES == [3, 6, 7]
+    for b, mi in enumerate(qutrit._MI_BRANCHES):
+        for i, row in enumerate(spins):
+            params = SpinParams(*row)
+            prop = lindblad_propagator(params, drive, mi, 1.0, pulse)
+            wait = lindblad_generator(params, drive, mi, 0.0)
+            eigenvalues = np.diag(wait)
+            assert np.array_equal(wait, np.diag(eigenvalues))
+            w = prop[4, :] * prop[:, 4]
+            for values in (w, eigenvalues):
+                np.testing.assert_allclose(
+                    values[[3, 6, 7]], np.conj(values[[1, 2, 5]]), rtol=0, atol=1e-14
+                )
+            assert np.all(eigenvalues[[0, 4, 8]] == 0)
+            at = b * len(spins) + i
+            assert abs(const[at] - w[[0, 4, 8]].real.sum()) <= 1e-14
+            np.testing.assert_allclose(weights[at], w[[3, 6, 7]], rtol=0, atol=1e-14)
+            np.testing.assert_allclose(
+                lam[at], eigenvalues[[3, 6, 7]], rtol=0, atol=1e-14
+            )
+
+
+TABLE_DIGEST = """
+import hashlib
+import numpy as np
+from nvbed.qutrit import ExperimentConfig, survival_table
+
+rng = np.random.default_rng(116)
+k = 700
+spins = np.column_stack([
+    rng.uniform(0, 20, k), rng.uniform(0, 10, k), rng.uniform(-5, 5, k),
+    rng.uniform(1.5, 3.5, k), 1.0 / rng.uniform(1, 20, k),
+])
+configs = [ExperimentConfig("rabi", pulse_time=5.0 * m) for m in range(1, 41)]
+configs += [ExperimentConfig("rabi", pulse_time=t) for t in (37.0, 101.3)]
+configs += [
+    ExperimentConfig("ramsey", pulse_time=22.0, wait_time=20.0 * m)
+    for m in range(1, 41)
+]
+configs += [ExperimentConfig("ramsey", pulse_time=t, wait_time=190.3) for t in (12.0, 40.0)]
+print(hashlib.sha256(survival_table(spins, configs).tobytes()).hexdigest())
+"""
+
+
+def test_tables_do_not_depend_on_the_blas_thread_count():
+    # the kernel's products and its coefficient GEMM run through BLAS, and
+    # nothing pins its thread count outside the benchmark: each entry must
+    # come out the same on one BLAS thread as on several
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    digests = []
+    for threads in ("1", "4"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        result = subprocess.run(
+            [sys.executable, "-c", TABLE_DIGEST],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        digests.append(result.stdout)
+    assert len(digests[0]) == 65 and digests[0] == digests[1]
 
 
 # ----------------------------------------------------------------------------
