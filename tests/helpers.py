@@ -6,8 +6,13 @@ import numpy as np
 
 
 def serve_in_background(server):
-    """Start ``server.serve_forever`` on a daemon thread and return the thread."""
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    """Start ``server.serve_forever`` on a daemon thread and return the thread.
+
+    It polls for shutdown every 50 ms, not every 0.5 s, so that a fixture's
+    ``shutdown`` does not wait out the default poll."""
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     return thread
 

@@ -37,6 +37,7 @@ from oracles import (
 )
 
 NORMS = 10.0 ** np.arange(-3, 4)
+BLOCK = qutrit._SURVIVAL_BLOCK
 
 
 def relative_frobenius(a, b):
@@ -349,7 +350,11 @@ class TestSurvivalBlocks:
         return qutrit._clamp_probability(table, "serial")
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    @pytest.mark.parametrize("k", [1, 255, 256, 257, 600])
+    # either side of one block and of two, and four whole blocks, at the
+    # kernel's block size B; 255-257 straddle the block of 256 it once used
+    @pytest.mark.parametrize("k", sorted({
+        1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 4 * BLOCK, 255, 256, 257,
+    }))
     def test_every_split_equals_the_serial_kernel(self, monkeypatch, family, k):
         spins = random_spins(np.random.default_rng(k), k)
         configs = self.FAMILIES[family]
@@ -370,7 +375,7 @@ class TestSurvivalBlocks:
         # blocks write disjoint columns of one table: with four threads on
         # nine blocks and switches forced every microsecond, a lost or
         # misplaced block would show
-        spins = random_spins(np.random.default_rng(112), 8 * 256 + 5)
+        spins = random_spins(np.random.default_rng(112), 8 * BLOCK + 5)
         configs = self.FAMILIES["ramsey grid"]
         serial = self.serial(spins, configs)
         cores(monkeypatch, 4)
