@@ -6,9 +6,9 @@ so a hypothesis is simulated as three independent 3-level systems (one per
 mI branch) and the survival probability is their uniform average.
 
 Unit convention, applied where the runtime builds its generators
-(``_real_generators`` for pulses, ``_ramsey_terms`` for the eigenvalues of
-the diagonal wait generator) and mirrored coefficient by coefficient by the Hamiltonian
-and Lindblad-generator oracles of the tests:
+(``_coefficients``, whose rows also give ``_ramsey_terms`` the eigenvalues
+of the diagonal wait generator) and mirrored coefficient by coefficient by
+the Hamiltonian and Lindblad-generator oracles of the tests:
 
 * frequencies in MHz, dephasing rates in 1/us,
 * times in ns,
@@ -34,9 +34,10 @@ exp(t L) = U (1 (+) exp(t R8)) U^H.  Every pulse is therefore an 8x8
 exponential of the traceless block R8.  Since
 |0><0| = B_0/sqrt(3) - 2 B_2/sqrt(6), the survival probability of a pulse
 is 1/3 + (2/3) exp(t R8)[d, d], with d the block index of B_2.
-:func:`expm` is the one exponential every path uses: scaling and squaring
-around the degree-18 Taylor polynomial in five matrix products of Bader,
-Blanes and Casas (2019), on matrices scaled to 1-norm at most 1.09.
+Every exponential is one scaling and squaring core around the degree-18
+Taylor polynomial in five matrix products of Bader, Blanes and Casas
+(2019), on matrices scaled to 1-norm at most 1.09: :func:`expm` on any
+stack, and the survival kernel on blocks it builds from coefficients.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import math
 import mmap
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -124,6 +125,9 @@ _R_TERMS = np.stack(
         _real_image(np.diag(_DEPHASING_DIAG)),
     ]
 )[:, 1:, 1:].reshape(4, 64)
+# their 1-norms, 1, 2, 2.639 and 2: by the triangle inequality
+# |c| @ _TERM_NORMS bounds the 1-norm of the block c @ _R_TERMS
+_TERM_NORMS = np.abs(_R_TERMS.reshape(4, 8, 8)).sum(axis=1).max(axis=1)
 
 # Bader, Blanes and Casas (Mathematics 7, 1174, 2019): row i holds B(i+1)'s
 # coefficients on I, A, A^2, A^3 and A^6, and with A9 = B1 B5 + B4 the five
@@ -274,17 +278,19 @@ def thread_buffer(size: int) -> np.ndarray:
     """The first ``size`` entries of this thread's float64 scratch buffer,
     which is kept and replaced only by a larger one.
 
-    :func:`expm` and the MIS table blocks of :mod:`nvbed.risk` both work
+    The exponentials and the MIS table blocks of :mod:`nvbed.risk` work
     in it, in at most 2 MiB at paper scale.  No caller holds a view of the
-    scratch across a call that may take it: ``expm`` copies its result out
-    before it returns, and a risk profile asks for its survival rows before
-    any estimate.
+    scratch across a call that may take it: a survival family reads a
+    block's propagators before it asks for more, and a risk profile asks
+    for its survival rows before any estimate.
 
     The buffer is an anonymous memory map, not a malloc'd array: malloc
     would place it in the thread's arena, which keeps the memory after the
     thread ends.  A malloc'd buffer read online_wide peak_rss_mb
     64.1-65.1 MB against 60.4-61.1 MB mapped (3 pairs of 55 s perfbench
-    runs, 2-core host).
+    runs, 2-core host).  :func:`fan_out`'s workers keep theirs: two units
+    that each fill a block's workspace took 1.9-2.0 ms and 510 page faults
+    on a new pool, and 0.22 ms and none on the kept one.
     """
     buffer = getattr(_SCRATCH, "buffer", None)
     if buffer is None or buffer.size < size:
@@ -293,19 +299,31 @@ def thread_buffer(size: int) -> np.ndarray:
     return buffer[:size]
 
 
-# expm works on arrays each thread keeps (thread_buffer).  A fresh array
-# per operation cost more than its arithmetic, since each freed array went
-# back to the system and the next one faulted its pages in again: on one
-# block the degree-16 Taylor step that came before took 3.0 ms with a new
-# array per operation and 1.3 ms on kept arrays, and offline_wide
-# s_per_experiment read 0.072-0.078 s against 0.050-0.052 s (two 30 s
-# perfbench runs each).  On kept arrays one expm of a 150-hypothesis block
-# now takes 425 us, 569 us in that degree-16 form (fastest of 200; 2-core
-# x86 host, one BLAS thread).
-def _taylor_exp(powers: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """Degree-18 Taylor polynomial of exp at each matrix A of the stack
-    ``powers[0]``, written over ``terms[1]`` and returned.  ``powers``
-    (4, m, n, n) takes A^2, A^3 and A^6, and ``terms`` B1 ... B5."""
+# The exponentials work on arrays each thread keeps (thread_buffer).  A
+# fresh array per operation cost more than its arithmetic, since each freed
+# array went back to the system and the next one faulted its pages in
+# again: on one block the degree-16 Taylor step that came before took 3.0
+# ms with a new array per operation and 1.3 ms on kept arrays.  On a
+# 150-hypothesis block the Taylor step now takes 270 us, and the survival
+# kernel's whole exponential 360-420 us (fastest of 1500; 2-core x86 host).
+def _squaring_order(norms: np.ndarray) -> tuple:
+    """(order, squarings): the squarings s that scale each 1-norm, or bound
+    on one, to at most ``_THETA``, sorted from the most by ``order``.  A
+    non-finite matrix takes none: its exponential is non-finite anyway, and
+    its count, cast to an integer, would stop the squaring of the others."""
+    norms[~np.isfinite(norms)] = 0.0
+    squarings = np.ceil(np.log2(np.maximum(norms / _THETA, 1.0))).astype(np.intp)
+    order = np.argsort(-squarings, kind="stable")
+    return order, squarings[order]
+
+
+def _squared_taylor(powers: np.ndarray, terms: np.ndarray, squarings) -> list:
+    """The exponentials of the scaled stack A = ``powers[0]``, sorted by
+    :func:`_squaring_order`: each matrix's degree-18 Taylor polynomial,
+    squared its count of times, as (slice, stack) pairs that cover the
+    stack once.  ``powers`` (4, m, n, n) takes A^2, A^3 and A^6, and
+    ``terms`` B1 ... B5.  Squarings alternate between the two, and a
+    round's finished tail, [count(s > j), done), stays put."""
     x, x2, x3, x6 = powers
     np.matmul(x, x, out=x2)
     np.matmul(x2, x, out=x3)
@@ -318,7 +336,19 @@ def _taylor_exp(powers: np.ndarray, terms: np.ndarray) -> np.ndarray:
     a9 += b4
     b3 += a9
     b2 += np.matmul(b3, a9, out=x2)
-    return b2
+    prop, spare = b2, x
+    tails = []
+    done = m
+    for j in range(int(squarings[0]) + 1):
+        live = int(np.count_nonzero(squarings > j))
+        if live < done:
+            tails.append((slice(live, done), prop[live:done]))
+        if not live:
+            break
+        np.matmul(prop[:live], prop[:live], out=spare[:live])
+        prop, spare = spare, prop
+        done = live
+    return tails
 
 
 def expm(stack: np.ndarray) -> np.ndarray:
@@ -343,28 +373,12 @@ def expm(stack: np.ndarray) -> np.ndarray:
     # over axis 1 took 54 us against 9 us (2-core x86 host)
     magnitudes = np.abs(flat, out=terms[0]).reshape(m, n * n)
     norms = (np.tile(np.eye(n), n) @ magnitudes.T).max(axis=0)
-    # a non-finite matrix takes no squarings: its exponential is non-finite
-    # anyway, and its nan or inf count, cast to an integer, would stop the
-    # squaring of every other matrix in the stack
-    norms[~np.isfinite(norms)] = 0.0
-    squarings = np.ceil(np.log2(np.maximum(norms / _THETA, 1.0))).astype(np.intp)
-    order = np.argsort(-squarings, kind="stable")
-    squarings = squarings[order]
+    order, squarings = _squaring_order(norms)
     np.take(flat, order, axis=0, out=powers[0], mode="clip")
     powers[0] *= np.ldexp(1.0, -squarings)[:, None, None]
-    prop, spare = _taylor_exp(powers, terms), powers[0]
-    # squarings alternate between two buffers, and each round's finished
-    # tail, [count(s > j), done), is written to the result once
     out = np.empty((m, n, n))
-    done = m
-    for j in range(int(squarings[0]) + 1):
-        live = int(np.count_nonzero(squarings > j))
-        out[order[live:done]] = prop[live:done]
-        if not live:
-            break
-        np.matmul(prop[:live], prop[:live], out=spare[:live])
-        prop, spare = spare, prop
-        done = live
+    for rows, props in _squared_taylor(powers, terms, squarings):
+        out[order[rows]] = props
     return out.reshape(a.shape)
 
 
@@ -390,11 +404,11 @@ def survival_probability(params: SpinParams, config: ExperimentConfig) -> float:
 #
 # The particle filter needs p(x, e) for thousands of hypotheses at once, and
 # the risk-based design heuristics need it for every candidate in a grid of
-# configurations.  Every pulse propagator is one call of ``expm`` on the
-# stack of 8x8 traceless blocks of the real-basis generators of all
-# hypotheses and mI branches, built directly from the four precomputed
-# blocks ``_R_TERMS``.  The structured grids of the design heuristics admit
-# two fast paths:
+# configurations.  A pulse's generators, for all hypotheses and mI
+# branches, are rows of four coefficients times the four precomputed
+# blocks ``_R_TERMS``; their exponentials stay in squaring order, and each
+# family reads only the entries it needs.  The structured grids of the
+# design heuristics admit two fast paths:
 #   * a Rabi family on an arithmetic pulse-time grid composes powers of the
 #     single-step block propagator, applied to its column d (the traceless
 #     part of |0><0|), and
@@ -404,26 +418,29 @@ def survival_probability(params: SpinParams, config: ExperimentConfig) -> float:
 #     weight, so the wait-time curve of a hypothesis is a constant plus the
 #     real part of a 3-term complex exponential sum.  The constant and the
 #     three weights come from row d and column d of the pulse's block
-#     propagator, the eigenvalues in closed form.  On an arithmetic wait
-#     grid each term advances by one complex multiply per step.
+#     propagator, the eigenvalues from the coefficients.  On an arithmetic
+#     wait grid each term advances by one complex multiply per step.
 #
 # A table splits its hypotheses into blocks of ``_SURVIVAL_BLOCK`` and runs
 # these family kernels on each block, spread by ``fan_out`` over one thread
 # per core, the calling thread among them.  Every step of the kernels acts
-# on each hypothesis alone (its own generators, its own propagator and
+# on each hypothesis alone (its own coefficients, squarings, propagator and
 # powers, its own branch mean), so an entry does not depend on which other
 # hypotheses share its block or its call: the table is bit-identical to one
 # computed block by block on one thread, and a table over a subset of the
-# hypotheses is the matching columns of the whole table.
+# hypotheses is the matching columns of the whole table.  At K = 4000 on
+# two threads, rows took a median 17.6 ms (5 ns Rabi), 17.5 ms (25 ns) and
+# 21.1 ms (Ramsey), against 26.4, 25.1 and 32.0 ms with a whole expm per
+# block (15 interleaved runs; 2-core x86 host, one BLAS thread).
 # ----------------------------------------------------------------------------
 
-# hypotheses per block of a survival table.  A block's expm workspace (9 x
-# 3 x 150 8x8 matrices, 2.07 MB) fits the 2 MiB thread_buffer holds for an
-# MIS block (risk._MIS_BLOCK_BYTES), so it never grows the buffer, and a
-# core's cache.  One thread, fastest of 7-15 (2-core x86 host, 2 MiB L2 per
-# core): a K = 4000 5 ns Rabi row took 14.0-16.7 ms at blocks of 128, 150
-# and 170 and 18.7-19.4 ms at 256, but the 200-candidate design grid at
-# K = 1500, whose power loops pay per block, 107 ms at 150 and 99 at 256.
+# hypotheses per block of a survival table.  A block's workspace (9 x 3 x
+# 150 8x8 matrices, 2.07 MB) fits the 2 MiB thread_buffer holds for an MIS
+# block (risk._MIS_BLOCK_BYTES), so it never grows the buffer, and a core's
+# cache.  One thread, fastest of 9 (2-core x86 host, 2 MiB L2 per core): at
+# blocks of 100, 128 and 150 a K = 4000 5 ns Rabi row took 12.4, 12.3 and
+# 12.2 ms, a Ramsey row 18.5, 18.2 and 18.0 ms, and the 200-candidate
+# design grid at K = 1500 67.7, 66.2 and 64.7 ms.
 _SURVIVAL_BLOCK = 150
 
 
@@ -437,107 +454,125 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+_POOL = None  # (workers, executor) of fan_out's kept pool
+_POOL_LOCK = threading.Lock()
+_POOL_NAME = "nvbed-fan-out"
+
+
 def fan_out(run, units) -> None:
     """``run(units[t::n])`` for t < n = min(:func:`usable_cores`,
-    len(units)): the calling thread runs ``units[0::n]`` and a pool of
-    n - 1 workers the other shares; with n = 1 no pool starts.  An
-    exception in any share is raised here.
+    len(units)): the calling thread runs ``units[0::n]`` and workers of a
+    kept pool the other shares; with n = 1, or on a worker of that pool,
+    the calling thread runs them all.  An exception in any share is raised
+    here, once every share has ended.
 
-    The calling thread takes a share: on workers only, offline_wide
-    peak_rss_mb rose to 55.1-55.2 MB from 53.0-53.4 MB and setup_s to
-    4.4-4.9 ms from 3.8-4.2 ms (single 20 s perfbench runs, seed 2101,
-    2-core host).  Each thread assumes one BLAS thread (:mod:`nvbed.cli`).
+    The pool's usable_cores() - 1 workers live as long as the process, or
+    until that count changes, and keep their :func:`thread_buffer`.  The
+    calling thread takes a share: on workers only, offline_wide
+    peak_rss_mb rose to 55.1-55.2 MB from 53.0-53.4 MB (single 20 s
+    perfbench runs, 2-core host).  Each thread assumes one BLAS thread.
     """
-    threads = max(1, min(usable_cores(), len(units)))
-    if threads == 1:
+    global _POOL
+    cores = usable_cores()
+    threads = max(1, min(cores, len(units)))
+    if threads == 1 or threading.current_thread().name.startswith(_POOL_NAME):
         run(units)
         return
-    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-        shares = [pool.submit(run, units[t::threads]) for t in range(1, threads)]
+    with _POOL_LOCK:
+        if _POOL is None or _POOL[0] != cores - 1:
+            if _POOL is not None:
+                _POOL[1].shutdown(wait=False)
+            _POOL = cores - 1, ThreadPoolExecutor(cores - 1, _POOL_NAME)
+        shares = [_POOL[1].submit(run, units[t::threads]) for t in range(1, threads)]
+    try:
         run(units[::threads])
-        for share in shares:
-            share.result()
+    finally:
+        wait(shares)
+    for share in shares:
+        share.result()
 
 
-def _real_generators(
-    spins: np.ndarray, drive_freq: float, amplitude: float, duration: float
-) -> np.ndarray:
-    """duration times the traceless blocks R8 of the real-basis generators
-    of all hypotheses and mI branches, shape (3K, 8, 8), branch-major.
-
-    ``spins`` is (K, 5) with columns (rabi_max, zeeman, zfs_offset,
-    hyperfine, dephasing_rate).
-    """
+def _coefficients(spins: np.ndarray, drive_freq: float) -> np.ndarray:
+    """(3K, 4) coefficients (detuning, axial, drive, rate) per ns of the
+    pulse generators R8 = row @ ``_R_TERMS`` of all hypotheses and mI
+    branches, branch-major, from the (K, 5) ``spins`` (rabi_max, zeeman,
+    zfs_offset, hyperfine, dephasing_rate)."""
     k = spins.shape[0]
     coeffs = np.empty((3, k, 4))
     coeffs[:, :, 0] = _ANGULAR * (spins[:, 2] + ZFS_MHZ - drive_freq)
     coeffs[:, :, 1] = _ANGULAR * (
         spins[:, 1] + np.multiply.outer(_MI_BRANCHES, spins[:, 3])
     )
-    coeffs[:, :, 2] = _ANGULAR * amplitude * spins[:, 0]
+    coeffs[:, :, 2] = _ANGULAR * spins[:, 0]
     coeffs[:, :, 3] = _RATE * spins[:, 4]
-    coeffs *= duration
-    return (coeffs.reshape(3 * k, 4) @ _R_TERMS).reshape(3 * k, 8, 8)
+    return coeffs.reshape(3 * k, 4)
 
 
-def _arithmetic_step(times: np.ndarray):
-    """If the n times are positive integer multiples of a step that divides
-    the smallest one, none beyond 4 n + 64 of it, return (step, rows) for
-    the longest such step, where ``rows`` maps each multiple to the indices
-    of the times at it; otherwise None.
+def _propagators(coeffs: np.ndarray) -> tuple:
+    """(order, tails): exp(c @ _R_TERMS) for the (m, 4) rows c, in squaring
+    order (:func:`_squared_taylor`), and the order of the rows.  Squarings
+    come from the bound |c| @ ``_TERM_NORMS`` on the 1-norm, which can only
+    add some (Al-Mohy and Higham 2009): on the wide prior it was a median
+    1.15 times the norm, and added one to 12-23% of 5-100 ns pulses."""
+    m = len(coeffs)
+    powers, terms = np.split(thread_buffer(9 * m * 64).reshape(9, m, 8, 8), [4])
+    order, squarings = _squaring_order(np.abs(coeffs) @ _TERM_NORMS)
+    scaled = coeffs[order]
+    scaled *= np.ldexp(1.0, -squarings)[:, None]
+    np.matmul(scaled, _R_TERMS, out=powers[0].reshape(m, 64))
+    return order, _squared_taylor(powers, terms, squarings)
 
-    A grid's step is its smallest time, and a subset of a grid, such as the
-    survivors of a design's screen, finds the grid's step again: its entries
-    then come from the same powers as the whole grid's.
-    """
+
+def _steps(times: np.ndarray) -> list:
+    """A family's plan, (step, reads, rows, sources) per step: it reads the
+    powers ``reads`` of the step, rising, and row rows[i] of its table is
+    read sources[i].  If the n times are integer multiples of a step that
+    divides the smallest one, none beyond 4 n + 64 of it, the longest such
+    step takes them all; else each time is a step of its own.  A subset of
+    a grid, such as the survivors of a design's screen, finds the grid's
+    step again, so its entries come from the same powers as the grid's."""
     smallest = float(np.min(times))
-    if smallest <= 0:
-        return None
     limit = 4 * len(times) + 64
-    for divisor in range(1, limit + 1):
+    for divisor in range(1, limit + 1 if smallest > 0 else 1):
         step = smallest / divisor
         mult = times / step
         rounded = np.rint(mult)
         if np.max(rounded) > limit:  # a shorter step only needs more powers
-            return None
+            break
         if np.max(np.abs(mult - rounded)) <= 1e-9:
-            rows: dict = {}
-            for i, m in enumerate(rounded.astype(int)):
-                rows.setdefault(int(m), []).append(i)
-            return step, rows
-    return None
+            reads, sources = np.unique(rounded.astype(int), return_inverse=True)
+            return [(step, reads.tolist(), np.arange(len(times)), sources)]
+    return [(float(t), [1], [i], [0]) for i, t in enumerate(times)]
 
 
-def _steps(times: np.ndarray) -> list:
-    """The (step, rows) pairs that a family steps through: the times' one
-    arithmetic step (:func:`_arithmetic_step`), or, when they have none,
-    each time as its own step, taken once."""
-    arith = _arithmetic_step(times)
-    if arith is not None:
-        return [arith]
-    return [(float(t), {1: [i]}) for i, t in enumerate(times)]
-
-
-def _survival_rabi_family(
-    spins: np.ndarray, pulse_times: np.ndarray, drive_freq: float
-) -> np.ndarray:
-    """Survival probabilities for a family of Rabi pulse times, (n_times, K).
+def _survival_rabi_family(coeffs: np.ndarray, steps: list, n_times: int) -> np.ndarray:
+    """Survival probabilities for a family of Rabi pulse times, (n_times, K),
+    from a block's coefficients (:func:`_coefficients`) and plan (:func:`_steps`).
 
     Each power of the step's block propagator E = exp(step R8) advances the
     8-vector column d of the previous power; the branch's survival at that
-    power is 1/3 + (2/3) E^m[d, d] (module docstring).
+    power is 1/3 + (2/3) E^m[d, d] (module docstring).  The powers run in
+    squaring order, and a single power reads only E[d, d].
     """
-    k = spins.shape[0]
-    out = np.empty((len(pulse_times), 3 * k))
-    for step, rows in _steps(np.asarray(pulse_times, dtype=float)):
-        prop = expm(_real_generators(spins, drive_freq, 1.0, step))
-        state = prop[:, :, _D, None]
-        for power in range(1, max(rows) + 1):
-            if power > 1:
-                state = prop @ state
-            if power in rows:
-                out[rows[power]] = _P0_I**2 + _P0_D**2 * state[:, _D, 0]
-    return out.reshape(len(pulse_times), 3, k).mean(axis=1)
+    m = len(coeffs)
+    out = np.empty((n_times, m))
+    for step, reads, rows, sources in steps:
+        order, tails = _propagators(coeffs * step)
+        picked = np.empty((len(reads), m))
+        if reads == [1]:
+            for at, props in tails:
+                picked[0, at] = props[:, _D, _D]
+        else:
+            prop = np.empty((m, 8, 8))
+            for at, props in tails:
+                prop[at] = props
+            state, power = prop[:, :, _D, None], 1
+            for i, read in enumerate(reads):
+                for power in range(power + 1, read + 1):
+                    state = prop @ state
+                picked[i] = state[:, _D, 0]
+        out[np.ix_(rows, order)] = (_P0_I**2 + _P0_D**2 * picked)[sources]
+    return out.reshape(n_times, 3, -1).mean(axis=1)
 
 
 # vec indices of the populations |i><i| and of three coherences whose
@@ -546,58 +581,64 @@ _POPULATIONS = [0, 4, 8]
 _COHERENCES = [3, 6, 7]
 # real E[:, d] -> P[j, 4] - 1/3 at the populations, then Re and Im P[j, 4]
 # at the coherences, for P = U (1 (+) E) U^H (see _ramsey_terms)
-_WAIT_PROJECTION = _P0_D * np.hstack(
-    [_U[_POPULATIONS + _COHERENCES, 1:].real.T, _U[_COHERENCES, 1:].imag.T]
+_WAIT_PROJECTION = _P0_D * np.vstack(
+    [_U[_POPULATIONS + _COHERENCES, 1:].real, _U[_COHERENCES, 1:].imag]
 )
+# a coefficient row times [j] is Re and Im of the wait generator's
+# eigenvalue at coherence j: -i (h_r - h_c) - (m_r - m_c)^2 rate / 2 with
+# h_m = detuning m^2 + axial m, at (r, c) = (0, 1), (0, 2) and (1, 2)
+_WAIT_EIGENVALUES = np.zeros((3, 4, 2))
+_WAIT_EIGENVALUES[:, :2, 1] = [[-1.0, -1.0], [0.0, -2.0], [1.0, -1.0]]
+_WAIT_EIGENVALUES[:, 3, 0] = [-0.5, -2.0, -0.5]
 
 
-def _ramsey_terms(spins: np.ndarray, pulse_time: float, drive_freq: float) -> tuple:
-    """(c, w, lam), shapes (3K,), (3K, 3) and (3K, 3), branch-major: a Ramsey
-    wait t survives with c + Re sum_j 2 w_j exp(lam_j t), j over coherences.
+def _ramsey_terms(coeffs: np.ndarray, pulse_time: float) -> tuple:
+    """(order, c, w, lam), shapes (3K,), (3K,), (3, 3K) and (3, 3K), in the
+    pulse's squaring order ``order``, from a block's coefficients
+    (:func:`_coefficients`): a Ramsey wait t survives with
+    c + Re sum_j 2 w_j exp(lam_j t), j over coherences.
 
     With P the pulse propagator, w_j = P[4, j] P[j, 4] and lam_j is the wait
-    generator's entry, in closed form; c sums w over the populations.  Row 4
-    of U holds _P0_I on B_0 and _P0_D on B_2, so with E the 8x8 block
-    propagator P[:, 4] = U (_P0_I, _P0_D E[:, d]) and P[4, :] is the
-    conjugate of the same with row d of E: one real GEMM each.
+    generator's entry, from the coefficients; c sums w over the
+    populations.  Row 4 of U holds _P0_I on B_0 and _P0_D on B_2, so with E
+    the 8x8 block propagator P[:, 4] = U (_P0_I, _P0_D E[:, d]) and P[4, :]
+    is the conjugate of the same with row d of E, the only entries read.
     """
-    block = expm(_real_generators(spins, drive_freq, 1.0, float(pulse_time)))
-    col = block[:, :, _D] @ _WAIT_PROJECTION
-    row = block[:, _D, :] @ _WAIT_PROJECTION
-    const = ((1.0 / 3.0 + row[:, :3]) * (1.0 / 3.0 + col[:, :3])).sum(axis=1)
-    weights = (row[:, 3:6] - 1j * row[:, 6:]) * (col[:, 3:6] + 1j * col[:, 6:])
-    detuning = np.tile(_ANGULAR * (spins[:, 2] + ZFS_MHZ - drive_freq), 3)
-    axial = _ANGULAR * (spins[:, 1] + np.multiply.outer(_MI_BRANCHES, spins[:, 3]))
-    axial, rate = axial.ravel(), np.tile(_RATE * spins[:, 4], 3)
-    # -i (h_r - h_c) - (m_r - m_c)^2 rate / 2 with h_m = detuning m^2 + axial m,
-    # at (r, c) = (0, 1), (0, 2) and (1, 2)
-    lam = np.column_stack(
-        [-1j * (detuning + axial), -2j * axial, 1j * (detuning - axial)]
-    ) - np.multiply.outer(rate, [0.5, 2.0, 0.5])
-    return const, weights, lam
+    order, tails = _propagators(coeffs * pulse_time)
+    ends = np.empty((2, 8, len(coeffs)))
+    for at, props in tails:
+        ends[0, :, at] = props[:, :, _D].T
+        ends[1, :, at] = props[:, _D, :].T
+    col, row = _WAIT_PROJECTION @ ends
+    const = ((1.0 / 3.0 + row[:3]) * (1.0 / 3.0 + col[:3])).sum(axis=0)
+    weights = (row[3:6] - 1j * row[6:]) * (col[3:6] + 1j * col[6:])
+    lam = (coeffs[order] @ _WAIT_EIGENVALUES).view(complex)[..., 0]
+    return order, const, weights, lam
 
 
 def _survival_ramsey_family(
-    spins: np.ndarray, pulse_time: float, wait_times: np.ndarray, drive_freq: float
+    coeffs: np.ndarray, pulse_time: float, steps: list, n_waits: int
 ) -> np.ndarray:
     """Survival probabilities for a family of Ramsey wait times at a fixed
-    pulse time, (n_waits, K).
+    pulse time, (n_waits, K), from a block's coefficients
+    (:func:`_coefficients`) and plan (:func:`_steps`).
 
-    p(t) = c + Re sum_j 2 w_j exp(lam_j t) (:func:`_ramsey_terms`).  On an
-    arithmetic wait grid exp(lam_j * m * step) is z_j^m with
-    z_j = exp(lam_j * step).
+    p(t) = c + Re sum_j 2 w_j exp(lam_j t) (:func:`_ramsey_terms`), in the
+    pulse's squaring order.  On an arithmetic wait grid exp(lam_j m step)
+    is z_j^m with z_j = exp(lam_j step).
     """
-    k = spins.shape[0]
-    const, weights, lam = _ramsey_terms(spins, pulse_time, drive_freq)
-    out = np.empty((len(wait_times), 3 * k))
-    for step, rows in _steps(np.asarray(wait_times, dtype=float)):
+    order, const, weights, lam = _ramsey_terms(coeffs, pulse_time)
+    out = np.empty((n_waits, len(coeffs)))
+    for step, reads, rows, sources in steps:
         z = np.exp(lam * step)
-        stepped = 2.0 * weights
-        for power in range(1, max(rows) + 1):
-            stepped *= z
-            if power in rows:
-                out[rows[power]] = const + stepped.real.sum(axis=1)
-    return out.reshape(len(wait_times), 3, k).mean(axis=1)
+        stepped, power = 2.0 * weights, 0
+        picked = np.empty((len(reads), len(coeffs)))
+        for i, read in enumerate(reads):
+            for power in range(power + 1, read + 1):
+                stepped *= z
+            picked[i] = const + stepped.real.sum(axis=0)
+        out[np.ix_(rows, order)] = picked[sources]
+    return out.reshape(n_waits, 3, -1).mean(axis=1)
 
 
 def survival_table(spins: np.ndarray, configs: list) -> np.ndarray:
@@ -605,11 +646,11 @@ def survival_table(spins: np.ndarray, configs: list) -> np.ndarray:
 
     ``spins`` is (K, 5); returns (len(configs), K).  Configurations are
     grouped into Rabi families by drive frequency and Ramsey families by
-    (pulse_time, drive frequency) so the grid fast paths apply.  The
-    hypotheses run in blocks of ``_SURVIVAL_BLOCK``, spread over one thread
-    per core; each entry is the same, bit for bit, however the blocks are
-    split between threads, and equals the entry of any table over a subset
-    of the hypotheses that holds it.
+    (pulse_time, drive frequency), each planned once, so the grid fast paths
+    apply.  The hypotheses run in blocks of ``_SURVIVAL_BLOCK``, spread over
+    one thread per core; each entry is the same, bit for bit, however the
+    blocks are split between threads, and equals the entry of any table
+    over a subset of the hypotheses that holds it.
     """
     spins = np.atleast_2d(np.asarray(spins, dtype=float))
     k = spins.shape[0]
@@ -617,21 +658,24 @@ def survival_table(spins: np.ndarray, configs: list) -> np.ndarray:
     groups: dict = {}
     for idx, cfg in enumerate(configs):
         if cfg.kind == "rabi":
-            key = ("rabi", cfg.drive_frequency)
+            key, time = ("rabi", cfg.drive_frequency), cfg.pulse_time
         else:
-            key = ("ramsey", cfg.pulse_time, cfg.drive_frequency)
-        groups.setdefault(key, []).append(idx)
+            key, time = ("ramsey", cfg.pulse_time, cfg.drive_frequency), cfg.wait_time
+        groups.setdefault(key, []).append((idx, time))
+    plans = [
+        ([i for i, _ in group], key, _steps(np.array([t for _, t in group])))
+        for key, group in groups.items()
+    ]
 
     def run(blocks):
         for cols in blocks:
             block = spins[cols]
-            for key, indices in groups.items():
+            for indices, key, steps in plans:
+                coeffs = _coefficients(block, key[-1])
                 if key[0] == "rabi":
-                    times = np.array([configs[i].pulse_time for i in indices])
-                    table = _survival_rabi_family(block, times, key[1])
+                    table = _survival_rabi_family(coeffs, steps, len(indices))
                 else:
-                    times = np.array([configs[i].wait_time for i in indices])
-                    table = _survival_ramsey_family(block, key[1], times, key[2])
+                    table = _survival_ramsey_family(coeffs, key[1], steps, len(indices))
                 out[indices, cols] = table
 
     fan_out(run, [

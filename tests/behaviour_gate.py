@@ -25,7 +25,9 @@ RUN = dict(
 
 def cases() -> list:
     """(policy, prior) of every trial the gate holds."""
-    return [(policy, prior) for policy in heuristics.POLICIES for prior in smc.SPIN_PRIORS]
+    return [
+        (policy, prior) for policy in heuristics.POLICIES for prior in smc.SPIN_PRIORS
+    ]
 
 
 def steps(policy: str, prior: str) -> list:

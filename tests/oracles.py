@@ -8,12 +8,13 @@
 * :func:`build_hamiltonian`, :func:`lindblad_generator` and
   :func:`lindblad_propagator` are one branch's rotating-frame Hamiltonian,
   its complex column-stacking generator and that generator's propagator;
-  they mirror the unit convention that ``nvbed.qutrit._real_generators``
-  and ``_ramsey_terms`` apply, and check ``nvbed.qutrit.expm``, the
-  real-basis images (each generator's whole 9x9 image here, of which the
-  kernel keeps only the 8x8 traceless block, since row 0 and column 0 (on
-  the identity) vanish) and the Ramsey kernel's weights and wait
-  eigenvalues, which it forms without the 9x9 propagator or generator.
+  they mirror the unit convention that ``nvbed.qutrit._coefficients``
+  applies, and check ``nvbed.qutrit.expm``, the real-basis images (each
+  generator's whole 9x9 image here, of which the kernel keeps only the 8x8
+  traceless block, since row 0 and column 0 (on the identity) vanish),
+  the blocks the kernel builds from coefficient rows, and the Ramsey
+  kernel's weights and wait eigenvalues, which it forms without the 9x9
+  propagator or generator.
 * :func:`scipy_survival_probability` simulates one hypothesis with SciPy's
   complex ``expm`` of each segment's column-stacking generator; it checks
   the real-basis kernel of ``nvbed.qutrit``.

@@ -216,18 +216,24 @@ class TestTracelessBlock:
             assert np.abs(unit.imag).max() <= 1e-15 * np.abs(unit).max()
 
     def test_blocks_match_the_complex_generators(self):
+        # a pulse's block is its coefficient row times the four term blocks,
+        # and |row| @ _TERM_NORMS bounds the block's 1-norm, which sets its
+        # squarings
         rng = np.random.default_rng(52)
         spins = random_spins(rng, 4)
-        drive, amplitude, duration = 2871.5, 0.7, 33.0
-        blocks = qutrit._real_generators(spins, drive, amplitude, duration)
-        assert blocks.shape == (12, 8, 8)
+        drive, duration = 2871.5, 33.0
+        coeffs = duration * qutrit._coefficients(spins, drive)
+        assert coeffs.shape == (12, 4)
+        blocks = (coeffs @ qutrit._R_TERMS).reshape(12, 8, 8)
         for b, mi in enumerate(qutrit._MI_BRANCHES):
             for i, row in enumerate(spins):
-                gen = lindblad_generator(SpinParams(*row), drive, mi, amplitude)
+                gen = lindblad_generator(SpinParams(*row), drive, mi, 1.0)
                 image = duration * qutrit._real_image(gen)
                 np.testing.assert_allclose(
                     blocks[4 * b + i], image[1:, 1:], rtol=0, atol=1e-14
                 )
+        bounds = np.abs(coeffs) @ qutrit._TERM_NORMS
+        assert np.all(np.abs(blocks).sum(axis=1).max(axis=1) <= bounds)
 
 
 class TestSurvivalAgainstScipy:
@@ -302,8 +308,8 @@ class TestSurvivalAgainstScipy:
     def test_ramsey_grid_at_the_limit_of_powers(self):
         # 3 waits: at most 4 * 3 + 64 = 76 powers of the step
         waits = np.array([1.0, 30.0, 76.0]) * 26.0
-        assert qutrit._arithmetic_step(waits) is not None
-        assert qutrit._arithmetic_step(np.append(waits[:-1], 77.0 * 26.0)) is None
+        assert len(qutrit._steps(waits)) == 1
+        assert len(qutrit._steps(np.append(waits[:-1], 77.0 * 26.0))) == 3
         configs = [
             ExperimentConfig("ramsey", pulse_time=14.0, wait_time=w) for w in waits
         ]
@@ -339,13 +345,14 @@ class TestSurvivalBlocks:
     def serial(spins, configs):
         """The family kernel over every hypothesis at once, on this thread."""
         first = configs[0]
+        coeffs = qutrit._coefficients(spins, first.drive_frequency)
         if first.kind == "rabi":
-            times = np.array([c.pulse_time for c in configs])
-            table = qutrit._survival_rabi_family(spins, times, first.drive_frequency)
+            steps = qutrit._steps(np.array([c.pulse_time for c in configs]))
+            table = qutrit._survival_rabi_family(coeffs, steps, len(configs))
         else:
-            waits = np.array([c.wait_time for c in configs])
+            steps = qutrit._steps(np.array([c.wait_time for c in configs]))
             table = qutrit._survival_ramsey_family(
-                spins, first.pulse_time, waits, first.drive_frequency
+                coeffs, first.pulse_time, steps, len(configs)
             )
         return qutrit._clamp_probability(table, "serial")
 
@@ -391,9 +398,10 @@ class TestSurvivalBlocks:
         ran = []
         family = qutrit._survival_rabi_family
 
-        def recorded(spins, times, drive_freq):
-            ran.append((threading.get_ident(), len(spins)))
-            return family(spins, times, drive_freq)
+        def recorded(coeffs, steps, n_times):
+            # three mI branches of each hypothesis
+            ran.append((threading.get_ident(), len(coeffs) // 3))
+            return family(coeffs, steps, n_times)
 
         monkeypatch.setattr(qutrit, "_survival_rabi_family", recorded)
         cores(monkeypatch, 2)
@@ -484,15 +492,15 @@ def test_a_subset_of_a_grid_takes_the_grid_step():
         full = survival_table(spins, grid)
         assert np.array_equal(survival_table(spins, [grid[i] for i in picks]), full[picks])
     times = np.array([35.0, 40.0, 500.0])  # 100 powers of 5 ns: over 4 * 3 + 64
-    assert qutrit._arithmetic_step(times[:2])[0] == 5.0
-    assert qutrit._arithmetic_step(times) is None
+    assert qutrit._steps(times[:2])[0][0] == 5.0
+    assert len(qutrit._steps(times)) == 3
 
 
 def test_non_arithmetic_ramsey_waits_against_scipy():
     # no step that divides the smallest wait fits within 4 * 3 + 64 powers,
     # so each wait is its own step
     waits = (75.0, 190.3, 337.5)
-    assert qutrit._arithmetic_step(np.array(waits)) is None
+    assert len(qutrit._steps(np.array(waits))) == 3
     configs = [ExperimentConfig("ramsey", pulse_time=22.0, wait_time=w) for w in waits]
     TestSurvivalAgainstScipy.check(configs, 114)
 
@@ -511,7 +519,9 @@ def test_non_finite_survival_raises():
         with np.errstate(all="ignore"), pytest.raises(qutrit.SimulationAccuracyError):
             survival_table(spins, [config])
     with np.errstate(all="ignore"):
-        family = qutrit._survival_rabi_family(spins, np.array([20.0, 40.0]), 2870.0)
+        coeffs = qutrit._coefficients(spins, 2870.0)
+        steps = qutrit._steps(np.array([20.0, 40.0]))
+        family = qutrit._survival_rabi_family(coeffs, steps, 2)
     assert np.isnan(family[:, 1]).all()
     finite = [0, 2]
     grid = [ExperimentConfig("rabi", pulse_time=t) for t in (20.0, 40.0)]
@@ -541,7 +551,12 @@ def test_ramsey_terms_pair_up_with_their_conjugates():
     eigenvalues are those of the oracle."""
     spins = random_spins(np.random.default_rng(101), 40)
     pulse, drive = 22.0, 2871.0
-    const, weights, lam = qutrit._ramsey_terms(spins, pulse, drive)
+    order, const, weights, lam = qutrit._ramsey_terms(
+        qutrit._coefficients(spins, drive), pulse
+    )
+    # the terms come in the pulse's squaring order: row order[n] is at n
+    assert sorted(order) == list(range(3 * len(spins)))
+    position = np.argsort(order)
     assert qutrit._POPULATIONS == [0, 4, 8] and qutrit._COHERENCES == [3, 6, 7]
     for b, mi in enumerate(qutrit._MI_BRANCHES):
         for i, row in enumerate(spins):
@@ -556,11 +571,13 @@ def test_ramsey_terms_pair_up_with_their_conjugates():
                     values[[3, 6, 7]], np.conj(values[[1, 2, 5]]), rtol=0, atol=1e-14
                 )
             assert np.all(eigenvalues[[0, 4, 8]] == 0)
-            at = b * len(spins) + i
+            at = position[b * len(spins) + i]
             assert abs(const[at] - w[[0, 4, 8]].real.sum()) <= 1e-14
-            np.testing.assert_allclose(weights[at], w[[3, 6, 7]], rtol=0, atol=1e-14)
             np.testing.assert_allclose(
-                lam[at], eigenvalues[[3, 6, 7]], rtol=0, atol=1e-14
+                weights[:, at], w[[3, 6, 7]], rtol=0, atol=1e-14
+            )
+            np.testing.assert_allclose(
+                lam[:, at], eigenvalues[[3, 6, 7]], rtol=0, atol=1e-14
             )
 
 
