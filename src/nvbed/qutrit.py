@@ -406,9 +406,9 @@ def survival_probability(params: SpinParams, config: ExperimentConfig) -> float:
 # the risk-based design heuristics need it for every candidate in a grid of
 # configurations.  A pulse's generators, for all hypotheses and mI
 # branches, are rows of four coefficients times the four precomputed
-# blocks ``_R_TERMS``; their exponentials stay in squaring order, and each
-# family reads only the entries it needs.  The structured grids of the
-# design heuristics admit two fast paths:
+# blocks ``_R_TERMS``; their exponentials come in squaring order, and each
+# family takes out of it only the entries it reads.  The structured grids
+# of the design heuristics admit two fast paths:
 #   * a Rabi family on an arithmetic pulse-time grid composes powers of the
 #     single-step block propagator, applied to its column d (the traceless
 #     part of |0><0|), and
@@ -429,8 +429,8 @@ def survival_probability(params: SpinParams, config: ExperimentConfig) -> float:
 # hypotheses share its block or its call: the table is bit-identical to one
 # computed block by block on one thread, and a table over a subset of the
 # hypotheses is the matching columns of the whole table.  At K = 4000 on
-# two threads, rows took a median 17.6 ms (5 ns Rabi), 17.5 ms (25 ns) and
-# 21.1 ms (Ramsey), against 26.4, 25.1 and 32.0 ms with a whole expm per
+# two threads, rows took a median 15.8 ms (5 ns Rabi), 16.5 ms (25 ns) and
+# 23.0 ms (Ramsey), against 22.6, 22.3 and 30.9 ms with a whole expm per
 # block (15 interleaved runs; 2-core x86 host, one BLAS thread).
 # ----------------------------------------------------------------------------
 
@@ -438,9 +438,9 @@ def survival_probability(params: SpinParams, config: ExperimentConfig) -> float:
 # 150 8x8 matrices, 2.07 MB) fits the 2 MiB thread_buffer holds for an MIS
 # block (risk._MIS_BLOCK_BYTES), so it never grows the buffer, and a core's
 # cache.  One thread, fastest of 9 (2-core x86 host, 2 MiB L2 per core): at
-# blocks of 100, 128 and 150 a K = 4000 5 ns Rabi row took 12.4, 12.3 and
-# 12.2 ms, a Ramsey row 18.5, 18.2 and 18.0 ms, and the 200-candidate
-# design grid at K = 1500 67.7, 66.2 and 64.7 ms.
+# blocks of 100, 128 and 150 a K = 4000 5 ns Rabi row took 12.4, 12.5 and
+# 12.5 ms, a Ramsey row 19.1, 18.2 and 18.1 ms, and the 200-candidate
+# design grid at K = 1500 62.6, 60.5 and 59.1 ms.
 _SURVIVAL_BLOCK = 150
 
 
@@ -523,14 +523,14 @@ def _propagators(coeffs: np.ndarray) -> tuple:
     return order, _squared_taylor(powers, terms, squarings)
 
 
-def _steps(times: np.ndarray) -> list:
-    """A family's plan, (step, reads, rows, sources) per step: it reads the
-    powers ``reads`` of the step, rising, and row rows[i] of its table is
-    read sources[i].  If the n times are integer multiples of a step that
-    divides the smallest one, none beyond 4 n + 64 of it, the longest such
-    step takes them all; else each time is a step of its own.  A subset of
-    a grid, such as the survivors of a design's screen, finds the grid's
-    step again, so its entries come from the same powers as the grid's."""
+def _steps(times: np.ndarray) -> tuple:
+    """A family's plan, (steps, sources): each (step, reads) pair reads the
+    powers ``reads`` of its step, rising, into a row each of the family's
+    table, and sources[i] is the row of time i.  If the n times are integer
+    multiples of a step that divides the smallest one, none beyond 4 n + 64
+    of it, the longest such step takes them all; else each time is a step
+    of its own.  A subset of a grid, such as the survivors of a design's
+    screen, finds the grid's step again, and so the grid's entries."""
     smallest = float(np.min(times))
     limit = 4 * len(times) + 64
     for divisor in range(1, limit + 1 if smallest > 0 else 1):
@@ -541,38 +541,43 @@ def _steps(times: np.ndarray) -> list:
             break
         if np.max(np.abs(mult - rounded)) <= 1e-9:
             reads, sources = np.unique(rounded.astype(int), return_inverse=True)
-            return [(step, reads.tolist(), np.arange(len(times)), sources)]
-    return [(float(t), [1], [i], [0]) for i, t in enumerate(times)]
+            return [(step, reads.tolist())], sources
+    return [(float(t), [1]) for t in times], np.arange(len(times))
 
 
-def _survival_rabi_family(coeffs: np.ndarray, steps: list, n_times: int) -> np.ndarray:
-    """Survival probabilities for a family of Rabi pulse times, (n_times, K),
-    from a block's coefficients (:func:`_coefficients`) and plan (:func:`_steps`).
+def _survival_rabi_family(coeffs: np.ndarray, steps: list) -> np.ndarray:
+    """Survival probabilities of a family of Rabi pulse times, (reads, K):
+    a row per read of its steps (:func:`_steps`), from a block's
+    coefficients (:func:`_coefficients`).
 
     Each power of the step's block propagator E = exp(step R8) advances the
     8-vector column d of the previous power; the branch's survival at that
-    power is 1/3 + (2/3) E^m[d, d] (module docstring).  The powers run in
-    squaring order, and a single power reads only E[d, d].
+    power is 1/3 + (2/3) E^m[d, d] (module docstring).  A single power
+    takes only E[d, d] out of squaring order; a grid of them takes all of
+    E, fewer entries than its rows of the table.
     """
     m = len(coeffs)
-    out = np.empty((n_times, m))
-    for step, reads, rows, sources in steps:
+    out = np.empty((sum(len(reads) for _, reads in steps), m))
+    row = 0
+    for step, reads in steps:
         order, tails = _propagators(coeffs * step)
-        picked = np.empty((len(reads), m))
         if reads == [1]:
             for at, props in tails:
-                picked[0, at] = props[:, _D, _D]
-        else:
-            prop = np.empty((m, 8, 8))
-            for at, props in tails:
-                prop[at] = props
-            state, power = prop[:, :, _D, None], 1
-            for i, read in enumerate(reads):
-                for power in range(power + 1, read + 1):
-                    state = prop @ state
-                picked[i] = state[:, _D, 0]
-        out[np.ix_(rows, order)] = (_P0_I**2 + _P0_D**2 * picked)[sources]
-    return out.reshape(n_times, 3, -1).mean(axis=1)
+                out[row, order[at]] = props[:, _D, _D]
+            row += 1
+            continue
+        prop = np.empty((m, 8, 8))
+        for at, props in tails:
+            prop[order[at]] = props
+        state, power = prop[:, :, _D, None], 1
+        for read in reads:
+            for power in range(power + 1, read + 1):
+                state = prop @ state
+            out[row] = state[:, _D, 0]
+            row += 1
+    out *= _P0_D**2
+    out += _P0_I**2
+    return out.reshape(len(out), 3, -1).mean(axis=1)
 
 
 # vec indices of the populations |i><i| and of three coherences whose
@@ -593,52 +598,52 @@ _WAIT_EIGENVALUES[:, 3, 0] = [-0.5, -2.0, -0.5]
 
 
 def _ramsey_terms(coeffs: np.ndarray, pulse_time: float) -> tuple:
-    """(order, c, w, lam), shapes (3K,), (3K,), (3, 3K) and (3, 3K), in the
-    pulse's squaring order ``order``, from a block's coefficients
-    (:func:`_coefficients`): a Ramsey wait t survives with
+    """(c, w, lam), shapes (3K,), (3, 3K) and (3, 3K), from a block's
+    coefficients (:func:`_coefficients`): a Ramsey wait t survives with
     c + Re sum_j 2 w_j exp(lam_j t), j over coherences.
 
     With P the pulse propagator, w_j = P[4, j] P[j, 4] and lam_j is the wait
     generator's entry, from the coefficients; c sums w over the
     populations.  Row 4 of U holds _P0_I on B_0 and _P0_D on B_2, so with E
     the 8x8 block propagator P[:, 4] = U (_P0_I, _P0_D E[:, d]) and P[4, :]
-    is the conjugate of the same with row d of E, the only entries read.
+    is the conjugate of the same with row d of E, the only entries taken
+    out of squaring order.
     """
     order, tails = _propagators(coeffs * pulse_time)
-    ends = np.empty((2, 8, len(coeffs)))
+    ends = np.empty((2, len(coeffs), 8))
     for at, props in tails:
-        ends[0, :, at] = props[:, :, _D].T
-        ends[1, :, at] = props[:, _D, :].T
-    col, row = _WAIT_PROJECTION @ ends
+        ends[0, order[at]] = props[:, :, _D]
+        ends[1, order[at]] = props[:, _D, :]
+    col, row = _WAIT_PROJECTION @ ends.transpose(0, 2, 1)
     const = ((1.0 / 3.0 + row[:3]) * (1.0 / 3.0 + col[:3])).sum(axis=0)
     weights = (row[3:6] - 1j * row[6:]) * (col[3:6] + 1j * col[6:])
-    lam = (coeffs[order] @ _WAIT_EIGENVALUES).view(complex)[..., 0]
-    return order, const, weights, lam
+    lam = (coeffs @ _WAIT_EIGENVALUES).view(complex)[..., 0]
+    return const, weights, lam
 
 
 def _survival_ramsey_family(
-    coeffs: np.ndarray, pulse_time: float, steps: list, n_waits: int
+    coeffs: np.ndarray, pulse_time: float, steps: list
 ) -> np.ndarray:
-    """Survival probabilities for a family of Ramsey wait times at a fixed
-    pulse time, (n_waits, K), from a block's coefficients
-    (:func:`_coefficients`) and plan (:func:`_steps`).
+    """Survival probabilities of a family of Ramsey wait times at a fixed
+    pulse time, (reads, K): a row per read of its steps (:func:`_steps`),
+    from a block's coefficients (:func:`_coefficients`).
 
-    p(t) = c + Re sum_j 2 w_j exp(lam_j t) (:func:`_ramsey_terms`), in the
-    pulse's squaring order.  On an arithmetic wait grid exp(lam_j m step)
-    is z_j^m with z_j = exp(lam_j step).
+    p(t) = c + Re sum_j 2 w_j exp(lam_j t) (:func:`_ramsey_terms`).  On an
+    arithmetic wait grid exp(lam_j * m * step) is z_j^m with
+    z_j = exp(lam_j * step).
     """
-    order, const, weights, lam = _ramsey_terms(coeffs, pulse_time)
-    out = np.empty((n_waits, len(coeffs)))
-    for step, reads, rows, sources in steps:
+    const, weights, lam = _ramsey_terms(coeffs, pulse_time)
+    out = np.empty((sum(len(reads) for _, reads in steps), len(coeffs)))
+    row = 0
+    for step, reads in steps:
         z = np.exp(lam * step)
         stepped, power = 2.0 * weights, 0
-        picked = np.empty((len(reads), len(coeffs)))
-        for i, read in enumerate(reads):
+        for read in reads:
             for power in range(power + 1, read + 1):
                 stepped *= z
-            picked[i] = const + stepped.real.sum(axis=0)
-        out[np.ix_(rows, order)] = picked[sources]
-    return out.reshape(n_waits, 3, -1).mean(axis=1)
+            out[row] = const + stepped.real.sum(axis=0)
+            row += 1
+    return out.reshape(len(out), 3, -1).mean(axis=1)
 
 
 def survival_table(spins: np.ndarray, configs: list) -> np.ndarray:
@@ -663,20 +668,20 @@ def survival_table(spins: np.ndarray, configs: list) -> np.ndarray:
             key, time = ("ramsey", cfg.pulse_time, cfg.drive_frequency), cfg.wait_time
         groups.setdefault(key, []).append((idx, time))
     plans = [
-        ([i for i, _ in group], key, _steps(np.array([t for _, t in group])))
+        ([i for i, _ in group], key, *_steps(np.array([t for _, t in group])))
         for key, group in groups.items()
     ]
 
     def run(blocks):
         for cols in blocks:
             block = spins[cols]
-            for indices, key, steps in plans:
+            for indices, key, steps, sources in plans:
                 coeffs = _coefficients(block, key[-1])
                 if key[0] == "rabi":
-                    table = _survival_rabi_family(coeffs, steps, len(indices))
+                    table = _survival_rabi_family(coeffs, steps)
                 else:
-                    table = _survival_ramsey_family(coeffs, key[1], steps, len(indices))
-                out[indices, cols] = table
+                    table = _survival_ramsey_family(coeffs, key[1], steps)
+                out[indices, cols] = table[sources]
 
     fan_out(run, [
         slice(lo, lo + _SURVIVAL_BLOCK) for lo in range(0, k, _SURVIVAL_BLOCK)

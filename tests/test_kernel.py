@@ -308,8 +308,8 @@ class TestSurvivalAgainstScipy:
     def test_ramsey_grid_at_the_limit_of_powers(self):
         # 3 waits: at most 4 * 3 + 64 = 76 powers of the step
         waits = np.array([1.0, 30.0, 76.0]) * 26.0
-        assert len(qutrit._steps(waits)) == 1
-        assert len(qutrit._steps(np.append(waits[:-1], 77.0 * 26.0))) == 3
+        assert len(qutrit._steps(waits)[0]) == 1
+        assert len(qutrit._steps(np.append(waits[:-1], 77.0 * 26.0))[0]) == 3
         configs = [
             ExperimentConfig("ramsey", pulse_time=14.0, wait_time=w) for w in waits
         ]
@@ -347,14 +347,12 @@ class TestSurvivalBlocks:
         first = configs[0]
         coeffs = qutrit._coefficients(spins, first.drive_frequency)
         if first.kind == "rabi":
-            steps = qutrit._steps(np.array([c.pulse_time for c in configs]))
-            table = qutrit._survival_rabi_family(coeffs, steps, len(configs))
+            steps, rows = qutrit._steps(np.array([c.pulse_time for c in configs]))
+            table = qutrit._survival_rabi_family(coeffs, steps)
         else:
-            steps = qutrit._steps(np.array([c.wait_time for c in configs]))
-            table = qutrit._survival_ramsey_family(
-                coeffs, first.pulse_time, steps, len(configs)
-            )
-        return qutrit._clamp_probability(table, "serial")
+            steps, rows = qutrit._steps(np.array([c.wait_time for c in configs]))
+            table = qutrit._survival_ramsey_family(coeffs, first.pulse_time, steps)
+        return qutrit._clamp_probability(table[rows], "serial")
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     # either side of one block and of two, and four whole blocks, at the
@@ -398,10 +396,10 @@ class TestSurvivalBlocks:
         ran = []
         family = qutrit._survival_rabi_family
 
-        def recorded(coeffs, steps, n_times):
+        def recorded(coeffs, steps):
             # three mI branches of each hypothesis
             ran.append((threading.get_ident(), len(coeffs) // 3))
-            return family(coeffs, steps, n_times)
+            return family(coeffs, steps)
 
         monkeypatch.setattr(qutrit, "_survival_rabi_family", recorded)
         cores(monkeypatch, 2)
@@ -478,6 +476,45 @@ class TestFanOut:
         with pytest.raises(ValueError, match=f"share of unit {failing}"):
             qutrit.fan_out(run, range(4))
 
+    def test_the_pool_is_kept_until_the_core_count_changes(self, monkeypatch):
+        # the workers, and with them their scratch buffers, outlive a call;
+        # each share waits for the others, so that every worker takes one
+        def workers(n_cores):
+            cores(monkeypatch, n_cores)
+            ran, barrier = [], threading.Barrier(n_cores)
+
+            def run(share):
+                ran.append(threading.current_thread())
+                barrier.wait(timeout=30)
+
+            qutrit.fan_out(run, range(8))
+            return {t for t in ran if t is not threading.current_thread()}
+
+        first = workers(2)
+        assert len(first) == 1 and workers(2) == first
+        rebuilt = workers(3)
+        assert len(rebuilt) == 2 and rebuilt.isdisjoint(first)
+        assert workers(3) == rebuilt
+
+    def test_a_share_that_fans_out_runs_it_on_its_own_thread(self, monkeypatch):
+        # a worker that waited on shares of its own could wait on itself
+        cores(monkeypatch, 2)
+        ran = []
+
+        def outer(share):
+            for unit in share:
+                qutrit.fan_out(
+                    lambda inner: ran.extend((threading.current_thread(), u) for u in inner),
+                    range(10 * unit, 10 * unit + 4),
+                )
+
+        call = threading.Thread(target=qutrit.fan_out, args=(outer, range(2)), daemon=True)
+        call.start()
+        call.join(timeout=30)
+        assert not call.is_alive()
+        assert sorted(u for _, u in ran) == [0, 1, 2, 3, 10, 11, 12, 13]
+        assert len({t for t, u in ran if u >= 10}) == 1
+
 
 def test_a_subset_of_a_grid_takes_the_grid_step():
     # a design's survivors are a subset of its grid; their entries come from
@@ -492,15 +529,15 @@ def test_a_subset_of_a_grid_takes_the_grid_step():
         full = survival_table(spins, grid)
         assert np.array_equal(survival_table(spins, [grid[i] for i in picks]), full[picks])
     times = np.array([35.0, 40.0, 500.0])  # 100 powers of 5 ns: over 4 * 3 + 64
-    assert qutrit._steps(times[:2])[0][0] == 5.0
-    assert len(qutrit._steps(times)) == 3
+    assert qutrit._steps(times[:2])[0] == [(5.0, [7, 8])]
+    assert len(qutrit._steps(times)[0]) == 3
 
 
 def test_non_arithmetic_ramsey_waits_against_scipy():
     # no step that divides the smallest wait fits within 4 * 3 + 64 powers,
     # so each wait is its own step
     waits = (75.0, 190.3, 337.5)
-    assert len(qutrit._steps(np.array(waits))) == 3
+    assert len(qutrit._steps(np.array(waits))[0]) == 3
     configs = [ExperimentConfig("ramsey", pulse_time=22.0, wait_time=w) for w in waits]
     TestSurvivalAgainstScipy.check(configs, 114)
 
@@ -520,8 +557,8 @@ def test_non_finite_survival_raises():
             survival_table(spins, [config])
     with np.errstate(all="ignore"):
         coeffs = qutrit._coefficients(spins, 2870.0)
-        steps = qutrit._steps(np.array([20.0, 40.0]))
-        family = qutrit._survival_rabi_family(coeffs, steps, 2)
+        steps, _ = qutrit._steps(np.array([20.0, 40.0]))
+        family = qutrit._survival_rabi_family(coeffs, steps)
     assert np.isnan(family[:, 1]).all()
     finite = [0, 2]
     grid = [ExperimentConfig("rabi", pulse_time=t) for t in (20.0, 40.0)]
@@ -551,12 +588,8 @@ def test_ramsey_terms_pair_up_with_their_conjugates():
     eigenvalues are those of the oracle."""
     spins = random_spins(np.random.default_rng(101), 40)
     pulse, drive = 22.0, 2871.0
-    order, const, weights, lam = qutrit._ramsey_terms(
-        qutrit._coefficients(spins, drive), pulse
-    )
-    # the terms come in the pulse's squaring order: row order[n] is at n
-    assert sorted(order) == list(range(3 * len(spins)))
-    position = np.argsort(order)
+    coeffs = qutrit._coefficients(spins, drive)
+    const, weights, lam = qutrit._ramsey_terms(coeffs, pulse)
     assert qutrit._POPULATIONS == [0, 4, 8] and qutrit._COHERENCES == [3, 6, 7]
     for b, mi in enumerate(qutrit._MI_BRANCHES):
         for i, row in enumerate(spins):
@@ -571,7 +604,7 @@ def test_ramsey_terms_pair_up_with_their_conjugates():
                     values[[3, 6, 7]], np.conj(values[[1, 2, 5]]), rtol=0, atol=1e-14
                 )
             assert np.all(eigenvalues[[0, 4, 8]] == 0)
-            at = position[b * len(spins) + i]
+            at = b * len(spins) + i
             assert abs(const[at] - w[[0, 4, 8]].real.sum()) <= 1e-14
             np.testing.assert_allclose(
                 weights[:, at], w[[3, 6, 7]], rtol=0, atol=1e-14
