@@ -35,7 +35,8 @@ def first_difference(got: list, held: list):
             change = np.abs(a - b) / np.abs(b)
             if not change.max() <= RTOL:
                 at = int(np.argmax(change))
-                return f"step {n}: {key}[{at}] {a[at]!r} against {b[at]!r}"
+                moved, had = float(a[at]), float(b[at])
+                return f"step {n}: {key}[{at}] {moved!r} against {had!r}"
     return None
 
 

@@ -501,14 +501,16 @@ class TestFanOut:
         cores(monkeypatch, 2)
         ran = []
 
+        def inner(share):
+            ran.extend((threading.current_thread(), u) for u in share)
+
         def outer(share):
             for unit in share:
-                qutrit.fan_out(
-                    lambda inner: ran.extend((threading.current_thread(), u) for u in inner),
-                    range(10 * unit, 10 * unit + 4),
-                )
+                qutrit.fan_out(inner, range(10 * unit, 10 * unit + 4))
 
-        call = threading.Thread(target=qutrit.fan_out, args=(outer, range(2)), daemon=True)
+        call = threading.Thread(
+            target=qutrit.fan_out, args=(outer, range(2)), daemon=True
+        )
         call.start()
         call.join(timeout=30)
         assert not call.is_alive()
