@@ -34,10 +34,11 @@ exp(t L) = U (1 (+) exp(t R8)) U^H.  Every pulse is therefore an 8x8
 exponential of the traceless block R8.  Since
 |0><0| = B_0/sqrt(3) - 2 B_2/sqrt(6), the survival probability of a pulse
 is 1/3 + (2/3) exp(t R8)[d, d], with d the block index of B_2.
-Every exponential is one scaling and squaring core around the degree-18
-Taylor polynomial in five matrix products of Bader, Blanes and Casas
-(2019), on matrices scaled to 1-norm at most 1.09: :func:`expm` on any
-stack, and the survival kernel on blocks it builds from coefficients.
+:func:`expm` is the one exponential every path uses: scaling and squaring
+around the degree-18 Taylor polynomial in five matrix products of Bader,
+Blanes and Casas (2019), on matrices scaled to 1-norm at most 1.09.  The
+survival kernel builds its blocks from coefficients and takes their
+squarings from a bound on the norm that the coefficients give.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import math
 import mmap
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -278,19 +279,17 @@ def thread_buffer(size: int) -> np.ndarray:
     """The first ``size`` entries of this thread's float64 scratch buffer,
     which is kept and replaced only by a larger one.
 
-    The exponentials and the MIS table blocks of :mod:`nvbed.risk` work
+    :func:`expm` and the MIS table blocks of :mod:`nvbed.risk` both work
     in it, in at most 2 MiB at paper scale.  No caller holds a view of the
-    scratch across a call that may take it: a survival family reads a
-    block's propagators before it asks for more, and a risk profile asks
-    for its survival rows before any estimate.
+    scratch across a call that may take it: ``expm`` copies its result out
+    before it returns, and a risk profile asks for its survival rows before
+    any estimate.
 
     The buffer is an anonymous memory map, not a malloc'd array: malloc
     would place it in the thread's arena, which keeps the memory after the
     thread ends.  A malloc'd buffer read online_wide peak_rss_mb
     64.1-65.1 MB against 60.4-61.1 MB mapped (3 pairs of 55 s perfbench
-    runs, 2-core host).  :func:`fan_out`'s workers keep theirs: two units
-    that each fill a block's workspace took 1.9-2.0 ms and 510 page faults
-    on a new pool, and 0.22 ms and none on the kept one.
+    runs, 2-core host).
     """
     buffer = getattr(_SCRATCH, "buffer", None)
     if buffer is None or buffer.size < size:
@@ -299,31 +298,19 @@ def thread_buffer(size: int) -> np.ndarray:
     return buffer[:size]
 
 
-# The exponentials work on arrays each thread keeps (thread_buffer).  A
-# fresh array per operation cost more than its arithmetic, since each freed
-# array went back to the system and the next one faulted its pages in
-# again: on one block the degree-16 Taylor step that came before took 3.0
-# ms with a new array per operation and 1.3 ms on kept arrays.  On a
-# 150-hypothesis block the Taylor step now takes 270 us, and the survival
-# kernel's whole exponential 360-420 us (fastest of 1500; 2-core x86 host).
-def _squaring_order(norms: np.ndarray) -> tuple:
-    """(order, squarings): the squarings s that scale each 1-norm, or bound
-    on one, to at most ``_THETA``, sorted from the most by ``order``.  A
-    non-finite matrix takes none: its exponential is non-finite anyway, and
-    its count, cast to an integer, would stop the squaring of the others."""
-    norms[~np.isfinite(norms)] = 0.0
-    squarings = np.ceil(np.log2(np.maximum(norms / _THETA, 1.0))).astype(np.intp)
-    order = np.argsort(-squarings, kind="stable")
-    return order, squarings[order]
-
-
-def _squared_taylor(powers: np.ndarray, terms: np.ndarray, squarings) -> list:
-    """The exponentials of the scaled stack A = ``powers[0]``, sorted by
-    :func:`_squaring_order`: each matrix's degree-18 Taylor polynomial,
-    squared its count of times, as (slice, stack) pairs that cover the
-    stack once.  ``powers`` (4, m, n, n) takes A^2, A^3 and A^6, and
-    ``terms`` B1 ... B5.  Squarings alternate between the two, and a
-    round's finished tail, [count(s > j), done), stays put."""
+# expm works on arrays each thread keeps (thread_buffer).  A fresh array
+# per operation cost more than its arithmetic, since each freed array went
+# back to the system and the next one faulted its pages in again: on one
+# block the degree-16 Taylor step that came before took 3.0 ms with a new
+# array per operation and 1.3 ms on kept arrays, and offline_wide
+# s_per_experiment read 0.072-0.078 s against 0.050-0.052 s (two 30 s
+# perfbench runs each).  On kept arrays one expm of a 150-hypothesis block
+# now takes 425 us, 569 us in that degree-16 form (fastest of 200; 2-core
+# x86 host, one BLAS thread).
+def _taylor_exp(powers: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Degree-18 Taylor polynomial of exp at each matrix A of the stack
+    ``powers[0]``, written over ``terms[1]`` and returned.  ``powers``
+    (4, m, n, n) takes A^2, A^3 and A^6, and ``terms`` B1 ... B5."""
     x, x2, x3, x6 = powers
     np.matmul(x, x, out=x2)
     np.matmul(x2, x, out=x3)
@@ -336,30 +323,21 @@ def _squared_taylor(powers: np.ndarray, terms: np.ndarray, squarings) -> list:
     a9 += b4
     b3 += a9
     b2 += np.matmul(b3, a9, out=x2)
-    prop, spare = b2, x
-    tails = []
-    done = m
-    for j in range(int(squarings[0]) + 1):
-        live = int(np.count_nonzero(squarings > j))
-        if live < done:
-            tails.append((slice(live, done), prop[live:done]))
-        if not live:
-            break
-        np.matmul(prop[:live], prop[:live], out=spare[:live])
-        prop, spare = spare, prop
-        done = live
-    return tails
+    return b2
 
 
-def expm(stack: np.ndarray) -> np.ndarray:
+def expm(stack: np.ndarray, norms=None) -> np.ndarray:
     """Matrix exponential of every matrix in a real (..., n, n) stack.
 
     Scaling and squaring: each matrix is scaled by 2^-s to 1-norm at most
     ``_THETA``, its degree-18 Taylor polynomial is evaluated in five
-    products, and the result is squared s times.  s is chosen per matrix;
+    products, and the result is squared s times.  s is chosen per matrix,
+    from its 1-norm or from an upper bound on it given as ``norms`` (one per
+    matrix), which can only add squarings (Al-Mohy and Higham 2009);
     matrices are sorted by s so that every squaring round acts on a leading
-    slice of the stack.  A matrix with a nan or inf entry comes out
-    non-finite and leaves the others as they would be without it.
+    slice of the stack.  A nan or inf norm takes no squarings, so a matrix
+    with a nan or inf entry comes out non-finite and leaves the others as
+    they would be without it.
     """
     a = np.asarray(stack, dtype=float)
     n = a.shape[-1]
@@ -368,17 +346,35 @@ def expm(stack: np.ndarray) -> np.ndarray:
     if not m:
         return np.empty(a.shape)
     powers, terms = np.split(thread_buffer(9 * m * n * n).reshape(9, m, n, n), [4])
-    # column sums by a GEMM against a 0/1 selector, laid out (n, m) so that
-    # the largest is taken along the long axis: on 768 8x8 matrices a max
-    # over axis 1 took 54 us against 9 us (2-core x86 host)
-    magnitudes = np.abs(flat, out=terms[0]).reshape(m, n * n)
-    norms = (np.tile(np.eye(n), n) @ magnitudes.T).max(axis=0)
-    order, squarings = _squaring_order(norms)
+    if norms is None:
+        # column sums by a GEMM against a 0/1 selector, laid out (n, m) so
+        # that the largest is taken along the long axis: on 768 8x8
+        # matrices a max over axis 1 took 54 us against 9 us (2-core x86
+        # host)
+        magnitudes = np.abs(flat, out=terms[0]).reshape(m, n * n)
+        norms = (np.tile(np.eye(n), n) @ magnitudes.T).max(axis=0)
+    # a non-finite matrix takes no squarings: its exponential is non-finite
+    # anyway, and its nan or inf count, cast to an integer, would stop the
+    # squaring of every other matrix in the stack
+    norms = np.where(np.isfinite(norms), norms, 0.0).reshape(m)
+    squarings = np.ceil(np.log2(np.maximum(norms / _THETA, 1.0))).astype(np.intp)
+    order = np.argsort(-squarings, kind="stable")
+    squarings = squarings[order]
     np.take(flat, order, axis=0, out=powers[0], mode="clip")
     powers[0] *= np.ldexp(1.0, -squarings)[:, None, None]
+    prop, spare = _taylor_exp(powers, terms), powers[0]
+    # squarings alternate between two buffers, and each round's finished
+    # tail, [count(s > j), done), is written to the result once
     out = np.empty((m, n, n))
-    for rows, props in _squared_taylor(powers, terms, squarings):
-        out[order[rows]] = props
+    done = m
+    for j in range(int(squarings[0]) + 1):
+        live = int(np.count_nonzero(squarings > j))
+        out[order[live:done]] = prop[live:done]
+        if not live:
+            break
+        np.matmul(prop[:live], prop[:live], out=spare[:live])
+        prop, spare = spare, prop
+        done = live
     return out.reshape(a.shape)
 
 
@@ -406,9 +402,9 @@ def survival_probability(params: SpinParams, config: ExperimentConfig) -> float:
 # the risk-based design heuristics need it for every candidate in a grid of
 # configurations.  A pulse's generators, for all hypotheses and mI
 # branches, are rows of four coefficients times the four precomputed
-# blocks ``_R_TERMS``; their exponentials come in squaring order, and each
-# family takes out of it only the entries it reads.  The structured grids
-# of the design heuristics admit two fast paths:
+# blocks ``_R_TERMS``, and their exponentials one call of ``expm``, which
+# takes each block's squarings from a bound the coefficients give.  The
+# structured grids of the design heuristics admit two fast paths:
 #   * a Rabi family on an arithmetic pulse-time grid composes powers of the
 #     single-step block propagator, applied to its column d (the traceless
 #     part of |0><0|), and
@@ -429,18 +425,19 @@ def survival_probability(params: SpinParams, config: ExperimentConfig) -> float:
 # hypotheses share its block or its call: the table is bit-identical to one
 # computed block by block on one thread, and a table over a subset of the
 # hypotheses is the matching columns of the whole table.  At K = 4000 on
-# two threads, rows took a median 15.8 ms (5 ns Rabi), 16.5 ms (25 ns) and
-# 23.0 ms (Ramsey), against 22.6, 22.3 and 30.9 ms with a whole expm per
-# block (15 interleaved runs; 2-core x86 host, one BLAS thread).
+# two threads, rows took a median 14.9 ms (5 ns Rabi), 14.0 ms (25 ns) and
+# 18.1 ms (Ramsey), against 16.8, 16.8 and 21.5 ms when each block's
+# squarings came from its blocks' own norms and each block planned its
+# steps (31 interleaved runs; 2-core x86 host, one BLAS thread).
 # ----------------------------------------------------------------------------
 
 # hypotheses per block of a survival table.  A block's workspace (9 x 3 x
 # 150 8x8 matrices, 2.07 MB) fits the 2 MiB thread_buffer holds for an MIS
 # block (risk._MIS_BLOCK_BYTES), so it never grows the buffer, and a core's
 # cache.  One thread, fastest of 9 (2-core x86 host, 2 MiB L2 per core): at
-# blocks of 100, 128 and 150 a K = 4000 5 ns Rabi row took 12.4, 12.5 and
-# 12.5 ms, a Ramsey row 19.1, 18.2 and 18.1 ms, and the 200-candidate
-# design grid at K = 1500 62.6, 60.5 and 59.1 ms.
+# blocks of 100, 128 and 150 a K = 4000 5 ns Rabi row took 13.8, 14.2 and
+# 13.7 ms, a Ramsey row 19.9, 19.3 and 19.4 ms, and the 200-candidate
+# design grid at K = 1500 63.9, 61.0 and 60.9 ms.
 _SURVIVAL_BLOCK = 150
 
 
@@ -454,42 +451,30 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-_POOL = None  # (workers, executor) of fan_out's kept pool
-_POOL_LOCK = threading.Lock()
-_POOL_NAME = "nvbed-fan-out"
-
-
 def fan_out(run, units) -> None:
     """``run(units[t::n])`` for t < n = min(:func:`usable_cores`,
-    len(units)): the calling thread runs ``units[0::n]`` and workers of a
-    kept pool the other shares; with n = 1, or on a worker of that pool,
-    the calling thread runs them all.  An exception in any share is raised
-    here, once every share has ended.
+    len(units)): the calling thread runs ``units[0::n]`` and a pool of
+    n - 1 workers the other shares; with n = 1 no pool starts.  An
+    exception in any share is raised here.
 
-    The pool's usable_cores() - 1 workers live as long as the process, or
-    until that count changes, and keep their :func:`thread_buffer`.  The
-    calling thread takes a share: on workers only, offline_wide
-    peak_rss_mb rose to 55.1-55.2 MB from 53.0-53.4 MB (single 20 s
-    perfbench runs, 2-core host).  Each thread assumes one BLAS thread.
+    The calling thread takes a share: on workers only, offline_wide
+    peak_rss_mb rose to 55.1-55.2 MB from 53.0-53.4 MB and setup_s to
+    4.4-4.9 ms from 3.8-4.2 ms (single 20 s perfbench runs, seed 2101,
+    2-core host).  A pool kept for the life of the process, whose workers
+    keep their :func:`thread_buffer`, read offline_wide s_per_experiment
+    0.0359 against 0.0380 s, better in 8 of 10 alternating 55 s pairs and
+    inside the quartiles (0.0339-0.0429 s), so each call starts its own.
+    Each thread assumes one BLAS thread (:mod:`nvbed.cli`).
     """
-    global _POOL
-    cores = usable_cores()
-    threads = max(1, min(cores, len(units)))
-    if threads == 1 or threading.current_thread().name.startswith(_POOL_NAME):
+    threads = max(1, min(usable_cores(), len(units)))
+    if threads == 1:
         run(units)
         return
-    with _POOL_LOCK:
-        if _POOL is None or _POOL[0] != cores - 1:
-            if _POOL is not None:
-                _POOL[1].shutdown(wait=False)
-            _POOL = cores - 1, ThreadPoolExecutor(cores - 1, _POOL_NAME)
-        shares = [_POOL[1].submit(run, units[t::threads]) for t in range(1, threads)]
-    try:
+    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+        shares = [pool.submit(run, units[t::threads]) for t in range(1, threads)]
         run(units[::threads])
-    finally:
-        wait(shares)
-    for share in shares:
-        share.result()
+        for share in shares:
+            share.result()
 
 
 def _coefficients(spins: np.ndarray, drive_freq: float) -> np.ndarray:
@@ -508,19 +493,13 @@ def _coefficients(spins: np.ndarray, drive_freq: float) -> np.ndarray:
     return coeffs.reshape(3 * k, 4)
 
 
-def _propagators(coeffs: np.ndarray) -> tuple:
-    """(order, tails): exp(c @ _R_TERMS) for the (m, 4) rows c, in squaring
-    order (:func:`_squared_taylor`), and the order of the rows.  Squarings
-    come from the bound |c| @ ``_TERM_NORMS`` on the 1-norm, which can only
-    add some (Al-Mohy and Higham 2009): on the wide prior it was a median
-    1.15 times the norm, and added one to 12-23% of 5-100 ns pulses."""
-    m = len(coeffs)
-    powers, terms = np.split(thread_buffer(9 * m * 64).reshape(9, m, 8, 8), [4])
-    order, squarings = _squaring_order(np.abs(coeffs) @ _TERM_NORMS)
-    scaled = coeffs[order]
-    scaled *= np.ldexp(1.0, -squarings)[:, None]
-    np.matmul(scaled, _R_TERMS, out=powers[0].reshape(m, 64))
-    return order, _squared_taylor(powers, terms, squarings)
+def _propagators(coeffs: np.ndarray) -> np.ndarray:
+    """exp(c @ _R_TERMS) for the (m, 4) rows c, as an (m, 8, 8) stack.  The
+    squarings come from the bound |c| @ ``_TERM_NORMS`` on each 1-norm: on
+    the wide prior it was a median 1.15 times the norm, and added one to
+    12-23% of 5-100 ns pulses."""
+    blocks = (coeffs @ _R_TERMS).reshape(-1, 8, 8)
+    return expm(blocks, np.abs(coeffs) @ _TERM_NORMS)
 
 
 def _steps(times: np.ndarray) -> tuple:
@@ -552,23 +531,13 @@ def _survival_rabi_family(coeffs: np.ndarray, steps: list) -> np.ndarray:
 
     Each power of the step's block propagator E = exp(step R8) advances the
     8-vector column d of the previous power; the branch's survival at that
-    power is 1/3 + (2/3) E^m[d, d] (module docstring).  A single power
-    takes only E[d, d] out of squaring order; a grid of them takes all of
-    E, fewer entries than its rows of the table.
+    power is 1/3 + (2/3) E^m[d, d] (module docstring).
     """
     m = len(coeffs)
     out = np.empty((sum(len(reads) for _, reads in steps), m))
     row = 0
     for step, reads in steps:
-        order, tails = _propagators(coeffs * step)
-        if reads == [1]:
-            for at, props in tails:
-                out[row, order[at]] = props[:, _D, _D]
-            row += 1
-            continue
-        prop = np.empty((m, 8, 8))
-        for at, props in tails:
-            prop[order[at]] = props
+        prop = _propagators(coeffs * step)
         state, power = prop[:, :, _D, None], 1
         for read in reads:
             for power in range(power + 1, read + 1):
@@ -606,14 +575,10 @@ def _ramsey_terms(coeffs: np.ndarray, pulse_time: float) -> tuple:
     generator's entry, from the coefficients; c sums w over the
     populations.  Row 4 of U holds _P0_I on B_0 and _P0_D on B_2, so with E
     the 8x8 block propagator P[:, 4] = U (_P0_I, _P0_D E[:, d]) and P[4, :]
-    is the conjugate of the same with row d of E, the only entries taken
-    out of squaring order.
+    is the conjugate of the same with row d of E.
     """
-    order, tails = _propagators(coeffs * pulse_time)
-    ends = np.empty((2, len(coeffs), 8))
-    for at, props in tails:
-        ends[0, order[at]] = props[:, :, _D]
-        ends[1, order[at]] = props[:, _D, :]
+    prop = _propagators(coeffs * pulse_time)
+    ends = np.stack([prop[:, :, _D], prop[:, _D, :]])
     col, row = _WAIT_PROJECTION @ ends.transpose(0, 2, 1)
     const = ((1.0 / 3.0 + row[:3]) * (1.0 / 3.0 + col[:3])).sum(axis=0)
     weights = (row[3:6] - 1j * row[6:]) * (col[3:6] + 1j * col[6:])

@@ -141,6 +141,25 @@ class TestExpm:
         assert err.max() <= 1e-12
         assert not np.isfinite(out[1]).all() and not np.isfinite(out[3]).all()
 
+    def test_a_bound_on_each_norm_only_adds_squarings(self):
+        # the survival kernel takes squarings from bounds up to several
+        # times the 1-norm; a matrix bounded by nan or inf, as a non-finite
+        # matrix is, takes none and leaves the others exact
+        rng = np.random.default_rng(60)
+        norms = np.repeat(NORMS[:-1], 10)
+        stack = scaled_to_norms(rng.normal(size=(len(norms), 9, 9)), norms)
+        bounds = norms * rng.uniform(1.0, 8.0, size=len(norms))
+        err = relative_frobenius(qutrit.expm(stack, bounds), scipy_expm(stack))
+        assert err.max() <= 1e-12
+        stack[[4, 31], 2, 6] = np.nan, np.inf
+        bounds[[4, 31]] = np.nan, np.inf
+        with np.errstate(invalid="ignore"):
+            out = qutrit.expm(stack, bounds)
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        err = relative_frobenius(out[finite], scipy_expm(stack[finite]))
+        assert err.max() <= 1e-12
+        assert not np.isfinite(out[~finite]).all(axis=(1, 2)).any()
+
     def test_the_five_product_form_is_the_degree_18_taylor_polynomial(self):
         # the only check on where _COEF18 came from: expanded exactly as a
         # scalar polynomial, T18 = B2 + (B3 + A9) A9 with A9 = B1 B5 + B4
@@ -475,47 +494,6 @@ class TestFanOut:
 
         with pytest.raises(ValueError, match=f"share of unit {failing}"):
             qutrit.fan_out(run, range(4))
-
-    def test_the_pool_is_kept_until_the_core_count_changes(self, monkeypatch):
-        # the workers, and with them their scratch buffers, outlive a call;
-        # each share waits for the others, so that every worker takes one
-        def workers(n_cores):
-            cores(monkeypatch, n_cores)
-            ran, barrier = [], threading.Barrier(n_cores)
-
-            def run(share):
-                ran.append(threading.current_thread())
-                barrier.wait(timeout=30)
-
-            qutrit.fan_out(run, range(8))
-            return {t for t in ran if t is not threading.current_thread()}
-
-        first = workers(2)
-        assert len(first) == 1 and workers(2) == first
-        rebuilt = workers(3)
-        assert len(rebuilt) == 2 and rebuilt.isdisjoint(first)
-        assert workers(3) == rebuilt
-
-    def test_a_share_that_fans_out_runs_it_on_its_own_thread(self, monkeypatch):
-        # a worker that waited on shares of its own could wait on itself
-        cores(monkeypatch, 2)
-        ran = []
-
-        def inner(share):
-            ran.extend((threading.current_thread(), u) for u in share)
-
-        def outer(share):
-            for unit in share:
-                qutrit.fan_out(inner, range(10 * unit, 10 * unit + 4))
-
-        call = threading.Thread(
-            target=qutrit.fan_out, args=(outer, range(2)), daemon=True
-        )
-        call.start()
-        call.join(timeout=30)
-        assert not call.is_alive()
-        assert sorted(u for _, u in ran) == [0, 1, 2, 3, 10, 11, 12, 13]
-        assert len({t for t, u in ran if u >= 10}) == 1
 
 
 def test_a_subset_of_a_grid_takes_the_grid_step():
