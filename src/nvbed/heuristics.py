@@ -87,54 +87,48 @@ class SurvivalTableCache:
     copy of the spin block its entries belong to, and an entry is valid
     exactly while the caller's spin columns equal that copy, so clouds that
     share a lineage, a copy or nothing at all never see each other's
-    entries.  Design fills the cache through :meth:`table`, at the particles
-    its draws read; the Bayes update takes the executed configuration's
-    whole row through :meth:`row`, which simulates only the entries design
-    left out.  :meth:`lookup` is a pure read that answers only for a whole
-    row.
+    entries.  Each pulse shape has one row over the spin block, nan wherever
+    no entry is held; the kernel never returns nan
+    (``qutrit._clamp_probability`` raises on it), so nan marks exactly the
+    entries not yet simulated.  Design fills the cache through
+    :meth:`table`, at the particles its draws read; the Bayes update takes
+    the executed configuration's whole row through :meth:`row`, which
+    simulates only the entries design left out.  :meth:`lookup` is a pure
+    read that answers only for a whole row.
     """
 
     def __init__(self):
         self._spins = None
-        self._rows = {}  # shape -> (row over the spin block, held mask)
+        self._rows = {}  # shape -> row over the spin block, nan where not held
 
     def _holds(self, spins: np.ndarray) -> bool:
         return self._spins is not None and np.array_equal(self._spins, spins)
 
-    def _fill(self, spins: np.ndarray, configs: list, at) -> None:
-        """Simulate the entries of ``configs`` at the particles ``at`` that
-        are not held, in one :func:`qutrit.survival_table` call over the
-        shapes that lack any of them and the particles that any lacks."""
+    def _fill(self, spins: np.ndarray, configs: list, at) -> np.ndarray:
+        """The rows of ``configs`` at the particles ``at``, after one
+        :func:`qutrit.survival_table` call has simulated every entry they lack,
+        over the shapes that lack any and the particles that any lacks."""
         if not self._holds(spins):
             self._spins = np.array(spins)
             self._rows = {}
         k = len(self._spins)
-        missing = {}
         for c in configs:
             if c.shape not in self._rows:
-                self._rows[c.shape] = (np.empty(k), np.zeros(k, dtype=bool))
-            if not self._rows[c.shape][1][at].all():
-                missing[c.shape] = c
-        if not missing:
-            return
-        lacking = np.zeros(k, dtype=bool)
-        for shape in missing:
-            lacking[at] |= ~self._rows[shape][1][at]
-        cols = np.flatnonzero(lacking)
-        fresh = qutrit.survival_table(self._spins[cols], list(missing.values()))
-        for shape, values in zip(missing, fresh):
-            entries, held = self._rows[shape]
-            new = ~held[cols]
-            entries[cols[new]] = values[new]
-            held[cols] = True
-
-    def _whole(self, spins: np.ndarray, config: ExperimentConfig):
-        entry = self._rows.get(config.shape) if self._holds(spins) else None
-        if entry is None or not entry[1].all():
-            return None
-        view = entry[0].view()
-        view.setflags(write=False)
-        return view
+                self._rows[c.shape] = np.full(k, np.nan)
+        rows = [self._rows[c.shape] for c in configs]
+        table = np.stack([row[at] for row in rows])
+        lacks = np.isnan(table)
+        missing = {c.shape: c for c, m in zip(configs, lacks.any(axis=1)) if m}
+        if missing:
+            lacking = np.zeros(k, dtype=bool)
+            lacking[at] = lacks.any(axis=0)  # a repeated particle lacks alike
+            cols = np.flatnonzero(lacking)
+            fresh = qutrit.survival_table(self._spins[cols], list(missing.values()))
+            for shape, values in zip(missing, fresh):
+                had = self._rows[shape][cols]
+                self._rows[shape][cols] = np.where(np.isnan(had), values, had)
+            table = np.stack([row[at] for row in rows])
+        return table
 
     def table(self, spins: np.ndarray, configs: list, particles=None) -> np.ndarray:
         """(len(configs), len(particles)) survival table over the (K, 5) spin
@@ -144,21 +138,25 @@ class SurvivalTableCache:
         spin block drops every entry.
         """
         at = slice(None) if particles is None else np.asarray(particles, dtype=np.intp)
-        self._fill(spins, configs, at)
-        return np.stack([self._rows[c.shape][0][at] for c in configs])
+        return self._fill(spins, configs, at)
 
     def lookup(self, spins: np.ndarray, config: ExperimentConfig):
         """Survival row of this pulse shape over the (K, 5) spin block, read
         only, if every particle's entry is held; otherwise None."""
-        return self._whole(spins, config)
+        row = self._rows.get(config.shape) if self._holds(spins) else None
+        if row is None or np.isnan(row).any():
+            return None
+        view = row.view()
+        view.setflags(write=False)
+        return view
 
     def row(self, spins: np.ndarray, config: ExperimentConfig) -> np.ndarray:
         """The whole survival row, read only: :meth:`lookup`'s row, or, when
         that misses, the row after one simulation of the entries not held."""
         whole = self.lookup(spins, config)
         if whole is None:
-            self._fill(spins, [config], slice(None))
-            whole = self._whole(spins, config)
+            whole = self._fill(spins, [config], slice(None))[0]
+            whole.setflags(write=False)
         return whole
 
 
@@ -168,8 +166,10 @@ class Heuristic:
 
     Every policy takes the same grid sizes, so one registry can size them
     all; Ramsey sweeps use only the Ramsey grid.  Grids are driven at
-    ``qutrit.ZFS_MHZ``.  ``cache`` holds the survival entries the policy
-    simulated, for the Bayes update to read back and complete.
+    ``qutrit.ZFS_MHZ``.  ``cache`` is the one store of survival entries that
+    design and update share: the online policies fill it, and the harness
+    hands its :meth:`SurvivalTableCache.row` to :func:`smc.bayes_update`,
+    which completes the executed configuration's row from it.
     """
 
     rabi_m: int = 100

@@ -652,8 +652,3 @@ def survival_table(spins: np.ndarray, configs: list) -> np.ndarray:
         slice(lo, lo + _SURVIVAL_BLOCK) for lo in range(0, k, _SURVIVAL_BLOCK)
     ])
     return _clamp_probability(out, "survival_table")
-
-
-def survival_probabilities(spins: np.ndarray, config: ExperimentConfig) -> np.ndarray:
-    """Survival probability of a single configuration for each hypothesis row."""
-    return survival_table(spins, [config])[0]

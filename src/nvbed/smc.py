@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measurement import Datum, EsmInputs, ReferenceRates, esm, log_likelihood
-from .qutrit import ExperimentConfig, SpinParams, survival_probabilities
+from .qutrit import ExperimentConfig, SpinParams
 
 N_PARAMS = 10
 SPIN_SLICE = slice(0, 5)
@@ -391,18 +391,17 @@ def bayes_update(
     datum: Datum,
     config: ExperimentConfig,
     rng: np.random.Generator,
-    survival_fn=None,
+    survival_fn,
 ) -> tuple:
     """Multiply particle weights by the datum likelihood and renormalize.
 
-    ``survival_fn(spin_locations, config) -> p`` evaluates the quantum model
-    over particles; the default is the exact batched simulator.  Returns
+    ``survival_fn(spin_locations, config) -> p`` gives the quantum model's
+    survival probability of every particle; the harness passes its policy's
+    ``SurvivalTableCache.row``, so inference itself simulates nothing.  Returns
     ``(cloud, UpdateReport)``; raises :class:`DegenerateUpdateError` when all
     weights underflow even after retrying with a finer tempering schedule.
     The schedule is ``ESM_PER_STEP``, ``RESAMPLE_THRESHOLD``, ``LIU_WEST_A``.
     """
-    if survival_fn is None:
-        survival_fn = survival_probabilities
     datum_esm = expected_esm(cloud, datum.repetitions)
     m = max(1, math.ceil(datum_esm / ESM_PER_STEP))
     try:

@@ -4,7 +4,8 @@
   the sampled outcome particles themselves (O(K'^2) likelihood
   evaluations); it cross-checks the MIS estimator of ``nvbed.risk``.
 * :func:`bayes_update_sequence` folds :func:`nvbed.smc.bayes_update` over a
-  batch of data; it checks the chain rule.
+  batch of data, each update weighing the particles by ``survival_fn``,
+  which it needs as ``bayes_update`` does; it checks the chain rule.
 * :func:`build_hamiltonian`, :func:`lindblad_generator` and
   :func:`lindblad_propagator` are one branch's rotating-frame Hamiltonian,
   its complex column-stacking generator and that generator's propagator;
@@ -278,7 +279,7 @@ def stacked_mis_risk(draws, config, rng, p):
     )
 
 
-def bayes_update_sequence(cloud, data, configs, rng, survival_fn=None):
+def bayes_update_sequence(cloud, data, configs, rng, survival_fn):
     """Update on a batch of data jointly.
 
     By the chain rule the joint update is the composition of the single-datum

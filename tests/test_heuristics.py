@@ -313,7 +313,7 @@ class TestSurvivalTableCache:
         cache.table(cloud.spin_locations, self.grid())
         for config in self.grid(repetitions=7):
             row = cache.lookup(cloud.spin_locations, config)
-            exact = qutrit.survival_probabilities(cloud.spin_locations, config)
+            exact = qutrit.survival_table(cloud.spin_locations, [config])[0]
             assert np.allclose(row, exact, rtol=0.0, atol=1e-12)
 
     def test_changed_spin_columns_miss(self):

@@ -4,9 +4,10 @@
 exponentials of normal matrices; the kernel's 8x8 traceless blocks against
 the complex generators of ``tests/oracles.py``; ``survival_table`` against
 the SciPy segment path there, and its blocks and threads against the
-family kernels run on one thread; ``qutrit.fan_out``, which spreads the
-kernels' work over the cores, by the units each thread runs; hypothesis
-drives the physical invariants of the propagator.
+family kernels run on one thread, and its sign symmetries at the centre
+drive; ``qutrit.fan_out``, which spreads the kernels' work over the cores,
+by the units each thread runs; hypothesis drives the physical invariants of
+the propagator.
 """
 
 import math
@@ -14,6 +15,7 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,7 +25,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
 
-from nvbed import qutrit, risk
+from nvbed import qutrit, risk, smc
+from nvbed.heuristics import experiment_set_rabi, experiment_set_ramsey
 from nvbed.qutrit import (
     ExperimentConfig,
     SpinParams,
@@ -344,6 +347,43 @@ class TestSurvivalAgainstScipy:
             ExperimentConfig("rabi", pulse_time=t) for t in (10.0, 20.0, 20.0, 30.0)
         ]
         self.check(configs, 97)
+
+
+class TestSignSymmetry:
+    """Every design candidate drives at ``qutrit.ZFS_MHZ``, and there the
+    table does not see the sign of zfs_offset, zeeman or hyperfine: a
+    posterior over them is exactly mirror-symmetric, which is what a fold
+    onto one sign would rest on.  One MHz off the centre the zfs_offset
+    mirror breaks, so the fold holds only for centre-driven candidates."""
+
+    SPINS = random_spins(np.random.default_rng(9), 50)
+    # the design's grids: 5-500 ns pulses, and 20-2000 ns waits at 22 ns
+    GRID = experiment_set_rabi(500.0, 100) + experiment_set_ramsey(22.0, 2000.0, 100)
+
+    @staticmethod
+    def flipped(spins, column):
+        out = spins.copy()
+        out[:, column] *= -1.0
+        return out
+
+    @pytest.mark.parametrize(
+        "column",
+        [smc.IDX_ZFS, smc.IDX_ZEEMAN, smc.IDX_HYPERFINE],
+        ids=["zfs_offset", "zeeman", "hyperfine"],
+    )
+    def test_the_centre_drive_sees_no_sign(self, column):
+        table = survival_table(self.SPINS, self.GRID)
+        mirror = survival_table(self.flipped(self.SPINS, column), self.GRID)
+        np.testing.assert_allclose(mirror, table, rtol=0, atol=1e-13)
+
+    def test_an_offset_drive_sees_the_sign_of_zfs_offset(self):
+        grid = [
+            replace(c, drive_frequency=qutrit.ZFS_MHZ + 1.0) for c in self.GRID
+        ]
+        table = survival_table(self.SPINS, grid)
+        mirror = survival_table(self.flipped(self.SPINS, smc.IDX_ZFS), grid)
+        # every hypothesis moves somewhere on the grid, by 0.006 at the least
+        assert np.all(np.abs(mirror - table).max(axis=0) > 1e-3)
 
 
 class TestSurvivalBlocks:

@@ -10,7 +10,6 @@ from nvbed.qutrit import (
     SZ,
     ExperimentConfig,
     SpinParams,
-    survival_probabilities,
     survival_probability,
     survival_table,
 )
@@ -236,7 +235,7 @@ class TestBatchedEvaluation:
             ExperimentConfig("rabi", pulse_time=137.0),
             ExperimentConfig("ramsey", pulse_time=22.0, wait_time=640.0),
         ):
-            batch = survival_probabilities(spins, cfg)
+            batch = survival_table(spins, [cfg])[0]
             for i in range(spins.shape[0]):
                 scalar = survival_probability(SpinParams(*spins[i]), cfg)
                 assert batch[i] == pytest.approx(scalar, abs=1e-10)

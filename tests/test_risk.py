@@ -880,9 +880,12 @@ def posterior_cloud(k, seed):
     refs = ReferenceRates(truth[IDX_ALPHA], truth[IDX_BETA])
     for t in (40.0, 120.0, 260.0):
         config = ExperimentConfig("rabi", pulse_time=t, repetitions=5000)
-        p = qutrit.survival_probabilities(cloud.spin_locations[:1], config)[0]
+        p = qutrit.survival_table(cloud.spin_locations[:1], [config])[0, 0]
         datum = sample_datum(p, refs, config.repetitions, rng)
-        cloud, _ = smc.bayes_update(cloud, datum, config, rng)
+        cloud, _ = smc.bayes_update(
+            cloud, datum, config, rng,
+            lambda spins, config: qutrit.survival_table(spins, [config])[0],
+        )
     return cloud
 
 

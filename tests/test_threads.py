@@ -3,7 +3,9 @@
 ``qutrit.fan_out`` is the only code that spreads computation over the cores,
 and ``harness.run_trial`` runs the lab on a thread of its own (the
 pipeline); no other code builds an executor.  Every thread's scratch arrays
-come from the one ``threading.local`` of ``qutrit.thread_buffer``.
+come from the one ``threading.local`` of ``qutrit.thread_buffer``.  Only
+the survival cache and the lab's truth call the simulator, so design and
+update share every simulated entry.
 """
 
 import ast
@@ -43,3 +45,11 @@ def test_executors_are_built_only_by_the_fan_out_and_the_lab_pipeline():
 
 def test_one_thread_local_holds_every_scratch_buffer():
     assert calls("local") == ["qutrit"]
+
+
+def test_only_the_cache_and_the_lab_simulate():
+    assert sorted(calls("survival_table")) == [
+        "heuristics.SurvivalTableCache._fill",
+        "qutrit.survival_probability",
+    ]
+    assert calls("survival_probability") == ["lab.TrueSystem.execute"]
