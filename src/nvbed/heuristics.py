@@ -130,15 +130,14 @@ class SurvivalTableCache:
             table = np.stack([row[at] for row in rows])
         return table
 
-    def table(self, spins: np.ndarray, configs: list, particles=None) -> np.ndarray:
+    def table(self, spins: np.ndarray, configs: list, particles) -> np.ndarray:
         """(len(configs), len(particles)) survival table over the (K, 5) spin
-        block, at the particle indices ``particles``; None means all K.
+        block, at the particle indices ``particles``, ``np.arange(K)`` for all.
 
         Only entries not yet held for this spin block are simulated; a new
         spin block drops every entry.
         """
-        at = slice(None) if particles is None else np.asarray(particles, dtype=np.intp)
-        return self._fill(spins, configs, at)
+        return self._fill(spins, configs, np.asarray(particles, dtype=np.intp))
 
     def lookup(self, spins: np.ndarray, config: ExperimentConfig):
         """Survival row of this pulse shape over the (K, 5) spin block, read

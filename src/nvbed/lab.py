@@ -50,8 +50,10 @@ from .smc import DriftParams, ModelParameters
 
 PROTOCOL_VERSION = 1
 IDLE_TIMEOUT_S = 600.0
-# relative standard deviation of each reference after a refocus
+# relative standard deviation of each reference after a refocus, and the
+# smallest dark reference rate a drift or a refocus leaves
 REFOCUS_SIGMA = 0.01
+REF_FLOOR = 1e-9
 # Per-shot pulse-sequence timings (ns): the preparation laser, settling, each
 # of the three measurement windows and the adiabatic dark-reference transfer.
 # Invented values; real setups calibrate them independently.
@@ -171,10 +173,8 @@ class TrueSystem:
         self.tracking_count += 1
 
 
-def _reflect_refs(alpha: float, beta: float, floor: float = 1e-9) -> tuple:
-    beta = abs(beta)
-    if beta < floor:
-        beta = floor
+def _reflect_refs(alpha: float, beta: float) -> tuple:
+    beta = max(abs(beta), REF_FLOOR)
     if alpha < beta:
         alpha = 2.0 * beta - alpha
     if alpha <= beta:
@@ -301,11 +301,11 @@ def serve(bind_address: str, system: TrueSystem) -> None:
 
 
 def _parse_address(address: str) -> tuple:
-    if address.startswith("tcp://"):
-        address = address[len("tcp://"):]
-    host, _, port = address.rpartition(":")
-    if not host:
-        raise ValueError(f"address must look like host:port, got {address!r}")
+    """(host, port) of ``[tcp://]host:port``, the port an integer in 0-65535:
+    ``getaddrinfo`` would take a larger one modulo 65536, as another port."""
+    host, _, port = address.removeprefix("tcp://").rpartition(":")
+    if not (host and port.isdecimal() and int(port) <= 65535):
+        raise ValueError(f"address must be host:port, port 0-65535; got {address!r}")
     return host, int(port)
 
 

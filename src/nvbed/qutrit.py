@@ -326,18 +326,18 @@ def _taylor_exp(powers: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return b2
 
 
-def expm(stack: np.ndarray, norms=None) -> np.ndarray:
+def expm(stack: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """Matrix exponential of every matrix in a real (..., n, n) stack.
 
     Scaling and squaring: each matrix is scaled by 2^-s to 1-norm at most
     ``_THETA``, its degree-18 Taylor polynomial is evaluated in five
-    products, and the result is squared s times.  s is chosen per matrix,
-    from its 1-norm or from an upper bound on it given as ``norms`` (one per
-    matrix), which can only add squarings (Al-Mohy and Higham 2009);
-    matrices are sorted by s so that every squaring round acts on a leading
-    slice of the stack.  A nan or inf norm takes no squarings, so a matrix
-    with a nan or inf entry comes out non-finite and leaves the others as
-    they would be without it.
+    products, and the result is squared s times.  s is chosen per matrix
+    from ``norms`` (shape ``stack.shape[:-2]``), each the matrix's 1-norm or
+    an upper bound on it; a bound can only add squarings (Al-Mohy and
+    Higham 2009).  Matrices are sorted by s so that every squaring round
+    acts on a leading slice of the stack.  A nan or inf norm takes no
+    squarings, so a matrix with a nan or inf entry comes out non-finite and
+    leaves the others as they would be without it.
     """
     a = np.asarray(stack, dtype=float)
     n = a.shape[-1]
@@ -346,13 +346,6 @@ def expm(stack: np.ndarray, norms=None) -> np.ndarray:
     if not m:
         return np.empty(a.shape)
     powers, terms = np.split(thread_buffer(9 * m * n * n).reshape(9, m, n, n), [4])
-    if norms is None:
-        # column sums by a GEMM against a 0/1 selector, laid out (n, m) so
-        # that the largest is taken along the long axis: on 768 8x8
-        # matrices a max over axis 1 took 54 us against 9 us (2-core x86
-        # host)
-        magnitudes = np.abs(flat, out=terms[0]).reshape(m, n * n)
-        norms = (np.tile(np.eye(n), n) @ magnitudes.T).max(axis=0)
     # a non-finite matrix takes no squarings: its exponential is non-finite
     # anyway, and its nan or inf count, cast to an integer, would stop the
     # squaring of every other matrix in the stack
@@ -378,13 +371,13 @@ def expm(stack: np.ndarray, norms=None) -> np.ndarray:
     return out.reshape(a.shape)
 
 
-def _clamp_probability(p, context: str):
-    """Clamp to [0, 1]; excursions beyond roundoff indicate an integration bug."""
+def _clamp_probability(p):
+    """Clamp a survival table to [0, 1]; a larger excursion is a kernel bug."""
     p = np.asarray(p)
     excess = max(float(np.max(p - 1.0, initial=0.0)), float(np.max(-p, initial=0.0)))
     if not excess <= 1e-6:  # a nan entry makes the excess nan
         raise SimulationAccuracyError(
-            f"{context}: probability left [0, 1] by {excess:.3e}"
+            f"survival_table: probability left [0, 1] by {excess:.3e}"
         )
     return np.clip(p, 0.0, 1.0)
 
@@ -651,4 +644,4 @@ def survival_table(spins: np.ndarray, configs: list) -> np.ndarray:
     fan_out(run, [
         slice(lo, lo + _SURVIVAL_BLOCK) for lo in range(0, k, _SURVIVAL_BLOCK)
     ])
-    return _clamp_probability(out, "survival_table")
+    return _clamp_probability(out)

@@ -9,21 +9,22 @@ O(K') outcome samples).
 
 The estimator is generic over an outcome model exposing
 
-    sample_counts(locations, config, rng) -> (n, c) count array
-    log_rates(locations, config) -> the candidate's likelihood factor over K
-        particles, formed once per candidate
+    sample_counts(locations, config, rng, p) -> (n, c) count array
+    log_rates(locations, config, p) -> the candidate's likelihood factor
+        over K particles, formed once per candidate
     log_likelihood_matrix(counts, log_rates, out=None) -> (n, K) float64
         table, written into ``out`` when one is given
 
-so that small analytically tractable models can stand in for the NV model
-in verification.  A table row may differ from the exact log-likelihood by
-a constant of that row, which the estimator's row-max shift cancels.  The
-estimator never holds the whole (n_outcomes, K) table: it asks for one
-block of outcome rows at a time, into its thread's scratch buffer
-(:func:`nvbed.qutrit.thread_buffer`), which it shifts and exponentiates in
-place.  The NV model (the referenced-Poisson triple of
-:mod:`nvbed.measurement`) also takes each particle's survival probability
-as ``p=``, from rows the caller supplies.
+where ``p`` holds each particle's survival probability under the candidate,
+so that small analytically tractable models, which may ignore ``p``, can
+stand in for the NV model in verification.  A table row may differ from the
+exact log-likelihood by a constant of that row, which the estimator's
+row-max shift cancels.  The estimator never holds the whole (n_outcomes, K)
+table: it asks for one block of outcome rows at a time, into its thread's
+scratch buffer (:func:`nvbed.qutrit.thread_buffer`), which it shifts and
+exponentiates in place.  The NV model (the referenced-Poisson triple of
+:mod:`nvbed.measurement`) forms its rates from ``p``, sliced from rows the
+caller supplies.
 
 Every estimate is one :func:`mis_risk` call on one :class:`SharedDraws`:
 :func:`draw_shared` takes the outcome ancestors, then the inner set with
@@ -141,22 +142,16 @@ class NvModel:
     outcome rows.
     """
 
-    def _rates(self, locations, config, p=None):
-        if p is None:
-            raise ValueError(
-                "NvModel needs the survival probabilities p of these particles; "
-                "pass the candidate's row at the drawn particles as p (mis_risk) "
-                "or the rows as p_table (risk_profile)"
-            )
+    def _rates(self, locations, config, p):
         return measurement.expected_counts(
             locations[:, IDX_ALPHA], locations[:, IDX_BETA], p, config.repetitions
         )
 
-    def sample_counts(self, locations, config, rng, p=None) -> np.ndarray:
+    def sample_counts(self, locations, config, rng, p) -> np.ndarray:
         # every X, then every Y, then every Z, as rows of (X, Y, Z)
         return rng.poisson(self._rates(locations, config, p)).T
 
-    def log_rates(self, locations, config, p=None) -> np.ndarray:
+    def log_rates(self, locations, config, p) -> np.ndarray:
         """(4, K) rows [log rates; -rate sum] of these particles."""
         return measurement.log_rate_rows(self._rates(locations, config, p))
 
@@ -213,12 +208,12 @@ def _moment_columns(weights, locations, q):
     return q_block, columns, floor
 
 
-def _weighted_variance_terms(log_table, q_block, columns, floor=None):
+def _weighted_variance_terms(log_table, q_block, columns, floor):
     """Per-outcome Tr[Q Cov(posterior)] without materializing normalized
     weight rows.
 
     Consumes the float64 ``log_table``: each row is shifted by its maximum,
-    raised to ``floor`` when one is given and exponentiated in place.  The
+    raised to ``floor`` unless it is None and exponentiated in place.  The
     normalizer and the first and second moments come from one product of
     the exponentiated table with the moment ``columns``; ``q_block``,
     ``columns`` and ``floor`` are those of :func:`_moment_columns`.
@@ -276,12 +271,6 @@ def _downsample(cloud: ParticleCloud, k: int, rng):
     return idx, np.full(k, 1.0 / k)
 
 
-def _rows(p, idx) -> dict:
-    """The entries ``idx`` of the survival row ``p`` as the model's ``p=``
-    keyword, or nothing for models that take no rows."""
-    return {} if p is None else {"p": p[idx]}
-
-
 class SharedDraws:
     """The random draws that the candidates of one design share.
 
@@ -312,7 +301,7 @@ class SharedDraws:
         self._block = _block_rows(self.n_inner)
         self._workspace_size = max(self._block * self.n_inner, _MIS_BLOCK_BYTES // 8)
 
-    def terms(self, model, config, rng, p=None) -> tuple:
+    def terms(self, model, config, rng, p) -> tuple:
         """Per-outcome posterior terms and kept mask of one candidate, whose
         counts at the shared outcome ancestors come from ``rng`` and whose
         survival row at :attr:`particles` is ``p``.
@@ -322,10 +311,8 @@ class SharedDraws:
         thread's workspace, whose moments are taken before the next block is
         formed.  The table and its moments are float64 throughout.
         """
-        counts = model.sample_counts(
-            self.outcomes, config, rng, **_rows(p, self._outcome_at)
-        )
-        log_rates = model.log_rates(self.inner, config, **_rows(p, self._inner_at))
+        counts = model.sample_counts(self.outcomes, config, rng, p[self._outcome_at])
+        log_rates = model.log_rates(self.inner, config, p[self._inner_at])
         n_inner, rows = self.n_inner, self._block
         buffer = thread_buffer(self._workspace_size)
         terms = np.empty(self.n_outcomes)
@@ -356,7 +343,7 @@ def draw_shared(
 
 
 def mis_risk(
-    draws: SharedDraws, config, rng: np.random.Generator, model=None, p=None
+    draws: SharedDraws, config, rng: np.random.Generator, p, model=None
 ) -> RiskEstimate:
     """Maximum-importance-sampling estimate of the Bayes risk of ``config``
     on the shared ``draws`` of :func:`draw_shared`.
@@ -364,13 +351,13 @@ def mis_risk(
     Outcomes are drawn from the marginal predictive (via the joint): the
     draws' outcome ancestors, each with its Poisson counts from ``rng``.
     Each outcome reweights the draws' inner set, and the risk is the mean
-    Q-weighted posterior variance over outcomes.  ``p`` carries the survival
-    probability of every particle the draws read (``draws.particles``), in
-    that order, and a row of another length is refused.  The NV model
-    requires it, and outcome models that take no rows are called without it.
+    Q-weighted posterior variance over outcomes.  ``p`` carries the
+    survival probability of every particle the draws read
+    (``draws.particles``), in that order; a row of another length is
+    refused.  ``model`` is the outcome model, :class:`NvModel` when None.
     """
-    p = None if p is None else np.asarray(p)
-    if p is not None and len(p) != len(draws.particles):
+    p = np.asarray(p)
+    if len(p) != len(draws.particles):
         raise ValueError(
             f"a survival row of {len(p)} entries is not at the "
             f"{len(draws.particles)} drawn particles"
@@ -434,8 +421,8 @@ def risk_profile(
     rng: np.random.Generator,
     n_outcomes: int,
     n_particles: int,
+    p_table,
     model=None,
-    p_table=None,
 ) -> list:
     """Risk of every candidate against the same cloud snapshot: one stage
     of a design.
@@ -447,8 +434,8 @@ def risk_profile(
     particles)`` returns the survival rows of ``configs`` at the particle
     indices ``particles``, as a bound
     :meth:`nvbed.heuristics.SurvivalTableCache.table` does; the profile
-    calls it once, after its draws, with the particles they read.  The NV
-    model requires it; models that take no rows leave it None.
+    calls it once, after its draws, with the particles they read.  ``model``
+    is the outcome model, :class:`NvModel` when None.
 
     Below ``_POOL_MIN_CELLS`` cells per table the candidates run on the
     calling thread; from there on :func:`nvbed.qutrit.fan_out` spreads
@@ -462,13 +449,13 @@ def risk_profile(
     model = model or NvModel()
     draws = draw_shared(cloud, q, n_outcomes, n_particles, rng)
     streams = rng.spawn(len(configs))
-    rows = p_table(configs, draws.particles) if p_table else [None] * len(configs)
+    rows = p_table(configs, draws.particles)
     estimates = [None] * len(configs)
 
     def run(share):
         for i in share:
             # the module global, so that a wrapped mis_risk sees every call
-            estimates[i] = mis_risk(draws, configs[i], streams[i], model, rows[i])
+            estimates[i] = mis_risk(draws, configs[i], streams[i], rows[i], model)
 
     if draws.n_outcomes * draws.n_inner < _POOL_MIN_CELLS:
         run(range(len(configs)))
@@ -528,8 +515,8 @@ def screened_profile(
     rng: np.random.Generator,
     n_outcomes: int,
     n_particles: int,
+    p_table,
     model=None,
-    p_table=None,
 ) -> tuple:
     """A design's profile and pick: a paired screen of every candidate, then
     the full :func:`risk_profile` of the survivors.

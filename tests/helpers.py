@@ -17,6 +17,12 @@ def serve_in_background(server):
     return thread
 
 
+def one_norms(stack):
+    """The 1-norm of each matrix of a real (..., n, n) stack, the bound
+    ``qutrit.expm`` takes its squarings from."""
+    return np.abs(stack).sum(axis=-2).max(axis=-1)
+
+
 def random_rows(configs, n_particles, seed):
     """A survival-row function ``rows(configs, particles)`` over random rows
     of ``n_particles`` entries, one row per pulse shape

@@ -76,6 +76,7 @@ from nvbed.risk import (
     _weighted_variance_terms,
 )
 from nvbed.smc import IDX_ALPHA, IDX_BETA, UpdateReport, bayes_update
+from helpers import one_norms
 
 
 def _posterior_weight_table(log_table, base_weights):
@@ -100,7 +101,8 @@ def brute_force_risk(cloud, config, q, n_outcomes, rng, model=None, p_full=None)
     Samples ``n_outcomes`` particles from the cloud, one datum from each, and
     averages the Q-weighted squared distance between the generating particle
     and the posterior mean computed over the sampled particle set itself.
-    ``p_full`` carries the survival probabilities of the whole cloud.
+    ``p_full`` carries the survival probabilities of the whole cloud; a
+    model that ignores them leaves it None and gets nan.
     """
     if n_outcomes < 2:
         raise ValueError("need at least two outcome samples")
@@ -108,11 +110,9 @@ def brute_force_risk(cloud, config, q, n_outcomes, rng, model=None, p_full=None)
     q = _check_q(q, cloud.locations.shape[1])
     idx = rng.choice(cloud.size, size=n_outcomes, p=cloud.weights)
     particles = cloud.locations[idx]
-    extra = {} if p_full is None else {"p": np.asarray(p_full)[idx]}
-    counts = model.sample_counts(particles, config, rng, **extra)
-    table = model.log_likelihood_matrix(
-        counts, model.log_rates(particles, config, **extra)
-    )
+    p = np.full(n_outcomes, np.nan) if p_full is None else np.asarray(p_full)[idx]
+    counts = model.sample_counts(particles, config, rng, p)
+    table = model.log_likelihood_matrix(counts, model.log_rates(particles, config, p))
     weights, kept = _posterior_weight_table(
         table, np.full(n_outcomes, 1.0 / n_outcomes)
     )
@@ -168,9 +168,9 @@ def whole_table_mis_risk(
     Outcomes are drawn from the marginal predictive (via the joint); each
     outcome reweights a fixed inner particle set, and the risk is the mean
     Q-weighted posterior variance over outcomes.  ``p_full`` carries the
-    survival probability of every particle of the cloud for ``config``; the
-    NV model requires it, and outcome models that take no rows are called
-    without it.  The table and its moments are float64 throughout.
+    survival probability of every particle of the cloud for ``config``; a
+    model that ignores it leaves it None and gets nan.  The table and its
+    moments are float64 throughout.
 
     It draws from ``rng`` in the order of ``nvbed.risk.draw_shared`` and
     then ``nvbed.risk.mis_risk`` on the one stream: the outcome ancestors,
@@ -183,13 +183,15 @@ def whole_table_mis_risk(
     q = _check_q(q, cloud.locations.shape[1])
     outcome_idx = rng.choice(cloud.size, size=n_outcomes, p=cloud.weights)
     inner_idx, inner_weights = _downsample(cloud, n_particles, rng)
-    p_full = None if p_full is None else np.asarray(p_full)
-    extra_out = {} if p_full is None else {"p": p_full[outcome_idx]}
-    counts = model.sample_counts(cloud.locations[outcome_idx], config, rng, **extra_out)
+    p_full = np.full(cloud.size, np.nan) if p_full is None else np.asarray(p_full)
+    counts = model.sample_counts(
+        cloud.locations[outcome_idx], config, rng, p_full[outcome_idx]
+    )
     inner = cloud.locations[inner_idx]
-    extra_in = {} if p_full is None else {"p": p_full[inner_idx]}
     table = np.asarray(
-        model.log_likelihood_matrix(counts, model.log_rates(inner, config, **extra_in)),
+        model.log_likelihood_matrix(
+            counts, model.log_rates(inner, config, p_full[inner_idx])
+        ),
         dtype=float,
     )
     terms, kept = _weighted_variance_terms(
@@ -345,7 +347,8 @@ def lindblad_propagator(
     if duration < 0:
         raise ValueError(f"duration must be >= 0, got {duration}")
     real = _real_image(lindblad_generator(params, drive_freq, nitrogen_mi, amplitude))
-    return qutrit._U @ qutrit.expm(duration * real[None])[0] @ qutrit._UH
+    scaled = duration * real[None]
+    return qutrit._U @ qutrit.expm(scaled, one_norms(scaled))[0] @ qutrit._UH
 
 
 def scipy_survival_probability(params, config):

@@ -254,7 +254,7 @@ class TestScreenedPick:
         class DropsTheFavourite(risk.NvModel):
             # a tenth of the favourite's outcomes, in the screen and at full
             # size, are ones no particle explains
-            def sample_counts(self, locations, config, rng, p=None):
+            def sample_counts(self, locations, config, rng, p):
                 counts = super().sample_counts(locations, config, rng, p)
                 if config == favourite:
                     counts[: -(-len(counts) // 10), 0] = -1
@@ -310,7 +310,7 @@ class TestSurvivalTableCache:
     def test_lookup_row_matches_single_config_simulation(self):
         cloud = inference_cloud(np.random.default_rng(14), k=120)
         cache = SurvivalTableCache()
-        cache.table(cloud.spin_locations, self.grid())
+        cache.table(cloud.spin_locations, self.grid(), np.arange(cloud.size))
         for config in self.grid(repetitions=7):
             row = cache.lookup(cloud.spin_locations, config)
             exact = qutrit.survival_table(cloud.spin_locations, [config])[0]
@@ -320,7 +320,7 @@ class TestSurvivalTableCache:
         cloud = inference_cloud(np.random.default_rng(15), k=80)
         cache = SurvivalTableCache()
         config = self.grid()[3]
-        cache.table(cloud.spin_locations, self.grid())
+        cache.table(cloud.spin_locations, self.grid(), np.arange(cloud.size))
         copy = cloud.copy()
         copy.locations[:, IDX_ALPHA] *= 1.1  # references are not part of the key
         assert cache.lookup(copy.spin_locations, config) is not None
@@ -338,9 +338,10 @@ class TestSurvivalTableCache:
             return real(spins, configs)
 
         monkeypatch.setattr(qutrit, "survival_table", counted)
-        cache.table(cloud.spin_locations, self.grid(tip=22.0))
-        table = cache.table(cloud.spin_locations, self.grid(tip=20.0))
-        cache.table(cloud.spin_locations, self.grid(tip=22.0))
+        every = np.arange(cloud.size)
+        cache.table(cloud.spin_locations, self.grid(tip=22.0), every)
+        table = cache.table(cloud.spin_locations, self.grid(tip=20.0), every)
+        cache.table(cloud.spin_locations, self.grid(tip=22.0), every)
         assert calls == [12, 6]
         assert np.array_equal(
             table, real(cloud.spin_locations, self.grid(tip=20.0))
@@ -373,7 +374,7 @@ class TestSurvivalTableCache:
         # held entries, in any order and repeated, need no simulation
         idx = [250, 3, 3, 120]
         assert np.array_equal(cache.table(spins, self.grid(), idx), full[:, idx])
-        assert np.array_equal(cache.table(spins, self.grid()), full)
+        assert np.array_equal(cache.table(spins, self.grid(), np.arange(300)), full)
         assert len(cells) == 2
 
     def test_held_entries_never_change(self):
@@ -396,7 +397,7 @@ class TestSurvivalTableCache:
         config, other = self.grid()[2], self.grid()[3]
         cache.table(spins, self.grid(), np.arange(150))
         assert cache.lookup(spins, config) is None
-        row = cache.table(spins, [config])[0]
+        row = cache.table(spins, [config], np.arange(300))[0]
         held = cache.lookup(spins, config)
         assert np.array_equal(held, row)
         assert not held.flags.writeable
@@ -421,7 +422,7 @@ class TestSurvivalTableCache:
     def test_an_in_place_spin_change_drops_every_entry(self, monkeypatch):
         cloud = inference_cloud(np.random.default_rng(22), k=80)
         cache = SurvivalTableCache()
-        cache.table(cloud.spin_locations, self.grid())
+        cache.table(cloud.spin_locations, self.grid(), np.arange(cloud.size))
         cloud.locations[5, IDX_RABI] += 1e-9
         cells = self.counted_cells(monkeypatch)
         assert cache.lookup(cloud.spin_locations, self.grid()[0]) is None

@@ -33,6 +33,7 @@ from nvbed.qutrit import (
     survival_probability,
     survival_table,
 )
+from helpers import one_norms
 from oracles import (
     lindblad_generator,
     lindblad_propagator,
@@ -49,8 +50,7 @@ def relative_frobenius(a, b):
 
 def scaled_to_norms(stack, norms):
     """Each matrix of ``stack`` scaled to the 1-norm in ``norms``."""
-    one_norms = np.abs(stack).sum(axis=-2).max(axis=-1)
-    return stack * (norms / one_norms)[:, None, None]
+    return stack * (norms / one_norms(stack))[:, None, None]
 
 
 def rotation_blocks(re, im, exp=False):
@@ -93,7 +93,20 @@ class TestExpm:
         rng = np.random.default_rng(51)
         norms = np.repeat(NORMS[:-1], 20)
         stack = scaled_to_norms(rng.normal(size=(len(norms), 9, 9)), norms)
-        err = relative_frobenius(qutrit.expm(stack), scipy_expm(stack))
+        err = relative_frobenius(
+            qutrit.expm(stack, one_norms(stack)), scipy_expm(stack)
+        )
+        assert err.max() <= 1e-12
+        # A Gaussian matrix's spectral radius is about a third of its
+        # 1-norm, so too few squarings pass unseen on it.  A symmetric one
+        # with nonnegative entries has its largest eigenvalue near the norm
+        # (0.71-0.91 of it here).  SciPy is off by up to 1.4e-12 on these
+        # at norm 10, so the reference is their eigendecomposition.
+        square = np.abs(rng.normal(size=(len(norms), 9, 9)))
+        stack = scaled_to_norms(square + square.transpose(0, 2, 1), norms)
+        values, vectors = np.linalg.eigh(stack)
+        exact = (vectors * np.exp(values)[:, None, :]) @ vectors.transpose(0, 2, 1)
+        err = relative_frobenius(qutrit.expm(stack, one_norms(stack)), exact)
         assert err.max() <= 1e-12
 
     @staticmethod
@@ -115,24 +128,25 @@ class TestExpm:
         # At norm 1e3 SciPy is off by up to 2.6e-12 against 40-digit
         # arithmetic on real NV generators, so it is no reference there.
         stack, exact = self.normal_stack(np.random.default_rng(53), np.repeat(NORMS, 6))
-        err = relative_frobenius(qutrit.expm(stack), exact)
+        err = relative_frobenius(qutrit.expm(stack, one_norms(stack)), exact)
         assert err.max() <= 1e-12
 
     def test_keeps_the_stack_shape_and_leaves_its_input(self):
         rng = np.random.default_rng(57)
         stack = rng.normal(size=(2, 3, 9, 9))
         before = stack.copy()
-        out = qutrit.expm(stack)
+        out = qutrit.expm(stack, one_norms(stack))
         assert out.shape == stack.shape
         np.testing.assert_array_equal(stack, before)
         # the result is the caller's: the next call's scratch work leaves it
         kept = out.copy()
-        qutrit.expm(2.0 * stack)
+        qutrit.expm(2.0 * stack, 2.0 * one_norms(stack))
         np.testing.assert_array_equal(out, kept)
         np.testing.assert_allclose(out[1, 2], scipy_expm(stack[1, 2]), rtol=1e-12)
-        assert qutrit.expm(np.zeros((0, 9, 9))).shape == (0, 9, 9)
+        empty, zeros = np.zeros((0, 9, 9)), np.zeros((4, 9, 9))
+        assert qutrit.expm(empty, one_norms(empty)).shape == (0, 9, 9)
         identities = np.tile(np.eye(9), (4, 1, 1))
-        np.testing.assert_array_equal(qutrit.expm(np.zeros((4, 9, 9))), identities)
+        np.testing.assert_array_equal(qutrit.expm(zeros, one_norms(zeros)), identities)
 
     def test_a_non_finite_matrix_leaves_the_others_exact(self):
         # the nan or inf 1-norm of one matrix must not set the squarings of
@@ -144,7 +158,7 @@ class TestExpm:
         stack[1, 2, 6] = np.nan
         stack[3, 0, 4] = np.inf
         with np.errstate(invalid="ignore"):
-            out = qutrit.expm(stack)
+            out = qutrit.expm(stack, one_norms(stack))
         finite = [0, 2, 4]
         err = relative_frobenius(out[finite], scipy_expm(stack[finite]))
         assert err.max() <= 1e-12
@@ -416,7 +430,7 @@ class TestSurvivalBlocks:
         else:
             steps, rows = qutrit._steps(np.array([c.wait_time for c in configs]))
             table = qutrit._survival_ramsey_family(coeffs, first.pulse_time, steps)
-        return qutrit._clamp_probability(table[rows], "serial")
+        return qutrit._clamp_probability(table[rows])
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     # either side of one block and of two, and four whole blocks, at the

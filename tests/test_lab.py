@@ -1,4 +1,5 @@
 import json
+import re
 import socket
 import threading
 
@@ -176,6 +177,34 @@ class TestInProcessLab:
         lab.run(RUN_CFG)
         assert lab.last_cache_hit is True
         assert lab.ping()
+
+
+class TestAddress:
+    """A lab address is host:port, or tcp://host:port, with a port in
+    0-65535; any other is refused by name before a socket opens."""
+
+    @pytest.mark.parametrize("address", [
+        "tcp://127.0.0.1:73313",  # getaddrinfo would take it as port 7777
+        "127.0.0.1:65536",
+        "tcp://host:abc",
+        "host:-1",
+        "host:",
+        ":7777",
+        "host",
+    ])
+    def test_a_bad_address_is_refused_by_name(self, address, monkeypatch):
+        def no_socket(*args, **kwargs):
+            raise AssertionError("a socket was opened")
+
+        monkeypatch.setattr(socket, "create_connection", no_socket)
+        monkeypatch.setattr(labmod, "LabServer", no_socket)
+        for connect in (LabClient, lambda a: labmod.serve(a, make_system())):
+            with pytest.raises(ValueError, match=re.escape(repr(address))):
+                connect(address)
+
+    def test_the_ends_of_the_port_range_parse(self):
+        assert labmod._parse_address("tcp://127.0.0.1:65535") == ("127.0.0.1", 65535)
+        assert labmod._parse_address("localhost:0") == ("localhost", 0)
 
 
 class TestTcpService:

@@ -28,7 +28,7 @@ from nvbed.smc import (
     posterior_cov,
     sample_prior,
 )
-from helpers import random_rows
+from helpers import one_norms, random_rows
 from oracles import (
     brute_force_risk,
     stacked_mis_risk,
@@ -46,7 +46,8 @@ def nv_cloud(rng, k=400):
 
 
 class TruncatedPoissonToy:
-    """Single truncated-Poisson channel with rate x * exposure.
+    """Single truncated-Poisson channel with rate x * exposure; it ignores
+    the survival probabilities ``p``.
 
     The outcome space has at most zmax + 1 values, so the Bayes risk can be
     enumerated exactly.
@@ -61,14 +62,14 @@ class TruncatedPoissonToy:
         table = z * np.log(lam)[:, None] - lam[:, None] - gammaln(z + 1.0)
         return table - logsumexp(table, axis=1, keepdims=True)
 
-    def sample_counts(self, locations, exposure, rng):
+    def sample_counts(self, locations, exposure, rng, p):
         probs = np.exp(self._log_probs(locations, exposure))
         cdf = probs.cumsum(axis=1)
         u = rng.uniform(size=locations.shape[0])
         draws = (u[:, None] > cdf).sum(axis=1)
         return draws[:, None]
 
-    def log_rates(self, locations, exposure):
+    def log_rates(self, locations, exposure, p):
         # row z holds every particle's log-probability of the outcome z
         return np.ascontiguousarray(self._log_probs(locations, exposure).T)
 
@@ -85,8 +86,8 @@ class UnderflowingModel(TruncatedPoissonToy):
         super().__init__(zmax)
         self.rows = list(rows)
 
-    def sample_counts(self, locations, exposure, rng):
-        counts = super().sample_counts(locations, exposure, rng)
+    def sample_counts(self, locations, exposure, rng, p):
+        counts = super().sample_counts(locations, exposure, rng, p)
         counts[self.rows] = -1
         return counts
 
@@ -100,10 +101,10 @@ class UnderflowingModel(TruncatedPoissonToy):
 class ConstantLikelihoodModel:
     """An experiment that carries no information about any particle."""
 
-    def sample_counts(self, locations, config, rng):
+    def sample_counts(self, locations, config, rng, p):
         return np.zeros((locations.shape[0], 1), dtype=int)
 
-    def log_rates(self, locations, config):
+    def log_rates(self, locations, config, p):
         return np.zeros(locations.shape[0])
 
     def log_likelihood_matrix(self, counts, log_rates, out=None):
@@ -111,6 +112,12 @@ class ConstantLikelihoodModel:
             out = np.empty((np.asarray(counts).shape[0], len(log_rates)))
         out[...] = log_rates
         return out
+
+
+def ignored_rows(configs, particles):
+    """A survival-row function for the toy models, which ignore ``p``: nan
+    at every entry, so that a model that read one would return nan."""
+    return np.full((len(configs), len(particles)), np.nan)
 
 
 def enumerated_toy_risk(cloud, exposure, q_scalar, zmax):
@@ -141,10 +148,12 @@ def mis_alone(
 ):
     """One candidate's estimate on its own draws: :func:`risk.draw_shared`
     from ``rng``, then :func:`mis_risk` counting from ``rng``, with the row
-    ``p_full`` over the whole cloud sliced at the drawn particles."""
+    ``p_full`` over the whole cloud sliced at the drawn particles; a model
+    that ignores it leaves it None and gets nan."""
     draws = risk.draw_shared(cloud, q, n_outcomes, n_particles, rng)
-    p = None if p_full is None else p_full[draws.particles]
-    return mis_risk(draws, config, rng, model, p)
+    if p_full is None:
+        p_full = np.full(cloud.size, np.nan)
+    return mis_risk(draws, config, rng, p_full[draws.particles], model)
 
 
 class TestAgainstEnumeration:
@@ -265,7 +274,7 @@ class TestRiskProfile:
         q = uniform_weight_matrix()
         profile = risk_profile(
             cloud, [CFG], q, np.random.default_rng(24),
-            n_outcomes=64, n_particles=cloud.size,
+            n_outcomes=64, n_particles=cloud.size, p_table=ignored_rows,
             model=ConstantLikelihoodModel(),
         )
         value = profile[0][1].value / trace_weighted_variance(cloud, q)
@@ -277,7 +286,7 @@ class TestRiskProfile:
         q = np.array([[1.0]])
         profile = risk_profile(
             cloud, [2.0], q, np.random.default_rng(26),
-            n_outcomes=1024, n_particles=cloud.size,
+            n_outcomes=1024, n_particles=cloud.size, p_table=ignored_rows,
             model=TruncatedPoissonToy(),
         )
         assert profile[0][1].value / trace_weighted_variance(cloud, q) < 1.0
@@ -288,7 +297,8 @@ class TestRiskProfile:
         exposures = [0.5, 1.0, 2.0]
         profile = risk_profile(
             cloud, exposures, np.array([[1.0]]), np.random.default_rng(28),
-            n_outcomes=128, n_particles=cloud.size, model=TruncatedPoissonToy(),
+            n_outcomes=128, n_particles=cloud.size, p_table=ignored_rows,
+            model=TruncatedPoissonToy(),
         )
         assert [cfg for cfg, _ in profile] == exposures
 
@@ -550,7 +560,8 @@ class TestDrawnRows:
         q = uniform_weight_matrix()
         cache = SurvivalTableCache()
         whole = SurvivalTableCache()
-        whole.table(spins, configs)  # every row over the whole cloud
+        # every row over the whole cloud
+        whole.table(spins, configs, np.arange(cloud.size))
         full = risk.screened_profile(
             cloud, configs, q, np.random.default_rng(91), 256, 256,
             p_table=partial(whole.table, spins),
@@ -642,7 +653,7 @@ class TestOneScratchBuffer:
         stack = rng.normal(size=(768, 8, 8)) * np.geomspace(1e-3, 10.0, 768)[
             :, None, None
         ]
-        exponentials = qutrit.expm(stack)
+        exponentials = qutrit.expm(stack, one_norms(stack))
         kept = table.copy(), exponentials.copy()
         sizes = (512, 256)
         assert sizes[0] * sizes[1] >= risk._POOL_MIN_CELLS
@@ -744,31 +755,6 @@ class TestBlockedTable:
         assert new.std_error == pytest.approx(old.std_error, rel=1e-12, abs=0)
 
 
-class TestSurvivalRows:
-    def test_nv_model_without_rows_names_them(self):
-        cloud = nv_cloud(np.random.default_rng(31), k=50)
-        with pytest.raises(ValueError, match=r"as p \(mis_risk\)"):
-            mis_alone(
-                cloud, CFG, uniform_weight_matrix(), 16, 16, np.random.default_rng(32)
-            )
-        with pytest.raises(ValueError, match="p_table"):
-            NvModel().sample_counts(cloud.locations, CFG, np.random.default_rng(33))
-
-    def test_profile_without_rows_names_them(self, monkeypatch):
-        # the NV rows come from the design's cache or the caller, never from
-        # a simulation inside the estimator
-        def no_simulation(*args):
-            raise AssertionError("risk_profile simulated survival rows")
-
-        monkeypatch.setattr(qutrit, "survival_table", no_simulation)
-        cloud = nv_cloud(np.random.default_rng(34), k=50)
-        with pytest.raises(ValueError, match="p_table"):
-            risk_profile(
-                cloud, [CFG], uniform_weight_matrix(), np.random.default_rng(35),
-                n_outcomes=16, n_particles=16,
-            )
-
-
 def nv_table(n_reps, shrink, seed, n_out=300, n_in=700):
     """A log-likelihood table of the NV model at ``n_reps`` repetitions,
     with inner weights and locations.  The wide-prior cloud is shrunk toward
@@ -829,8 +815,11 @@ class TestOneProductMoments:
         rng = np.random.default_rng(45)
         cloud = toy_cloud(rng)
         model = TruncatedPoissonToy()
-        counts = model.sample_counts(cloud.locations, 1.5, rng)
-        table = model.log_likelihood_matrix(counts, model.log_rates(cloud.locations, 1.5))
+        ignored = np.full(cloud.size, np.nan)
+        counts = model.sample_counts(cloud.locations, 1.5, rng, ignored)
+        table = model.log_likelihood_matrix(
+            counts, model.log_rates(cloud.locations, 1.5, ignored)
+        )
         self.compare(
             table, cloud.weights, cloud.locations, np.array([[1.0]]), np.float64, 1e-12
         )

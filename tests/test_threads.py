@@ -5,7 +5,8 @@ and ``harness.run_trial`` runs the lab on a thread of its own (the
 pipeline); no other code builds an executor.  Every thread's scratch arrays
 come from the one ``threading.local`` of ``qutrit.thread_buffer``.  Only
 the survival cache and the lab's truth call the simulator, so design and
-update share every simulated entry.
+update share every simulated entry, and only the survival kernel's
+propagators call ``expm``, with the norm bounds their coefficients give.
 """
 
 import ast
@@ -53,3 +54,7 @@ def test_only_the_cache_and_the_lab_simulate():
         "qutrit.survival_probability",
     ]
     assert calls("survival_probability") == ["lab.TrueSystem.execute"]
+
+
+def test_only_the_kernel_propagators_exponentiate():
+    assert calls("expm") == ["qutrit._propagators"]
